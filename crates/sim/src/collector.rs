@@ -102,6 +102,9 @@ pub struct CollectedInstr {
 #[derive(Debug)]
 pub struct OperandCollector {
     units: Vec<Option<CollectorEntry>>,
+    /// Indices of the occupied units in allocation order, which is `seq`
+    /// (age) order: arbitration walks this list oldest first.
+    occupied: Vec<usize>,
     /// Cycle until which each bank is busy (exclusive).
     bank_busy_until: Vec<u64>,
     writeback_queue: VecDeque<WritebackRequest>,
@@ -113,8 +116,8 @@ pub struct OperandCollector {
     pipelined: bool,
     /// Scratch reused across ticks: per-bank granted flags.
     granted_scratch: Vec<bool>,
-    /// Scratch reused across ticks: occupied units in age order.
-    order_scratch: Vec<usize>,
+    /// Scratch reused across ticks: units fully collected this cycle.
+    ready_scratch: Vec<usize>,
     /// Scratch reused across ticks: writebacks denied this cycle.
     wb_scratch: VecDeque<WritebackRequest>,
     /// Recycled `reads` vectors of released entries, so steady-state
@@ -135,6 +138,7 @@ impl OperandCollector {
     pub fn new(num_units: usize, num_banks: usize, pipelined: bool) -> Self {
         OperandCollector {
             units: (0..num_units).map(|_| None).collect(),
+            occupied: Vec::with_capacity(num_units),
             bank_busy_until: vec![0; num_banks],
             writeback_queue: VecDeque::new(),
             inflight_writes: Vec::new(),
@@ -142,7 +146,7 @@ impl OperandCollector {
             bank_conflict_waits: 0,
             pipelined,
             granted_scratch: vec![false; num_banks],
-            order_scratch: Vec::with_capacity(num_units),
+            ready_scratch: Vec::with_capacity(num_units),
             wb_scratch: VecDeque::new(),
             reads_pool: Vec::with_capacity(num_units),
         }
@@ -158,12 +162,12 @@ impl OperandCollector {
 
     /// Number of free collector units.
     pub fn free_units(&self) -> usize {
-        self.units.iter().filter(|u| u.is_none()).count()
+        self.units.len() - self.occupied.len()
     }
 
     /// True if at least one unit is free.
     pub fn has_free_unit(&self) -> bool {
-        self.units.iter().any(|u| u.is_none())
+        self.occupied.len() < self.units.len()
     }
 
     /// Allocates a unit for an issued instruction.
@@ -195,6 +199,7 @@ impl OperandCollector {
             seq,
             token,
         });
+        self.occupied.push(slot);
         true
     }
 
@@ -301,38 +306,46 @@ impl OperandCollector {
                 u64::from(latency.max(1))
             }
         };
-        let mut order = std::mem::take(&mut self.order_scratch);
-        order.clear();
-        order.extend((0..self.units.len()).filter(|&i| self.units[i].is_some()));
-        order.sort_by_key(|&i| self.units[i].as_ref().map(|e| e.seq));
-        for &i in &order {
-            let entry = self.units[i].as_mut().expect("filtered to occupied units");
-            for pr in entry.reads.iter_mut().filter(|r| r.ready_at.is_none()) {
-                let bank = pr.access.bank % num_banks;
-                if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
-                    granted_bank[bank] = true;
-                    let lat = u64::from(pr.access.latency.max(1));
-                    self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
-                    pr.ready_at = Some(cycle + lat);
-                    on_access(pr.access, AccessKind::Read);
-                } else {
-                    self.bank_conflict_waits += 1;
+        // An entry is fully collected once every read's data has arrived;
+        // a read granted this cycle arrives at `cycle + lat` with lat >= 1,
+        // so readiness can be judged in the same walk.
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        ready.clear();
+        for &i in &self.occupied {
+            let entry = self.units[i]
+                .as_mut()
+                .expect("occupied unit holds an entry");
+            let mut all_ready = true;
+            for pr in entry.reads.iter_mut() {
+                match pr.ready_at {
+                    Some(t) => all_ready &= t <= cycle,
+                    None => {
+                        let bank = pr.access.bank % num_banks;
+                        if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
+                            granted_bank[bank] = true;
+                            let lat = u64::from(pr.access.latency.max(1));
+                            self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
+                            pr.ready_at = Some(cycle + lat);
+                            on_access(pr.access, AccessKind::Read);
+                        } else {
+                            self.bank_conflict_waits += 1;
+                        }
+                        all_ready = false;
+                    }
                 }
             }
+            if all_ready {
+                ready.push(i);
+            }
         }
-
-        self.order_scratch = order;
         self.granted_scratch = granted_bank;
 
-        // 3. Release fully-collected entries.
-        for unit in self.units.iter_mut() {
-            let ready = unit.as_ref().is_some_and(|e| {
-                e.reads
-                    .iter()
-                    .all(|r| r.ready_at.is_some_and(|t| t <= cycle))
-            });
-            if ready {
-                let mut e = unit.take().expect("checked is_some");
+        // 3. Release fully-collected entries in unit-index order (the order
+        // the SM turns them into execution completions).
+        if !ready.is_empty() {
+            ready.sort_unstable();
+            for &i in &ready {
+                let mut e = self.units[i].take().expect("ready unit holds an entry");
                 collected.push(CollectedInstr {
                     warp_slot: e.warp_slot,
                     dest: e.dest,
@@ -341,7 +354,10 @@ impl OperandCollector {
                 e.reads.clear();
                 self.reads_pool.push(e.reads);
             }
+            let units = &self.units;
+            self.occupied.retain(|&i| units[i].is_some());
         }
+        self.ready_scratch = ready;
     }
 
     /// The next cycle (strictly after `cycle`) at which ticking the
@@ -360,20 +376,20 @@ impl OperandCollector {
             next = Some(next.map_or(t, |n| n.min(t)));
         };
         if !self.writeback_queue.is_empty() {
-            merge(cycle + 1);
+            return Some(cycle + 1);
         }
         for &(done_at, _) in &self.inflight_writes {
             merge(done_at);
         }
-        for entry in self.units.iter().flatten() {
+        for &i in &self.occupied {
+            let entry = self.units[i]
+                .as_ref()
+                .expect("occupied unit holds an entry");
             let mut all_ready_now = true;
             for r in &entry.reads {
                 match r.ready_at {
-                    None => {
-                        // Still competing for a bank: retry next cycle.
-                        merge(cycle + 1);
-                        all_ready_now = false;
-                    }
+                    // Still competing for a bank: retry next cycle.
+                    None => return Some(cycle + 1),
                     Some(t) => {
                         if t > cycle {
                             merge(t);
@@ -384,7 +400,7 @@ impl OperandCollector {
             }
             if all_ready_now {
                 // Fully collected: the entry releases on the next tick.
-                merge(cycle + 1);
+                return Some(cycle + 1);
             }
         }
         next
@@ -392,7 +408,7 @@ impl OperandCollector {
 
     /// True when no instruction or write is outstanding.
     pub fn is_idle(&self) -> bool {
-        self.units.iter().all(|u| u.is_none())
+        self.occupied.is_empty()
             && self.writeback_queue.is_empty()
             && self.inflight_writes.is_empty()
     }

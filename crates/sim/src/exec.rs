@@ -70,23 +70,55 @@ impl Default for ExecOutcome {
     }
 }
 
-fn lane_operand(warp: &WarpContext, env: &ExecEnv, lane: usize, op: Operand) -> u32 {
+/// Gathers operand `op` across all 32 lanes into `out`. Absent operands
+/// read as zero; register reads are one contiguous slice copy thanks to
+/// the register-major layout.
+fn gather(warp: &WarpContext, env: &ExecEnv, op: Option<Operand>, out: &mut [u32; WARP_SIZE]) {
     match op {
-        Operand::Reg(r) => warp.regs[lane][r.index()],
-        Operand::Imm(v) => v,
-        Operand::Special(s) => {
-            let tid = warp.warp_in_cta * WARP_SIZE as u32 + lane as u32;
-            match s {
-                SpecialReg::TidX => tid,
-                SpecialReg::CtaIdX => warp.cta.0,
-                SpecialReg::NTidX => env.threads_per_cta,
-                SpecialReg::NCtaIdX => env.num_ctas,
-                SpecialReg::LaneId => lane as u32,
-                SpecialReg::WarpId => warp.warp_in_cta,
-                SpecialReg::GlobalTid => warp.cta.0 * env.threads_per_cta + tid,
+        None => *out = [0; WARP_SIZE],
+        Some(Operand::Reg(r)) => out.copy_from_slice(warp.reg_lanes(r.index())),
+        Some(Operand::Imm(v)) => *out = [v; WARP_SIZE],
+        Some(Operand::Special(s)) => {
+            let tid0 = warp.warp_in_cta * WARP_SIZE as u32;
+            for (lane, o) in out.iter_mut().enumerate() {
+                let lane = lane as u32;
+                *o = match s {
+                    SpecialReg::TidX => tid0 + lane,
+                    SpecialReg::CtaIdX => warp.cta.0,
+                    SpecialReg::NTidX => env.threads_per_cta,
+                    SpecialReg::NCtaIdX => env.num_ctas,
+                    SpecialReg::LaneId => lane,
+                    SpecialReg::WarpId => warp.warp_in_cta,
+                    // Wrapping: inactive lanes past the grid's last thread
+                    // are evaluated too, and must not trip overflow checks.
+                    SpecialReg::GlobalTid => (warp.cta.0 * env.threads_per_cta)
+                        .wrapping_add(tid0)
+                        .wrapping_add(lane),
+                };
             }
         }
     }
+}
+
+/// Lanes whose copy of predicate `g.pred` equals `g.expected`.
+fn pred_true_lanes(warp: &WarpContext, g: &prf_isa::PredGuard) -> u32 {
+    let bits = warp.preds[g.pred.index()];
+    if g.expected {
+        bits
+    } else {
+        !bits
+    }
+}
+
+/// Iterates the set lanes of `mask` in ascending lane order.
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// Executes the instruction at the warp's current pc, updating the warp's
@@ -131,15 +163,7 @@ pub fn execute_warp_instruction_into(
     // Lanes where the guard holds.
     let guard_mask = match &instr.guard {
         None => active,
-        Some(g) => {
-            let mut m = 0u32;
-            for lane in 0..WARP_SIZE {
-                if active & (1 << lane) != 0 && warp.preds[lane][g.pred.index()] == g.expected {
-                    m |= 1 << lane;
-                }
-            }
-            m
-        }
+        Some(g) => active & pred_true_lanes(warp, g),
     };
 
     match instr.opcode {
@@ -182,76 +206,103 @@ pub fn execute_warp_instruction_into(
         guard_mask
     };
 
-    // Shuffle needs a snapshot of the source register across lanes
-    // (stack array: this runs on the per-issue hot path).
-    let shfl_snapshot: Option<[u32; WARP_SIZE]> = if instr.opcode == Opcode::Shfl {
-        let src = instr.srcs[0]
-            .and_then(|o| o.as_reg())
-            .expect("shfl source must be a register");
-        let mut snap = [0u32; WARP_SIZE];
-        for (l, s) in snap.iter_mut().enumerate() {
-            *s = warp.regs[l][src.index()];
+    // Each source operand is gathered once, for all 32 lanes. Every lane
+    // reads only its own lanes' state (Shfl reads the gathered snapshot),
+    // so gathering before any write-back is equivalent to the per-lane
+    // read-then-write order.
+    let mut a = [0u32; WARP_SIZE];
+    let mut b = [0u32; WARP_SIZE];
+    let mut c = [0u32; WARP_SIZE];
+    gather(warp, env, instr.srcs[0], &mut a);
+    gather(warp, env, instr.srcs[1], &mut b);
+    let off = instr.mem_offset;
+    let dst = instr.dst.as_reg().map(|r| r.index());
+    let mut result = [0u32; WARP_SIZE];
+
+    // Evaluate; `true` when `result` holds a register value to write back.
+    let produces = match instr.opcode {
+        // Memory side effects happen per executing lane, in ascending lane
+        // order (the order the coalescer and the staged-write log see).
+        Opcode::Ldg => {
+            for lane in lanes(exec_mask) {
+                let addr = a[lane].wrapping_add(off);
+                outcome.global_addrs.push(addr);
+                result[lane] = global.read(addr);
+            }
+            true
         }
-        Some(snap)
-    } else {
-        None
+        Opcode::Stg => {
+            for lane in lanes(exec_mask) {
+                let addr = a[lane].wrapping_add(off);
+                outcome.global_addrs.push(addr);
+                global.write(addr, b[lane]);
+            }
+            false
+        }
+        Opcode::Lds => {
+            outcome.shared_access = exec_mask != 0;
+            for lane in lanes(exec_mask) {
+                result[lane] = shared.read(a[lane].wrapping_add(off));
+            }
+            true
+        }
+        Opcode::Sts => {
+            outcome.shared_access = exec_mask != 0;
+            for lane in lanes(exec_mask) {
+                shared.write(a[lane].wrapping_add(off), b[lane]);
+            }
+            false
+        }
+        Opcode::Shfl => {
+            for (r, &src_lane) in result.iter_mut().zip(&b) {
+                *r = a[(src_lane & 31) as usize];
+            }
+            true
+        }
+        Opcode::Selp => {
+            let g = instr
+                .guard
+                .as_ref()
+                .expect("selp carries its predicate as guard");
+            let sel = pred_true_lanes(warp, g);
+            for (lane, r) in result.iter_mut().enumerate() {
+                *r = if sel & (1 << lane) != 0 {
+                    a[lane]
+                } else {
+                    b[lane]
+                };
+            }
+            true
+        }
+        Opcode::Nop => false,
+        Opcode::Setp(cmp) => {
+            let mut bits = 0u32;
+            for lane in 0..WARP_SIZE {
+                bits |= u32::from(cmp.eval(a[lane], b[lane])) << lane;
+            }
+            if let Dst::Pred(p) = instr.dst {
+                let old = warp.preds[p.index()];
+                warp.preds[p.index()] = (old & !exec_mask) | (bits & exec_mask);
+            }
+            false
+        }
+        op => {
+            if dst.is_some() {
+                gather(warp, env, instr.srcs[2], &mut c);
+                for (lane, r) in result.iter_mut().enumerate() {
+                    *r = op.eval([a[lane], b[lane], c[lane]]);
+                }
+            }
+            true
+        }
     };
 
-    for lane in 0..WARP_SIZE {
-        if exec_mask & (1 << lane) == 0 {
-            continue;
-        }
-        let fetch =
-            |i: usize| -> u32 { instr.srcs[i].map_or(0, |o| lane_operand(warp, env, lane, o)) };
-        let result: Option<u32> = match instr.opcode {
-            Opcode::Ldg => {
-                let addr = fetch(0).wrapping_add(instr.mem_offset);
-                outcome.global_addrs.push(addr);
-                Some(global.read(addr))
+    // Write-back under the exec mask: inactive lanes are never written.
+    if let (true, Some(r)) = (produces, dst) {
+        for (lane, (d, &v)) in warp.reg_lanes_mut(r).iter_mut().zip(&result).enumerate() {
+            if exec_mask & (1 << lane) != 0 {
+                *d = v;
             }
-            Opcode::Stg => {
-                let addr = fetch(0).wrapping_add(instr.mem_offset);
-                outcome.global_addrs.push(addr);
-                global.write(addr, fetch(1));
-                None
-            }
-            Opcode::Lds => {
-                outcome.shared_access = true;
-                Some(shared.read(fetch(0).wrapping_add(instr.mem_offset)))
-            }
-            Opcode::Sts => {
-                outcome.shared_access = true;
-                shared.write(fetch(0).wrapping_add(instr.mem_offset), fetch(1));
-                None
-            }
-            Opcode::Shfl => {
-                let src_lane = (fetch(1) & 31) as usize;
-                Some(shfl_snapshot.as_ref().expect("snapshot exists for shfl")[src_lane])
-            }
-            Opcode::Selp => {
-                // Guard carries the predicate: by construction `selp` is
-                // built with a guard, so lanes reaching here select src0;
-                // but we want value selection, not squashing. Handle via
-                // direct eval with the guard value.
-                let g = instr
-                    .guard
-                    .as_ref()
-                    .expect("selp carries its predicate as guard");
-                let pv = warp.preds[lane][g.pred.index()] == g.expected;
-                Some(Opcode::Selp.eval([fetch(0), fetch(1), u32::from(pv)]))
-            }
-            Opcode::Nop => None,
-            Opcode::Setp(cmp) => {
-                let v = cmp.eval(fetch(0), fetch(1));
-                if let Dst::Pred(p) = instr.dst {
-                    warp.preds[lane][p.index()] = v;
-                }
-                None
-            }
-            op => Some(op.eval([fetch(0), fetch(1), fetch(2)])),
-        };
-        if let (Some(v), Dst::Reg(r)) = (result, instr.dst) {
-            warp.regs[lane][r.index()] = v;
         }
     }
 
@@ -332,10 +383,10 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         // warp_in_cta = 1: tid = 32 + lane.
-        assert_eq!(w.regs[0][0], 32);
-        assert_eq!(w.regs[5][0], 37);
+        assert_eq!(w.reg(0, 0), 32);
+        assert_eq!(w.reg(5, 0), 37);
         // cta 1, 64 thr/cta: gtid = 64 + tid.
-        assert_eq!(w.regs[5][1], 64 + 37);
+        assert_eq!(w.reg(5, 1), 64 + 37);
     }
 
     #[test]
@@ -350,7 +401,7 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.regs[lane][2], 42);
+            assert_eq!(w.reg(lane, 2), 42);
         }
     }
 
@@ -369,7 +420,7 @@ mod tests {
         let mut g = GlobalMemory::new(4096);
         run_to_completion(&k, &mut w, &mut g);
         assert_eq!(g.read(1032), 5); // tid 32 is lane 0 of warp 1
-        assert_eq!(w.regs[0][3], 5);
+        assert_eq!(w.reg(0, 3), 5);
     }
 
     #[test]
@@ -392,10 +443,10 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..8 {
-            assert_eq!(w.regs[lane][1], 1, "lane {lane} (tid<40) takes then");
+            assert_eq!(w.reg(lane, 1), 1, "lane {lane} (tid<40) takes then");
         }
         for lane in 8..WARP_SIZE {
-            assert_eq!(w.regs[lane][1], 2, "lane {lane} takes else");
+            assert_eq!(w.reg(lane, 1), 2, "lane {lane} takes else");
         }
     }
 
@@ -419,11 +470,11 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         // Lane 0: R0=0 -> one iteration (do-while), R2=10.
-        assert_eq!(w.regs[0][2], 10);
+        assert_eq!(w.reg(0, 2), 10);
         // Lane 3: R0=3 -> three iterations, R2=30.
-        assert_eq!(w.regs[3][2], 30);
+        assert_eq!(w.reg(3, 2), 30);
         // Lane 7 (7&3=3): 30 as well.
-        assert_eq!(w.regs[7][2], 30);
+        assert_eq!(w.reg(7, 2), 30);
     }
 
     #[test]
@@ -438,7 +489,7 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.regs[lane][2], 3);
+            assert_eq!(w.reg(lane, 2), 3);
         }
     }
 
@@ -455,8 +506,8 @@ mod tests {
         let mut w = fresh_warp(4);
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
-        assert_eq!(w.regs[0][3], 100);
-        assert_eq!(w.regs[20][3], 200);
+        assert_eq!(w.reg(0, 3), 100);
+        assert_eq!(w.reg(20, 3), 200);
     }
 
     #[test]
@@ -486,8 +537,8 @@ mod tests {
             let i = k.fetch(pc).clone();
             exec_step(&mut w, &i, &rt, &e, &mut g, &mut s);
         }
-        assert_eq!(w.regs[0][1], 9);
-        assert_eq!(w.regs[31][1], 0, "exited lane never ran the mov");
+        assert_eq!(w.reg(0, 1), 9);
+        assert_eq!(w.reg(31, 1), 0, "exited lane never ran the mov");
     }
 
     #[test]
@@ -505,6 +556,166 @@ mod tests {
         assert_eq!(w.stack.pc(), Some(1));
     }
 
+    /// Runs `instr` once on `w` (the instruction is the whole kernel, so
+    /// its reconvergence table is trivial) and returns the outcome plus
+    /// the staged global writes in program order.
+    fn exec_one(
+        w: &mut WarpContext,
+        instr: Instruction,
+        global: &GlobalMemory,
+    ) -> (ExecOutcome, Vec<(u32, u32)>) {
+        let mut kb = KernelBuilder::new("one");
+        kb.push(instr.clone());
+        kb.exit();
+        let k = kb.build().unwrap();
+        let rt = ReconvergenceTable::compute(&k);
+        let mut shared = SharedMemory::new(64);
+        let mut log = Vec::new();
+        let out = {
+            let mut view = GmemView::new(global, &mut log);
+            execute_warp_instruction(w, &instr, &rt, &env(), &mut view, &mut shared)
+        };
+        (out, log)
+    }
+
+    /// Sets register `r` to `f(lane)` in every lane.
+    fn fill(w: &mut WarpContext, r: usize, f: impl Fn(u32) -> u32) {
+        for (lane, v) in w.reg_lanes_mut(r).iter_mut().enumerate() {
+            *v = f(lane as u32);
+        }
+    }
+
+    #[test]
+    fn guarded_ops_leave_unexecuted_lanes_untouched() {
+        let active = 0x0000_FFFF;
+        let mut w = WarpContext::new(0, 0, CtaId(0), 0, active, 2, 0);
+        fill(&mut w, 0, |lane| lane);
+        w.preds[0] = 0x00FF_00FF; // guard: true in lanes 0..8 and 16..24
+        w.preds[1] = 0xAAAA_AAAA; // old destination bits
+        let setp = Instruction::new(Opcode::Setp(CmpOp::Lt))
+            .with_dst(Dst::Pred(PredReg(1)))
+            .with_srcs(&[Operand::Reg(Reg(0)), Operand::Imm(4)])
+            .with_guard(prf_isa::PredGuard {
+                pred: PredReg(0),
+                expected: true,
+            });
+        exec_one(&mut w, setp, &GlobalMemory::new(64));
+        let exec = active & 0x00FF_00FF; // lanes 0..8
+        let fresh = 0x0000_000F; // lane < 4
+        assert_eq!(w.preds[1], (0xAAAA_AAAA & !exec) | (fresh & exec));
+        for lane in 0..WARP_SIZE {
+            let expect = if exec & (1 << lane) != 0 {
+                lane < 4
+            } else {
+                0xAAAA_AAAAu32 & (1 << lane) != 0
+            };
+            assert_eq!(w.pred(lane, 1), expect, "lane {lane}");
+        }
+        assert_eq!(w.preds[0], 0x00FF_00FF, "guard predicate untouched");
+
+        // A guarded ALU op writes only the lanes where the guard holds.
+        fill(&mut w, 1, |_| 0xDEAD);
+        let iadd = Instruction::new(Opcode::IAdd)
+            .with_dst(Dst::Reg(Reg(1)))
+            .with_srcs(&[Operand::Reg(Reg(0)), Operand::Imm(1)])
+            .with_guard(prf_isa::PredGuard {
+                pred: PredReg(0),
+                expected: true,
+            });
+        exec_one(&mut w, iadd, &GlobalMemory::new(64));
+        for lane in 0..WARP_SIZE {
+            let expect = if exec & (1 << lane) != 0 {
+                lane as u32 + 1
+            } else {
+                0xDEAD
+            };
+            assert_eq!(w.reg(lane, 1), expect, "iadd lane {lane}");
+        }
+    }
+
+    #[test]
+    fn masked_global_accesses_run_in_ascending_lane_order() {
+        let active: u32 = 0b1000_0000_0000_0000_0000_0000_1010_0101;
+        let lanes: Vec<usize> = (0..WARP_SIZE).filter(|l| active & (1 << l) != 0).collect();
+        let mut w = WarpContext::new(0, 0, CtaId(0), 0, active, 3, 0);
+        // Descending addresses, so lane order and address order differ.
+        fill(&mut w, 0, |lane| 500 - 4 * lane);
+        fill(&mut w, 1, |lane| 1000 + lane);
+        fill(&mut w, 2, |_| 0xDEAD);
+        let mut global = GlobalMemory::new(1024);
+        for lane in 0..WARP_SIZE as u32 {
+            global.write(500 - 4 * lane + 1, 7000 + lane);
+        }
+
+        let stg =
+            Instruction::new(Opcode::Stg).with_srcs(&[Operand::Reg(Reg(0)), Operand::Reg(Reg(1))]);
+        let (out, log) = exec_one(&mut w, stg, &global);
+        let addrs: Vec<u32> = lanes.iter().map(|&l| 500 - 4 * l as u32).collect();
+        assert_eq!(out.global_addrs, addrs, "one address per executing lane");
+        let staged: Vec<(u32, u32)> = lanes
+            .iter()
+            .map(|&l| (500 - 4 * l as u32, 1000 + l as u32))
+            .collect();
+        assert_eq!(log, staged, "stores staged in ascending lane order");
+
+        let mut ldg = Instruction::new(Opcode::Ldg)
+            .with_dst(Dst::Reg(Reg(2)))
+            .with_srcs(&[Operand::Reg(Reg(0))]);
+        ldg.mem_offset = 1;
+        let (out, log) = exec_one(&mut w, ldg, &global);
+        let addrs: Vec<u32> = lanes.iter().map(|&l| 500 - 4 * l as u32 + 1).collect();
+        assert_eq!(out.global_addrs, addrs);
+        assert!(log.is_empty());
+        for lane in 0..WARP_SIZE {
+            let expect = if active & (1 << lane) != 0 {
+                7000 + lane as u32
+            } else {
+                0xDEAD
+            };
+            assert_eq!(w.reg(lane, 2), expect, "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn selp_and_shfl_write_only_active_lanes_under_divergence() {
+        let active = 0x0F0F_0F0F;
+        let mut w = WarpContext::new(0, 0, CtaId(0), 0, active, 5, 0);
+        fill(&mut w, 0, |lane| 100 + lane);
+        fill(&mut w, 1, |lane| 200 + lane);
+        fill(&mut w, 2, |lane| (lane + 4) % 32); // shfl source lane
+        fill(&mut w, 3, |_| 0xDEAD);
+        fill(&mut w, 4, |_| 0xBEEF);
+        w.preds[2] = 0x3333_3333;
+
+        let selp = Instruction::new(Opcode::Selp)
+            .with_dst(Dst::Reg(Reg(3)))
+            .with_srcs(&[Operand::Reg(Reg(0)), Operand::Reg(Reg(1))])
+            .with_guard(prf_isa::PredGuard {
+                pred: PredReg(2),
+                expected: false,
+            });
+        exec_one(&mut w, selp, &GlobalMemory::new(64));
+        // Reads an inactive lane's source value (lane + 4 is inactive for
+        // lanes 0..4 of each byte), as the hardware crossbar does.
+        let shfl = Instruction::new(Opcode::Shfl)
+            .with_dst(Dst::Reg(Reg(4)))
+            .with_srcs(&[Operand::Reg(Reg(0)), Operand::Reg(Reg(2))]);
+        exec_one(&mut w, shfl, &GlobalMemory::new(64));
+
+        for lane in 0..WARP_SIZE as u32 {
+            let on = active & (1 << lane) != 0;
+            let sel_src0 = 0x3333_3333u32 & (1 << lane) == 0; // @!P2 picks src0
+            let selp_expect = match (on, sel_src0) {
+                (false, _) => 0xDEAD,
+                (true, true) => 100 + lane,
+                (true, false) => 200 + lane,
+            };
+            assert_eq!(w.reg(lane as usize, 3), selp_expect, "selp lane {lane}");
+            let shfl_expect = if on { 100 + (lane + 4) % 32 } else { 0xBEEF };
+            assert_eq!(w.reg(lane as usize, 4), shfl_expect, "shfl lane {lane}");
+        }
+    }
+
     #[test]
     fn partial_warp_respects_initial_mask() {
         // sad-like CTA with 61 threads: warp 1 has 29 lanes.
@@ -518,8 +729,8 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         let mut s = SharedMemory::new(64);
         exec_step(&mut w, &k.fetch(0).clone(), &rt, &env(), &mut g, &mut s);
-        assert_eq!(w.regs[0][0], 1);
-        assert_eq!(w.regs[29][0], 0, "inactive lane untouched");
-        assert_eq!(w.regs[31][0], 0);
+        assert_eq!(w.reg(0, 0), 1);
+        assert_eq!(w.reg(29, 0), 0, "inactive lane untouched");
+        assert_eq!(w.reg(31, 0), 0);
     }
 }

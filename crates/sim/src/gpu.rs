@@ -52,6 +52,20 @@ fn note_pilot_finish(pilot: &mut Option<u64>, finished: &[(u32, u32, u64)], star
     }
 }
 
+/// Merges per-SM skip horizons (see [`Sm::skip_horizon`]) after the
+/// zero-issue cycle `stepped`. Stops probing at the first SM that pins the
+/// target to `stepped + 1`, since nothing can then be skipped.
+fn skip_target(horizons: impl Iterator<Item = Option<u64>>, stepped: u64) -> Option<u64> {
+    let mut target: Option<u64> = None;
+    for c in horizons.flatten() {
+        if c == stepped + 1 {
+            return Some(c);
+        }
+        target = Some(target.map_or(c, |t| t.min(c)));
+    }
+    target
+}
+
 /// A sense-reversing spin-then-block barrier for the SM-parallel cycle
 /// loop.
 ///
@@ -398,19 +412,11 @@ impl Gpu {
     /// relative to the cycle just stepped (`self.cycle - 1`).
     fn skip_idle_span(&mut self, sms: &mut [Sm], grid: GridConfig, next_cta: u32, limit: u64) {
         let stepped = self.cycle - 1;
-        let mut target: Option<u64> = None;
-        let mut merge = |c: u64| target = Some(target.map_or(c, |t| t.min(c)));
-        for sm in sms.iter() {
-            if let Some(c) = sm.next_event(stepped) {
-                merge(c);
-            }
-        }
-        if next_cta < grid.num_ctas {
-            for sm in sms.iter() {
-                merge(sm.next_dispatch_ready(stepped));
-            }
-        }
-        let Some(target) = target else { return };
+        let pending = next_cta < grid.num_ctas;
+        let horizons = sms.iter().map(|sm| sm.skip_horizon(stepped, pending));
+        let Some(target) = skip_target(horizons, stepped) else {
+            return;
+        };
         let target = target.min(limit);
         while self.cycle < target {
             for sm in sms.iter_mut() {
@@ -572,18 +578,11 @@ impl Gpu {
                 }
                 if skip_ok && issued_now.load(Ordering::Acquire) == 0 {
                     let stepped = *cycle_ref - 1;
-                    let mut target: Option<u64> = None;
-                    let mut merge = |c: u64| target = Some(target.map_or(c, |t| t.min(c)));
-                    for cell in cells.iter() {
-                        let sm = &*cell.lock().expect("sm lock");
-                        if let Some(c) = sm.next_event(stepped) {
-                            merge(c);
-                        }
-                        if *next_cta < grid.num_ctas {
-                            merge(sm.next_dispatch_ready(stepped));
-                        }
-                    }
-                    if let Some(target) = target {
+                    let pending = *next_cta < grid.num_ctas;
+                    let horizons = cells
+                        .iter()
+                        .map(|cell| cell.lock().expect("sm lock").skip_horizon(stepped, pending));
+                    if let Some(target) = skip_target(horizons, stepped) {
                         let target = target.min(limit);
                         while *cycle_ref < target {
                             for cell in cells.iter() {

@@ -3,16 +3,26 @@
 
 use std::collections::{HashMap, VecDeque};
 
-/// Functional global memory: a flat array of 32-bit words with wrapping
-/// addressing (addresses are word indices masked to the array size).
+/// Words per [`GlobalMemory`] page (4 KB).
+pub const PAGE_WORDS: usize = 1024;
+
+/// Functional global memory: 32-bit words with wrapping addressing
+/// (addresses are word indices masked to the memory size).
+///
+/// Storage is paged and allocated lazily: a page that was never written
+/// reads as zero and costs no memory, so a 16 MB address space touched in
+/// a few pages stays a few pages big.
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
-    words: Vec<u32>,
+    pages: Vec<Option<Box<[u32]>>>,
+    /// Words per page: [`PAGE_WORDS`], or the whole memory if smaller.
+    page_words: usize,
+    page_shift: u32,
     mask: usize,
 }
 
 impl GlobalMemory {
-    /// Allocates `num_words` (must be a power of two) zeroed words.
+    /// Creates `num_words` (must be a power of two) zeroed words.
     ///
     /// # Panics
     ///
@@ -22,20 +32,31 @@ impl GlobalMemory {
             num_words.is_power_of_two(),
             "memory size must be a power of two"
         );
+        let page_words = PAGE_WORDS.min(num_words);
         GlobalMemory {
-            words: vec![0; num_words],
+            pages: vec![None; num_words / page_words],
+            page_words,
+            page_shift: page_words.trailing_zeros(),
             mask: num_words - 1,
         }
     }
 
     /// Reads the word at `addr` (word address, wraps).
     pub fn read(&self, addr: u32) -> u32 {
-        self.words[addr as usize & self.mask]
+        let a = addr as usize & self.mask;
+        match &self.pages[a >> self.page_shift] {
+            Some(page) => page[a & (self.page_words - 1)],
+            None => 0,
+        }
     }
 
     /// Writes the word at `addr` (word address, wraps).
     pub fn write(&mut self, addr: u32, value: u32) {
-        self.words[addr as usize & self.mask] = value;
+        let a = addr as usize & self.mask;
+        let page_words = self.page_words;
+        let page = self.pages[a >> self.page_shift]
+            .get_or_insert_with(|| vec![0; page_words].into_boxed_slice());
+        page[a & (page_words - 1)] = value;
     }
 
     /// Bulk-initialises memory starting at `base` from `data`.
@@ -48,7 +69,7 @@ impl GlobalMemory {
     /// Size in words.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.mask + 1
     }
 
     /// True when the memory holds zero words — never the case in practice,
@@ -59,7 +80,13 @@ impl GlobalMemory {
     /// [`len`]: GlobalMemory::len
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of pages that have been written (and so hold storage).
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -99,7 +126,7 @@ impl<'a> GmemView<'a> {
                 return v;
             }
         }
-        self.base.words[key as usize]
+        self.base.read(key)
     }
 
     /// Buffers a write of `value` to `addr`.
@@ -360,6 +387,60 @@ mod tests {
         assert_eq!(m.read(5), 7);
         assert_eq!(m.len(), 1024);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn untouched_global_memory_reads_zero_without_storage() {
+        let mut m = GlobalMemory::new(1 << 22);
+        assert_eq!(m.resident_pages(), 0);
+        for addr in [0, 1, 1023, 1024, (1 << 22) - 1, u32::MAX] {
+            assert_eq!(m.read(addr), 0, "addr {addr}");
+        }
+        m.write(5000, 9);
+        assert_eq!(m.resident_pages(), 1);
+        // Neighbours on the freshly allocated page are still zero.
+        assert_eq!(m.read(4999), 0);
+        assert_eq!(m.read(5001), 0);
+        assert_eq!(m.read(5000), 9);
+    }
+
+    #[test]
+    fn paged_global_memory_wraps_across_the_address_space() {
+        let mut m = GlobalMemory::new(1 << 12);
+        m.write(u32::MAX, 1); // wraps to the last word
+        assert_eq!(m.read((1 << 12) - 1), 1);
+        m.write(1 << 12, 2); // wraps to word 0
+        assert_eq!(m.read(0), 2);
+        assert_eq!(m.read(3 << 12), 2);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn global_memory_smaller_than_a_page() {
+        let mut m = GlobalMemory::new(64);
+        assert_eq!(m.len(), 64);
+        m.write(63, 7);
+        m.write(64 + 3, 8); // wraps to 3
+        assert_eq!(m.read(63), 7);
+        assert_eq!(m.read(3), 8);
+        assert_eq!(m.read(127), 7);
+        assert_eq!(m.resident_pages(), 1);
+        let one = GlobalMemory::new(1);
+        assert_eq!(one.read(12345), 0);
+    }
+
+    #[test]
+    fn gmem_view_reads_through_untouched_pages() {
+        let mut base = GlobalMemory::new(1 << 16);
+        base.write(2048, 5);
+        let mut log = Vec::new();
+        let mut v = GmemView::new(&base, &mut log);
+        assert_eq!(v.read(2048), 5, "committed word on a resident page");
+        assert_eq!(v.read(40_000), 0, "absent page reads zero");
+        v.write(40_000, 6);
+        assert_eq!(v.read(40_000), 6, "staged write shadows the absent page");
+        assert_eq!(v.read(40_000 + (1 << 16)), 6, "aliased address too");
+        assert_eq!(base.resident_pages(), 1, "staging allocates no page");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! operands, (4) drive the register-file model's per-cycle hook (the
 //! adaptive-FRF epoch detector counts issued instructions here).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use prf_isa::{CtaId, GridConfig, Kernel, PredReg, ReconvergenceTable, Reg};
@@ -20,7 +19,7 @@ use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
 use crate::rf::{AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use crate::sampling::{SampleSeries, SmSampler};
 use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView};
-use crate::scoreboard::Scoreboard;
+use crate::scoreboard::{hazard_of, InstrHazard, Scoreboard};
 use crate::stats::SmStats;
 use crate::trace::{TraceEvent, TraceRing};
 use crate::warp::{WarpBlock, WarpContext};
@@ -38,15 +37,29 @@ pub struct KernelImage {
     pub rt: ReconvergenceTable,
     /// Launch geometry.
     pub grid: GridConfig,
+    /// Per-pc scoreboard footprint, decoded once per launch.
+    hazards: Vec<InstrHazard>,
 }
 
 impl KernelImage {
-    /// Prepares a kernel for execution (computes the reconvergence table).
-    /// Accepts an owned [`Kernel`] or an existing `Arc<Kernel>`.
+    /// Prepares a kernel for execution (computes the reconvergence table
+    /// and the per-pc hazard table). Accepts an owned [`Kernel`] or an
+    /// existing `Arc<Kernel>`.
     pub fn new(kernel: impl Into<Arc<Kernel>>, grid: GridConfig) -> Self {
         let kernel = kernel.into();
         let rt = ReconvergenceTable::compute(&kernel);
-        KernelImage { kernel, rt, grid }
+        let hazards = kernel.instructions().iter().map(hazard_of).collect();
+        KernelImage {
+            kernel,
+            rt,
+            grid,
+            hazards,
+        }
+    }
+
+    /// The pre-decoded scoreboard footprint of the instruction at `pc`.
+    pub fn hazard(&self, pc: usize) -> &InstrHazard {
+        &self.hazards[pc]
     }
 
     fn env(&self) -> ExecEnv {
@@ -89,8 +102,19 @@ pub struct Sm {
     rf: Box<dyn RegisterFileModel>,
     cta_slots: Vec<Option<CtaState>>,
     shared_mem: Vec<SharedMemory>,
-    inflight: HashMap<u64, InflightInstr>,
-    next_token: u64,
+    /// Warps resident on the SM (the `Some` entries of `warps`).
+    resident: usize,
+    /// Resident warps blocked at a barrier; `release_barriers` runs only
+    /// while this is non-zero.
+    barrier_waiting: usize,
+    /// In-flight instructions, indexed by token. Tokens are opaque slab
+    /// indices recycled through `free_tokens`: the collector orders by its
+    /// own sequence numbers and the LSU by finish time, so a reused token
+    /// value never changes an ordering.
+    inflight: Vec<Option<InflightInstr>>,
+    free_tokens: Vec<u64>,
+    /// Number of `Some` entries in `inflight`.
+    inflight_live: usize,
     exec_completions: Vec<(u64, u64)>, // (cycle, token)
     /// Statistics for this SM.
     pub stats: SmStats,
@@ -181,8 +205,11 @@ impl Sm {
             shared_mem: (0..config.max_ctas_per_sm)
                 .map(|_| SharedMemory::new(config.shared_mem_words))
                 .collect(),
-            inflight: HashMap::new(),
-            next_token: 0,
+            resident: 0,
+            barrier_waiting: 0,
+            inflight: Vec::new(),
+            free_tokens: Vec::new(),
+            inflight_live: 0,
             exec_completions: Vec::new(),
             stats: SmStats::new(),
             finished_warps: Vec::new(),
@@ -271,13 +298,13 @@ impl Sm {
 
     /// Number of warps currently resident.
     pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.is_some()).count()
+        self.resident
     }
 
     /// True when no warp is resident and no instruction is in flight.
     pub fn is_idle(&self) -> bool {
-        self.resident_warps() == 0
-            && self.inflight.is_empty()
+        self.resident == 0
+            && self.inflight_live == 0
             && self.collector.is_idle()
             && self.lsu.is_idle()
             && self.shared_unit.is_idle()
@@ -298,7 +325,7 @@ impl Sm {
             return false;
         }
         // Register-capacity limit.
-        let regs_in_use: usize = self.warps.iter().flatten().count() * 32 * regs;
+        let regs_in_use: usize = self.resident * 32 * regs;
         if regs_in_use + warps_needed * 32 * regs > self.config.rf_registers {
             return false;
         }
@@ -340,6 +367,7 @@ impl Sm {
                 cycle,
             );
             self.warps[slot] = Some(warp);
+            self.resident += 1;
         }
         self.cta_slots[cta_slot] = Some(CtaState {
             warp_slots: free_slots,
@@ -355,16 +383,31 @@ impl Sm {
         true
     }
 
-    fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
+    /// Stores `info` in a free slab slot and returns its token.
+    fn alloc_token(&mut self, info: InflightInstr) -> u64 {
+        self.inflight_live += 1;
+        match self.free_tokens.pop() {
+            Some(t) => {
+                self.inflight[t as usize] = Some(info);
+                t
+            }
+            None => {
+                self.inflight.push(Some(info));
+                (self.inflight.len() - 1) as u64
+            }
+        }
+    }
+
+    fn inflight_info(&self, token: u64) -> Option<&InflightInstr> {
+        self.inflight.get(token as usize).and_then(Option::as_ref)
     }
 
     fn retire(&mut self, token: u64, cycle: u64) {
-        let Some(info) = self.inflight.remove(&token) else {
+        let Some(info) = self.inflight.get_mut(token as usize).and_then(Option::take) else {
             return;
         };
+        self.inflight_live -= 1;
+        self.free_tokens.push(token);
         if let Some(p) = info.pred_dst {
             self.scoreboards[info.warp_slot].release_pred(p);
             if self.observing() {
@@ -397,6 +440,7 @@ impl Sm {
             return;
         }
         let w = self.warps[slot].take().expect("checked above");
+        self.resident -= 1;
         if let Some(a) = self.audit.as_mut() {
             // A finished warp must hold no scoreboard reservations; a
             // pending bit here means a lost release somewhere upstream.
@@ -444,24 +488,39 @@ impl Sm {
         std::mem::take(&mut self.warp_pool)
     }
 
-    fn release_barriers(&mut self) {
-        for cta_slot in 0..self.cta_slots.len() {
-            let Some(c) = self.cta_slots[cta_slot].as_ref() else {
-                continue;
-            };
-            let mut waiting = 0usize;
-            let mut live = 0usize;
-            for &s in &c.warp_slots {
-                if let Some(w) = self.warps[s].as_ref() {
-                    if !w.exited() {
-                        live += 1;
-                        if w.block == WarpBlock::Barrier {
-                            waiting += 1;
-                        }
+    /// True when the CTA in `cta_slot` is resident and all of its live
+    /// warps wait at a barrier.
+    fn cta_arrived(&self, cta_slot: usize) -> bool {
+        let Some(c) = self.cta_slots[cta_slot].as_ref() else {
+            return false;
+        };
+        let mut waiting = 0usize;
+        let mut live = 0usize;
+        for &s in &c.warp_slots {
+            if let Some(w) = self.warps[s].as_ref() {
+                if !w.exited() {
+                    live += 1;
+                    if w.block == WarpBlock::Barrier {
+                        waiting += 1;
                     }
                 }
             }
-            if live > 0 && waiting == live {
+        }
+        live > 0 && waiting == live
+    }
+
+    /// True when some CTA's live warps have all arrived at a barrier, so
+    /// phase 4 of the next cycle releases them.
+    fn barrier_releasable(&self) -> bool {
+        self.barrier_waiting > 0 && (0..self.cta_slots.len()).any(|c| self.cta_arrived(c))
+    }
+
+    fn release_barriers(&mut self) {
+        if self.barrier_waiting == 0 {
+            return;
+        }
+        for cta_slot in 0..self.cta_slots.len() {
+            if self.cta_arrived(cta_slot) {
                 // Borrow dance: take the slot list so releasing warps does
                 // not alias the CTA entry (and does not clone the list).
                 let slots = std::mem::take(
@@ -474,6 +533,7 @@ impl Sm {
                     if let Some(w) = self.warps[s].as_mut() {
                         if w.block == WarpBlock::Barrier {
                             w.block = WarpBlock::None;
+                            self.barrier_waiting -= 1;
                         }
                     }
                 }
@@ -497,7 +557,7 @@ impl Sm {
                 // the two-level scheduler's demotion trigger.
                 let long = self.pending_loads[slot] > 0 && {
                     match w.stack.pc() {
-                        Some(pc) => self.scoreboards[slot].blocked(self.image.kernel.fetch(pc)),
+                        Some(pc) => self.scoreboards[slot].blocked_by(self.image.hazard(pc)),
                         None => false,
                     }
                 };
@@ -521,16 +581,12 @@ impl Sm {
             return false;
         }
         let Some(pc) = w.stack.pc() else { return false };
-        let instr = self.image.kernel.fetch(pc);
-        if self.scoreboards[slot].blocked(instr) {
+        let hazard = self.image.hazard(pc);
+        if self.scoreboards[slot].blocked_by(hazard) {
             return false;
         }
         // Needs a collector unit unless it touches no registers at all.
-        let needs_collector = instr.num_reg_src_operands() > 0 || instr.reg_write().is_some();
-        if needs_collector && !self.collector.has_free_unit() {
-            return false;
-        }
-        true
+        !hazard.needs_collector || self.collector.has_free_unit()
     }
 
     /// Issues the next instruction of warp `slot`. Caller must have checked
@@ -560,6 +616,7 @@ impl Sm {
         );
         if outcome.hit_barrier {
             w.block = WarpBlock::Barrier;
+            self.barrier_waiting += 1;
         }
         let cta = w.cta.0;
         let warp_in_cta = w.warp_in_cta;
@@ -629,7 +686,6 @@ impl Sm {
                     warp: slot,
                 });
             }
-            let token = self.alloc_token();
             let is_load = instr.opcode.is_load();
             if is_load {
                 self.pending_loads[slot] += 1;
@@ -647,22 +703,19 @@ impl Sm {
                     writeback: dst_reg,
                 }
             };
+            let token = self.alloc_token(InflightInstr {
+                warp_slot: slot,
+                dst_reg,
+                pred_dst,
+                is_load,
+                global_addrs: outcome.global_addrs,
+                shared_access: outcome.shared_access,
+            });
             let ok = self.collector.allocate(slot, &resolved_reads, dest, token);
             debug_assert!(ok, "can_issue checked for a free unit");
             if let Some(a) = self.audit.as_mut() {
                 a.note_collector_alloc();
             }
-            self.inflight.insert(
-                token,
-                InflightInstr {
-                    warp_slot: slot,
-                    dst_reg,
-                    pred_dst,
-                    is_load,
-                    global_addrs: outcome.global_addrs,
-                    shared_access: outcome.shared_access,
-                },
-            );
             if let Some(w) = self.warps[slot].as_mut() {
                 w.inflight += 1;
             }
@@ -688,7 +741,7 @@ impl Sm {
     /// of the cycle has stepped. Reads through the [`GmemView`] still see
     /// this SM's own same-cycle stores, in program order.
     pub fn cycle(&mut self, cycle: u64, global: &GlobalMemory) -> u32 {
-        if self.resident_warps() > 0 {
+        if self.resident > 0 {
             self.stats.active_cycles += 1;
         }
 
@@ -699,7 +752,7 @@ impl Sm {
         self.lsu.tick_into(cycle, &mut mem_done);
         self.shared_unit.tick_into(cycle, &mut mem_done);
         for &token in &mem_done {
-            let (slot, dst) = match self.inflight.get(&token) {
+            let (slot, dst) = match self.inflight_info(token) {
                 Some(i) => (i.warp_slot, i.dst_reg),
                 None => continue,
             };
@@ -742,7 +795,7 @@ impl Sm {
             }
         });
         for &token in &due {
-            let (slot, dst) = match self.inflight.get(&token) {
+            let (slot, dst) = match self.inflight_info(token) {
                 Some(i) => (i.warp_slot, i.dst_reg),
                 None => continue,
             };
@@ -830,13 +883,15 @@ impl Sm {
             }
             match c.dest {
                 CollectDest::Execute { latency, writeback } => {
-                    if writeback.is_some() || self.inflight.contains_key(&c.token) {
+                    if writeback.is_some() || self.inflight_info(c.token).is_some() {
                         self.exec_completions
                             .push((cycle + u64::from(latency), c.token));
                     }
                 }
                 CollectDest::Memory => {
-                    let info = self.inflight.get(&c.token).expect("mem op is in flight");
+                    let info = self.inflight[c.token as usize]
+                        .as_ref()
+                        .expect("mem op is in flight");
                     if info.shared_access {
                         // Shared memory has its own pipeline, separate from
                         // the global-memory LSU (as on real SMs).
@@ -949,7 +1004,7 @@ impl Sm {
 
         if issued_total > 0 {
             self.stats.issue_cycles += 1;
-        } else if self.resident_warps() > 0 {
+        } else if self.resident > 0 {
             self.classify_zero_issue_stall();
         }
 
@@ -960,8 +1015,7 @@ impl Sm {
         // branch). Runs after the RF tick so the FRF-mode gauge reflects
         // this cycle's epoch decision.
         if let Some(sampler) = self.sampler.as_mut() {
-            let active_warps = self.warps.iter().filter(|w| w.is_some()).count();
-            sampler.on_cycle(cycle, &self.stats, active_warps, self.rf.frf_low_mode());
+            sampler.on_cycle(cycle, &self.stats, self.resident, self.rf.frf_low_mode());
         }
 
         issued_total
@@ -984,8 +1038,7 @@ impl Sm {
                 continue;
             }
             let Some(pc) = w.stack.pc() else { continue };
-            let instr = self.image.kernel.fetch(pc);
-            if self.scoreboards[slot].blocked(instr) {
+            if self.scoreboards[slot].blocked_by(self.image.hazard(pc)) {
                 if self.pending_loads[slot] > 0 {
                     mem += 1;
                 } else {
@@ -1026,14 +1079,13 @@ impl Sm {
     /// per-cycle hook, sampling), so a skip-ahead run is bit-identical to a
     /// stepped one.
     pub fn idle_advance(&mut self, cycle: u64) {
-        if self.resident_warps() > 0 {
+        if self.resident > 0 {
             self.stats.active_cycles += 1;
             self.classify_zero_issue_stall();
         }
         self.rf.tick(cycle, 0);
         if let Some(sampler) = self.sampler.as_mut() {
-            let active_warps = self.warps.iter().filter(|w| w.is_some()).count();
-            sampler.on_cycle(cycle, &self.stats, active_warps, self.rf.frf_low_mode());
+            sampler.on_cycle(cycle, &self.stats, self.resident, self.rf.frf_low_mode());
         }
     }
 
@@ -1044,51 +1096,48 @@ impl Sm {
     /// idle. Conservative by construction — it may wake the driver early,
     /// never late — which keeps skip-ahead exact.
     pub fn next_event(&self, cycle: u64) -> Option<u64> {
+        // Sources that pin the horizon to the next cycle short-circuit: the
+        // probe runs on every zero-issue cycle, and the common answer is
+        // "no skip".
+        let next = cycle + 1;
+        if (0..self.warps.len()).any(|slot| self.can_issue(slot)) || self.barrier_releasable() {
+            return Some(next);
+        }
         let mut horizon: Option<u64> = None;
-        let mut merge = |c: u64| {
-            let c = c.max(cycle + 1);
+        for c in [
+            self.collector.next_event(cycle),
+            self.lsu.next_event(cycle),
+            self.shared_unit.next_event(cycle),
+        ]
+        .into_iter()
+        .flatten()
+        .chain(self.exec_completions.iter().map(|&(at, _)| at))
+        {
+            let c = c.max(next);
+            if c == next {
+                return Some(next);
+            }
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
-        };
-        if (0..self.warps.len()).any(|slot| self.can_issue(slot)) {
-            merge(cycle + 1);
         }
-        // A fully arrived barrier releases on the next cycle (phase 4).
-        for c in self.cta_slots.iter().flatten() {
-            let mut waiting = 0usize;
-            let mut live = 0usize;
-            for &s in &c.warp_slots {
-                if let Some(w) = self.warps[s].as_ref() {
-                    if !w.exited() {
-                        live += 1;
-                        if w.block == WarpBlock::Barrier {
-                            waiting += 1;
-                        }
-                    }
-                }
-            }
-            if live > 0 && waiting == live {
-                merge(cycle + 1);
-            }
-        }
-        if let Some(c) = self.lsu.next_event(cycle) {
-            merge(c);
-        }
-        if let Some(c) = self.shared_unit.next_event(cycle) {
-            merge(c);
-        }
-        if let Some(c) = self.collector.next_event(cycle) {
-            merge(c);
-        }
-        for &(at, _) in &self.exec_completions {
-            merge(at);
-        }
-        if horizon.is_none() && self.resident_warps() > 0 {
+        if horizon.is_none() && self.resident > 0 {
             // Resident warps without any pending event would mean a hang;
             // step normally rather than skipping so the cycle limit and
             // audit see it.
-            return Some(cycle + 1);
+            return Some(next);
         }
         horizon
+    }
+
+    /// The skip-ahead horizon of this SM after the zero-issue cycle
+    /// `stepped`: [`Sm::next_event`], merged with
+    /// [`Sm::next_dispatch_ready`] while undispatched CTAs remain.
+    pub(crate) fn skip_horizon(&self, stepped: u64, ctas_pending: bool) -> Option<u64> {
+        let event = self.next_event(stepped);
+        if !ctas_pending {
+            return event;
+        }
+        let ready = self.next_dispatch_ready(stepped);
+        Some(event.map_or(ready, |e| e.min(ready)))
     }
 
     /// The earliest cycle, strictly after `cycle`, at which the CTA

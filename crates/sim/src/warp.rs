@@ -183,10 +183,13 @@ pub struct WarpContext {
     pub warp_in_cta: u32,
     /// SIMT reconvergence stack.
     pub stack: SimtStack,
-    /// Per-lane register values, lane-major: `regs[lane][reg]`.
-    pub regs: Vec<Vec<u32>>,
-    /// Per-lane predicate values: `preds[lane][pred]`.
-    pub preds: Vec<[bool; prf_isa::NUM_PRED_REGS]>,
+    /// Register values, register-major: lane `l` of register `r` lives at
+    /// `regs[r * WARP_SIZE + l]`, so one register's 32 lanes are one
+    /// contiguous slice ([`WarpContext::reg_lanes`]).
+    pub regs: Vec<u32>,
+    /// Predicate values as lane bitmasks: bit `l` of `preds[p]` is lane
+    /// `l`'s value of predicate `p`.
+    pub preds: [u32; prf_isa::NUM_PRED_REGS],
     /// Blocking condition.
     pub block: WarpBlock,
     /// Cycle the warp became resident (used by GTO's "oldest" ordering).
@@ -216,15 +219,33 @@ impl WarpContext {
             cta,
             warp_in_cta,
             stack: SimtStack::new(active_mask),
-            regs: (0..WARP_SIZE)
-                .map(|_| vec![0u32; regs_per_thread])
-                .collect(),
-            preds: vec![[false; prf_isa::NUM_PRED_REGS]; WARP_SIZE],
+            regs: vec![0u32; regs_per_thread * WARP_SIZE],
+            preds: [0; prf_isa::NUM_PRED_REGS],
             block: WarpBlock::None,
             dispatch_cycle,
             finished: false,
             inflight: 0,
         }
+    }
+
+    /// Lane `lane`'s value of register `reg`.
+    pub fn reg(&self, lane: usize, reg: usize) -> u32 {
+        self.regs[reg * WARP_SIZE + lane]
+    }
+
+    /// All 32 lanes of register `reg`, lane 0 first.
+    pub fn reg_lanes(&self, reg: usize) -> &[u32] {
+        &self.regs[reg * WARP_SIZE..(reg + 1) * WARP_SIZE]
+    }
+
+    /// Mutable form of [`WarpContext::reg_lanes`].
+    pub fn reg_lanes_mut(&mut self, reg: usize) -> &mut [u32] {
+        &mut self.regs[reg * WARP_SIZE..(reg + 1) * WARP_SIZE]
+    }
+
+    /// Lane `lane`'s value of predicate `pred`.
+    pub fn pred(&self, lane: usize, pred: usize) -> bool {
+        self.preds[pred] & (1 << lane) != 0
     }
 
     /// True when the warp has no more lanes to run (it may still have
@@ -253,13 +274,9 @@ impl WarpContext {
         self.cta = cta;
         self.warp_in_cta = warp_in_cta;
         self.stack.reset(active_mask);
-        for lane in self.regs.iter_mut() {
-            lane.clear();
-            lane.resize(regs_per_thread, 0);
-        }
-        for p in self.preds.iter_mut() {
-            *p = [false; prf_isa::NUM_PRED_REGS];
-        }
+        self.regs.clear();
+        self.regs.resize(regs_per_thread * WARP_SIZE, 0);
+        self.preds = [0; prf_isa::NUM_PRED_REGS];
         self.block = WarpBlock::None;
         self.dispatch_cycle = dispatch_cycle;
         self.finished = false;
@@ -370,10 +387,25 @@ mod tests {
         let w = WarpContext::new(3, 1, CtaId(7), 2, 0xFFFF, 13, 100);
         assert_eq!(w.slot, 3);
         assert_eq!(w.stack.active_mask(), 0xFFFF);
-        assert_eq!(w.regs.len(), WARP_SIZE);
-        assert_eq!(w.regs[0].len(), 13);
+        assert_eq!(w.regs.len(), 13 * WARP_SIZE);
+        assert_eq!(w.reg_lanes(12).len(), WARP_SIZE);
+        assert_eq!(w.preds, [0; prf_isa::NUM_PRED_REGS]);
         assert!(!w.exited());
         assert!(!w.finished);
+    }
+
+    #[test]
+    fn reinit_reuses_storage_and_matches_new() {
+        let mut w = WarpContext::new(0, 0, CtaId(0), 0, u32::MAX, 20, 0);
+        w.regs.iter_mut().for_each(|v| *v = 0xDEAD);
+        w.preds = [u32::MAX; prf_isa::NUM_PRED_REGS];
+        let storage = w.regs.as_ptr();
+        w.reinit(5, 2, CtaId(9), 1, 0xFF, 13, 40);
+        assert_eq!(w.regs.as_ptr(), storage, "no reallocation when shrinking");
+        let fresh = WarpContext::new(5, 2, CtaId(9), 1, 0xFF, 13, 40);
+        assert_eq!(w.regs, fresh.regs);
+        assert_eq!(w.preds, fresh.preds);
+        assert_eq!(w.stack, fresh.stack);
     }
 
     #[test]

@@ -198,6 +198,7 @@ proptest! {
 #[test]
 fn warp_context_register_file_is_sized_exactly() {
     let w = WarpContext::new(0, 0, pilot_rf::isa::CtaId(0), 0, u32::MAX, 63, 0);
-    assert_eq!(w.regs.len(), 32);
-    assert!(w.regs.iter().all(|lane| lane.len() == 63));
+    // Register-major: one contiguous 32-lane slice per architected register.
+    assert_eq!(w.regs.len(), 32 * 63);
+    assert!((0..63).all(|r| w.reg_lanes(r).len() == 32));
 }
