@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use prf_bench::runner::{run_matrix_with_threads, Job};
+use prf_bench::runner::{run_matrix_resilient_configured, Job, RetryPolicy};
 use prf_bench::{experiment_gpu, seed_jobs};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
@@ -26,23 +26,25 @@ fn jobs() -> Vec<Job> {
         .collect()
 }
 
+/// One plain matrix run (no retries, shard or cache) on `threads` workers.
+fn run(jobs: &[Job], threads: usize) {
+    run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+        .expect_complete();
+}
+
 fn bench_matrix(c: &mut Criterion) {
     let jobs = jobs();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut g = c.benchmark_group("run_matrix");
+    let mut g = c.benchmark_group("matrix");
     g.sample_size(10);
-    g.bench_function("serial_1_thread", |b| {
-        b.iter(|| run_matrix_with_threads(&jobs, 1))
-    });
+    g.bench_function("serial_1_thread", |b| b.iter(|| run(&jobs, 1)));
     g.bench_function(format!("parallel_{threads}_threads"), |b| {
-        b.iter(|| run_matrix_with_threads(&jobs, threads))
+        b.iter(|| run(&jobs, threads))
     });
     if threads != 4 {
-        g.bench_function("parallel_4_threads", |b| {
-            b.iter(|| run_matrix_with_threads(&jobs, 4))
-        });
+        g.bench_function("parallel_4_threads", |b| b.iter(|| run(&jobs, 4)));
     }
     g.finish();
 }

@@ -114,16 +114,6 @@ impl RunReport {
         }
     }
 
-    /// Records one completed (single-run) experiment.
-    pub fn add_result(&mut self, name: &str, result: &ExperimentResult) {
-        self.jobs.push(
-            Json::obj()
-                .field("name", name)
-                .field("outcome", outcome_json(&JobOutcome::Completed))
-                .field("result", result_json(result)),
-        );
-    }
-
     /// Records one matrix job: its real outcome (completed / retried /
     /// panicked / timed out), worker wall-clock, and — when it produced
     /// one — the experiment result.

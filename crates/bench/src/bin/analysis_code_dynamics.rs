@@ -13,7 +13,7 @@
 //! per-register counts from the all-warp average, and (b) whether its
 //! top-4 set matches the global top-4.
 
-use prf_bench::{experiment_gpu, header, mean, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, mean, run_cells_reported, Cell};
 use prf_core::RfKind;
 use prf_isa::MAX_ARCH_REGS;
 use prf_sim::SchedulerPolicy;
@@ -27,15 +27,18 @@ fn main() {
         per_warp_stats: true,
         ..experiment_gpu(SchedulerPolicy::Gto)
     };
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite
+        .iter()
+        .map(|w| Cell::new(w, &gpu, &RfKind::MrfStv))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("analysis_code_dynamics", &cells, 1);
     println!(
         "{:<12} {:>8} {:>16} {:>18}",
         "workload", "warps", "mean |Δ| counts", "top-4 agreement"
     );
     let (mut devs, mut agrees) = (Vec::new(), Vec::new());
-    let mut reporter = SingleRunReporter::new("analysis_code_dynamics");
-    for w in prf_workloads::suite() {
-        let r = prf_bench::run_workload(&w, &gpu, &RfKind::MrfStv);
-        reporter.add(w.name, &r);
+    for (w, r) in suite.iter().zip(&results) {
         let per_warp = &r.stats.per_warp;
         if per_warp.len() < 2 {
             continue;
@@ -90,11 +93,8 @@ fn main() {
         100.0 * mean(&devs),
         100.0 * mean(&agrees)
     );
-    reporter
-        .report
-        .add_metric("mean_count_deviation", mean(&devs));
-    reporter
-        .report
-        .add_metric("mean_top4_agreement", mean(&agrees));
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("mean_count_deviation", mean(&devs));
+    run_report.add_metric("mean_top4_agreement", mean(&agrees));
+    run_report.write();
 }

@@ -2,83 +2,83 @@
 //! organisation. Not part of the paper reproduction — a tool for
 //! understanding where cycles go.
 
-use prf_bench::{experiment_gpu, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, positional_args, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
-/// Positional arguments: everything that is not an observability flag
-/// (`--sample <w>` / `--trace-out <path>` and their `=` forms take a
-/// value and are handled inside prf-bench).
-fn workload_args() -> Vec<String> {
-    let mut names = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--sample" || a == "--trace-out" {
-            let _ = args.next();
-        } else if !a.starts_with("--") {
-            names.push(a);
-        }
-    }
-    names
-}
-
 fn main() {
-    let names = workload_args();
+    let workloads: Vec<_> = positional_args(std::env::args().skip(1))
+        .into_iter()
+        .map(|name| {
+            prf_workloads::by_name(&name).unwrap_or_else(|| {
+                let known: Vec<_> = prf_workloads::suite().iter().map(|w| w.name).collect();
+                eprintln!(
+                    "diag: unknown workload `{name}` (known: {})",
+                    known.join(", ")
+                );
+                std::process::exit(2);
+            })
+        })
+        .collect();
     let sched = match std::env::var("DIAG_SCHED").as_deref() {
         Ok("lrr") => SchedulerPolicy::Lrr,
         _ => SchedulerPolicy::Gto,
     };
     let gpu = experiment_gpu(sched);
-    let mut reporter = SingleRunReporter::new("diag");
-    for name in names {
-        let w = prf_workloads::by_name(&name).expect("unknown workload");
-        for (label, rf) in [
-            ("MRF@STV", RfKind::MrfStv),
-            ("MRF@NTV", RfKind::MrfNtv { latency: 3 }),
-            (
-                "partitioned",
-                RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-            ),
-            (
-                "part-noadapt",
-                RfKind::Partitioned(PartitionedRfConfig::without_adaptive(gpu.num_rf_banks)),
-            ),
-            (
-                "part-alwayslow",
-                RfKind::Partitioned(PartitionedRfConfig {
-                    adaptive: Some(prf_core::AdaptiveFrfConfig {
-                        epoch_length: 50,
-                        threshold: u32::MAX,
-                    }),
-                    ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+    let rfs = [
+        ("MRF@STV", RfKind::MrfStv),
+        ("MRF@NTV", RfKind::MrfNtv { latency: 3 }),
+        (
+            "partitioned",
+            RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+        ),
+        (
+            "part-noadapt",
+            RfKind::Partitioned(PartitionedRfConfig::without_adaptive(gpu.num_rf_banks)),
+        ),
+        (
+            "part-alwayslow",
+            RfKind::Partitioned(PartitionedRfConfig {
+                adaptive: Some(prf_core::AdaptiveFrfConfig {
+                    epoch_length: 50,
+                    threshold: u32::MAX,
                 }),
-            ),
-            (
-                "part-alwayshigh",
-                RfKind::Partitioned(PartitionedRfConfig {
-                    adaptive: Some(prf_core::AdaptiveFrfConfig {
-                        epoch_length: 50,
-                        threshold: 0,
-                    }),
-                    ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+            }),
+        ),
+        (
+            "part-alwayshigh",
+            RfKind::Partitioned(PartitionedRfConfig {
+                adaptive: Some(prf_core::AdaptiveFrfConfig {
+                    epoch_length: 50,
+                    threshold: 0,
                 }),
-            ),
-        ] {
-            let r = run_workload(&w, &gpu, &rf);
-            reporter.add(&format!("{}/{label}", w.name), &r);
-            println!(
-                "{:<10} {:<12} cycles {:>8} instrs {:>8} ipc {:>5.2} \
+                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+            }),
+        ),
+    ];
+    let cells: Vec<Cell> = workloads
+        .iter()
+        .flat_map(|w| rfs.iter().map(|(_, rf)| Cell::new(w, &gpu, rf)))
+        .collect();
+    let (results, report, run_report) = run_cells_reported("diag", &cells, 1);
+    let labelled = workloads
+        .iter()
+        .flat_map(|w| rfs.iter().map(move |(label, _)| (w, label)));
+    for ((w, label), r) in labelled.zip(&results) {
+        println!(
+            "{:<10} {:<12} cycles {:>8} instrs {:>8} ipc {:>5.2} \
                  issue_cy {:>8} bankwait {:>9} collstall {:>7}",
-                w.name,
-                label,
-                r.cycles,
-                r.stats.instructions,
-                r.stats.instructions as f64 / r.cycles as f64,
-                r.stats.issue_cycles,
-                r.stats.bank_conflict_waits,
-                r.stats.collector_stalls,
-            );
-            println!(
+            w.name,
+            label,
+            r.cycles,
+            r.stats.instructions,
+            r.stats.instructions as f64 / r.cycles as f64,
+            r.stats.issue_cycles,
+            r.stats.bank_conflict_waits,
+            r.stats.collector_stalls,
+        );
+        println!(
                 "{:<23} l1 h/m {:>7}/{:>7} txns {:>7} ldst {:>7} | stalls mem {:>7} bar {:>6} coll {:>6} alu {:>6}",
                 "",
                 r.stats.l1_hits,
@@ -90,7 +90,7 @@ fn main() {
                 r.stats.stall_collector,
                 r.stats.stall_alu_dep,
             );
-        }
     }
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.write();
 }

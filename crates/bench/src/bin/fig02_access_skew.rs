@@ -6,7 +6,7 @@
 //! registers account for 72% and 77%."
 
 use prf_bench::report::{pct, CsvTable};
-use prf_bench::{experiment_gpu, header, mean, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, mean, run_cells_reported, Cell};
 use prf_core::RfKind;
 use prf_sim::SchedulerPolicy;
 
@@ -16,16 +16,19 @@ fn main() {
         "top-3 = 62%, top-4 = 72%, top-5 = 77% on average",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite
+        .iter()
+        .map(|w| Cell::new(w, &gpu, &RfKind::MrfStv))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("fig02_access_skew", &cells, 1);
     println!(
         "{:<12} {:>8} {:>8} {:>8}",
         "workload", "top-3", "top-4", "top-5"
     );
     let (mut t3, mut t4, mut t5) = (Vec::new(), Vec::new(), Vec::new());
     let mut csv = CsvTable::new(["workload", "top3_pct", "top4_pct", "top5_pct"]);
-    let mut reporter = SingleRunReporter::new("fig02_access_skew");
-    for w in prf_workloads::suite() {
-        let r = run_workload(&w, &gpu, &RfKind::MrfStv);
-        reporter.add(w.name, &r);
+    for (w, r) in suite.iter().zip(&results) {
         let h = &r.stats.reg_accesses;
         let (a, b, c) = (h.top_share(3), h.top_share(4), h.top_share(5));
         println!(
@@ -49,9 +52,10 @@ fn main() {
         100.0 * mean(&t4),
         100.0 * mean(&t5)
     );
-    reporter.report.add_metric("mean_top3_share", mean(&t3));
-    reporter.report.add_metric("mean_top4_share", mean(&t4));
-    reporter.report.add_metric("mean_top5_share", mean(&t5));
-    reporter.report.add_table("fig02_access_skew", &csv);
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("mean_top3_share", mean(&t3));
+    run_report.add_metric("mean_top4_share", mean(&t4));
+    run_report.add_metric("mean_top5_share", mean(&t5));
+    run_report.add_table("fig02_access_skew", &csv);
+    run_report.write();
 }

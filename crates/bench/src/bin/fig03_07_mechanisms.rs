@@ -7,7 +7,7 @@
 //!   profiling phases,
 //! * Fig. 7 — the swapping-table contents at each phase.
 
-use prf_bench::{experiment_gpu, header, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, run_cells_reported, Cell};
 use prf_core::{compiler_hot_registers, PartitionedRfConfig, RfKind, SwappingTable};
 use prf_isa::Reg;
 use prf_sim::SchedulerPolicy;
@@ -50,13 +50,10 @@ fn main() {
     // ---- Fig. 5/6/7: run a Category-2 workload and narrate ------------
     let w = prf_workloads::by_name("kmeans").expect("kmeans exists");
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let r = run_workload(
-        &w,
-        &gpu,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-    );
-    let mut reporter = SingleRunReporter::new("fig03_07_mechanisms");
-    reporter.add(w.name, &r);
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let (results, report, mut run_report) =
+        run_cells_reported("fig03_07_mechanisms", &[Cell::new(&w, &gpu, &rf)], 1);
+    let r = &results[0];
     let launch = &r.per_launch[0];
     let pilot_done = r.telemetry.pilot_done_cycle.unwrap_or(0);
 
@@ -120,6 +117,7 @@ fn main() {
         "outcome: {:.1}% of this run's accesses were serviced by the FRF",
         100.0 * frf_share
     );
-    reporter.report.add_metric("frf_access_share", frf_share);
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("frf_access_share", frf_share);
+    run_report.write();
 }

@@ -10,39 +10,36 @@
 //! compiler >10% *below* pilot; Category 3 — compiler >10% *above* pilot
 //! (the pilot warp is unrepresentative); optimal bounds everything.
 
-use prf_bench::{experiment_gpu, header, mean, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, mean, run_cells_reported, AveragedResult, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 use prf_workloads::{Category, Workload};
 
+/// `w` split into one single-launch workload per kernel launch. Each
+/// launch is profiled on its own (pilot profiling restarts per kernel).
+fn single_launches(w: &Workload) -> impl Iterator<Item = Workload> + '_ {
+    w.launches.iter().map(move |launch| Workload {
+        name: w.name,
+        category: w.category,
+        launches: vec![launch.clone()],
+        mem_init: w.mem_init.clone(),
+        table1: w.table1,
+    })
+}
+
 /// Coverage of the four registers each technique identifies, per launch,
-/// aggregated over a workload's launches weighted by access volume.
-fn profile_coverages(
-    w: &Workload,
-    gpu: &prf_sim::GpuConfig,
-    reporter: &mut SingleRunReporter,
+/// aggregated over a workload's launches weighted by access volume. Each
+/// item of `launches` is one launch's `[MRF@STV, partitioned]` result pair.
+fn profile_coverages<'a>(
+    launches: impl Iterator<Item = &'a [AveragedResult]>,
 ) -> (f64, f64, f64, f64) {
     let mut totals = 0.0;
     let (mut comp, mut pilot, mut hybrid, mut optimal) = (0.0, 0.0, 0.0, 0.0);
-    for (li, launch) in w.launches.iter().enumerate() {
-        let single = Workload {
-            name: w.name,
-            category: w.category,
-            launches: vec![launch.clone()],
-            mem_init: w.mem_init.clone(),
-            table1: w.table1,
-        };
+    for pair in launches {
         // Reference histogram (what actually gets accessed).
-        let base = run_workload(&single, gpu, &RfKind::MrfStv);
-        let hist = &base.stats.reg_accesses;
+        let hist = &pair[0].stats.reg_accesses;
         // One hybrid run yields both identified sets and the pilot timing.
-        let part = run_workload(
-            &single,
-            gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-        );
-        reporter.add(&format!("{}/launch{li}/mrf_stv", w.name), &base);
-        reporter.add(&format!("{}/launch{li}/partitioned", w.name), &part);
+        let part = &pair[1];
         let t = &part.telemetry;
         let c_cov = hist.coverage(&t.compiler_hot_regs);
         let p_cov = hist.coverage(&t.pilot_hot_regs);
@@ -74,14 +71,24 @@ fn main() {
         "Cat1: compiler within 10% of pilot; Cat2: compiler >10% below; Cat3: >10% above",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
+    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let suite = prf_workloads::suite();
+    // Launches are independent, so every launch × {MRF@STV, partitioned}
+    // pair is its own cell of one matrix.
+    let cells: Vec<Cell> = suite
+        .iter()
+        .flat_map(single_launches)
+        .flat_map(|single| [&RfKind::MrfStv, &part].map(|rf| Cell::new(&single, &gpu, rf)))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("fig04_profiling", &cells, 1);
+    let mut pairs = results.chunks(2);
     println!(
         "{:<12} {:<11} {:>9} {:>9} {:>9} {:>9}",
         "workload", "category", "compiler", "pilot", "hybrid", "optimal"
     );
     let mut cat_rows: Vec<(Category, f64, f64, f64, f64)> = Vec::new();
-    let mut reporter = SingleRunReporter::new("fig04_profiling");
-    for w in prf_workloads::suite() {
-        let (c, p, h, o) = profile_coverages(&w, &gpu, &mut reporter);
+    for w in &suite {
+        let (c, p, h, o) = profile_coverages(pairs.by_ref().take(w.launches.len()));
         println!(
             "{:<12} {:<11} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
             w.name,
@@ -112,17 +119,10 @@ fn main() {
     let all = |f: fn(&(Category, f64, f64, f64, f64)) -> f64| {
         mean(&cat_rows.iter().map(f).collect::<Vec<_>>())
     };
-    reporter
-        .report
-        .add_metric("mean_compiler_coverage", all(|r| r.1));
-    reporter
-        .report
-        .add_metric("mean_pilot_coverage", all(|r| r.2));
-    reporter
-        .report
-        .add_metric("mean_hybrid_coverage", all(|r| r.3));
-    reporter
-        .report
-        .add_metric("mean_optimal_coverage", all(|r| r.4));
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("mean_compiler_coverage", all(|r| r.1));
+    run_report.add_metric("mean_pilot_coverage", all(|r| r.2));
+    run_report.add_metric("mean_hybrid_coverage", all(|r| r.3));
+    run_report.add_metric("mean_optimal_coverage", all(|r| r.4));
+    run_report.write();
 }

@@ -7,7 +7,7 @@
 //! the FRF take place when the FRF is in the FRF_low mode"; high-compute
 //! workloads like sad and hotspot rarely enter low mode.
 
-use prf_bench::{experiment_gpu, header, mean, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, mean, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::{RfPartition, SchedulerPolicy};
 
@@ -18,15 +18,16 @@ fn main() {
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite.iter().map(|w| Cell::new(w, &gpu, &rf)).collect();
+    let (results, report, mut run_report) =
+        run_cells_reported("fig10_access_distribution", &cells, 1);
     println!(
         "{:<12} {:>9} {:>9} {:>9} {:>12}",
         "workload", "FRF_high", "FRF_low", "SRF", "low/FRF"
     );
     let (mut frf_tot, mut low_of_frf) = (Vec::new(), Vec::new());
-    let mut reporter = SingleRunReporter::new("fig10_access_distribution");
-    for w in prf_workloads::suite() {
-        let r = run_workload(&w, &gpu, &rf);
-        reporter.add(w.name, &r);
+    for (w, r) in suite.iter().zip(&results) {
         let pa = &r.stats.partition_accesses;
         let hi = pa.fraction(RfPartition::FrfHigh);
         let lo = pa.fraction(RfPartition::FrfLow);
@@ -50,11 +51,8 @@ fn main() {
         100.0 * mean(&frf_tot),
         100.0 * mean(&low_of_frf)
     );
-    reporter
-        .report
-        .add_metric("mean_frf_access_share", mean(&frf_tot));
-    reporter
-        .report
-        .add_metric("mean_frf_low_share", mean(&low_of_frf));
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("mean_frf_access_share", mean(&frf_tot));
+    run_report.add_metric("mean_frf_low_share", mean(&low_of_frf));
+    run_report.write();
 }

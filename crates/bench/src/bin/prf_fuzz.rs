@@ -263,7 +263,7 @@ fn run_differential(args: &Args) -> usize {
                     failures.lock().unwrap().extend(errors);
                 }
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if n % 50 == 0 {
+                if n.is_multiple_of(50) {
                     eprintln!("[differential] {n}/{} cases", args.seeds);
                 }
             });
@@ -459,7 +459,7 @@ fn run_realloc(args: &Args) -> usize {
                     failures.lock().unwrap().extend(errors);
                 }
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if n % 50 == 0 {
+                if n.is_multiple_of(50) {
                     eprintln!("[realloc] {n}/{} generated cases", args.seeds);
                 }
             });

@@ -5,7 +5,7 @@
 //! adds one cycle to the register access pipeline then the overall
 //! performance overhead is still less than 1%."
 
-use prf_bench::{experiment_gpu, geomean, header, run_workload_averaged, SingleRunReporter};
+use prf_bench::{experiment_gpu, geomean, header, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
@@ -16,22 +16,25 @@ fn main() {
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     const SEEDS: u64 = 3;
+    // Swap-table lookup integrated into the access, then +1 cycle.
+    let rfs = [false, true].map(|extra| {
+        RfKind::Partitioned(PartitionedRfConfig {
+            swap_table_extra_cycle: extra,
+            ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+        })
+    });
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite
+        .iter()
+        .flat_map(|w| rfs.iter().map(|rf| Cell::new(w, &gpu, rf)))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("sens_swap_table", &cells, SEEDS);
     let mut cycles = [Vec::new(), Vec::new()];
-    let mut reporter = SingleRunReporter::new("sens_swap_table");
     println!("{:<12} {:>12} {:>12}", "workload", "integrated", "+1 cycle");
-    for w in prf_workloads::suite() {
-        let mut row = [0.0f64; 2];
-        for (i, extra) in [false, true].into_iter().enumerate() {
-            let cfg = PartitionedRfConfig {
-                swap_table_extra_cycle: extra,
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
-            };
-            let r = run_workload_averaged(&w, &gpu, &RfKind::Partitioned(cfg), SEEDS);
-            let label = if extra { "+1cycle" } else { "integrated" };
-            reporter.add(&format!("{}/{label}", w.name), &r.result);
-            row[i] = r.cycles as f64;
-            cycles[i].push(r.cycles as f64);
-        }
+    for (w, r) in suite.iter().zip(results.chunks(2)) {
+        let row = [r[0].cycles as f64, r[1].cycles as f64];
+        cycles[0].push(row[0]);
+        cycles[1].push(row[1]);
         println!("{:<12} {:>12.3} {:>12.3}", w.name, 1.0, row[1] / row[0]);
     }
     let g0 = geomean(&cycles[0]);
@@ -43,8 +46,7 @@ fn main() {
         1.0,
         g1 / g0
     );
-    reporter
-        .report
-        .add_metric("geomean_extra_cycle_overhead", g1 / g0);
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.add_metric("geomean_extra_cycle_overhead", g1 / g0);
+    run_report.write();
 }

@@ -8,7 +8,7 @@
 //! reproduce the paper's *ordering*, not its absolute values — see
 //! DESIGN.md §2.4.
 
-use prf_bench::{experiment_gpu, header, run_workload, SingleRunReporter};
+use prf_bench::{experiment_gpu, header, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
@@ -18,15 +18,15 @@ fn main() {
         "regs/thread and threads/CTA exact; pilot% tiny except MUM(37) CP(47) LIB(60) WP(75)",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite.iter().map(|w| Cell::new(w, &gpu, &rf)).collect();
+    let (results, report, run_report) = run_cells_reported("table1_benchmarks", &cells, 1);
     println!(
         "{:<12} {:>6} {:>8} {:>12} {:>13} {:>24}",
         "workload", "regs", "thr/CTA", "pilot%(meas)", "pilot%(paper)", "occupancy (limiter)"
     );
-    let mut reporter = SingleRunReporter::new("table1_benchmarks");
-    for w in prf_workloads::suite() {
-        let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
-        let r = run_workload(&w, &gpu, &rf);
-        reporter.add(w.name, &r);
+    for (w, r) in suite.iter().zip(&results) {
         // Pilot fraction of the *first* launch (pilot profiling restarts
         // per kernel; Table I reports per-kernel numbers).
         let frac = r.per_launch[0]
@@ -47,5 +47,6 @@ fn main() {
         assert_eq!(w.regs_per_thread(), w.table1.regs_per_thread);
         assert_eq!(w.threads_per_cta(), w.table1.threads_per_cta);
     }
-    reporter.finish();
+    println!("{}", report.footer());
+    run_report.write();
 }

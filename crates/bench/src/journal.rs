@@ -315,10 +315,10 @@ impl Journal {
             if let Err(e) = vfs.rename(&path, &aside) {
                 // Starting fresh would truncate the evidence; refuse to
                 // journal instead (the caller degrades to non-durable).
-                return Err(io::Error::new(
-                    io::ErrorKind::Other,
-                    format!("cannot quarantine corrupt {}: {e}", path.display()),
-                ));
+                return Err(io::Error::other(format!(
+                    "cannot quarantine corrupt {}: {e}",
+                    path.display()
+                )));
             }
             recovery.quarantined = true;
             recovery.torn_tail = false;

@@ -37,12 +37,14 @@ pub use bench_report::RunReport;
 
 use std::ops::Deref;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
-use prf_core::{run_experiment_with_faults, ExperimentResult, FaultConfig, RepairPolicy, RfKind};
+use prf_core::{ExperimentResult, FaultConfig, PhaseTimings, RepairPolicy, RfKind};
 use prf_finfet::{FaultGeometry, FaultMap, SramCell};
 use prf_sim::{GpuConfig, SamplingConfig, SchedulerPolicy};
 use prf_workloads::Workload;
 
+use crate::cache::ResultCache;
 use crate::runner::{Job, RetryPolicy};
 
 /// True when the binary was invoked with `--audit`: opts every simulation
@@ -146,6 +148,27 @@ pub fn campaign_faults() -> Option<FaultConfig> {
     FAULTS.get_or_init(faults_from_args).clone()
 }
 
+/// The command-line flags that take their value as a separate argument
+/// (`--flag value`); parsed by [`sampling_from_args`], [`faults_from_args`]
+/// and [`chrometrace::trace_out_from_args`].
+const VALUE_FLAGS: [&str; 3] = ["--sample", "--faults", "--trace-out"];
+
+/// The positional arguments in `args`: everything that is neither a
+/// `--flag` nor the value after `--sample`, `--faults` or `--trace-out`.
+/// Pass `std::env::args().skip(1)`.
+pub fn positional_args(args: impl IntoIterator<Item = String>) -> Vec<String> {
+    let mut positional = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !arg.starts_with("--") {
+            positional.push(arg);
+        }
+    }
+    positional
+}
+
 /// Number of worker threads for intra-simulation SM parallelism, from the
 /// `PRF_SM_THREADS` environment variable. Defaults to 1 (serial stepping).
 /// Results are bit-identical at any thread count — this only trades
@@ -200,24 +223,6 @@ pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
         sm_threads: sm_threads_from_env(),
         ..base
     }
-}
-
-/// Runs one workload (all its launches) under an RF organisation,
-/// honouring the `--faults` command-line flag (see [`campaign_faults`]).
-///
-/// # Panics
-///
-/// Panics if the simulation exceeds the cycle safety limit — workloads in
-/// this repository are sized to terminate quickly.
-pub fn run_workload(w: &Workload, gpu: &GpuConfig, rf: &RfKind) -> ExperimentResult {
-    run_experiment_with_faults(
-        gpu,
-        rf,
-        &w.launches,
-        &w.mem_init,
-        campaign_faults().as_ref(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
 /// A seed-averaged experiment outcome.
@@ -293,9 +298,8 @@ pub fn average_seed_results(results: &[ExperimentResult]) -> AveragedResult {
     }
 }
 
-/// Builds the per-seed job list for one workload×RF cell, for batching
-/// many averaged cells into a single [`runner::run_matrix`] call. Every
-/// job carries the `--faults` campaign when one was requested (see
+/// Builds the per-seed job list for one workload×RF cell. Every job
+/// carries the `--faults` campaign when one was requested (see
 /// [`campaign_faults`]).
 pub fn seed_jobs(w: &Workload, gpu: &GpuConfig, rf: &RfKind, seeds: u64) -> Vec<Job> {
     assert!(seeds >= 1);
@@ -310,24 +314,6 @@ pub fn seed_jobs(w: &Workload, gpu: &GpuConfig, rf: &RfKind, seeds: u64) -> Vec<
                 .with_faults(faults.clone())
         })
         .collect()
-}
-
-/// Runs one workload under an RF organisation with several jitter seeds —
-/// the simulation analogue of averaging repeated hardware runs, washing
-/// out timing-resonance noise — and returns the per-seed mean of *every*
-/// statistic plus the cycle min/max spread. Seeds are fanned out across
-/// the worker pool (see [`runner`]).
-pub fn run_workload_averaged(
-    w: &Workload,
-    gpu: &GpuConfig,
-    rf: &RfKind,
-    seeds: u64,
-) -> AveragedResult {
-    let results: Vec<ExperimentResult> = runner::run_matrix(&seed_jobs(w, gpu, rf, seeds))
-        .into_iter()
-        .map(|jr| jr.result)
-        .collect();
-    average_seed_results(&results)
 }
 
 /// One workload×configuration cell of an evaluation matrix.
@@ -353,50 +339,35 @@ impl Cell {
     }
 }
 
-/// Runs a whole matrix of cells, each averaged over `seeds` jitter seeds,
-/// through one parallel [`runner::run_matrix_timed`] call. Returns the
-/// per-cell means in input order plus the wall-clock report for the
-/// binary's throughput footer.
+/// Runs a whole matrix of cells, each averaged over `seeds` jitter seeds
+/// (the simulation analogue of averaging repeated hardware runs, washing
+/// out timing-resonance noise), through one matrix-engine call. This is
+/// how every figure binary simulates: building every cell of a figure up
+/// front lets the worker pool chew the entire figure concurrently.
 ///
-/// This is the workhorse of the figure binaries: building every cell of a
-/// figure up front (rather than running cells one by one) lets the worker
-/// pool chew the entire figure concurrently.
-pub fn run_cells_averaged(
-    cells: &[Cell],
-    seeds: u64,
-) -> (Vec<AveragedResult>, runner::MatrixReport) {
-    assert!(seeds >= 1);
-    let jobs: Vec<Job> = cells
-        .iter()
-        .flat_map(|c| seed_jobs(&c.workload, &c.gpu, &c.rf, seeds))
-        .collect();
-    let (results, report) = runner::run_matrix_timed(&jobs);
-    let mut results = results.into_iter().map(|jr| jr.result);
-    let averaged = cells
-        .iter()
-        .map(|_| {
-            let per_seed: Vec<ExperimentResult> = results.by_ref().take(seeds as usize).collect();
-            average_seed_results(&per_seed)
-        })
-        .collect();
-    (averaged, report)
-}
-
-/// [`run_cells_averaged`] with the observability layer attached: runs the
-/// matrix, emits the `BENCH_<bench>.json` run report (per-seed-job
-/// outcomes, timings, energy, audit status plus the matrix footer data —
-/// see [`bench_report`]), writes a Chrome trace when `--trace-out` was
-/// passed, and *then* averages. The simulation results are identical to
-/// [`run_cells_averaged`] — reporting only observes.
+/// The engine is configured from the environment: `PRF_THREADS` (see
+/// [`runner::threads_from_env`]), `PRF_JOB_*` ([`RetryPolicy::from_env`]),
+/// `PRF_SHARD` ([`runner::shard_from_env`]) and `PRF_CACHE_DIR`
+/// ([`ResultCache::from_env`]).
 ///
-/// The returned [`RunReport`] still accepts metrics/tables; binaries add
-/// their figure-specific numbers and call [`RunReport::write`] at the end.
+/// Returns the per-cell means in input order, the wall-clock
+/// [`runner::MatrixReport`] for the binary's footer, and the
+/// `BENCH_<bench>.json` [`RunReport`] (per-seed-job outcomes, timings,
+/// energy, audit status plus the matrix footer data — see
+/// [`bench_report`]). The report still accepts metrics and tables;
+/// binaries add their figure-specific numbers and call
+/// [`RunReport::write`] at the end. A Chrome trace is written when
+/// `--trace-out` was passed. Reporting only observes: the results are
+/// those of the simulations.
+///
+/// A `PRF_SHARD` run computes (and caches) only its slice of the matrix,
+/// so it writes its partial report, prints the footer and exits 0 here;
+/// merging is a subsequent unsharded run over the shared `PRF_CACHE_DIR`.
 ///
 /// # Panics
 ///
-/// Like [`run_cells_averaged`], panics (after writing the report, so
-/// failures are still on record) when any job fails beyond the retry
-/// budget.
+/// Panics (after writing the report, so failures are still on record)
+/// when any job fails beyond the retry budget.
 pub fn run_cells_reported(
     bench: &str,
     cells: &[Cell],
@@ -407,7 +378,18 @@ pub fn run_cells_reported(
         .iter()
         .flat_map(|c| seed_jobs(&c.workload, &c.gpu, &c.rf, seeds))
         .collect();
-    let (outcome, report) = runner::run_matrix_resilient_timed(&jobs, RetryPolicy::from_env());
+    let threads = runner::threads_from_env();
+    let shard = runner::shard_from_env();
+    let cache = ResultCache::from_env();
+    let t0 = Instant::now();
+    let outcome = runner::run_matrix_resilient_configured(
+        &jobs,
+        RetryPolicy::from_env(),
+        threads,
+        shard,
+        cache.as_ref(),
+    );
+    let report = matrix_report(&outcome, threads, t0.elapsed(), cache.as_ref());
 
     let mut run_report = RunReport::new(bench);
     for jr in &outcome.reports {
@@ -430,13 +412,19 @@ pub fn run_cells_reported(
         // still leaves a diffable record of which jobs died and how.
         run_report.write();
     }
-    if outcome.skipped_jobs() > 0 && outcome.failed_jobs() == 0 {
-        // A PRF_SHARD run: this process computed (and cached) its slice
-        // of the matrix; averaging needs the full set, so persist the
-        // partial report and stop here. Merging is a subsequent unsharded
-        // run over the shared PRF_CACHE_DIR.
+    let skipped = outcome.skipped_jobs();
+    if let Some(spec) = shard.filter(|_| skipped > 0 && outcome.failed_jobs() == 0) {
         run_report.write();
-        runner::exit_if_shard_run(&outcome, Some(&report));
+        println!("{}", report.footer());
+        eprintln!(
+            "[shard {}/{}] executed {} of {} jobs ({skipped} owned by other shards); \
+             merge by re-running unsharded with the same PRF_CACHE_DIR",
+            spec.index,
+            spec.count,
+            jobs.len() - skipped,
+            jobs.len()
+        );
+        std::process::exit(0);
     }
     let mut results = outcome.expect_complete().into_iter().map(|jr| jr.result);
     let averaged = cells
@@ -449,43 +437,45 @@ pub fn run_cells_reported(
     (averaged, report, run_report)
 }
 
-/// The observability wrapper for single-run binaries: a [`RunReport`] to
-/// fill, plus a Chrome trace fed from each result's pipeline events when
-/// `--trace-out` was passed. Call [`SingleRunReporter::finish`] last.
-#[derive(Debug)]
-pub struct SingleRunReporter {
-    /// The accumulating JSON run report (add metrics/tables freely).
-    pub report: RunReport,
-    trace: Option<(std::path::PathBuf, chrometrace::ChromeTrace)>,
-}
-
-impl SingleRunReporter {
-    /// Starts reporting for the named bench binary.
-    pub fn new(bench: &str) -> Self {
-        SingleRunReporter {
-            report: RunReport::new(bench),
-            trace: chrometrace::trace_out_from_args().map(|p| (p, chrometrace::ChromeTrace::new())),
-        }
+/// The footer accounting for one matrix run: job counts by outcome, audit
+/// coverage, cache disposition and durability counters, and per-phase
+/// wall-clock totals over the successful jobs.
+fn matrix_report(
+    outcome: &runner::MatrixOutcome,
+    threads: usize,
+    elapsed: Duration,
+    cache: Option<&ResultCache>,
+) -> runner::MatrixReport {
+    let jobs = outcome.reports.len();
+    let audits: Vec<_> = outcome
+        .healthy()
+        .filter_map(|r| r.result.as_ref()?.audit.as_ref())
+        .collect();
+    let mut phase_totals = PhaseTimings::default();
+    for r in outcome.healthy().filter_map(|r| r.result.as_ref()) {
+        phase_totals.merge(&r.phases);
     }
-
-    /// Records one completed experiment under `name`.
-    pub fn add(&mut self, name: &str, result: &ExperimentResult) {
-        self.report.add_result(name, result);
-        if let Some((_, trace)) = &mut self.trace {
-            for launch in &result.per_launch {
-                trace.add_sim_events(&launch.trace);
-            }
-        }
-    }
-
-    /// Writes `BENCH_<bench>.json` and, when requested, the Chrome trace.
-    pub fn finish(self) {
-        self.report.write();
-        if let Some((path, trace)) = &self.trace {
-            if let Err(e) = trace.write(path) {
-                eprintln!("--trace-out: cannot write {}: {e}", path.display());
-            }
-        }
+    let cached = |hit| {
+        outcome
+            .reports
+            .iter()
+            .filter(|r| r.cached == Some(hit))
+            .count()
+    };
+    runner::MatrixReport {
+        jobs,
+        threads: threads.min(jobs.max(1)),
+        elapsed,
+        audited_jobs: audits.len(),
+        audit_violations: audits.iter().map(|a| a.violations.len()).sum(),
+        retried_jobs: outcome.retried_jobs(),
+        failed_jobs: outcome.failed_jobs(),
+        cache_hits: cached(true),
+        cache_misses: cached(false),
+        skipped_jobs: outcome.skipped_jobs(),
+        cache_write_errors: cache.map_or(0, |c| c.write_errors() as usize),
+        cache_quarantined: cache.map_or(0, |c| c.quarantined() as usize),
+        phase_totals,
     }
 }
 
@@ -535,6 +525,66 @@ mod tests {
         assert!(parse_faults_spec("42,volts").is_err(), "bad vdd");
         assert!(parse_faults_spec("42,-0.3").is_err(), "negative vdd");
         assert!(parse_faults_spec("42,9.0").is_err(), "implausible vdd");
+    }
+
+    #[test]
+    fn positional_args_skip_flags_and_their_values() {
+        let args = ["BFS", "--faults", "42,0.3", "--sample=100", "SRAD"];
+        let positional = positional_args(args.map(String::from));
+        assert_eq!(positional, ["BFS", "SRAD"]);
+        let args = [
+            "--audit",
+            "--trace-out",
+            "t.json",
+            "--sample",
+            "50",
+            "kmeans",
+        ];
+        assert_eq!(positional_args(args.map(String::from)), ["kmeans"]);
+    }
+
+    fn tiny_jobs(n: u64) -> Vec<Job> {
+        let w = prf_workloads::suite::bfs();
+        let gpu = experiment_gpu(SchedulerPolicy::Gto);
+        seed_jobs(&w, &gpu, &RfKind::MrfStv, n)
+    }
+
+    fn run_reported(jobs: &[Job]) -> (runner::MatrixOutcome, runner::MatrixReport) {
+        let t0 = Instant::now();
+        let outcome =
+            runner::run_matrix_resilient_configured(jobs, RetryPolicy::none(), 2, None, None);
+        let report = matrix_report(&outcome, 2, t0.elapsed(), None);
+        (outcome, report)
+    }
+
+    #[test]
+    fn matrix_report_measures_phases_and_job_elapsed() {
+        let (outcome, report) = run_reported(&tiny_jobs(2));
+        assert!(report.phase_totals.simulate > Duration::ZERO);
+        assert!(report.phase_totals.total() > Duration::ZERO);
+        for r in &outcome.reports {
+            assert!(r.elapsed > Duration::ZERO);
+            let phases = r.result.as_ref().expect("healthy job").phases;
+            // A job's phase breakdown cannot exceed its wall-clock span.
+            assert!(phases.total() <= r.elapsed + Duration::from_millis(50));
+        }
+    }
+
+    #[test]
+    fn matrix_report_counts_audited_jobs() {
+        let mut jobs = tiny_jobs(2);
+        jobs[1].gpu.audit = true;
+        let (outcome, report) = run_reported(&jobs);
+        let results = outcome.expect_complete();
+        assert!(results[0].result.audit.is_none());
+        let audit = results[1].result.audit.as_ref().expect("audited job");
+        assert!(audit.is_clean(), "{audit}");
+        assert_eq!(report.jobs, 2);
+        assert_eq!(report.audited_jobs, 1);
+        assert_eq!(report.audit_violations, 0);
+        assert_eq!(report.retried_jobs, 0);
+        assert_eq!(report.failed_jobs, 0);
+        assert_eq!(report.cache_hits + report.cache_misses, 0);
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! the input order regardless of completion order, so report tables are
 //! deterministic too.
 //!
-//! Thread count defaults to [`std::thread::available_parallelism`] and can
-//! be overridden with the `PRF_THREADS` environment variable (`PRF_THREADS=1`
-//! gives a serial run for debugging or timing baselines).
+//! There is one engine, [`run_matrix_resilient_observed`]; the
+//! observer-less [`run_matrix_resilient_configured`] forwards to it. Both
+//! take the thread count, retry policy, shard and cache explicitly. The
+//! figure harness (`crate::run_cells_reported`) reads them from the
+//! environment (`PRF_THREADS`, `PRF_JOB_*`, `PRF_SHARD`, `PRF_CACHE_DIR`)
+//! and `prf-serve` from its own configuration.
 //!
 //! The engine is crash-proof: each job attempt runs behind
-//! `catch_unwind`, optionally under a wall-clock watchdog
-//! (`PRF_JOB_TIMEOUT_SECS`) and with bounded retry-with-backoff
-//! (`PRF_JOB_RETRIES` / `PRF_RETRY_BACKOFF_MS`). The resilient entry
-//! points ([`run_matrix_resilient`]) always return a [`JobOutcome`] for
-//! every job — partial results plus a failure manifest — while the
-//! classic [`run_matrix`] keeps its all-or-nothing contract and re-raises
-//! the first failure with the job's index and name.
+//! `catch_unwind`, optionally under a wall-clock watchdog and with bounded
+//! retry-with-backoff ([`RetryPolicy`]). It always returns a
+//! [`JobOutcome`] for every job — partial results plus a failure manifest;
+//! [`MatrixOutcome::expect_complete`] turns that into the all-or-nothing
+//! contract, re-raising the first failure with the job's index and name.
 //!
 //! Failures are classified before the retry budget is spent: a job whose
 //! inputs the validation layer rejects — or whose run returns a
@@ -436,7 +437,8 @@ pub struct MatrixReport {
     pub audit_violations: usize,
     /// Jobs that succeeded only after retries.
     pub retried_jobs: usize,
-    /// Jobs that failed outright (panicked or timed out).
+    /// Jobs that failed outright (panicked, timed out, or were rejected by
+    /// input validation).
     pub failed_jobs: usize,
     /// Jobs answered from the on-disk result cache (no simulation ran).
     pub cache_hits: usize,
@@ -626,10 +628,7 @@ where
 ///
 /// Generic over the attempt closure so tests can inject panicking, hanging
 /// or flaky work; matrix runs pass an owned [`Job`] clone.
-pub fn run_resilient_job<F>(
-    policy: RetryPolicy,
-    attempt: F,
-) -> (JobOutcome, Option<ExperimentResult>)
+fn run_resilient_job<F>(policy: RetryPolicy, attempt: F) -> (JobOutcome, Option<ExperimentResult>)
 where
     F: Fn() -> Result<ExperimentResult, SimError> + Clone + Send + 'static,
 {
@@ -665,148 +664,6 @@ where
     (last_failure.expect("at least one attempt ran"), None)
 }
 
-/// Runs the matrix on [`threads_from_env`] workers. See
-/// [`run_matrix_with_threads`].
-pub fn run_matrix(jobs: &[Job]) -> Vec<JobResult> {
-    run_matrix_with_threads(jobs, threads_from_env())
-}
-
-/// Runs the matrix and returns the results together with a wall-clock
-/// [`MatrixReport`] for the binary's throughput footer.
-///
-/// # Panics
-///
-/// Like [`run_matrix_with_threads`], panics if any job fails after the
-/// environment's retry budget.
-pub fn run_matrix_timed(jobs: &[Job]) -> (Vec<JobResult>, MatrixReport) {
-    let (outcome, report) = run_matrix_resilient_timed(jobs, RetryPolicy::from_env());
-    exit_if_shard_run(&outcome, Some(&report));
-    (outcome.expect_complete(), report)
-}
-
-/// Runs every job on a pool of at most `threads` scoped worker threads and
-/// returns the results **in input order**.
-///
-/// Workers pull jobs from a shared atomic cursor (dynamic load balancing:
-/// long simulations don't serialise behind short ones). A panicking job
-/// does not poison the pool — remaining jobs still run — and the failure
-/// is re-raised on the caller's thread after the pool drains, carrying the
-/// failing job's index and name. The watchdog/retry knobs from
-/// [`RetryPolicy::from_env`] apply; with the environment unset this is a
-/// plain single-attempt run.
-///
-/// # Panics
-///
-/// Re-raises the first (in input order) job failure with the full failure
-/// manifest.
-pub fn run_matrix_with_threads(jobs: &[Job], threads: usize) -> Vec<JobResult> {
-    let outcome = run_matrix_resilient_with_threads(jobs, RetryPolicy::from_env(), threads);
-    exit_if_shard_run(&outcome, None);
-    outcome.expect_complete()
-}
-
-/// Crash-proof matrix run on [`threads_from_env`] workers: never panics,
-/// returns a [`JobOutcome`] for every job. See
-/// [`run_matrix_resilient_with_threads`].
-pub fn run_matrix_resilient(jobs: &[Job], policy: RetryPolicy) -> MatrixOutcome {
-    run_matrix_resilient_with_threads(jobs, policy, threads_from_env())
-}
-
-/// Crash-proof matrix run with a wall-clock [`MatrixReport`] (including
-/// degraded-job counts) for the binary's footer. Owns the env-configured
-/// cache for the duration of the run so its durability counters
-/// (write errors, quarantined entries) can be folded into the report.
-pub fn run_matrix_resilient_timed(
-    jobs: &[Job],
-    policy: RetryPolicy,
-) -> (MatrixOutcome, MatrixReport) {
-    let threads = threads_from_env();
-    let cache = ResultCache::from_env();
-    let t0 = Instant::now();
-    let outcome =
-        run_matrix_resilient_configured(jobs, policy, threads, shard_from_env(), cache.as_ref());
-    let audited: Vec<_> = outcome
-        .reports
-        .iter()
-        .filter_map(|r| r.result.as_ref().and_then(|res| res.audit.as_ref()))
-        .collect();
-    let mut phase_totals = PhaseTimings::default();
-    for r in outcome.healthy() {
-        if let Some(res) = &r.result {
-            phase_totals.merge(&res.phases);
-        }
-    }
-    let report = MatrixReport {
-        jobs: jobs.len(),
-        threads: threads.min(jobs.len().max(1)),
-        elapsed: t0.elapsed(),
-        audited_jobs: audited.len(),
-        audit_violations: audited.iter().map(|a| a.violations.len()).sum(),
-        retried_jobs: outcome.retried_jobs(),
-        failed_jobs: outcome.failed_jobs(),
-        cache_hits: outcome
-            .reports
-            .iter()
-            .filter(|r| r.cached == Some(true))
-            .count(),
-        cache_misses: outcome
-            .reports
-            .iter()
-            .filter(|r| r.cached == Some(false))
-            .count(),
-        skipped_jobs: outcome.skipped_jobs(),
-        cache_write_errors: cache.as_ref().map_or(0, |c| c.write_errors() as usize),
-        cache_quarantined: cache.as_ref().map_or(0, |c| c.quarantined() as usize),
-        phase_totals,
-    };
-    (outcome, report)
-}
-
-/// Terminates a shard run cleanly: when any job was skipped by `PRF_SHARD`
-/// (and nothing failed), this shard's purpose — computing its slice into
-/// the shared `PRF_CACHE_DIR` — is fulfilled, so print a summary and exit
-/// 0 instead of letting `expect_complete` panic on the missing results.
-/// Merging is a subsequent *unsharded* run over the warmed cache, which is
-/// bit-identical to a serial run. A no-op for unsharded runs; failures
-/// fall through so the normal failure path reports them.
-pub fn exit_if_shard_run(outcome: &MatrixOutcome, report: Option<&MatrixReport>) {
-    let skipped = outcome.skipped_jobs();
-    if skipped == 0 || outcome.failed_jobs() > 0 {
-        return;
-    }
-    if let Some(report) = report {
-        println!("{}", report.footer());
-    }
-    let executed = outcome.reports.len() - skipped;
-    let spec = shard_from_env()
-        .map(|s| format!("{}/{}", s.index, s.count))
-        .unwrap_or_else(|| "?/?".to_string());
-    eprintln!(
-        "[shard {spec}] executed {executed} of {} jobs ({skipped} owned by other shards); \
-         merge by re-running unsharded with the same PRF_CACHE_DIR",
-        outcome.reports.len()
-    );
-    std::process::exit(0);
-}
-
-/// Crash-proof matrix run: every job gets `1 + policy.retries` attempts
-/// behind `catch_unwind` (and a watchdog when `policy.timeout` is set),
-/// and the returned [`MatrixOutcome`] has one report per input job, in
-/// input order — healthy results survive neighbouring crashes and hangs.
-pub fn run_matrix_resilient_with_threads(
-    jobs: &[Job],
-    policy: RetryPolicy,
-    threads: usize,
-) -> MatrixOutcome {
-    run_matrix_resilient_configured(
-        jobs,
-        policy,
-        threads,
-        shard_from_env(),
-        ResultCache::from_env().as_ref(),
-    )
-}
-
 /// One worker slot's record of a finished job.
 struct SlotData {
     outcome: JobOutcome,
@@ -816,17 +673,7 @@ struct SlotData {
     cached: Option<bool>,
 }
 
-/// [`run_matrix_resilient_with_threads`] with the shard filter and result
-/// cache passed explicitly instead of read from the environment — the
-/// testable core, also used by `prf-serve`.
-///
-/// With a `shard`, only jobs whose index the shard owns are executed; the
-/// rest report [`JobOutcome::Skipped`]. With a `cache`, cacheable jobs are
-/// answered from disk when their digest matches a stored entry, and
-/// freshly computed results are stored for the next run. The cache store
-/// happens on the worker thread *after* `run_resilient_job` returns, so —
-/// together with the attempt generation counter — an abandoned watchdog
-/// attempt can never publish a stale entry.
+/// [`run_matrix_resilient_observed`] without an observer.
 pub fn run_matrix_resilient_configured(
     jobs: &[Job],
     policy: RetryPolicy,
@@ -852,8 +699,21 @@ pub trait JobObserver: Sync {
     fn job_finished(&self, _index: usize, _job: &Job, _outcome: &JobOutcome) {}
 }
 
-/// [`run_matrix_resilient_configured`] with per-job [`JobObserver`]
-/// callbacks.
+/// The matrix engine. Runs every job on a pool of at most `threads`
+/// scoped workers pulling from a shared cursor (long simulations don't
+/// serialise behind short ones), and returns one [`JobReport`] per input
+/// job, in input order — healthy results survive neighbouring crashes and
+/// hangs. Every job gets `1 + policy.retries` attempts behind
+/// `catch_unwind`, and a watchdog when `policy.timeout` is set.
+///
+/// With a `shard`, only jobs whose index the shard owns are executed; the
+/// rest report [`JobOutcome::Skipped`]. With a `cache`, cacheable jobs are
+/// answered from disk when their digest matches a stored entry, and
+/// freshly computed results are stored for the next run. The cache store
+/// happens on the worker thread *after* `run_resilient_job` returns, so —
+/// together with the attempt generation counter — an abandoned watchdog
+/// attempt can never publish a stale entry. The `observer`, when given,
+/// sees every job start and finish.
 pub fn run_matrix_resilient_observed(
     jobs: &[Job],
     policy: RetryPolicy,
@@ -993,10 +853,15 @@ mod tests {
             .collect()
     }
 
+    /// A plain run: no retries, no shard, no cache.
+    fn run_plain(jobs: &[Job], threads: usize) -> MatrixOutcome {
+        run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let jobs = tiny_jobs(4);
-        let results = run_matrix_with_threads(&jobs, 3);
+        let results = run_plain(&jobs, 3).expect_complete();
         assert_eq!(results.len(), 4);
         for (j, r) in jobs.iter().zip(&results) {
             assert_eq!(j.name, r.name);
@@ -1006,8 +871,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_exactly() {
         let jobs = tiny_jobs(3);
-        let serial = run_matrix_with_threads(&jobs, 1);
-        let parallel = run_matrix_with_threads(&jobs, 3);
+        let serial = run_plain(&jobs, 1).expect_complete();
+        let parallel = run_plain(&jobs, 3).expect_complete();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.result.cycles, b.result.cycles);
             assert_eq!(a.result.dynamic_energy_pj, b.result.dynamic_energy_pj);
@@ -1016,25 +881,6 @@ mod tests {
                 b.result.stats.partition_accesses
             );
         }
-    }
-
-    #[test]
-    fn failing_job_reports_its_name() {
-        let mut jobs = tiny_jobs(2);
-        // An impossible cycle limit forces a deterministic SimError; the
-        // all-or-nothing entry point re-raises it with the job name.
-        jobs[1].gpu.max_cycles = 1;
-        jobs[1].name = "doomed".into();
-        let err = std::panic::catch_unwind(|| run_matrix_with_threads(&jobs, 2));
-        let payload = err.expect_err("doomed job must propagate its failure");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(
-            msg.contains("doomed"),
-            "panic message should name the job: {msg}"
-        );
     }
 
     #[test]
@@ -1164,39 +1010,11 @@ mod tests {
     }
 
     #[test]
-    fn timed_matrix_measures_phases_and_job_elapsed() {
-        let jobs = tiny_jobs(2);
-        let (outcome, report) = run_matrix_resilient_timed(&jobs, RetryPolicy::none());
-        assert!(report.phase_totals.simulate > Duration::ZERO);
-        assert!(report.phase_totals.total() > Duration::ZERO);
-        for r in &outcome.reports {
-            assert!(r.elapsed > Duration::ZERO);
-            let phases = r.result.as_ref().expect("healthy job").phases;
-            // A job's phase breakdown cannot exceed its wall-clock span.
-            assert!(phases.total() <= r.elapsed + Duration::from_millis(50));
-        }
-    }
-
-    #[test]
-    fn timed_matrix_counts_audited_jobs() {
-        let mut jobs = tiny_jobs(2);
-        jobs[1].gpu.audit = true;
-        let (results, report) = run_matrix_timed(&jobs);
-        assert!(results[0].result.audit.is_none());
-        let audit = results[1].result.audit.as_ref().expect("audited job");
-        assert!(audit.is_clean(), "{audit}");
-        assert_eq!(report.audited_jobs, 1);
-        assert_eq!(report.audit_violations, 0);
-        assert_eq!(report.retried_jobs, 0);
-        assert_eq!(report.failed_jobs, 0);
-    }
-
-    #[test]
     fn resilient_matrix_reports_every_job_and_keeps_healthy_results() {
         let mut jobs = tiny_jobs(3);
         jobs[1].gpu.max_cycles = 1;
         jobs[1].name = "doomed".into();
-        let outcome = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+        let outcome = run_plain(&jobs, 3);
         assert_eq!(outcome.reports.len(), 3);
         for (i, report) in outcome.reports.iter().enumerate() {
             assert_eq!(report.index, i);
@@ -1226,7 +1044,7 @@ mod tests {
         let mut jobs = tiny_jobs(2);
         jobs[1].gpu.max_cycles = 1;
         jobs[1].name = "doomed".into();
-        run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 2).expect_complete();
+        run_plain(&jobs, 2).expect_complete();
     }
 
     #[test]
@@ -1296,7 +1114,7 @@ mod tests {
         let cache = crate::cache::ResultCache::at(&dir);
         let jobs = tiny_jobs(5);
         // Reference: plain serial run, no cache, no shard.
-        let serial = run_matrix_resilient_configured(&jobs, RetryPolicy::none(), 1, None, None);
+        let serial = run_plain(&jobs, 1);
         // Two shard processes fill the shared cache with their slices.
         for index in 0..2 {
             let spec = ShardSpec { index, count: 2 };
@@ -1544,7 +1362,7 @@ mod tests {
             retries: 3,
             backoff: Duration::from_secs(60),
         };
-        let outcome = run_matrix_resilient_with_threads(&jobs, watchdog, 2);
+        let outcome = run_matrix_resilient_configured(&jobs, watchdog, 2, None, None);
         assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
         match &outcome.reports[1].outcome {
             JobOutcome::Rejected { reason } => {
@@ -1593,13 +1411,13 @@ mod tests {
     #[test]
     fn watchdog_passes_healthy_results_through() {
         let jobs = tiny_jobs(2);
-        let plain = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 2);
+        let plain = run_plain(&jobs, 2);
         let policy = RetryPolicy {
             timeout: Some(Duration::from_secs(120)),
             retries: 2,
             backoff: Duration::from_millis(1),
         };
-        let watched = run_matrix_resilient_with_threads(&jobs, policy, 2);
+        let watched = run_matrix_resilient_configured(&jobs, policy, 2, None, None);
         for (a, b) in plain.reports.iter().zip(&watched.reports) {
             assert_eq!(a.outcome, JobOutcome::Completed);
             assert_eq!(b.outcome, JobOutcome::Completed);

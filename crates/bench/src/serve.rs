@@ -42,7 +42,7 @@
 //! `{"kind":"rejected"}` outcome instead of wasting a retry budget.
 //!
 //! Batches execute in submission order on a single worker thread that
-//! drives [`runner::run_matrix_resilient_configured`] — so every batch
+//! drives [`runner::run_matrix_resilient_observed`] — so every batch
 //! gets the full worker pool, the retry/watchdog policy, and the result
 //! cache ([`ResultCache::from_env`]) for free. In-flight batching is
 //! bounded: at most [`ServeConfig::max_inflight`] batches may be queued

@@ -220,14 +220,11 @@ impl FaultyVfs {
     }
 
     fn enospc() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Other,
-            "injected fault: no space left on device",
-        )
+        io::Error::other("injected fault: no space left on device")
     }
 
     fn power_cut() -> io::Error {
-        io::Error::new(io::ErrorKind::Other, "injected fault: power cut")
+        io::Error::other("injected fault: power cut")
     }
 
     /// Charges one mutating operation against the power-cut budget.
@@ -308,10 +305,7 @@ impl Vfs for FaultyVfs {
             return Err(Self::power_cut());
         }
         if self.plan.lock().unwrap().fail_rename {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "injected fault: rename failed",
-            ));
+            return Err(io::Error::other("injected fault: rename failed"));
         }
         self.inner.rename(from, to)
     }
@@ -339,10 +333,7 @@ impl Vfs for FaultyVfs {
             return Err(Self::power_cut());
         }
         if self.plan.lock().unwrap().fail_sync_dir {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "injected fault: directory fsync failed",
-            ));
+            return Err(io::Error::other("injected fault: directory fsync failed"));
         }
         self.inner.sync_dir(path)
     }

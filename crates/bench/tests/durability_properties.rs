@@ -121,7 +121,7 @@ proptest! {
             let expect = expected_pending(contained);
             let got: Vec<u64> = recovery.pending.iter().map(|(id, _)| *id).collect();
             prop_assert_eq!(&got, &expect, "cut at {} ({} full frames)", cut, contained);
-            prop_assert_eq!(recovery.torn_tail, cut != frame_end(&full, contained));
+            prop_assert_eq!(recovery.torn_tail, cut != frame_end(full, contained));
         }
         // The reopened journal is usable: an append lands and survives
         // the next replay regardless of where the tear was.

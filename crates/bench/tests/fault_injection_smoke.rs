@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use prf_bench::runner::{run_matrix_resilient_with_threads, Job, JobOutcome, RetryPolicy};
+use prf_bench::runner::{run_matrix_resilient_configured, Job, JobOutcome, RetryPolicy};
 use prf_bench::{experiment_gpu, fault_config_for};
 use prf_core::RfKind;
 use prf_finfet::NTV;
@@ -35,7 +35,7 @@ fn crashing_matrix_returns_partial_results_with_clean_audits() {
     // the engine classifies as a fail-fast rejection.
     jobs[1].gpu.max_cycles = 1;
 
-    let outcome = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+    let outcome = run_matrix_resilient_configured(&jobs, RetryPolicy::none(), 3, None, None);
     assert_eq!(
         outcome.reports.len(),
         jobs.len(),
@@ -86,7 +86,7 @@ fn hanging_job_times_out_without_taking_the_matrix_down() {
         retries: 0,
         backoff: Duration::ZERO,
     };
-    let outcome = run_matrix_resilient_with_threads(&jobs, policy, 1);
+    let outcome = run_matrix_resilient_configured(&jobs, policy, 1, None, None);
     assert_eq!(outcome.reports.len(), 1);
     assert_eq!(
         outcome.reports[0].outcome,
@@ -101,8 +101,8 @@ fn hanging_job_times_out_without_taking_the_matrix_down() {
 #[test]
 fn faulted_matrix_is_deterministic_across_thread_counts() {
     let jobs: Vec<Job> = (0..3).map(|s| faulted_job("det", s)).collect();
-    let serial = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 1);
-    let parallel = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+    let serial = run_matrix_resilient_configured(&jobs, RetryPolicy::none(), 1, None, None);
+    let parallel = run_matrix_resilient_configured(&jobs, RetryPolicy::none(), 3, None, None);
     for (a, b) in serial.reports.iter().zip(&parallel.reports) {
         let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
         assert_eq!(ra.cycles, rb.cycles);

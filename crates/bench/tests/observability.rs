@@ -3,9 +3,12 @@
 //! `samples` field, and the JSON run reports round-trip through the
 //! crate's own parser with the documented schema.
 
+use std::time::Duration;
+
 use prf_bench::bench_report::{RunReport, SCHEMA_VERSION};
 use prf_bench::experiment_gpu;
 use prf_bench::json::Json;
+use prf_bench::runner::JobOutcome;
 use prf_core::{run_experiment_with_faults, ExperimentResult, PartitionedRfConfig, RfKind};
 use prf_sim::{SamplingConfig, SchedulerPolicy};
 
@@ -73,7 +76,12 @@ fn bench_report_round_trips_through_parser() {
 
     let result = run(Some(SamplingConfig::every(1000)), true);
     let mut report = RunReport::new("observability_test");
-    report.add_result("BFS/partitioned", &result);
+    report.add_job(
+        "BFS/partitioned",
+        &JobOutcome::Completed,
+        Duration::from_millis(5),
+        Some(&result),
+    );
     report.add_metric(
         "ipc",
         result.stats.instructions as f64 / result.cycles as f64,
