@@ -2,15 +2,16 @@
 //! organisation. Not part of the paper reproduction — a tool for
 //! understanding where cycles go.
 
-use prf_bench::{experiment_gpu, positional_args, run_cells_reported, Cell};
+use prf_bench::{experiment_gpu, harness_args, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
 fn main() {
-    let workloads: Vec<_> = positional_args(std::env::args().skip(1))
-        .into_iter()
+    let workloads: Vec<_> = harness_args()
+        .positional
+        .iter()
         .map(|name| {
-            prf_workloads::by_name(&name).unwrap_or_else(|| {
+            prf_workloads::by_name(name).unwrap_or_else(|| {
                 let known: Vec<_> = prf_workloads::suite().iter().map(|w| w.name).collect();
                 eprintln!(
                     "diag: unknown workload `{name}` (known: {})",

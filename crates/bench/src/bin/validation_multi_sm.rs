@@ -9,7 +9,7 @@
 //! consumes 13.4% and 17.2% of the GTX-480 and Quadro FX5600 chips
 //! power").
 
-use prf_bench::{header, run_cells_reported, Cell};
+use prf_bench::{experiment_gpu, header, run_cells_reported, Cell};
 use prf_core::{ChipProfile, PartitionedRfConfig, RfKind};
 use prf_sim::{GpuConfig, RfPartition, SchedulerPolicy};
 
@@ -32,9 +32,7 @@ fn main() {
             [1usize, 15].map(|sms| {
                 let gpu = GpuConfig {
                     num_sms: sms,
-                    scheduler: SchedulerPolicy::Gto,
-                    audit: prf_bench::audit_from_args(),
-                    ..GpuConfig::kepler_gtx780()
+                    ..experiment_gpu(SchedulerPolicy::Gto)
                 };
                 let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
                 Cell::new(w, &gpu, &rf)

@@ -16,35 +16,13 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use prf_sim::TraceEvent;
 
 use crate::json::Json;
 use crate::runner::JobReport;
-
-/// The trace path requested on the command line via `--trace-out <path>`
-/// (or `--trace-out=<path>`), if any.
-///
-/// # Panics
-///
-/// Panics when the flag is present without a path.
-pub fn trace_out_from_args() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    loop {
-        let arg = args.next()?;
-        if arg == "--trace-out" {
-            let path = args
-                .next()
-                .unwrap_or_else(|| panic!("--trace-out needs a file path argument"));
-            return Some(PathBuf::from(path));
-        }
-        if let Some(path) = arg.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(path));
-        }
-    }
-}
 
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6

@@ -36,6 +36,7 @@ pub mod vfs;
 pub use bench_report::RunReport;
 
 use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -47,45 +48,86 @@ use prf_workloads::Workload;
 use crate::cache::ResultCache;
 use crate::runner::{Job, RetryPolicy};
 
-/// True when the binary was invoked with `--audit`: opts every simulation
-/// into the conservation-invariant audit harness (`prf_sim::audit`). The
-/// audited counters land in each [`ExperimentResult`] and the matrix
-/// footer reports how many jobs were audited and how many violations
-/// surfaced (none, unless someone broke the accounting chain).
-pub fn audit_from_args() -> bool {
-    std::env::args().any(|a| a == "--audit")
+/// The harness flags every simulating figure binary accepts, parsed once
+/// per process by [`harness_args`].
+#[derive(Debug, Default)]
+pub struct HarnessArgs {
+    /// `--audit`: run every simulation under the conservation-invariant
+    /// audit (`prf_sim::audit`); the matrix footer counts audited jobs and
+    /// violations.
+    pub audit: bool,
+    /// `--sample <cycles>`, else `PRF_SAMPLE_WINDOW`: the sampled-telemetry
+    /// window. `None` keeps simulation output bit-identical to builds
+    /// predating telemetry.
+    pub sample: Option<SamplingConfig>,
+    /// `--faults <seed>,<vdd>`: the fault campaign of every job (see
+    /// [`fault_config_for`]), built once and shared.
+    pub faults: Option<FaultConfig>,
+    /// `--trace-out <path>`: where to write the Chrome trace; also turns on
+    /// the pipeline trace ring.
+    pub trace_out: Option<PathBuf>,
+    /// Every argument that is neither a `--flag` nor a flag's value.
+    pub positional: Vec<String>,
 }
 
-/// The sampled-telemetry window requested via `--sample <cycles>` (or
-/// `--sample=<cycles>`), falling back to the `PRF_SAMPLE_WINDOW`
-/// environment variable. `None` — the default — disables sampling, which
-/// keeps simulation output bit-identical to builds predating telemetry.
-///
-/// # Panics
-///
-/// Panics when a window is present but not a positive integer.
-pub fn sampling_from_args() -> Option<SamplingConfig> {
-    fn parse(source: &str, v: &str) -> SamplingConfig {
-        match v.trim().parse::<u64>() {
-            Ok(w) if w >= 1 => SamplingConfig::every(w),
-            _ => panic!("{source}: sampling window `{v}` is not a positive cycle count"),
+impl HarnessArgs {
+    /// Parses `args` (without the program name). A value follows its flag
+    /// as the next argument or after `=`. `sample_env` is the value of
+    /// `PRF_SAMPLE_WINDOW`, used only when `--sample` is absent. Other
+    /// `--flags` are ignored, so libtest and criterion arguments pass
+    /// through. An error names the offending flag or variable.
+    fn parse(
+        args: impl IntoIterator<Item = String>,
+        sample_env: Option<&str>,
+    ) -> Result<HarnessArgs, String> {
+        let window = |source: &str, v: &str| match v.trim().parse::<u64>() {
+            Ok(w) if w >= 1 => Ok(SamplingConfig::every(w)),
+            _ => Err(format!("{source}: `{v}` is not a positive cycle count")),
+        };
+        let mut parsed = HarnessArgs::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let value = || {
+                inline
+                    .or_else(|| args.next())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--audit" => parsed.audit = true,
+                "--sample" => parsed.sample = Some(window(flag, &value()?)?),
+                "--faults" => {
+                    let (seed, vdd) =
+                        parse_faults_spec(&value()?).map_err(|e| format!("{flag}: {e}"))?;
+                    parsed.faults = Some(fault_config_for(seed, vdd));
+                }
+                "--trace-out" => parsed.trace_out = Some(PathBuf::from(value()?)),
+                _ if !arg.starts_with("--") => parsed.positional.push(arg),
+                _ => {}
+            }
         }
+        if let (None, Some(v)) = (parsed.sample, sample_env) {
+            parsed.sample = Some(window("PRF_SAMPLE_WINDOW", v)?);
+        }
+        Ok(parsed)
     }
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--sample" {
-            let v = args
-                .next()
-                .unwrap_or_else(|| panic!("--sample needs a window argument (cycles)"));
-            return Some(parse("--sample", &v));
-        }
-        if let Some(v) = arg.strip_prefix("--sample=") {
-            return Some(parse("--sample", v));
-        }
-    }
-    std::env::var("PRF_SAMPLE_WINDOW")
-        .ok()
-        .map(|v| parse("PRF_SAMPLE_WINDOW", &v))
+}
+
+/// This process's [`HarnessArgs`], parsed from `std::env::args` and
+/// `PRF_SAMPLE_WINDOW` on first use. A malformed value prints the error
+/// and exits with status 2.
+pub fn harness_args() -> &'static HarnessArgs {
+    static ARGS: OnceLock<HarnessArgs> = OnceLock::new();
+    ARGS.get_or_init(|| {
+        let env = std::env::var("PRF_SAMPLE_WINDOW").ok();
+        HarnessArgs::parse(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Parses a `--faults` spec of the form `"<seed>,<vdd>"`, e.g. `"42,0.3"`.
@@ -117,110 +159,24 @@ pub fn fault_config_for(seed: u64, vdd: f64) -> FaultConfig {
     FaultConfig::new(map, RepairPolicy::SpareRow { spares_per_bank: 4 })
 }
 
-/// The fault campaign requested on the command line via
-/// `--faults <seed>,<vdd>` (or `--faults=<seed>,<vdd>`), if any.
-///
-/// # Panics
-///
-/// Panics when the spec is present but malformed.
-pub fn faults_from_args() -> Option<FaultConfig> {
-    let mut args = std::env::args();
-    let spec = loop {
-        let arg = args.next()?;
-        if arg == "--faults" {
-            break args.next().unwrap_or_else(|| {
-                panic!("--faults needs a `<seed>,<vdd>` argument (e.g. --faults 42,0.3)")
-            });
-        }
-        if let Some(spec) = arg.strip_prefix("--faults=") {
-            break spec.to_string();
-        }
-    };
-    let (seed, vdd) =
-        parse_faults_spec(&spec).unwrap_or_else(|e| panic!("--faults spec invalid: {e}"));
-    Some(fault_config_for(seed, vdd))
-}
-
-/// Cached [`faults_from_args`]: the Monte Carlo fault map is generated
-/// once per process and shared (via `Arc`) by every job.
-pub fn campaign_faults() -> Option<FaultConfig> {
-    static FAULTS: OnceLock<Option<FaultConfig>> = OnceLock::new();
-    FAULTS.get_or_init(faults_from_args).clone()
-}
-
-/// The command-line flags that take their value as a separate argument
-/// (`--flag value`); parsed by [`sampling_from_args`], [`faults_from_args`]
-/// and [`chrometrace::trace_out_from_args`].
-const VALUE_FLAGS: [&str; 3] = ["--sample", "--faults", "--trace-out"];
-
-/// The positional arguments in `args`: everything that is neither a
-/// `--flag` nor the value after `--sample`, `--faults` or `--trace-out`.
-/// Pass `std::env::args().skip(1)`.
-pub fn positional_args(args: impl IntoIterator<Item = String>) -> Vec<String> {
-    let mut positional = Vec::new();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            args.next();
-        } else if !arg.starts_with("--") {
-            positional.push(arg);
-        }
-    }
-    positional
-}
-
-/// Number of worker threads for intra-simulation SM parallelism, from the
-/// `PRF_SM_THREADS` environment variable. Defaults to 1 (serial stepping).
-/// Results are bit-identical at any thread count — this only trades
-/// wall-clock for cores on multi-SM configurations (single-SM runs ignore
-/// it). Invalid values warn on stderr and fall back to 1, matching the
-/// `PRF_THREADS` convention.
-pub fn sm_threads_from_env() -> usize {
-    if let Ok(v) = std::env::var("PRF_SM_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("PRF_SM_THREADS={v:?} is not a positive integer; using 1"),
-        }
-    }
-    1
-}
-
-/// SM-count override from the `PRF_NUM_SMS` environment variable, if set.
-/// The figure binaries default to the paper's single-SM configuration
-/// (register-file behaviour is per-SM); overriding lets the perf-smoke CI
-/// job and scaling experiments exercise the multi-SM driver on the same
-/// binaries without changing their reported defaults. Invalid values warn
-/// on stderr and are ignored, matching the `PRF_THREADS` convention.
-pub fn num_sms_from_env() -> Option<usize> {
-    let v = std::env::var("PRF_NUM_SMS").ok()?;
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("PRF_NUM_SMS={v:?} is not a positive integer; using the config default");
-            None
-        }
-    }
-}
-
 /// The single-SM Kepler configuration used by the workload experiments
-/// (register-file behaviour is per-SM; see DESIGN.md). Honours the
-/// `--audit`, `--sample` (see [`sampling_from_args`]) and `--trace-out`
-/// command-line flags — the last turns on the pipeline trace ring so the
-/// Chrome-trace exporter has events to render — plus the `PRF_NUM_SMS`
-/// and `PRF_SM_THREADS` environment overrides for multi-SM scaling runs.
+/// (register-file behaviour is per-SM; see DESIGN.md). Applies the
+/// [`harness_args`] flags `--audit`, `--sample` and `--trace-out` (the
+/// last turns on the pipeline trace ring so the Chrome-trace exporter has
+/// events to render), plus two environment overrides for multi-SM scaling
+/// runs: `PRF_NUM_SMS` replaces the SM count, and `PRF_SM_THREADS` steps
+/// the SMs of one simulation on that many threads (default: one), with
+/// bit-identical results. Invalid values warn on stderr and are ignored.
 pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
+    let args = harness_args();
     let base = GpuConfig::kepler_single_sm();
     GpuConfig {
         scheduler,
-        audit: audit_from_args(),
-        sampling: sampling_from_args(),
-        trace_capacity: if chrometrace::trace_out_from_args().is_some() {
-            65_536
-        } else {
-            0
-        },
-        num_sms: num_sms_from_env().unwrap_or(base.num_sms),
-        sm_threads: sm_threads_from_env(),
+        audit: args.audit,
+        sampling: args.sample,
+        trace_capacity: if args.trace_out.is_some() { 65_536 } else { 0 },
+        num_sms: runner::positive_env("PRF_NUM_SMS").unwrap_or(base.num_sms),
+        sm_threads: runner::positive_env("PRF_SM_THREADS").unwrap_or(1),
         ..base
     }
 }
@@ -300,10 +256,10 @@ pub fn average_seed_results(results: &[ExperimentResult]) -> AveragedResult {
 
 /// Builds the per-seed job list for one workload×RF cell. Every job
 /// carries the `--faults` campaign when one was requested (see
-/// [`campaign_faults`]).
+/// [`HarnessArgs::faults`]).
 pub fn seed_jobs(w: &Workload, gpu: &GpuConfig, rf: &RfKind, seeds: u64) -> Vec<Job> {
     assert!(seeds >= 1);
-    let faults = campaign_faults();
+    let faults = &harness_args().faults;
     (0..seeds)
         .map(|seed| {
             let cfg = GpuConfig {
@@ -397,12 +353,12 @@ pub fn run_cells_reported(
     }
     run_report.set_matrix(&report);
 
-    if let Some(path) = chrometrace::trace_out_from_args() {
+    if let Some(path) = &harness_args().trace_out {
         let mut trace = chrometrace::ChromeTrace::new();
         for jr in &outcome.reports {
             trace.add_job(jr);
         }
-        if let Err(e) = trace.write(&path) {
+        if let Err(e) = trace.write(path) {
             eprintln!("--trace-out: cannot write {}: {e}", path.display());
         }
     }
@@ -528,19 +484,39 @@ mod tests {
     }
 
     #[test]
-    fn positional_args_skip_flags_and_their_values() {
-        let args = ["BFS", "--faults", "42,0.3", "--sample=100", "SRAD"];
-        let positional = positional_args(args.map(String::from));
-        assert_eq!(positional, ["BFS", "SRAD"]);
-        let args = [
-            "--audit",
-            "--trace-out",
-            "t.json",
-            "--sample",
-            "50",
-            "kmeans",
-        ];
-        assert_eq!(positional_args(args.map(String::from)), ["kmeans"]);
+    fn harness_args_parse_flags_values_and_positionals() {
+        let parse =
+            |args: &str, env| HarnessArgs::parse(args.split_whitespace().map(String::from), env);
+        let a = parse("BFS --faults 42,0.3 --sample=100 SRAD", None).unwrap();
+        assert_eq!(a.positional, ["BFS", "SRAD"]);
+        assert!(a.faults.is_some() && !a.audit && a.trace_out.is_none());
+        assert_eq!(a.sample, Some(SamplingConfig::every(100)));
+        let a = parse("--audit --trace-out t.json --sample 50 kmeans", None).unwrap();
+        assert_eq!(a.positional, ["kmeans"]);
+        assert!(a.audit && a.faults.is_none());
+        assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
+        assert_eq!(a.sample, Some(SamplingConfig::every(50)));
+
+        for args in ["--sample 0", "--sample", "--faults 42", "--trace-out"] {
+            let err = parse(args, None).unwrap_err();
+            let flag = args.split(' ').next().unwrap();
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+
+        // The environment window applies only without `--sample`.
+        let window = |args, env| parse(args, env).unwrap().sample;
+        assert_eq!(window("", Some("300")), Some(SamplingConfig::every(300)));
+        assert_eq!(
+            window("--sample 20", Some("300")),
+            Some(SamplingConfig::every(20))
+        );
+        let err = parse("", Some("0")).unwrap_err();
+        assert!(err.contains("PRF_SAMPLE_WINDOW"), "{err}");
+
+        // libtest arguments pass through untouched.
+        let a = parse("--test-threads=2 --nocapture", None).unwrap();
+        assert!(!a.audit && a.sample.is_none() && a.faults.is_none() && a.trace_out.is_none());
+        assert!(a.positional.is_empty());
     }
 
     fn tiny_jobs(n: u64) -> Vec<Job> {

@@ -521,17 +521,24 @@ impl MatrixReport {
     }
 }
 
+/// The positive integer in environment variable `name`, if set. Any other
+/// value warns on stderr and counts as unset.
+pub(crate) fn positive_env(name: &str) -> Option<usize> {
+    let v = std::env::var(name).ok()?;
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!("{name}={v:?} is not a positive integer; using default");
+            None
+        }
+    }
+}
+
 /// Worker-pool size: `PRF_THREADS` if set and positive, else
 /// [`std::thread::available_parallelism`], else 1.
 pub fn threads_from_env() -> usize {
-    if let Ok(v) = std::env::var("PRF_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("PRF_THREADS={v:?} is not a positive integer; using default"),
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
+    positive_env("PRF_THREADS")
+        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
 }
 

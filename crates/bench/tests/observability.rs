@@ -1,7 +1,7 @@
-//! The observability layer must be free of observer effects: sampling
-//! off is the exact seed behaviour, sampling on changes nothing but the
-//! `samples` field, and the JSON run reports round-trip through the
-//! crate's own parser with the documented schema.
+//! The observability layer must be free of observer effects: every sink
+//! off is the exact seed behaviour, each sink on changes nothing but its
+//! own payload, and the JSON run reports round-trip through the crate's
+//! own parser with the documented schema.
 
 use std::time::Duration;
 
@@ -9,38 +9,59 @@ use prf_bench::bench_report::{RunReport, SCHEMA_VERSION};
 use prf_bench::experiment_gpu;
 use prf_bench::json::Json;
 use prf_bench::runner::JobOutcome;
-use prf_core::{run_experiment_with_faults, ExperimentResult, PartitionedRfConfig, RfKind};
-use prf_sim::{SamplingConfig, SchedulerPolicy};
+use prf_core::{
+    run_experiment_with_faults, ExperimentResult, PartitionedRfConfig, RfKind, RfTelemetry,
+};
+use prf_sim::{SamplingConfig, SchedulerPolicy, SmStats};
 
-fn run(sampling: Option<SamplingConfig>, audit: bool) -> ExperimentResult {
+/// BFS on the partitioned RF with a sampling window (0 = off), the audit
+/// and a trace ring of `trace_capacity` events (0 = off).
+fn run(window: u64, audit: bool, trace_capacity: usize) -> ExperimentResult {
     let mut gpu = experiment_gpu(SchedulerPolicy::Gto);
-    gpu.sampling = sampling;
+    gpu.sampling = (window > 0).then(|| SamplingConfig::every(window));
     gpu.audit = audit;
+    gpu.trace_capacity = trace_capacity;
     let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
     let w = prf_workloads::by_name("BFS").unwrap();
     run_experiment_with_faults(&gpu, &rf, &w.launches, &w.mem_init, None).unwrap()
 }
 
-/// Turning the sampler on must not perturb the simulation: every
-/// statistic a figure reads is bit-identical with and without sampling;
-/// only the `samples` payload differs.
+/// Everything a figure reads from a run; observer payloads excluded.
+fn simulated(r: &ExperimentResult) -> (u64, &SmStats, &RfTelemetry, [f64; 5]) {
+    let energies = [
+        r.dynamic_energy_pj,
+        r.repair_energy_pj,
+        r.leakage_energy_pj,
+        r.baseline_dynamic_energy_pj,
+        r.baseline_leakage_energy_pj,
+    ];
+    (r.cycles, &r.stats, &r.telemetry, energies)
+}
+
+/// No observer perturbs the simulation: with every sink off, with the
+/// trace ring, the audit or the sampler on alone, and with all three on,
+/// every statistic a figure reads is bit-identical to the all-off run;
+/// only each live sink's own payload appears.
 #[test]
 fn sampling_is_observer_effect_free() {
-    let off = run(None, false);
-    let on = run(Some(SamplingConfig::every(500)), false);
-
-    assert_eq!(off.cycles, on.cycles);
-    assert_eq!(off.stats, on.stats);
-    assert_eq!(off.telemetry, on.telemetry);
-    assert_eq!(off.dynamic_energy_pj, on.dynamic_energy_pj);
-    assert_eq!(off.leakage_energy_pj, on.leakage_energy_pj);
-    assert_eq!(
-        off.baseline_dynamic_energy_pj,
-        on.baseline_dynamic_energy_pj
-    );
-
-    assert!(off.per_launch.iter().all(|l| l.samples.is_empty()));
-    assert!(on.per_launch.iter().all(|l| !l.samples.is_empty()));
+    let off = run(0, false, 0);
+    for (trace, audit, window) in [
+        (0, false, 0),
+        (4096, false, 0),
+        (0, true, 0),
+        (0, false, 500),
+        (4096, true, 500),
+    ] {
+        let sinks = format!("trace={trace} audit={audit} sample={window}");
+        let on = run(window, audit, trace);
+        assert_eq!(simulated(&off), simulated(&on), "{sinks}");
+        let clean = on.audit.as_ref().map(|a| a.is_clean());
+        assert_eq!(clean, audit.then_some(true), "{sinks}");
+        for l in &on.per_launch {
+            let empty = (l.trace.is_empty(), l.samples.is_empty());
+            assert_eq!(empty, (trace == 0, window == 0), "{sinks}");
+        }
+    }
 }
 
 /// An audited, sampled run stays clean (the audit includes the
@@ -48,7 +69,7 @@ fn sampling_is_observer_effect_free() {
 /// the final counters, per launch and over the whole experiment.
 #[test]
 fn sampled_windows_sum_to_final_stats_under_audit() {
-    let r = run(Some(SamplingConfig::every(250)), true);
+    let r = run(250, true, 0);
     let audit = r.audit.as_ref().expect("audit enabled");
     assert!(audit.is_clean(), "{audit}");
 
@@ -74,7 +95,7 @@ fn bench_report_round_trips_through_parser() {
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("PRF_REPORT_DIR", &dir);
 
-    let result = run(Some(SamplingConfig::every(1000)), true);
+    let result = run(1000, true, 0);
     let mut report = RunReport::new("observability_test");
     report.add_job(
         "BFS/partitioned",

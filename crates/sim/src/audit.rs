@@ -202,7 +202,7 @@ impl fmt::Display for AuditReport {
 /// set; fed every pipeline event at emission time; finalised against the
 /// SM's own `SmStats` when the run ends.
 #[derive(Debug, Clone)]
-pub struct Auditor {
+pub(crate) struct Auditor {
     sm: usize,
     issues: u64,
     collects_exec: u64,

@@ -358,16 +358,12 @@ impl Gpu {
         for sm in &mut sms {
             stats.merge(&sm.stats);
             per_sm_instructions.push(sm.stats.instructions);
-            trace.extend(sm.trace.drain());
-            // Close the sampler before the audit so the conservation check
-            // sees the flushed partial window.
-            sm.finish_sampling();
-            if let Some(merged) = audit.as_mut() {
-                if let Some(report) = sm.finish_audit(self.cycle) {
-                    merged.merge(&report);
-                }
+            let observation = sm.finish_observation(self.cycle);
+            trace.extend(observation.trace);
+            samples.extend(observation.samples);
+            if let (Some(merged), Some(report)) = (audit.as_mut(), &observation.audit) {
+                merged.merge(report);
             }
-            samples.extend(sm.take_samples());
             self.warp_pool.append(&mut sm.reclaim_warp_contexts());
         }
         crate::trace::normalize_trace(&mut trace);

@@ -26,6 +26,7 @@ pub mod config;
 pub mod exec;
 pub mod gpu;
 pub mod mem;
+mod observer;
 pub mod occupancy;
 pub mod rf;
 pub mod sampling;
@@ -37,18 +38,19 @@ pub mod trace;
 pub mod validate;
 pub mod warp;
 
-pub use audit::{AuditReport, AuditViolation, Auditor};
+pub use audit::{AuditReport, AuditViolation};
 pub use config::{GpuConfig, SchedulerPolicy};
 pub use gpu::{Gpu, SimError};
 pub use mem::{GlobalMemory, GmemView, SharedMemory};
+pub use observer::Observation;
 pub use occupancy::{Occupancy, OccupancyLimiter};
 pub use rf::{
     AccessKind, BaselineRf, RegisterFileModel, RepairKind, ResolvedAccess, RfPartition,
     WarpLifecycle,
 };
-pub use sampling::{SampleSeries, SampleWindow, SamplingConfig, SmSampler};
+pub use sampling::{SampleSeries, SampleWindow, SamplingConfig};
 pub use sm::{KernelImage, Sm};
 pub use stats::{PartitionAccessCounts, RegisterAccessHistogram, SimResult, SmStats};
-pub use trace::{normalize_trace, TraceEvent, TraceRing};
+pub use trace::{normalize_trace, TraceEvent};
 pub use validate::{check_config, check_launch, ValidationError};
 pub use warp::{SimtStack, WarpContext};

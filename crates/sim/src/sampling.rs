@@ -1,13 +1,13 @@
 //! Sampled time-series telemetry: cycle-windowed counter deltas per SM.
 //!
-//! When `GpuConfig::sampling` is set, every SM carries an [`SmSampler`]
-//! that snapshots its [`SmStats`] counters once per `window` cycles and
+//! When `GpuConfig::sampling` is set, every SM's observer carries a
+//! sampler that snapshots its [`SmStats`] counters once per `window` cycles and
 //! records the *delta* since the previous boundary into a preallocated
 //! buffer. Because each window stores deltas of the very counters the SM
 //! already maintains, the series is conservative by construction: summing
 //! any counter over all windows (the last one may be partial) reproduces
 //! the run's final `SmStats` value exactly — an invariant the audit layer
-//! checks via [`check_series_conservation`].
+//! checks when the observer closes (`Sm::finish_observation`).
 //!
 //! Sampling off (`sampling: None`) costs one branch per SM per cycle and
 //! changes nothing else; simulation results are bit-identical either way.
@@ -146,7 +146,7 @@ impl SampleSeries {
 /// Per-SM sampling engine: owned by the SM, fed once per cycle, flushed at
 /// end of run.
 #[derive(Debug, Clone)]
-pub struct SmSampler {
+pub(crate) struct SmSampler {
     window: u64,
     /// Counter values at the last window boundary.
     prev: CounterSnapshot,
@@ -244,7 +244,7 @@ impl SmSampler {
 /// windowed counter, summed over the whole series, must equal the
 /// cumulative `SmStats` value — windows are deltas of those counters, so
 /// any drift means a window was dropped, double-counted, or mis-sliced.
-pub fn check_series_conservation(
+pub(crate) fn check_series_conservation(
     report: &mut AuditReport,
     series: &SampleSeries,
     stats: &SmStats,

@@ -11,17 +11,16 @@ use std::sync::Arc;
 
 use prf_isa::{CtaId, GridConfig, Kernel, PredReg, ReconvergenceTable, Reg};
 
-use crate::audit::{AuditReport, Auditor};
 use crate::collector::{CollectDest, CollectedInstr, CompletedWrite, OperandCollector};
 use crate::config::GpuConfig;
 use crate::exec::{execute_warp_instruction_into, ExecEnv, ExecOutcome};
 use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
+use crate::observer::{Observation, SmObserver};
 use crate::rf::{AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
-use crate::sampling::{SampleSeries, SmSampler};
 use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView};
 use crate::scoreboard::{hazard_of, InstrHazard, Scoreboard};
 use crate::stats::SmStats;
-use crate::trace::{TraceEvent, TraceRing};
+use crate::trace::TraceEvent;
 use crate::warp::{WarpBlock, WarpContext};
 
 /// Everything the SM needs to know about the running kernel.
@@ -122,17 +121,9 @@ pub struct Sm {
     pub finished_warps: Vec<(u32, u32, u64)>,
     sched_events: Vec<SchedulerEvent>,
     next_dispatch_allowed: u64,
-    /// Pipeline-event trace ring (enabled via `GpuConfig::trace_capacity`).
-    pub trace: TraceRing,
-    /// Conservation-invariant auditor (enabled via `GpuConfig::audit`);
-    /// consumed by [`Sm::finish_audit`].
-    audit: Option<Auditor>,
-    /// Windowed time-series sampler (enabled via `GpuConfig::sampling`);
-    /// consumed by [`Sm::finish_sampling`].
-    sampler: Option<SmSampler>,
-    /// The closed series, parked between [`Sm::finish_sampling`] and
-    /// [`Sm::take_samples`] so [`Sm::finish_audit`] can cross-check it.
-    samples: Option<SampleSeries>,
+    /// Trace ring, auditor and sampler; closed by
+    /// [`Sm::finish_observation`].
+    observer: SmObserver,
     // Reusable per-cycle scratch buffers (allocation-free hot path): each
     // is taken out of `self` for the duration of one phase and put back,
     // so steady-state cycles perform no heap allocation.
@@ -215,12 +206,7 @@ impl Sm {
             finished_warps: Vec::new(),
             sched_events: Vec::new(),
             next_dispatch_allowed: 0,
-            trace: TraceRing::new(config.trace_capacity),
-            audit: config
-                .audit
-                .then(|| Auditor::new(id, config.max_warps_per_sm)),
-            sampler: config.sampling.map(SmSampler::new),
-            samples: None,
+            observer: SmObserver::new(id, config),
             mem_done_scratch: Vec::new(),
             due_scratch: Vec::new(),
             collected_scratch: Vec::new(),
@@ -238,52 +224,12 @@ impl Sm {
         }
     }
 
-    /// Records one pipeline event into the trace ring and, when auditing,
-    /// into the auditor's counters. Both sinks see the same stream.
-    fn emit(&mut self, ev: TraceEvent) {
-        if let Some(a) = self.audit.as_mut() {
-            a.observe(&ev);
-        }
-        self.trace.record(ev);
-    }
-
-    /// True when at least one event sink (trace ring or auditor) is live —
-    /// the guard for event construction on the hot issue path.
-    fn observing(&self) -> bool {
-        self.trace.enabled() || self.audit.is_some()
-    }
-
-    /// Closes the time-series sampler (flushing the partial final window);
-    /// call once after the run, *before* [`Sm::finish_audit`] so the audit
-    /// can cross-check the series. No-op without `GpuConfig::sampling`.
-    pub fn finish_sampling(&mut self) {
-        if let Some(sampler) = self.sampler.take() {
-            self.samples = Some(sampler.finish(self.id, &self.stats, self.resident_warps()));
-        }
-    }
-
-    /// Takes the closed sampled series out of the SM (drained into
-    /// [`crate::SimResult`] by the GPU driver).
-    pub fn take_samples(&mut self) -> Option<SampleSeries> {
-        self.samples.take()
-    }
-
-    /// Finalises the auditor against this SM's statistics; `None` unless
-    /// `GpuConfig::audit` was set. Call once, after the run completes (and
-    /// after [`Sm::finish_sampling`], whose series is audited here too).
-    pub fn finish_audit(&mut self, final_cycle: u64) -> Option<AuditReport> {
-        let auditor = self.audit.take()?;
-        let mut report = auditor.finish(&self.stats, self.rf.rfc_evictions(), final_cycle);
-        if let Some(series) = &self.samples {
-            crate::sampling::check_series_conservation(
-                &mut report,
-                series,
-                &self.stats,
-                final_cycle,
-                self.id,
-            );
-        }
-        Some(report)
+    /// Closes the trace ring, sampler and auditor and returns what they
+    /// recorded; the observer is off afterwards. Call once, after the run
+    /// completes, with the run's final cycle.
+    pub fn finish_observation(&mut self, final_cycle: u64) -> Observation {
+        let observer = std::mem::take(&mut self.observer);
+        observer.finish(&self.stats, self.resident, self.rf.as_ref(), final_cycle)
     }
 
     /// Notifies the register-file model that a new kernel begins.
@@ -375,7 +321,7 @@ impl Sm {
         // Fresh shared memory for the CTA (zeroed in place).
         self.shared_mem[cta_slot].reset(self.config.shared_mem_words);
         self.next_dispatch_allowed = cycle + self.config.cta_dispatch_interval;
-        self.emit(TraceEvent::CtaDispatch {
+        self.observer.event(TraceEvent::CtaDispatch {
             cycle,
             sm: self.id,
             cta: cta.0,
@@ -410,13 +356,11 @@ impl Sm {
         self.free_tokens.push(token);
         if let Some(p) = info.pred_dst {
             self.scoreboards[info.warp_slot].release_pred(p);
-            if self.observing() {
-                self.emit(TraceEvent::ScoreboardRelease {
-                    cycle,
-                    sm: self.id,
-                    warp: info.warp_slot,
-                });
-            }
+            self.observer.event(TraceEvent::ScoreboardRelease {
+                cycle,
+                sm: self.id,
+                warp: info.warp_slot,
+            });
         }
         if info.is_load {
             self.pending_loads[info.warp_slot] =
@@ -441,15 +385,9 @@ impl Sm {
         }
         let w = self.warps[slot].take().expect("checked above");
         self.resident -= 1;
-        if let Some(a) = self.audit.as_mut() {
-            // A finished warp must hold no scoreboard reservations; a
-            // pending bit here means a lost release somewhere upstream.
-            let pending = self.scoreboards[slot].pending_count();
-            if pending != 0 {
-                a.note_unclear_scoreboard(slot, pending, cycle);
-            }
-        }
-        self.emit(TraceEvent::WarpFinish {
+        self.observer
+            .note_warp_scoreboard(slot, &self.scoreboards[slot], cycle);
+        self.observer.event(TraceEvent::WarpFinish {
             cycle,
             sm: self.id,
             warp: slot,
@@ -603,7 +541,6 @@ impl Sm {
         // Functional execution (updates pc / SIMT stack / registers /
         // predicates / memory).
         let cta_slot = w.cta_slot;
-        let trace_pc = pc;
         let mut outcome = ExecOutcome::with_buffer(self.addr_pool.pop().unwrap_or_default());
         execute_warp_instruction_into(
             w,
@@ -627,20 +564,18 @@ impl Sm {
                 self.stats.divergent_branches += 1;
             }
         }
-        if self.observing() {
-            self.emit(TraceEvent::Issue {
+        self.observer.event(TraceEvent::Issue {
+            cycle,
+            sm: self.id,
+            warp: slot,
+            pc,
+        });
+        if outcome.hit_barrier {
+            self.observer.event(TraceEvent::BarrierWait {
                 cycle,
                 sm: self.id,
                 warp: slot,
-                pc: trace_pc,
             });
-            if outcome.hit_barrier {
-                self.emit(TraceEvent::BarrierWait {
-                    cycle,
-                    sm: self.id,
-                    warp: slot,
-                });
-            }
         }
 
         // Register-file bookkeeping. Reads are resolved here, exactly once
@@ -678,9 +613,9 @@ impl Sm {
 
         if needs_collector {
             self.scoreboards[slot].reserve(&instr);
-            if (dst_reg.is_some() || pred_dst.is_some()) && self.observing() {
+            if dst_reg.is_some() || pred_dst.is_some() {
                 // `reserve` set exactly one pending bit (Dst is exclusive).
-                self.emit(TraceEvent::ScoreboardReserve {
+                self.observer.event(TraceEvent::ScoreboardReserve {
                     cycle,
                     sm: self.id,
                     warp: slot,
@@ -713,9 +648,7 @@ impl Sm {
             });
             let ok = self.collector.allocate(slot, &resolved_reads, dest, token);
             debug_assert!(ok, "can_issue checked for a free unit");
-            if let Some(a) = self.audit.as_mut() {
-                a.note_collector_alloc();
-            }
+            self.observer.note_collector_alloc();
             if let Some(w) = self.warps[slot].as_mut() {
                 w.inflight += 1;
             }
@@ -756,25 +689,21 @@ impl Sm {
                 Some(i) => (i.warp_slot, i.dst_reg),
                 None => continue,
             };
-            if self.observing() {
-                self.emit(TraceEvent::LsuComplete {
-                    cycle,
-                    sm: self.id,
-                    warp: slot,
-                });
-            }
+            self.observer.event(TraceEvent::LsuComplete {
+                cycle,
+                sm: self.id,
+                warp: slot,
+            });
             match dst {
                 Some(reg) => {
                     // Result forwarding: dependents see the value as soon
                     // as it returns; the RF write itself is overlapped.
                     self.scoreboards[slot].release_reg(reg);
-                    if self.observing() {
-                        self.emit(TraceEvent::ScoreboardRelease {
-                            cycle,
-                            sm: self.id,
-                            warp: slot,
-                        });
-                    }
+                    self.observer.event(TraceEvent::ScoreboardRelease {
+                        cycle,
+                        sm: self.id,
+                        warp: slot,
+                    });
                     let access = self.rf.resolve(slot, reg, AccessKind::Write, cycle);
                     self.collector.request_writeback(slot, reg, access, token);
                 }
@@ -803,13 +732,11 @@ impl Sm {
                 Some(reg) => {
                     // Result forwarding (as above).
                     self.scoreboards[slot].release_reg(reg);
-                    if self.observing() {
-                        self.emit(TraceEvent::ScoreboardRelease {
-                            cycle,
-                            sm: self.id,
-                            warp: slot,
-                        });
-                    }
+                    self.observer.event(TraceEvent::ScoreboardRelease {
+                        cycle,
+                        sm: self.id,
+                        warp: slot,
+                    });
                     let access = self.rf.resolve(slot, reg, AccessKind::Write, cycle);
                     self.collector.request_writeback(slot, reg, access, token);
                 }
@@ -819,16 +746,14 @@ impl Sm {
         self.due_scratch = due;
 
         // 3. Operand collectors + bank arbiter. The RF-port callback feeds
-        // the stats counters and (disjoint borrows) the event sinks, so the
+        // the stats counters and (a disjoint borrow) the observer, so the
         // audit's independent copy sees exactly the granted accesses —
         // including the repair premium of accesses that landed on faulty
         // rows.
         let stats_pa = &mut self.stats.partition_accesses;
         let stats_repairs = &mut self.stats.rf_repairs;
-        let trace = &mut self.trace;
-        let mut audit = self.audit.as_mut();
+        let observer = &mut self.observer;
         let sm_id = self.id;
-        let observing = trace.enabled() || audit.is_some();
         let mut collected = std::mem::take(&mut self.collected_scratch);
         let mut completed_writes = std::mem::take(&mut self.writes_done_scratch);
         let collector = &mut self.collector;
@@ -836,51 +761,37 @@ impl Sm {
             cycle,
             |access, k| {
                 stats_pa.record(access.partition, k);
+                observer.event(match k {
+                    AccessKind::Read => TraceEvent::RfRead {
+                        cycle,
+                        sm: sm_id,
+                        partition: access.partition,
+                    },
+                    AccessKind::Write => TraceEvent::RfWrite {
+                        cycle,
+                        sm: sm_id,
+                        partition: access.partition,
+                    },
+                });
                 if let Some(repair) = access.repair {
                     stats_repairs[repair.index()] += 1;
-                }
-                if observing {
-                    let ev = match k {
-                        AccessKind::Read => TraceEvent::RfRead {
-                            cycle,
-                            sm: sm_id,
-                            partition: access.partition,
-                        },
-                        AccessKind::Write => TraceEvent::RfWrite {
-                            cycle,
-                            sm: sm_id,
-                            partition: access.partition,
-                        },
-                    };
-                    if let Some(a) = audit.as_deref_mut() {
-                        a.observe(&ev);
-                    }
-                    trace.record(ev);
-                    if let Some(repair) = access.repair {
-                        let rev = TraceEvent::RfRepair {
-                            cycle,
-                            sm: sm_id,
-                            repair,
-                        };
-                        if let Some(a) = audit.as_deref_mut() {
-                            a.observe(&rev);
-                        }
-                        trace.record(rev);
-                    }
+                    observer.event(TraceEvent::RfRepair {
+                        cycle,
+                        sm: sm_id,
+                        repair,
+                    });
                 }
             },
             &mut collected,
             &mut completed_writes,
         );
         for c in collected.drain(..) {
-            if self.observing() {
-                self.emit(TraceEvent::Collect {
-                    cycle,
-                    sm: self.id,
-                    warp: c.warp_slot,
-                    mem: matches!(c.dest, CollectDest::Memory),
-                });
-            }
+            self.observer.event(TraceEvent::Collect {
+                cycle,
+                sm: self.id,
+                warp: c.warp_slot,
+                mem: matches!(c.dest, CollectDest::Memory),
+            });
             match c.dest {
                 CollectDest::Execute { latency, writeback } => {
                     if writeback.is_some() || self.inflight_info(c.token).is_some() {
@@ -924,14 +835,12 @@ impl Sm {
         for &wdone in &completed_writes {
             // Scoreboard was already released at result forwarding; the
             // completed write just retires the instruction.
-            if self.observing() {
-                self.emit(TraceEvent::Writeback {
-                    cycle,
-                    sm: self.id,
-                    warp: wdone.warp_slot,
-                    reg: wdone.reg,
-                });
-            }
+            self.observer.event(TraceEvent::Writeback {
+                cycle,
+                sm: self.id,
+                warp: wdone.warp_slot,
+                reg: wdone.reg,
+            });
             self.retire(wdone.token, cycle);
         }
         self.collected_scratch = collected;
@@ -1014,9 +923,8 @@ impl Sm {
         // 7. Time-series sampling (window close is amortised; off = one
         // branch). Runs after the RF tick so the FRF-mode gauge reflects
         // this cycle's epoch decision.
-        if let Some(sampler) = self.sampler.as_mut() {
-            sampler.on_cycle(cycle, &self.stats, self.resident, self.rf.frf_low_mode());
-        }
+        self.observer
+            .cycle_end(cycle, &self.stats, self.resident, self.rf.as_ref());
 
         issued_total
     }
@@ -1084,9 +992,8 @@ impl Sm {
             self.classify_zero_issue_stall();
         }
         self.rf.tick(cycle, 0);
-        if let Some(sampler) = self.sampler.as_mut() {
-            sampler.on_cycle(cycle, &self.stats, self.resident, self.rf.frf_low_mode());
-        }
+        self.observer
+            .cycle_end(cycle, &self.stats, self.resident, self.rf.as_ref());
     }
 
     /// The next cycle, strictly after `cycle`, at which stepping this SM

@@ -1,7 +1,7 @@
 //! Simulation statistics: cycles, instructions, and — centrally for this
 //! paper — register-file access accounting.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use prf_isa::{Reg, MAX_ARCH_REGS};
@@ -243,7 +243,7 @@ pub struct SmStats {
     pub collector_stalls: u64,
     /// Per-warp per-register histograms, keyed by (cta, warp-in-cta); only
     /// populated when `GpuConfig::per_warp_stats` is set.
-    pub per_warp: HashMap<(u32, u32), RegisterAccessHistogram>,
+    pub per_warp: BTreeMap<(u32, u32), RegisterAccessHistogram>,
     /// L1 hits.
     pub l1_hits: u64,
     /// L1 misses.

@@ -7,9 +7,9 @@
 //!
 //! The same event stream also feeds the conservation-invariant auditor
 //! ([`crate::audit`]) when `GpuConfig::audit` is set: every emission point
-//! in the SM pipeline sends its event both to the ring (bounded, for
-//! display) and to the auditor (unbounded counters, for end-of-run
-//! invariant checks).
+//! in the SM pipeline sends its event to the SM's one observer, which
+//! passes it both to the ring (bounded, for display) and to the auditor
+//! (unbounded counters, for end-of-run invariant checks).
 
 use std::fmt;
 
@@ -264,11 +264,9 @@ impl fmt::Display for TraceEvent {
 /// A bounded ring buffer of trace events (keeps the most recent
 /// `capacity`).
 #[derive(Debug, Clone, Default)]
-pub struct TraceRing {
+pub(crate) struct TraceRing {
     events: std::collections::VecDeque<TraceEvent>,
     capacity: usize,
-    /// Total events ever recorded (including evicted ones).
-    pub recorded: u64,
 }
 
 impl TraceRing {
@@ -277,7 +275,6 @@ impl TraceRing {
         TraceRing {
             events: std::collections::VecDeque::with_capacity(capacity.min(1 << 20)),
             capacity,
-            recorded: 0,
         }
     }
 
@@ -295,17 +292,11 @@ impl TraceRing {
             self.events.pop_front();
         }
         self.events.push_back(event);
-        self.recorded += 1;
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Drains the retained events out of the ring.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events.into()
     }
 }
 
@@ -327,8 +318,7 @@ mod tests {
         let mut r = TraceRing::new(0);
         assert!(!r.enabled());
         r.record(issue(1));
-        assert_eq!(r.recorded, 0);
-        assert_eq!(r.events().count(), 0);
+        assert!(r.into_events().is_empty());
     }
 
     #[test]
@@ -337,18 +327,8 @@ mod tests {
         for c in 0..5 {
             r.record(issue(c));
         }
-        assert_eq!(r.recorded, 5);
-        let cycles: Vec<u64> = r.events().map(|e| e.cycle()).collect();
+        let cycles: Vec<u64> = r.into_events().iter().map(|e| e.cycle()).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn drain_empties_ring() {
-        let mut r = TraceRing::new(4);
-        r.record(issue(7));
-        let drained = r.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(r.events().count(), 0);
     }
 
     #[test]

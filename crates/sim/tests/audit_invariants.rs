@@ -170,7 +170,7 @@ fn tampered_sm_counter_is_caught_with_cycle_and_sm_provenance() {
     }
 
     sm.stats.instructions += 3; // the deliberate drift
-    let report = sm.finish_audit(cycle).expect("audit enabled");
+    let report = sm.finish_observation(cycle).audit.expect("audit enabled");
     assert!(!report.is_clean());
     let v = &report.violations[0];
     assert_eq!(v.invariant, "issue conservation");
