@@ -11,13 +11,13 @@
 //! The schema is intentionally flat and versioned ([`SCHEMA_VERSION`]);
 //! consumers should reject files whose `schema_version` they don't know.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use prf_core::{ExperimentResult, PhaseTimings};
 
 use crate::json::Json;
-use crate::report::{safe_file_name, CsvTable};
+use crate::report::{safe_file_name, write_into, CsvTable};
 use crate::runner::{JobOutcome, MatrixReport};
 use crate::vfs::Vfs;
 
@@ -192,33 +192,18 @@ impl RunReport {
     /// needed) or the current directory, and returns the path. Returns
     /// `None` — with a diagnostic on stderr — only on I/O failure.
     pub fn write(&self) -> Option<PathBuf> {
-        self.write_with(&crate::vfs::RealVfs)
+        self.write_in(&crate::harness_args().report_dir, &crate::vfs::RealVfs)
     }
 
-    /// [`RunReport::write`] over an explicit [`Vfs`] backend, so report
-    /// persistence is covered by the injected-fault tests: a report that
-    /// cannot be written is a diagnostic, never a panic.
-    pub fn write_with(&self, vfs: &dyn Vfs) -> Option<PathBuf> {
-        let dir = std::env::var_os("PRF_REPORT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."));
-        if let Err(e) = vfs.create_dir_all(&dir) {
-            eprintln!("PRF_REPORT_DIR: cannot create {}: {e}", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("BENCH_{}.json", safe_file_name(&self.bench)));
+    /// [`RunReport::write`] into an explicit directory over an explicit
+    /// [`Vfs`] backend, so report persistence is covered by the
+    /// injected-fault tests: a report that cannot be written is a
+    /// diagnostic, never a panic.
+    pub fn write_in(&self, dir: &Path, vfs: &dyn Vfs) -> Option<PathBuf> {
+        let file = format!("BENCH_{}.json", safe_file_name(&self.bench));
         let mut body = self.to_json().to_json();
         body.push('\n');
-        match vfs.write_file(&path, body.as_bytes()) {
-            Ok(()) => {
-                eprintln!("wrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                None
-            }
-        }
+        write_into(dir, &file, body.as_bytes(), vfs)
     }
 }
 
@@ -298,5 +283,34 @@ mod tests {
                 .as_str(),
             Some("0.61")
         );
+    }
+
+    #[test]
+    fn failed_create_or_write_returns_none_without_panicking() {
+        use crate::vfs::{FaultPlan, FaultyVfs};
+        let dir = std::env::temp_dir().join(format!("prf_report_faults_{}", std::process::id()));
+        let report = RunReport::new("faulty");
+        let vfs = FaultyVfs::new();
+        // The first mutation (creating the directory) loses power.
+        vfs.set_plan(FaultPlan {
+            power_cut_after_ops: Some(0),
+            ..FaultPlan::default()
+        });
+        assert_eq!(report.write_in(&dir, &vfs), None);
+        vfs.revive();
+        vfs.set_plan(FaultPlan {
+            fail_writes: true,
+            ..FaultPlan::default()
+        });
+        assert_eq!(report.write_in(&dir, &vfs), None);
+        vfs.set_plan(FaultPlan {
+            torn_write_bytes: Some(8),
+            ..FaultPlan::default()
+        });
+        assert_eq!(report.write_in(&dir, &vfs), None);
+        vfs.revive();
+        let path = report.write_in(&dir, &vfs).expect("healthy disk");
+        assert_eq!(path, dir.join("BENCH_faulty.json"));
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -21,11 +21,7 @@ fn main() {
             })
         })
         .collect();
-    let sched = match std::env::var("DIAG_SCHED").as_deref() {
-        Ok("lrr") => SchedulerPolicy::Lrr,
-        _ => SchedulerPolicy::Gto,
-    };
-    let gpu = experiment_gpu(sched);
+    let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let rfs = [
         ("MRF@STV", RfKind::MrfStv),
         ("MRF@NTV", RfKind::MrfNtv { latency: 3 }),

@@ -78,6 +78,7 @@ fn main() {
         ntv_n.push(p_ntv);
     }
     csv.write_if_configured("fig12_performance");
+    run_report.add_table("fig12_performance", &csv);
     println!("{:-<56}", "");
     println!(
         "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>10.3}   (paper: <1.02, ~1.02, +2% vs hybrid, 1.071)",

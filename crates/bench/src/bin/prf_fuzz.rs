@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use prf_bench::runner::threads_from_env;
+use prf_bench::harness_args;
 use prf_core::{
     rf_model_factory, shared_telemetry, DrowsyConfig, PartitionedRfConfig, RfKind, RfcConfig,
 };
@@ -245,12 +245,21 @@ fn differential_case(generator: &RandomKernelGenerator, index: u64) -> Vec<Strin
     errors
 }
 
-fn run_differential(args: &Args) -> usize {
+/// Runs `case` on every generated case index `0..args.seeds` over a
+/// pool of `PRF_THREADS` workers (capped at the case count), printing a
+/// `[label] n/N <what>` progress line every 50 cases. Returns every
+/// discrepancy the cases reported.
+fn run_cases(
+    args: &Args,
+    label: &str,
+    what: &str,
+    case: impl Fn(&RandomKernelGenerator, u64) -> Vec<String> + Sync,
+) -> Vec<String> {
     let generator = RandomKernelGenerator::new(args.seed);
     let next = AtomicU64::new(0);
     let done = AtomicUsize::new(0);
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let workers = threads_from_env().min(args.seeds.max(1) as usize);
+    let workers = harness_args().threads.min(args.seeds.max(1) as usize);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -258,18 +267,22 @@ fn run_differential(args: &Args) -> usize {
                 if index >= args.seeds {
                     break;
                 }
-                let errors = differential_case(&generator, index);
+                let errors = case(&generator, index);
                 if !errors.is_empty() {
                     failures.lock().unwrap().extend(errors);
                 }
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 if n.is_multiple_of(50) {
-                    eprintln!("[differential] {n}/{} cases", args.seeds);
+                    eprintln!("[{label}] {n}/{} {what}", args.seeds);
                 }
             });
         }
     });
-    let failures = failures.into_inner().unwrap();
+    failures.into_inner().unwrap()
+}
+
+fn run_differential(args: &Args) -> usize {
+    let failures = run_cases(args, "differential", "cases", differential_case);
     for f in failures.iter().take(20) {
         eprintln!("[differential] FAIL {f}");
     }
@@ -442,32 +455,8 @@ fn realloc_table1() -> Vec<String> {
 }
 
 fn run_realloc(args: &Args) -> usize {
-    let generator = RandomKernelGenerator::new(args.seed);
-    let next = AtomicU64::new(0);
-    let done = AtomicUsize::new(0);
-    let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let workers = threads_from_env().min(args.seeds.max(1) as usize);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= args.seeds {
-                    break;
-                }
-                let errors = realloc_case(&generator, index);
-                if !errors.is_empty() {
-                    failures.lock().unwrap().extend(errors);
-                }
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if n.is_multiple_of(50) {
-                    eprintln!("[realloc] {n}/{} generated cases", args.seeds);
-                }
-            });
-        }
-    });
-    let table1_errors = realloc_table1();
-    let mut failures = failures.into_inner().unwrap();
-    failures.extend(table1_errors);
+    let mut failures = run_cases(args, "realloc", "generated cases", realloc_case);
+    failures.extend(realloc_table1());
     for f in failures.iter().take(20) {
         eprintln!("[realloc] FAIL {f}");
     }
@@ -616,6 +605,8 @@ fn run_mutation(args: &Args) -> usize {
 
 fn main() {
     let args = parse_args();
+    // A malformed `PRF_*` variable exits 2 whichever modes run.
+    harness_args();
     let mut failures = 0;
     if args.mode.runs(Mode::Differential) {
         failures += run_differential(&args);

@@ -22,8 +22,8 @@
 use std::net::TcpListener;
 
 use prf_bench::cache::ResultCache;
+use prf_bench::harness_args;
 use prf_bench::journal::Journal;
-use prf_bench::runner::RetryPolicy;
 use prf_bench::serve::{serve_with_journal, ServeConfig};
 use prf_bench::vfs;
 
@@ -31,9 +31,10 @@ fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
-            return Some(args.next().unwrap_or_else(|| {
-                panic!("{flag} needs a value");
-            }));
+            return Some(
+                args.next()
+                    .unwrap_or_else(|| die(&format!("{flag} needs a value"))),
+            );
         }
         if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
             return Some(v.to_string());
@@ -42,28 +43,38 @@ fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
+fn die(msg: &str) -> ! {
+    eprintln!("prf-serve: {msg}");
+    eprintln!("usage: prf-serve [--addr HOST:PORT] [--max-inflight N]");
+    std::process::exit(2);
+}
+
 fn main() {
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let max_inflight = arg_value("--max-inflight").map_or(4, |v| {
+        v.parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| die(&format!("--max-inflight: `{v}` is not a positive integer")))
+    });
+    let args = harness_args();
     let config = ServeConfig {
-        threads: prf_bench::runner::threads_from_env(),
-        policy: RetryPolicy::from_env(),
-        max_inflight: arg_value("--max-inflight")
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        panic!("--max-inflight must be a positive integer, got {v:?}")
-                    })
-            })
-            .unwrap_or(4),
+        threads: args.threads,
+        policy: args.retry,
+        max_inflight,
     };
-    let cache = ResultCache::from_env();
+    let cache = args
+        .cache_dir
+        .as_deref()
+        .and_then(ResultCache::open_or_disable);
     match &cache {
         Some(c) => eprintln!("prf-serve: result cache at {}", c.dir().display()),
         None => eprintln!("prf-serve: no result cache (set PRF_CACHE_DIR to enable)"),
     }
-    let journal = Journal::from_env(vfs::real());
+    let journal = args
+        .journal_dir
+        .as_deref()
+        .and_then(|dir| Journal::open_or_disable(dir, vfs::real()));
     match &journal {
         Some((j, recovery)) => {
             eprintln!(

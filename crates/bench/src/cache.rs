@@ -52,7 +52,7 @@
 //! entry.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,12 +113,10 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// The cache configured via `PRF_CACHE_DIR`, or `None` when unset.
-    /// The directory is created eagerly; on failure the cache is disabled
-    /// with a diagnostic rather than failing the run.
-    pub fn from_env() -> Option<ResultCache> {
-        let dir = PathBuf::from(std::env::var_os("PRF_CACHE_DIR")?);
-        match ResultCache::open(dir.clone(), vfs::real()) {
+    /// The cache at `dir` (`PRF_CACHE_DIR`), created eagerly; on failure
+    /// the cache is disabled with a diagnostic rather than failing the run.
+    pub fn open_or_disable(dir: &Path) -> Option<ResultCache> {
+        match ResultCache::open(dir, vfs::real()) {
             Ok(cache) => Some(cache),
             Err(e) => {
                 eprintln!(

@@ -358,12 +358,10 @@ impl Journal {
         Ok((journal, recovery))
     }
 
-    /// Opens the journal configured via `PRF_JOURNAL_DIR`, or `None`
-    /// when unset. Open failures disable journaling with a diagnostic
-    /// rather than refusing to serve.
-    pub fn from_env(vfs: Arc<dyn Vfs>) -> Option<(Journal, Recovery)> {
-        let dir = PathBuf::from(std::env::var_os("PRF_JOURNAL_DIR")?);
-        match Journal::open(&dir, vfs) {
+    /// Opens the journal in `dir` (`PRF_JOURNAL_DIR`). Open failures
+    /// disable journaling with a diagnostic rather than refusing to serve.
+    pub fn open_or_disable(dir: &Path, vfs: Arc<dyn Vfs>) -> Option<(Journal, Recovery)> {
+        match Journal::open(dir, vfs) {
             Ok(opened) => Some(opened),
             Err(e) => {
                 eprintln!(

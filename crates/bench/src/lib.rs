@@ -35,6 +35,7 @@ pub mod vfs;
 
 pub use bench_report::RunReport;
 
+use std::ffi::OsString;
 use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -46,11 +47,12 @@ use prf_sim::{GpuConfig, SamplingConfig, SchedulerPolicy};
 use prf_workloads::Workload;
 
 use crate::cache::ResultCache;
-use crate::runner::{Job, RetryPolicy};
+use crate::runner::{Job, RetryPolicy, ShardSpec};
 
-/// The harness flags every simulating figure binary accepts, parsed once
-/// per process by [`harness_args`].
-#[derive(Debug, Default)]
+/// The harness configuration of one process: the flags every simulating
+/// figure binary accepts and every `PRF_*` environment variable, parsed
+/// once by [`harness_args`].
+#[derive(Debug)]
 pub struct HarnessArgs {
     /// `--audit`: run every simulation under the conservation-invariant
     /// audit (`prf_sim::audit`); the matrix footer counts audited jobs and
@@ -68,23 +70,89 @@ pub struct HarnessArgs {
     pub trace_out: Option<PathBuf>,
     /// Every argument that is neither a `--flag` nor a flag's value.
     pub positional: Vec<String>,
+    /// `PRF_THREADS`, else `available_parallelism`: matrix worker threads.
+    pub threads: usize,
+    /// `PRF_NUM_SMS`: replaces the SM count of [`experiment_gpu`].
+    pub num_sms: Option<usize>,
+    /// `PRF_SM_THREADS` (default 1): threads stepping one simulation's SMs.
+    pub sm_threads: usize,
+    /// `PRF_JOB_TIMEOUT_SECS` (unset or 0: no watchdog), `PRF_JOB_RETRIES`
+    /// (default 0) and `PRF_RETRY_BACKOFF_MS` (default 100).
+    pub retry: RetryPolicy,
+    /// `PRF_SHARD=i/n`; `None` when unset or `n` is 1.
+    pub shard: Option<ShardSpec>,
+    /// `PRF_CACHE_DIR`: the on-disk result cache.
+    pub cache_dir: Option<PathBuf>,
+    /// `PRF_JOURNAL_DIR`: `prf-serve`'s write-ahead journal.
+    pub journal_dir: Option<PathBuf>,
+    /// `PRF_REPORT_DIR`: where `BENCH_<name>.json` lands (default `.`).
+    pub report_dir: PathBuf,
+    /// `PRF_CSV_DIR`: where CSV tables land; `None` writes none.
+    pub csv_dir: Option<PathBuf>,
 }
 
 impl HarnessArgs {
-    /// Parses `args` (without the program name). A value follows its flag
-    /// as the next argument or after `=`. `sample_env` is the value of
-    /// `PRF_SAMPLE_WINDOW`, used only when `--sample` is absent. Other
-    /// `--flags` are ignored, so libtest and criterion arguments pass
-    /// through. An error names the offending flag or variable.
+    /// Parses `args` (without the program name) and the `PRF_*` variables
+    /// that `env` looks up. A value follows its flag as the next argument
+    /// or after `=`; `PRF_SAMPLE_WINDOW` applies only when `--sample` is
+    /// absent. Other `--flags` are ignored, so libtest and criterion
+    /// arguments pass through. An error names the offending flag or
+    /// variable.
     fn parse(
         args: impl IntoIterator<Item = String>,
-        sample_env: Option<&str>,
+        env: impl Fn(&str) -> Option<OsString>,
     ) -> Result<HarnessArgs, String> {
         let window = |source: &str, v: &str| match v.trim().parse::<u64>() {
             Ok(w) if w >= 1 => Ok(SamplingConfig::every(w)),
             _ => Err(format!("{source}: `{v}` is not a positive cycle count")),
         };
-        let mut parsed = HarnessArgs::default();
+        let text = |key: &str| {
+            env(key)
+                .map(|v| {
+                    v.into_string()
+                        .map_err(|v| format!("{key}: {v:?} is not UTF-8"))
+                })
+                .transpose()
+        };
+        let int = |key: &str, min: u64| -> Result<Option<u64>, String> {
+            let Some(v) = text(key)? else { return Ok(None) };
+            match v.trim().parse::<u64>() {
+                Ok(n) if n >= min => Ok(Some(n)),
+                _ => Err(format!("{key}: `{v}` is not an integer ≥ {min}")),
+            }
+        };
+        let dir = |key: &str| match env(key) {
+            Some(v) if v.is_empty() => Err(format!("{key}: empty path")),
+            v => Ok(v.map(PathBuf::from)),
+        };
+        let shard = text("PRF_SHARD")?
+            .map(|v| ShardSpec::parse(&v).map_err(|e| format!("PRF_SHARD: {e}")))
+            .transpose()?;
+        let mut parsed = HarnessArgs {
+            audit: false,
+            sample: None,
+            faults: None,
+            trace_out: None,
+            positional: Vec::new(),
+            threads: match int("PRF_THREADS", 1)? {
+                Some(n) => n as usize,
+                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            },
+            num_sms: int("PRF_NUM_SMS", 1)?.map(|n| n as usize),
+            sm_threads: int("PRF_SM_THREADS", 1)?.map_or(1, |n| n as usize),
+            retry: RetryPolicy {
+                timeout: int("PRF_JOB_TIMEOUT_SECS", 0)?
+                    .filter(|&s| s > 0)
+                    .map(Duration::from_secs),
+                retries: int("PRF_JOB_RETRIES", 0)?.map_or(0, |n| n.min(u32::MAX as u64) as u32),
+                backoff: Duration::from_millis(int("PRF_RETRY_BACKOFF_MS", 0)?.unwrap_or(100)),
+            },
+            shard: shard.filter(|s| s.count > 1),
+            cache_dir: dir("PRF_CACHE_DIR")?,
+            journal_dir: dir("PRF_JOURNAL_DIR")?,
+            report_dir: dir("PRF_REPORT_DIR")?.unwrap_or_else(|| PathBuf::from(".")),
+            csv_dir: dir("PRF_CSV_DIR")?,
+        };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             let (flag, inline) = match arg.split_once('=') {
@@ -109,21 +177,22 @@ impl HarnessArgs {
                 _ => {}
             }
         }
-        if let (None, Some(v)) = (parsed.sample, sample_env) {
-            parsed.sample = Some(window("PRF_SAMPLE_WINDOW", v)?);
+        if let (None, Some(v)) = (parsed.sample, text("PRF_SAMPLE_WINDOW")?) {
+            parsed.sample = Some(window("PRF_SAMPLE_WINDOW", &v)?);
         }
         Ok(parsed)
     }
 }
 
-/// This process's [`HarnessArgs`], parsed from `std::env::args` and
-/// `PRF_SAMPLE_WINDOW` on first use. A malformed value prints the error
-/// and exits with status 2.
+/// This process's [`HarnessArgs`], parsed from `std::env::args` and the
+/// `PRF_*` environment variables on first use. This is the only reader of
+/// the environment in the harness. A malformed flag or variable prints
+/// `error: <flag or variable>: …` and exits with status 2.
 pub fn harness_args() -> &'static HarnessArgs {
     static ARGS: OnceLock<HarnessArgs> = OnceLock::new();
     ARGS.get_or_init(|| {
-        let env = std::env::var("PRF_SAMPLE_WINDOW").ok();
-        HarnessArgs::parse(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|e| {
+        let env = |key: &str| std::env::var_os(key);
+        HarnessArgs::parse(std::env::args().skip(1), env).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -163,10 +232,8 @@ pub fn fault_config_for(seed: u64, vdd: f64) -> FaultConfig {
 /// (register-file behaviour is per-SM; see DESIGN.md). Applies the
 /// [`harness_args`] flags `--audit`, `--sample` and `--trace-out` (the
 /// last turns on the pipeline trace ring so the Chrome-trace exporter has
-/// events to render), plus two environment overrides for multi-SM scaling
-/// runs: `PRF_NUM_SMS` replaces the SM count, and `PRF_SM_THREADS` steps
-/// the SMs of one simulation on that many threads (default: one), with
-/// bit-identical results. Invalid values warn on stderr and are ignored.
+/// events to render), plus the multi-SM scaling overrides
+/// [`HarnessArgs::num_sms`] and [`HarnessArgs::sm_threads`].
 pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
     let args = harness_args();
     let base = GpuConfig::kepler_single_sm();
@@ -175,8 +242,8 @@ pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
         audit: args.audit,
         sampling: args.sample,
         trace_capacity: if args.trace_out.is_some() { 65_536 } else { 0 },
-        num_sms: runner::positive_env("PRF_NUM_SMS").unwrap_or(base.num_sms),
-        sm_threads: runner::positive_env("PRF_SM_THREADS").unwrap_or(1),
+        num_sms: args.num_sms.unwrap_or(base.num_sms),
+        sm_threads: args.sm_threads,
         ..base
     }
 }
@@ -301,10 +368,8 @@ impl Cell {
 /// how every figure binary simulates: building every cell of a figure up
 /// front lets the worker pool chew the entire figure concurrently.
 ///
-/// The engine is configured from the environment: `PRF_THREADS` (see
-/// [`runner::threads_from_env`]), `PRF_JOB_*` ([`RetryPolicy::from_env`]),
-/// `PRF_SHARD` ([`runner::shard_from_env`]) and `PRF_CACHE_DIR`
-/// ([`ResultCache::from_env`]).
+/// The engine is configured by [`harness_args`]: its thread count, retry
+/// policy, shard and cache directory.
 ///
 /// Returns the per-cell means in input order, the wall-clock
 /// [`runner::MatrixReport`] for the binary's footer, and the
@@ -334,17 +399,15 @@ pub fn run_cells_reported(
         .iter()
         .flat_map(|c| seed_jobs(&c.workload, &c.gpu, &c.rf, seeds))
         .collect();
-    let threads = runner::threads_from_env();
-    let shard = runner::shard_from_env();
-    let cache = ResultCache::from_env();
+    let args = harness_args();
+    let (threads, shard) = (args.threads, args.shard);
+    let cache = args
+        .cache_dir
+        .as_deref()
+        .and_then(ResultCache::open_or_disable);
     let t0 = Instant::now();
-    let outcome = runner::run_matrix_resilient_configured(
-        &jobs,
-        RetryPolicy::from_env(),
-        threads,
-        shard,
-        cache.as_ref(),
-    );
+    let outcome =
+        runner::run_matrix_resilient_configured(&jobs, args.retry, threads, shard, cache.as_ref());
     let report = matrix_report(&outcome, threads, t0.elapsed(), cache.as_ref());
 
     let mut run_report = RunReport::new(bench);
@@ -353,7 +416,7 @@ pub fn run_cells_reported(
     }
     run_report.set_matrix(&report);
 
-    if let Some(path) = &harness_args().trace_out {
+    if let Some(path) = &args.trace_out {
         let mut trace = chrometrace::ChromeTrace::new();
         for jr in &outcome.reports {
             trace.add_job(jr);
@@ -483,10 +546,25 @@ mod tests {
         assert!(parse_faults_spec("42,9.0").is_err(), "implausible vdd");
     }
 
+    /// Parses `args` against an environment holding only `vars`.
+    fn parse_in(args: &str, vars: &[(&str, &str)]) -> Result<HarnessArgs, String> {
+        let env = |key: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| OsString::from(v))
+        };
+        HarnessArgs::parse(args.split_whitespace().map(String::from), env)
+    }
+
     #[test]
     fn harness_args_parse_flags_values_and_positionals() {
-        let parse =
-            |args: &str, env| HarnessArgs::parse(args.split_whitespace().map(String::from), env);
+        let parse = |args: &str, window: Option<&str>| {
+            let vars: Vec<_> = window
+                .map(|w| ("PRF_SAMPLE_WINDOW", w))
+                .into_iter()
+                .collect();
+            parse_in(args, &vars)
+        };
         let a = parse("BFS --faults 42,0.3 --sample=100 SRAD", None).unwrap();
         assert_eq!(a.positional, ["BFS", "SRAD"]);
         assert!(a.faults.is_some() && !a.audit && a.trace_out.is_none());
@@ -517,6 +595,82 @@ mod tests {
         let a = parse("--test-threads=2 --nocapture", None).unwrap();
         assert!(!a.audit && a.sample.is_none() && a.faults.is_none() && a.trace_out.is_none());
         assert!(a.positional.is_empty());
+    }
+
+    #[test]
+    fn harness_args_parse_the_environment_once_with_one_error_policy() {
+        // Unset: the documented defaults.
+        let a = parse_in("", &[]).unwrap();
+        assert!(a.threads >= 1);
+        assert_eq!((a.num_sms, a.sm_threads, a.shard), (None, 1, None));
+        assert_eq!(
+            a.retry,
+            RetryPolicy {
+                timeout: None,
+                retries: 0,
+                backoff: Duration::from_millis(100),
+            }
+        );
+        assert_eq!(a.report_dir, PathBuf::from("."));
+        assert!(a.cache_dir.is_none() && a.journal_dir.is_none() && a.csv_dir.is_none());
+        assert!(a.sample.is_none());
+
+        // Valid values keep their meaning.
+        let a = parse_in(
+            "",
+            &[
+                ("PRF_THREADS", "3"),
+                ("PRF_NUM_SMS", " 8 "),
+                ("PRF_SM_THREADS", "4"),
+                ("PRF_JOB_TIMEOUT_SECS", "7"),
+                ("PRF_JOB_RETRIES", "2"),
+                ("PRF_RETRY_BACKOFF_MS", "0"),
+                ("PRF_SHARD", "1/2"),
+                ("PRF_CACHE_DIR", "c"),
+                ("PRF_JOURNAL_DIR", "j"),
+                ("PRF_REPORT_DIR", "r"),
+                ("PRF_CSV_DIR", "csv"),
+                ("PRF_SAMPLE_WINDOW", "64"),
+            ],
+        )
+        .unwrap();
+        assert_eq!((a.threads, a.num_sms, a.sm_threads), (3, Some(8), 4));
+        assert_eq!(
+            a.retry,
+            RetryPolicy {
+                timeout: Some(Duration::from_secs(7)),
+                retries: 2,
+                backoff: Duration::ZERO,
+            }
+        );
+        assert_eq!(a.shard, Some(ShardSpec { index: 1, count: 2 }));
+        assert_eq!(a.cache_dir, Some(PathBuf::from("c")));
+        assert_eq!(a.journal_dir, Some(PathBuf::from("j")));
+        assert_eq!(a.report_dir, PathBuf::from("r"));
+        assert_eq!(a.csv_dir, Some(PathBuf::from("csv")));
+        assert_eq!(a.sample, Some(SamplingConfig::every(64)));
+        // `0/1` is unsharded and a zero timeout disables the watchdog.
+        let a = parse_in("", &[("PRF_SHARD", "0/1"), ("PRF_JOB_TIMEOUT_SECS", "0")]).unwrap();
+        assert_eq!((a.shard, a.retry.timeout), (None, None));
+
+        // A malformed value of any variable is an error naming it.
+        for (var, bad) in [
+            ("PRF_THREADS", "0"),
+            ("PRF_NUM_SMS", "x"),
+            ("PRF_SM_THREADS", "-1"),
+            ("PRF_JOB_TIMEOUT_SECS", "soon"),
+            ("PRF_JOB_RETRIES", "x"),
+            ("PRF_RETRY_BACKOFF_MS", "1.5"),
+            ("PRF_SHARD", "2/2"),
+            ("PRF_CACHE_DIR", ""),
+            ("PRF_JOURNAL_DIR", ""),
+            ("PRF_REPORT_DIR", ""),
+            ("PRF_CSV_DIR", ""),
+            ("PRF_SAMPLE_WINDOW", "0"),
+        ] {
+            let err = parse_in("", &[(var, bad)]).unwrap_err();
+            assert!(err.starts_with(&format!("{var}: ")), "{var}={bad:?}: {err}");
+        }
     }
 
     fn tiny_jobs(n: u64) -> Vec<Job> {

@@ -1,12 +1,12 @@
 //! CSV export for experiment results.
 //!
-//! Every figure binary prints a human-readable table; when the
-//! `PRF_CSV_DIR` environment variable is set, it additionally writes the
-//! same series as CSV into that directory, ready for plotting.
+//! Figure binaries print human-readable tables; fig02 and fig12 also
+//! build a [`CsvTable`] of their series and, when `PRF_CSV_DIR` is set,
+//! write it into that directory, ready for plotting.
 
-use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+use crate::vfs::{RealVfs, Vfs};
 
 /// A simple CSV table builder (no external dependency; values are
 /// escaped per RFC 4180 when needed).
@@ -87,25 +87,38 @@ impl CsvTable {
 
     /// Writes the table to `$PRF_CSV_DIR/<name>.csv` when the environment
     /// variable is set; otherwise does nothing. Returns the path written.
-    /// The name is passed through [`safe_file_name`] first, so a label
-    /// containing `/` or `..` cannot escape the configured directory.
     pub fn write_if_configured(&self, name: &str) -> Option<PathBuf> {
-        let dir = std::env::var_os("PRF_CSV_DIR")?;
-        let dir = PathBuf::from(dir);
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("PRF_CSV_DIR: cannot create {}: {e}", dir.display());
-            return None;
+        let dir = crate::harness_args().csv_dir.as_deref()?;
+        self.write_in(dir, name)
+    }
+
+    /// Writes the table to `<dir>/<name>.csv`, creating `dir` if needed.
+    /// The name is passed through [`safe_file_name`] first, so a label
+    /// containing `/` or `..` cannot escape `dir`. An I/O failure is a
+    /// diagnostic and `None`, never a panic.
+    pub fn write_in(&self, dir: &Path, name: &str) -> Option<PathBuf> {
+        let file = format!("{}.csv", safe_file_name(name));
+        write_into(dir, &file, self.to_csv().as_bytes(), &RealVfs)
+    }
+}
+
+/// Writes `bytes` to `<dir>/<file>` over `vfs`, creating `dir` if needed,
+/// and returns the path. An I/O failure is a diagnostic and `None`, never
+/// a panic.
+pub(crate) fn write_into(dir: &Path, file: &str, bytes: &[u8], vfs: &dyn Vfs) -> Option<PathBuf> {
+    if let Err(e) = vfs.create_dir_all(dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        return None;
+    }
+    let path = dir.join(file);
+    match vfs.write_file(&path, bytes) {
+        Ok(()) => {
+            eprintln!("wrote {}", path.display());
+            Some(path)
         }
-        let path = dir.join(format!("{}.csv", safe_file_name(name)));
-        match fs::File::create(&path).and_then(|mut f| f.write_all(self.to_csv().as_bytes())) {
-            Ok(()) => {
-                eprintln!("wrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("PRF_CSV_DIR: cannot write {}: {e}", path.display());
-                None
-            }
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            None
         }
     }
 }
@@ -228,19 +241,12 @@ mod tests {
         assert_eq!(safe_file_name("a/b"), safe_file_name("a/b"));
     }
 
-    /// Serialises the tests that mutate `PRF_CSV_DIR` (the test harness
-    /// runs tests concurrently and the environment is process-global).
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn write_sanitizes_hostile_names() {
-        let _guard = ENV_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("prf_csv_sanitize_test");
-        std::env::set_var("PRF_CSV_DIR", &dir);
         let mut t = CsvTable::new(["k"]);
         t.row(["v"]);
-        let path = t.write_if_configured("../escape").expect("written");
-        std::env::remove_var("PRF_CSV_DIR");
+        let path = t.write_in(&dir, "../escape").expect("written");
         // The file landed inside the directory, not beside it.
         assert_eq!(path.parent().unwrap(), dir.as_path());
         let expected = format!(".._escape-{}.csv", crate::digest::short_hash("../escape"));
@@ -249,17 +255,14 @@ mod tests {
     }
 
     #[test]
-    fn write_respects_env() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("prf_csv_test");
-        std::env::set_var("PRF_CSV_DIR", &dir);
+    fn write_in_creates_the_dir_and_writes_the_csv() {
+        let dir = std::env::temp_dir().join("prf_csv_test").join("nested");
         let mut t = CsvTable::new(["k", "v"]);
         t.row(["a", "1"]);
-        let path = t.write_if_configured("unit_test").expect("written");
+        let path = t.write_in(&dir, "unit_test").expect("written");
+        assert_eq!(path, dir.join("unit_test.csv"));
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("k,v"));
-        std::env::remove_var("PRF_CSV_DIR");
-        assert!(t.write_if_configured("unit_test").is_none());
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 }

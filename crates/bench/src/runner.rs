@@ -12,9 +12,8 @@
 //! There is one engine, [`run_matrix_resilient_observed`]; the
 //! observer-less [`run_matrix_resilient_configured`] forwards to it. Both
 //! take the thread count, retry policy, shard and cache explicitly. The
-//! figure harness (`crate::run_cells_reported`) reads them from the
-//! environment (`PRF_THREADS`, `PRF_JOB_*`, `PRF_SHARD`, `PRF_CACHE_DIR`)
-//! and `prf-serve` from its own configuration.
+//! figure harness (`crate::run_cells_reported`) and `prf-serve` take them
+//! from the parsed harness configuration (`crate::harness_args`).
 //!
 //! The engine is crash-proof: each job attempt runs behind
 //! `catch_unwind`, optionally under a wall-clock watchdog and with bounded
@@ -224,18 +223,6 @@ impl ShardSpec {
     }
 }
 
-/// The shard spec from `PRF_SHARD=i/n`, or `None` when unset. Invalid
-/// specs abort the process — silently running the whole matrix (or the
-/// wrong slice) would waste exactly the work sharding exists to split.
-pub fn shard_from_env() -> Option<ShardSpec> {
-    let v = std::env::var("PRF_SHARD").ok()?;
-    match ShardSpec::parse(&v) {
-        Ok(spec) if spec.count == 1 => None,
-        Ok(spec) => Some(spec),
-        Err(e) => panic!("PRF_SHARD invalid: {e}"),
-    }
-}
-
 /// Watchdog and retry budget for one matrix run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -255,31 +242,6 @@ impl RetryPolicy {
             timeout: None,
             retries: 0,
             backoff: Duration::ZERO,
-        }
-    }
-
-    /// Policy from the environment: `PRF_JOB_TIMEOUT_SECS` (unset or 0
-    /// disables the watchdog), `PRF_JOB_RETRIES` (default 0) and
-    /// `PRF_RETRY_BACKOFF_MS` (default 100).
-    pub fn from_env() -> Self {
-        fn parse_env(key: &str) -> Option<u64> {
-            let v = std::env::var(key).ok()?;
-            match v.trim().parse::<u64>() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("{key}={v:?} is not a non-negative integer; ignoring");
-                    None
-                }
-            }
-        }
-        RetryPolicy {
-            timeout: parse_env("PRF_JOB_TIMEOUT_SECS")
-                .filter(|&s| s > 0)
-                .map(Duration::from_secs),
-            retries: parse_env("PRF_JOB_RETRIES")
-                .unwrap_or(0)
-                .min(u32::MAX as u64) as u32,
-            backoff: Duration::from_millis(parse_env("PRF_RETRY_BACKOFF_MS").unwrap_or(100)),
         }
     }
 
@@ -519,27 +481,6 @@ impl MatrixReport {
             self.jobs, self.threads, secs, rate
         )
     }
-}
-
-/// The positive integer in environment variable `name`, if set. Any other
-/// value warns on stderr and counts as unset.
-pub(crate) fn positive_env(name: &str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("{name}={v:?} is not a positive integer; using default");
-            None
-        }
-    }
-}
-
-/// Worker-pool size: `PRF_THREADS` if set and positive, else
-/// [`std::thread::available_parallelism`], else 1.
-pub fn threads_from_env() -> usize {
-    positive_env("PRF_THREADS")
-        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-        .unwrap_or(1)
 }
 
 /// Stringifies a panic payload (the common `String`/`&str` cases; anything

@@ -44,7 +44,7 @@
 //! Batches execute in submission order on a single worker thread that
 //! drives [`runner::run_matrix_resilient_observed`] — so every batch
 //! gets the full worker pool, the retry/watchdog policy, and the result
-//! cache ([`ResultCache::from_env`]) for free. In-flight batching is
+//! cache ([`ResultCache::open_or_disable`]) for free. In-flight batching is
 //! bounded: at most [`ServeConfig::max_inflight`] batches may be queued
 //! or running at once; submissions beyond that are refused with a
 //! capacity error rather than queued without bound. `shutdown` is
@@ -588,7 +588,7 @@ pub fn serve(listener: TcpListener, config: ServeConfig, cache: Option<ResultCac
 }
 
 /// [`serve`] with an optional write-ahead journal (usually from
-/// [`Journal::from_env`]): re-enqueues the recovery's unfinished
+/// [`Journal::open_or_disable`]): re-enqueues the recovery's unfinished
 /// batches before accepting traffic, journals every subsequent
 /// submission, and compacts the log as batches complete. A batch whose
 /// journaled specs no longer parse (e.g. a workload renamed across

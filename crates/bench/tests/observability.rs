@@ -9,6 +9,7 @@ use prf_bench::bench_report::{RunReport, SCHEMA_VERSION};
 use prf_bench::experiment_gpu;
 use prf_bench::json::Json;
 use prf_bench::runner::JobOutcome;
+use prf_bench::vfs::RealVfs;
 use prf_core::{
     run_experiment_with_faults, ExperimentResult, PartitionedRfConfig, RfKind, RfTelemetry,
 };
@@ -87,13 +88,12 @@ fn sampled_windows_sum_to_final_stats_under_audit() {
     assert_eq!(sampled_instructions, r.stats.instructions);
 }
 
-/// `RunReport::write` emits a `BENCH_<name>.json` that parses with the
+/// `RunReport::write_in` emits a `BENCH_<name>.json` that parses with the
 /// crate's own parser and carries the documented schema.
 #[test]
 fn bench_report_round_trips_through_parser() {
     let dir = std::env::temp_dir().join(format!("prf_obs_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("PRF_REPORT_DIR", &dir);
 
     let result = run(1000, true, 0);
     let mut report = RunReport::new("observability_test");
@@ -107,8 +107,7 @@ fn bench_report_round_trips_through_parser() {
         "ipc",
         result.stats.instructions as f64 / result.cycles as f64,
     );
-    let path = report.write().expect("report written");
-    std::env::remove_var("PRF_REPORT_DIR");
+    let path = report.write_in(&dir, &RealVfs).expect("report written");
 
     assert_eq!(path.file_name().unwrap(), "BENCH_observability_test.json");
     let text = std::fs::read_to_string(&path).unwrap();
