@@ -1,6 +1,8 @@
 //! Seed-0 bit-identity golden test: the smallest Table I workloads under
-//! the four RF organisations of the figure matrix, GTO scheduler, one SM,
-//! jitter seed 0. Every simulated field is pinned — cycles, warp
+//! the four RF organisations of the figure matrix with the GTO scheduler,
+//! plus `nw` under MRF@STV and the partitioned RF with each of the other
+//! three schedulers `all_schedulers` runs (LRR, two-level with 8 active
+//! warps, fetch-group of 8); one SM, jitter seed 0. Every simulated field is pinned — cycles, warp
 //! instructions, per-partition reads and writes, and the exact bits of
 //! every energy figure — so a change meant as a pure speed-up that moves
 //! any simulated number fails here. Re-capture the constants only for a
@@ -11,6 +13,7 @@ use pilot_rf::sim::{GpuConfig, SchedulerPolicy};
 use pilot_rf::workloads::by_name;
 
 struct Golden {
+    scheduler: SchedulerPolicy,
     workload: &'static str,
     arm: &'static str,
     cycles: u64,
@@ -21,8 +24,15 @@ struct Golden {
     energy_bits: [u64; 5],
 }
 
+const GTO: SchedulerPolicy = SchedulerPolicy::Gto;
+const TL8: SchedulerPolicy = SchedulerPolicy::TwoLevel {
+    active_per_scheduler: 8,
+};
+const FG8: SchedulerPolicy = SchedulerPolicy::FetchGroup { group_size: 8 };
+
 const GOLDEN: &[Golden] = &[
     Golden {
+        scheduler: GTO,
         workload: "nw",
         arm: "MRF@STV",
         cycles: 8265,
@@ -38,6 +48,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "nw",
         arm: "partitioned",
         cycles: 8643,
@@ -53,6 +64,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "nw",
         arm: "RFC",
         cycles: 8436,
@@ -68,6 +80,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "nw",
         arm: "MRF@NTV",
         cycles: 9186,
@@ -83,6 +96,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "lavaMD",
         arm: "MRF@STV",
         cycles: 9772,
@@ -98,6 +112,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "lavaMD",
         arm: "partitioned",
         cycles: 10017,
@@ -113,6 +128,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "lavaMD",
         arm: "RFC",
         cycles: 9772,
@@ -128,6 +144,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "lavaMD",
         arm: "MRF@NTV",
         cycles: 14174,
@@ -143,6 +160,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "LIB",
         arm: "MRF@STV",
         cycles: 2828,
@@ -158,6 +176,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "LIB",
         arm: "partitioned",
         cycles: 2971,
@@ -173,6 +192,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "LIB",
         arm: "RFC",
         cycles: 2991,
@@ -188,6 +208,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "LIB",
         arm: "MRF@NTV",
         cycles: 3263,
@@ -203,6 +224,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "WP",
         arm: "MRF@STV",
         cycles: 1558,
@@ -218,6 +240,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "WP",
         arm: "partitioned",
         cycles: 1749,
@@ -233,6 +256,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "WP",
         arm: "RFC",
         cycles: 1560,
@@ -248,6 +272,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
+        scheduler: GTO,
         workload: "WP",
         arm: "MRF@NTV",
         cycles: 1845,
@@ -262,12 +287,108 @@ const GOLDEN: &[Golden] = &[
             0x0000000000000000,
         ],
     },
+    Golden {
+        scheduler: SchedulerPolicy::Lrr,
+        workload: "nw",
+        arm: "MRF@STV",
+        cycles: 8272,
+        warp_insts: 19840,
+        reads: [34400, 0, 0, 0, 0, 0, 0, 0],
+        writes: [16160, 0, 0, 0, 0, 0, 0, 0],
+        energy_bits: [
+            0x4126fd7fffffffff,
+            0x4126fd7fffffffff,
+            0x4112f60d933e35c5,
+            0x4112f60d933e35c5,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: SchedulerPolicy::Lrr,
+        workload: "nw",
+        arm: "partitioned",
+        cycles: 8584,
+        warp_insts: 19840,
+        reads: [0, 0, 24288, 832, 9280, 0, 0, 0],
+        writes: [0, 0, 11889, 431, 3840, 0, 0, 0],
+        energy_bits: [
+            0x4116ecb8bffcf7d2,
+            0x4126fd7fffffffff,
+            0x410813a608449dd0,
+            0x4113ad22e2541d8e,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: TL8,
+        workload: "nw",
+        arm: "MRF@STV",
+        cycles: 8231,
+        warp_insts: 19840,
+        reads: [34400, 0, 0, 0, 0, 0, 0, 0],
+        writes: [16160, 0, 0, 0, 0, 0, 0, 0],
+        energy_bits: [
+            0x4126fd7fffffffff,
+            0x4126fd7fffffffff,
+            0x4112ddfe779e9d0e,
+            0x4112ddfe779e9d0e,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: TL8,
+        workload: "nw",
+        arm: "partitioned",
+        cycles: 8562,
+        warp_insts: 19840,
+        reads: [0, 0, 24550, 570, 9280, 0, 0, 0],
+        writes: [0, 0, 12025, 295, 3840, 0, 0, 0],
+        energy_bits: [
+            0x4116fba547153782,
+            0x4126fd7fffffffff,
+            0x410803da0914f667,
+            0x4113a039ff36ac64,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: FG8,
+        workload: "nw",
+        arm: "MRF@STV",
+        cycles: 8273,
+        warp_insts: 19840,
+        reads: [34400, 0, 0, 0, 0, 0, 0, 0],
+        writes: [16160, 0, 0, 0, 0, 0, 0, 0],
+        energy_bits: [
+            0x4126fd7fffffffff,
+            0x4126fd7fffffffff,
+            0x4112f6a3cc1ca3a5,
+            0x4112f6a3cc1ca3a5,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: FG8,
+        workload: "nw",
+        arm: "partitioned",
+        cycles: 8566,
+        warp_insts: 19840,
+        reads: [0, 0, 24461, 659, 9280, 0, 0, 0],
+        writes: [0, 0, 11986, 334, 3840, 0, 0, 0],
+        energy_bits: [
+            0x4116f6d890b35e34,
+            0x4126fd7fffffffff,
+            0x410806b94ec08934,
+            0x4113a292e2b063e0,
+            0x0000000000000000,
+        ],
+    },
 ];
 
-fn gpu() -> GpuConfig {
+fn gpu(scheduler: SchedulerPolicy) -> GpuConfig {
     GpuConfig {
         jitter_seed: 0,
-        scheduler: SchedulerPolicy::Gto,
+        scheduler,
         ..GpuConfig::kepler_single_sm()
     }
 }
@@ -287,12 +408,12 @@ fn arm(name: &str, gpu: &GpuConfig) -> RfKind {
 
 #[test]
 fn smallest_workloads_are_bit_identical_at_seed_0() {
-    let gpu = gpu();
     for g in GOLDEN {
+        let gpu = gpu(g.scheduler);
         let w = by_name(g.workload).expect("a Table I workload");
         let r = run_experiment(&gpu, &arm(g.arm, &gpu), &w.launches, &w.mem_init)
             .unwrap_or_else(|e| panic!("{}/{}: {e}", g.workload, g.arm));
-        let job = format!("{}/{}", g.workload, g.arm);
+        let job = format!("{}/{}/{:?}", g.workload, g.arm, g.scheduler);
         assert_eq!(r.cycles, g.cycles, "{job} cycles");
         assert_eq!(
             r.stats.instructions, g.warp_insts,
