@@ -309,14 +309,6 @@ pub fn execute_warp_instruction_into(
     warp.stack.advance(pc + 1);
 }
 
-/// `Selp` executes in *all* active lanes (it is a value select, not a
-/// guarded op), so its guard must not squash lanes. This helper tells the
-/// issue logic whether an instruction's guard squashes lanes (`true` for
-/// everything except `Selp`).
-pub fn guard_squashes(instr: &Instruction) -> bool {
-    instr.opcode != Opcode::Selp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,8 @@
 //! Each SM has `num_schedulers` scheduler instances; warp slot `s` belongs
 //! to scheduler `s % num_schedulers` (the usual striped assignment). Every
 //! cycle the SM asks each scheduler for a priority-ordered candidate list
-//! and issues to the first ready warps.
+//! and issues to the first ready warps. The SM hands each scheduler its
+//! live warps already in age order (see [`WarpScheduler::prioritize`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -15,10 +16,6 @@ use crate::config::SchedulerPolicy;
 pub struct WarpView {
     /// Hardware warp slot.
     pub slot: usize,
-    /// Cycle the warp became resident (age).
-    pub dispatch_cycle: u64,
-    /// The warp exists and has not finished.
-    pub resident: bool,
     /// The warp is blocked on a long-latency dependence (memory load
     /// outstanding) — the demotion trigger for the two-level scheduler.
     pub long_latency_pending: bool,
@@ -46,6 +43,12 @@ pub enum SchedulerEvent {
 pub trait WarpScheduler: fmt::Debug + Send {
     /// Returns the candidate warp slots in priority order for this cycle.
     /// The SM tries them in order and issues to the ready ones.
+    ///
+    /// `warps` holds one view per live warp of this scheduler (resident,
+    /// with lanes left to run; barrier-blocked warps included), in age
+    /// order: by the cycle the warp became resident, then by slot. A
+    /// policy that wants oldest-first (GTO) uses that order as is; one
+    /// that orders by slot (LRR, fetch-group) sorts.
     fn prioritize(&mut self, warps: &[WarpView], cycle: u64, out: &mut Vec<usize>);
 
     /// Notifies the scheduler that `slot` issued an instruction.
@@ -64,10 +67,11 @@ pub trait WarpScheduler: fmt::Debug + Send {
 
     /// True when calling [`WarpScheduler::prioritize`] on a cycle where no
     /// warp issues leaves the scheduler's observable state unchanged. The
-    /// skip-ahead fast-forward relies on this to elide idle cycles: GTO and
-    /// LRR mutate state only in `on_issue`, while the two-level scheduler
-    /// demotes/promotes and the fetch-group scheduler rotates inside
-    /// `prioritize` itself, so those two veto skipping.
+    /// skip-ahead fast-forward relies on this to elide idle cycles, and the
+    /// SM to skip the turn of a scheduler none of whose warps can issue:
+    /// GTO and LRR mutate state only in `on_issue`, while the two-level
+    /// scheduler demotes/promotes and the fetch-group scheduler rotates
+    /// inside `prioritize` itself, so those two veto skipping.
     fn idle_prioritize_is_noop(&self) -> bool {
         false
     }
@@ -99,8 +103,6 @@ pub fn build_scheduler(policy: SchedulerPolicy) -> Box<dyn WarpScheduler> {
 #[derive(Debug, Default)]
 pub struct GtoScheduler {
     greedy: Option<usize>,
-    /// Scratch reused across cycles for age sorting.
-    rest: Vec<(u64, usize)>,
 }
 
 impl GtoScheduler {
@@ -114,19 +116,17 @@ impl WarpScheduler for GtoScheduler {
     fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
         if let Some(g) = self.greedy {
-            if warps.iter().any(|w| w.slot == g && w.resident) {
+            if warps.iter().any(|w| w.slot == g) {
                 out.push(g);
             }
         }
-        self.rest.clear();
-        self.rest.extend(
+        // The views arrive oldest first.
+        out.extend(
             warps
                 .iter()
-                .filter(|w| w.resident && Some(w.slot) != self.greedy)
-                .map(|w| (w.dispatch_cycle, w.slot)),
+                .map(|w| w.slot)
+                .filter(|&slot| Some(slot) != self.greedy),
         );
-        self.rest.sort_unstable();
-        out.extend(self.rest.iter().map(|&(_, slot)| slot));
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -173,8 +173,7 @@ impl WarpScheduler for LrrScheduler {
     fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
         self.slots.clear();
-        self.slots
-            .extend(warps.iter().filter(|w| w.resident).map(|w| w.slot));
+        self.slots.extend(warps.iter().map(|w| w.slot));
         self.slots.sort_unstable();
         if self.slots.is_empty() {
             return;
@@ -259,15 +258,12 @@ impl WarpScheduler for TwoLevelScheduler {
         while i < self.active.len() {
             let slot = self.active[i];
             let view = warps.iter().find(|w| w.slot == slot);
-            let demote =
-                view.is_none_or(|w| !w.resident || w.long_latency_pending || w.barrier_waiting);
+            let demote = view.is_none_or(|w| w.long_latency_pending || w.barrier_waiting);
             if demote {
                 self.active.remove(i);
-                if let Some(w) = view {
-                    if w.resident {
-                        self.pending.push_back(slot);
-                        self.events.push(SchedulerEvent::Deactivated { slot });
-                    }
+                if view.is_some() {
+                    self.pending.push_back(slot);
+                    self.events.push(SchedulerEvent::Deactivated { slot });
                 }
             } else {
                 i += 1;
@@ -346,12 +342,8 @@ impl WarpScheduler for FetchGroupScheduler {
     fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
         self.slots.clear();
-        self.slots.extend(
-            warps
-                .iter()
-                .filter(|w| w.resident)
-                .map(|w| (w.slot, w.long_latency_pending)),
-        );
+        self.slots
+            .extend(warps.iter().map(|w| (w.slot, w.long_latency_pending)));
         if self.slots.is_empty() {
             return;
         }
@@ -395,13 +387,11 @@ impl WarpScheduler for FetchGroupScheduler {
 mod tests {
     use super::*;
 
-    fn views(slots: &[(usize, u64, bool)]) -> Vec<WarpView> {
+    fn views(slots: &[(usize, bool)]) -> Vec<WarpView> {
         slots
             .iter()
-            .map(|&(slot, age, mem)| WarpView {
+            .map(|&(slot, mem)| WarpView {
                 slot,
-                dispatch_cycle: age,
-                resident: true,
                 long_latency_pending: mem,
                 barrier_waiting: false,
             })
@@ -411,7 +401,9 @@ mod tests {
     #[test]
     fn gto_prefers_greedy_then_oldest() {
         let mut s = GtoScheduler::new();
-        let w = views(&[(0, 30, false), (4, 10, false), (8, 20, false)]);
+        // Views arrive in age order (the `prioritize` contract): slot 4
+        // is the oldest warp, slot 0 the youngest.
+        let w = views(&[(4, false), (8, false), (0, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         // No greedy yet: oldest first.
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn lrr_rotates_past_last_issued() {
         let mut s = LrrScheduler::new();
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false)]);
+        let w = views(&[(0, false), (4, false), (8, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert_eq!(out, vec![0, 4, 8]);
@@ -446,7 +438,7 @@ mod tests {
             s.on_warp_start(slot);
         }
         assert_eq!(s.active_pool(), &[0, 4]);
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false), (12, 0, false)]);
+        let w = views(&[(0, false), (4, false), (8, false), (12, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert_eq!(out.len(), 2);
@@ -460,7 +452,7 @@ mod tests {
             s.on_warp_start(slot);
         }
         // Warp 0 blocks on memory.
-        let w = views(&[(0, 0, true), (4, 0, false), (8, 0, false)]);
+        let w = views(&[(0, true), (4, false), (8, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert!(!out.contains(&0), "blocked warp must leave the pool");
@@ -482,15 +474,11 @@ mod tests {
         let w = vec![
             WarpView {
                 slot: 0,
-                dispatch_cycle: 0,
-                resident: true,
                 long_latency_pending: false,
                 barrier_waiting: true,
             },
             WarpView {
                 slot: 4,
-                dispatch_cycle: 0,
-                resident: true,
                 long_latency_pending: false,
                 barrier_waiting: false,
             },
@@ -517,7 +505,7 @@ mod tests {
     #[test]
     fn fetch_group_prioritizes_current_group() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false), (12, 0, false)]);
+        let w = views(&[(0, false), (4, false), (8, false), (12, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert_eq!(out, vec![0, 4, 8, 12]);
@@ -526,7 +514,7 @@ mod tests {
     #[test]
     fn fetch_group_rotates_when_group_blocked() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, 0, true), (4, 0, true), (8, 0, false), (12, 0, false)]);
+        let w = views(&[(0, true), (4, true), (8, false), (12, false)]);
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert_eq!(out, vec![8, 12, 0, 4]);

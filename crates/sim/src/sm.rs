@@ -69,6 +69,45 @@ impl KernelImage {
     }
 }
 
+/// Where a warp slot stands for issue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum SlotStatus {
+    /// No warp in the slot.
+    #[default]
+    Empty,
+    /// Every lane has exited; in-flight instructions may still retire.
+    Exited,
+    /// Waiting at a CTA barrier.
+    Barrier,
+    /// Running and not at a barrier: issues once its scoreboard and the
+    /// operand collector allow.
+    Eligible,
+}
+
+/// The issue-relevant state of one warp slot, kept current at the four
+/// events that change it: CTA dispatch, issue, barrier release and warp
+/// finish. `hazard` is the pre-decoded footprint of the warp's next pc; a
+/// warp waiting at a barrier keeps it (fetch-group rotation reads
+/// `long_latency_pending` for such warps), and empty or exited slots hold
+/// the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct IssueSlot {
+    status: SlotStatus,
+    hazard: InstrHazard,
+}
+
+impl IssueSlot {
+    /// The state of a running warp whose next instruction has `hazard`.
+    fn running(barrier: bool, hazard: InstrHazard) -> Self {
+        let status = if barrier {
+            SlotStatus::Barrier
+        } else {
+            SlotStatus::Eligible
+        };
+        IssueSlot { status, hazard }
+    }
+}
+
 #[derive(Debug)]
 struct CtaState {
     warp_slots: Vec<usize>,
@@ -91,6 +130,12 @@ pub struct Sm {
     config: GpuConfig,
     image: Arc<KernelImage>,
     warps: Vec<Option<WarpContext>>,
+    /// Issue state per warp slot (see [`IssueSlot`]).
+    issue_slots: Vec<IssueSlot>,
+    /// Per scheduler, its live warps oldest first as `(dispatch_cycle,
+    /// slot)`: inserted at dispatch, removed when the warp's last lane
+    /// exits. Schedulers receive their warp views in this order.
+    age_order: Vec<Vec<(u64, usize)>>,
     scoreboards: Vec<Scoreboard>,
     pending_loads: Vec<u32>,
     schedulers: Vec<Box<dyn WarpScheduler>>,
@@ -174,10 +219,15 @@ impl Sm {
         let schedulers = (0..config.num_schedulers)
             .map(|_| build_scheduler(config.scheduler))
             .collect();
+        let warps_per_scheduler = config.max_warps_per_sm.div_ceil(config.num_schedulers);
         Sm {
             id,
             config: config.clone(),
             warps: (0..config.max_warps_per_sm).map(|_| None).collect(),
+            issue_slots: vec![IssueSlot::default(); config.max_warps_per_sm],
+            age_order: (0..config.num_schedulers)
+                .map(|_| Vec::with_capacity(warps_per_scheduler))
+                .collect(),
             scoreboards: (0..config.max_warps_per_sm)
                 .map(|_| Scoreboard::new())
                 .collect(),
@@ -302,7 +352,11 @@ impl Sm {
             };
             self.scoreboards[slot] = Scoreboard::new();
             self.pending_loads[slot] = 0;
+            self.issue_slots[slot] = IssueSlot::running(false, *self.image.hazard(0));
             let nsched = self.schedulers.len();
+            let ages = &mut self.age_order[slot % nsched];
+            let at = ages.partition_point(|&entry| entry < (cycle, slot));
+            ages.insert(at, (cycle, slot));
             self.schedulers[slot % nsched].on_warp_start(slot);
             self.rf.on_warp_start(
                 WarpLifecycle {
@@ -384,6 +438,7 @@ impl Sm {
             return;
         }
         let w = self.warps[slot].take().expect("checked above");
+        self.issue_slots[slot] = IssueSlot::default();
         self.resident -= 1;
         self.observer
             .note_warp_scoreboard(slot, &self.scoreboards[slot], cycle);
@@ -435,13 +490,13 @@ impl Sm {
         let mut waiting = 0usize;
         let mut live = 0usize;
         for &s in &c.warp_slots {
-            if let Some(w) = self.warps[s].as_ref() {
-                if !w.exited() {
+            match self.issue_slots[s].status {
+                SlotStatus::Barrier => {
                     live += 1;
-                    if w.block == WarpBlock::Barrier {
-                        waiting += 1;
-                    }
+                    waiting += 1;
                 }
+                SlotStatus::Eligible => live += 1,
+                SlotStatus::Empty | SlotStatus::Exited => {}
             }
         }
         live > 0 && waiting == live
@@ -468,11 +523,12 @@ impl Sm {
                         .warp_slots,
                 );
                 for &s in &slots {
-                    if let Some(w) = self.warps[s].as_mut() {
-                        if w.block == WarpBlock::Barrier {
+                    if self.issue_slots[s].status == SlotStatus::Barrier {
+                        self.issue_slots[s].status = SlotStatus::Eligible;
+                        if let Some(w) = self.warps[s].as_mut() {
                             w.block = WarpBlock::None;
-                            self.barrier_waiting -= 1;
                         }
+                        self.barrier_waiting -= 1;
                     }
                 }
                 self.cta_slots[cta_slot]
@@ -483,48 +539,36 @@ impl Sm {
         }
     }
 
+    /// The live warp slots of every scheduler.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.age_order.iter().flatten().map(|&(_, slot)| slot)
+    }
+
+    /// "Long latency pending" = the live warp's next instruction is blocked
+    /// by the scoreboard while it has loads outstanding — the two-level
+    /// scheduler's demotion trigger.
+    fn long_latency_pending(&self, slot: usize) -> bool {
+        self.pending_loads[slot] > 0
+            && self.scoreboards[slot].blocked_by(&self.issue_slots[slot].hazard)
+    }
+
+    /// Scheduler `sched`'s warp views, oldest first.
     fn warp_views_into(&self, sched: usize, views: &mut Vec<WarpView>) {
         views.clear();
-        for slot in (sched..self.warps.len()).step_by(self.schedulers.len()) {
-            if let Some(w) = self.warps[slot].as_ref() {
-                if w.exited() {
-                    continue;
-                }
-                // "Long latency pending" = the warp's next instruction is
-                // blocked by the scoreboard while it has loads outstanding —
-                // the two-level scheduler's demotion trigger.
-                let long = self.pending_loads[slot] > 0 && {
-                    match w.stack.pc() {
-                        Some(pc) => self.scoreboards[slot].blocked_by(self.image.hazard(pc)),
-                        None => false,
-                    }
-                };
-                views.push(WarpView {
-                    slot,
-                    dispatch_cycle: w.dispatch_cycle,
-                    resident: true,
-                    long_latency_pending: long,
-                    barrier_waiting: w.block == WarpBlock::Barrier,
-                });
-            }
-        }
+        views.extend(self.age_order[sched].iter().map(|&(_, slot)| WarpView {
+            slot,
+            long_latency_pending: self.long_latency_pending(slot),
+            barrier_waiting: self.issue_slots[slot].status == SlotStatus::Barrier,
+        }));
     }
 
     /// Returns true when the warp at `slot` can issue its next instruction.
     fn can_issue(&self, slot: usize) -> bool {
-        let Some(w) = self.warps[slot].as_ref() else {
-            return false;
-        };
-        if w.exited() || w.block != WarpBlock::None {
-            return false;
-        }
-        let Some(pc) = w.stack.pc() else { return false };
-        let hazard = self.image.hazard(pc);
-        if self.scoreboards[slot].blocked_by(hazard) {
-            return false;
-        }
-        // Needs a collector unit unless it touches no registers at all.
-        !hazard.needs_collector || self.collector.has_free_unit()
+        let IssueSlot { status, hazard } = &self.issue_slots[slot];
+        *status == SlotStatus::Eligible
+            && !self.scoreboards[slot].blocked_by(hazard)
+            // Needs a collector unit unless it touches no registers at all.
+            && (!hazard.needs_collector || self.collector.has_free_unit())
     }
 
     /// Issues the next instruction of warp `slot`. Caller must have checked
@@ -554,6 +598,27 @@ impl Sm {
         if outcome.hit_barrier {
             w.block = WarpBlock::Barrier;
             self.barrier_waiting += 1;
+        }
+        match w.stack.pc() {
+            Some(next_pc) => {
+                self.issue_slots[slot] =
+                    IssueSlot::running(outcome.hit_barrier, *image.hazard(next_pc));
+            }
+            None => {
+                // The last lane exited: the warp leaves the issue state and
+                // its scheduler's age order, though in-flight instructions
+                // may still keep the slot occupied.
+                self.issue_slots[slot] = IssueSlot {
+                    status: SlotStatus::Exited,
+                    hazard: InstrHazard::default(),
+                };
+                let ages = &mut self.age_order[slot % self.schedulers.len()];
+                let at = ages
+                    .iter()
+                    .position(|&(_, s)| s == slot)
+                    .expect("a live warp is in its scheduler's age order");
+                ages.remove(at);
+            }
         }
         let cta = w.cta.0;
         let warp_in_cta = w.warp_in_cta;
@@ -863,13 +928,30 @@ impl Sm {
         let mut staged = std::mem::take(&mut self.global_writes);
         let mut gmem = GmemView::new(global, &mut staged);
         for sched in 0..self.schedulers.len() {
-            self.warp_views_into(sched, &mut views);
+            // A turn in which none of this scheduler's warps can issue
+            // changes nothing when its `prioritize` is pure on a cycle
+            // without issue (the rule skip-ahead relies on), so such a
+            // turn builds no views and calls no `prioritize`.
             order.clear();
-            self.schedulers[sched].prioritize(&views, cycle, &mut order);
+            let idle_turn = self.schedulers[sched].idle_prioritize_is_noop()
+                && !self.age_order[sched]
+                    .iter()
+                    .any(|&(_, slot)| self.can_issue(slot));
+            if !idle_turn {
+                self.warp_views_into(sched, &mut views);
+                self.schedulers[sched].prioritize(&views, cycle, &mut order);
+            }
             let mut issued = 0usize;
             for &slot in &order {
                 if issued >= self.config.issue_per_scheduler {
                     break;
+                }
+                // A pass over a warp that cannot issue changes nothing (the
+                // collector-stall check below can first fire only right
+                // after a warp that issued), so readiness is tested before
+                // the jitter hash.
+                if !self.can_issue(slot) {
+                    continue;
                 }
                 // Deterministic issue jitter: skip this warp this cycle
                 // with probability 1/issue_jitter (see GpuConfig).
@@ -934,19 +1016,13 @@ impl Sm {
     /// idle spans account stalls identically to stepped ones.
     fn classify_zero_issue_stall(&mut self) {
         let (mut mem, mut barrier, mut coll, mut alu) = (0u32, 0u32, 0u32, 0u32);
-        for slot in 0..self.warps.len() {
-            let Some(w) = self.warps[slot].as_ref() else {
-                continue;
-            };
-            if w.exited() {
-                continue;
-            }
-            if w.block == WarpBlock::Barrier {
+        for slot in self.live_slots() {
+            let IssueSlot { status, hazard } = &self.issue_slots[slot];
+            if *status == SlotStatus::Barrier {
                 barrier += 1;
                 continue;
             }
-            let Some(pc) = w.stack.pc() else { continue };
-            if self.scoreboards[slot].blocked_by(self.image.hazard(pc)) {
+            if self.scoreboards[slot].blocked_by(hazard) {
                 if self.pending_loads[slot] > 0 {
                     mem += 1;
                 } else {
@@ -1005,11 +1081,10 @@ impl Sm {
     pub fn next_event(&self, cycle: u64) -> Option<u64> {
         // Sources that pin the horizon to the next cycle short-circuit: the
         // probe runs on every zero-issue cycle, and the common answer is
-        // "no skip".
+        // "no skip". The unit horizons are probed before the warp scan;
+        // any pinning source gives the same answer, and the minimum over
+        // the rest does not depend on the order.
         let next = cycle + 1;
-        if (0..self.warps.len()).any(|slot| self.can_issue(slot)) || self.barrier_releasable() {
-            return Some(next);
-        }
         let mut horizon: Option<u64> = None;
         for c in [
             self.collector.next_event(cycle),
@@ -1025,6 +1100,9 @@ impl Sm {
                 return Some(next);
             }
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
+        }
+        if self.live_slots().any(|slot| self.can_issue(slot)) || self.barrier_releasable() {
+            return Some(next);
         }
         if horizon.is_none() && self.resident > 0 {
             // Resident warps without any pending event would mean a hang;
@@ -1064,6 +1142,7 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerPolicy;
     use crate::rf::BaselineRf;
     use prf_isa::{CmpOp, KernelBuilder, PredReg, SpecialReg};
 
@@ -1313,6 +1392,137 @@ mod tests {
         let (sm, _, _) = run_sm(simple_kernel(), GridConfig::new(1, 64), &config);
         assert!((sm.stats.simd_efficiency() - 1.0).abs() < 1e-12);
         assert_eq!(sm.stats.divergence_rate(), 0.0);
+    }
+
+    /// A fresh derivation of every slot's [`IssueSlot`] and every
+    /// scheduler's age order from `warps`, decoding hazards from the kernel
+    /// rather than reading the pre-decoded table.
+    fn derived_issue_state(sm: &Sm) -> (Vec<IssueSlot>, Vec<Vec<(u64, usize)>>) {
+        let nsched = sm.schedulers.len();
+        let mut ages = vec![Vec::new(); nsched];
+        let slots = sm
+            .warps
+            .iter()
+            .enumerate()
+            .map(|(slot, w)| {
+                let Some(w) = w else {
+                    return IssueSlot::default();
+                };
+                let Some(pc) = w.stack.pc() else {
+                    return IssueSlot {
+                        status: SlotStatus::Exited,
+                        hazard: InstrHazard::default(),
+                    };
+                };
+                ages[slot % nsched].push((w.dispatch_cycle, slot));
+                let hazard = hazard_of(sm.image.kernel.fetch(pc));
+                IssueSlot::running(w.block == WarpBlock::Barrier, hazard)
+            })
+            .collect();
+        for list in &mut ages {
+            list.sort_unstable();
+        }
+        (slots, ages)
+    }
+
+    #[test]
+    fn cached_issue_state_matches_a_fresh_derivation_every_cycle() {
+        // A divergent branch, a load feeding a dependant, a barrier, a
+        // guarded exit that retires half of warp 1 and all of warp 2, and a
+        // loop that odd CTAs run 40 times.
+        let mut kb = KernelBuilder::new("issue_state");
+        kb.mov_special(Reg(0), SpecialReg::TidX);
+        kb.mov_special(Reg(8), SpecialReg::GlobalTid);
+        kb.mov_special(Reg(5), SpecialReg::LaneId);
+        kb.setp_imm(PredReg(0), CmpOp::Lt, Reg(5), 16);
+        let else_ = kb.new_label();
+        let join = kb.new_label();
+        kb.bra_if(PredReg(0), false, else_);
+        kb.mov_imm(Reg(1), 1);
+        kb.bra(join);
+        kb.place_label(else_);
+        kb.mov_imm(Reg(1), 2);
+        kb.place_label(join);
+        kb.ldg(Reg(2), Reg(8), 0);
+        kb.iadd(Reg(3), Reg(2), Reg(1));
+        kb.bar();
+        kb.setp_imm(PredReg(1), CmpOp::Ge, Reg(0), 48);
+        kb.guard(PredReg(1), true).exit();
+        kb.mov_special(Reg(7), SpecialReg::CtaIdX);
+        kb.iand_imm(Reg(7), Reg(7), 1);
+        kb.imul_imm(Reg(7), Reg(7), 40);
+        kb.mov_imm(Reg(6), 0);
+        let top = kb.new_label();
+        kb.place_label(top);
+        kb.iadd_imm(Reg(6), Reg(6), 1);
+        kb.setp(PredReg(2), CmpOp::Lt, Reg(6), Reg(7));
+        kb.bra_if(PredReg(2), true, top);
+        kb.iadd(Reg(4), Reg(3), Reg(0));
+        kb.stg(Reg(8), Reg(4), 0);
+        kb.exit();
+        let kernel = Arc::new(kb.build().unwrap());
+        // Two CTA slots for five CTAs: later CTAs reuse lower warp slots
+        // while an older CTA still runs, so age order differs from slot
+        // order.
+        let grid = GridConfig::new(5, 96);
+        for scheduler in [
+            SchedulerPolicy::Gto,
+            SchedulerPolicy::Lrr,
+            SchedulerPolicy::TwoLevel {
+                active_per_scheduler: 2,
+            },
+            SchedulerPolicy::FetchGroup { group_size: 2 },
+        ] {
+            let config = GpuConfig {
+                global_mem_words: 1 << 12,
+                max_ctas_per_sm: 2,
+                scheduler,
+                ..GpuConfig::kepler_single_sm()
+            };
+            let image = Arc::new(KernelImage::new(Arc::clone(&kernel), grid));
+            let mut sm = Sm::new(
+                0,
+                &config,
+                image,
+                Box::new(BaselineRf::stv(config.num_rf_banks)),
+            );
+            sm.notify_kernel_launch(0);
+            let mut global = GlobalMemory::new(config.global_mem_words);
+            let (mut next_cta, mut cycle) = (0u32, 0u64);
+            let (mut saw_barrier, mut saw_exited, mut saw_age_not_slot) = (false, false, false);
+            loop {
+                while next_cta < grid.num_ctas && sm.try_dispatch_cta(CtaId(next_cta), cycle) {
+                    next_cta += 1;
+                }
+                sm.cycle(cycle, &global);
+                sm.commit_global_writes(&mut global);
+                let (slots, ages) = derived_issue_state(&sm);
+                assert_eq!(sm.issue_slots, slots, "{scheduler:?} cycle {cycle}");
+                assert_eq!(sm.age_order, ages, "{scheduler:?} cycle {cycle}");
+                saw_barrier |= slots.iter().any(|s| s.status == SlotStatus::Barrier);
+                saw_exited |= slots.iter().any(|s| s.status == SlotStatus::Exited);
+                saw_age_not_slot |= ages.iter().any(|l| l.windows(2).any(|p| p[0].1 > p[1].1));
+                cycle += 1;
+                if next_cta == grid.num_ctas && sm.is_idle() {
+                    break;
+                }
+                assert!(cycle < 100_000, "{scheduler:?} did not terminate");
+            }
+            assert!(
+                saw_barrier && saw_exited && saw_age_not_slot,
+                "{scheduler:?}"
+            );
+            assert_eq!(sm.finished_warps.len(), 15, "{scheduler:?}");
+            // Each surviving thread stores its branch value plus its tid;
+            // threads from tid 48 exited before the store.
+            for cta in 0..5 {
+                let base = cta * 96;
+                assert_eq!(global.read(base), 1, "{scheduler:?} cta {cta}");
+                assert_eq!(global.read(base + 31), 2 + 31, "{scheduler:?} cta {cta}");
+                assert_eq!(global.read(base + 47), 1 + 47, "{scheduler:?} cta {cta}");
+                assert_eq!(global.read(base + 48), 0, "{scheduler:?} cta {cta}");
+            }
+        }
     }
 
     #[test]

@@ -192,11 +192,9 @@ pub struct WarpContext {
     pub preds: [u32; prf_isa::NUM_PRED_REGS],
     /// Blocking condition.
     pub block: WarpBlock,
-    /// Cycle the warp became resident (used by GTO's "oldest" ordering).
+    /// Cycle the warp became resident: the age behind the oldest-first
+    /// order the SM hands its schedulers.
     pub dispatch_cycle: u64,
-    /// Set once all lanes have exited *and* all in-flight instructions have
-    /// written back.
-    pub finished: bool,
     /// Number of issued-but-not-retired instructions.
     pub inflight: u32,
 }
@@ -223,7 +221,6 @@ impl WarpContext {
             preds: [0; prf_isa::NUM_PRED_REGS],
             block: WarpBlock::None,
             dispatch_cycle,
-            finished: false,
             inflight: 0,
         }
     }
@@ -279,7 +276,6 @@ impl WarpContext {
         self.preds = [0; prf_isa::NUM_PRED_REGS];
         self.block = WarpBlock::None;
         self.dispatch_cycle = dispatch_cycle;
-        self.finished = false;
         self.inflight = 0;
     }
 }
@@ -391,7 +387,6 @@ mod tests {
         assert_eq!(w.reg_lanes(12).len(), WARP_SIZE);
         assert_eq!(w.preds, [0; prf_isa::NUM_PRED_REGS]);
         assert!(!w.exited());
-        assert!(!w.finished);
     }
 
     #[test]
