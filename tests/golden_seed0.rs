@@ -2,10 +2,12 @@
 //! the four RF organisations of the figure matrix with the GTO scheduler,
 //! plus `nw` under MRF@STV and the partitioned RF with each of the other
 //! three schedulers `all_schedulers` runs (LRR, two-level with 8 active
-//! warps, fetch-group of 8); one SM, jitter seed 0. Every simulated field is pinned — cycles, warp
-//! instructions, per-partition reads and writes, and the exact bits of
-//! every energy figure — so a change meant as a pure speed-up that moves
-//! any simulated number fails here. Re-capture the constants only for a
+//! warps, fetch-group of 8), all on one SM; and `WP` and `nw` on four SMs
+//! (GTO, MRF@STV and partitioned). Jitter seed 0 throughout. Every
+//! simulated field is pinned — cycles, warp instructions, active cycles
+//! and the zero-issue stall classes, per-partition reads and writes, and
+//! the exact bits of every energy figure — so a change meant as a pure
+//! speed-up that moves any simulated number fails here. Re-capture the constants only for a
 //! change that is meant to alter simulated behaviour, and say so.
 
 use pilot_rf::core::{run_experiment, PartitionedRfConfig, RfKind, RfcConfig};
@@ -14,10 +16,14 @@ use pilot_rf::workloads::by_name;
 
 struct Golden {
     scheduler: SchedulerPolicy,
+    num_sms: usize,
     workload: &'static str,
     arm: &'static str,
     cycles: u64,
     warp_insts: u64,
+    /// active cycles (summed over SMs), then the zero-issue stall classes:
+    /// memory, barrier, collector, ALU dependence.
+    activity: [u64; 5],
     reads: [u64; 8],
     writes: [u64; 8],
     /// dynamic, baseline dynamic, leakage, baseline leakage, repair (pJ).
@@ -33,10 +39,12 @@ const FG8: SchedulerPolicy = SchedulerPolicy::FetchGroup { group_size: 8 };
 const GOLDEN: &[Golden] = &[
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "nw",
         arm: "MRF@STV",
         cycles: 8265,
         warp_insts: 19840,
+        activity: [8265, 887, 0, 3, 236],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -49,10 +57,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "nw",
         arm: "partitioned",
         cycles: 8643,
         warp_insts: 19840,
+        activity: [8643, 979, 0, 3, 395],
         reads: [0, 0, 24309, 811, 9280, 0, 0, 0],
         writes: [0, 0, 11914, 406, 3840, 0, 0, 0],
         energy_bits: [
@@ -65,10 +75,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "nw",
         arm: "RFC",
         cycles: 8436,
         warp_insts: 19840,
+        activity: [8436, 918, 0, 3, 304],
         reads: [0, 0, 0, 0, 0, 31200, 3200, 0],
         writes: [0, 0, 0, 0, 0, 16160, 0, 0],
         energy_bits: [
@@ -81,10 +93,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "nw",
         arm: "MRF@NTV",
         cycles: 9186,
         warp_insts: 19840,
+        activity: [9186, 1246, 0, 2, 423],
         reads: [0, 34400, 0, 0, 0, 0, 0, 0],
         writes: [0, 16160, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -97,10 +111,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "lavaMD",
         arm: "MRF@STV",
         cycles: 9772,
         warp_insts: 58462,
+        activity: [9772, 32, 0, 0, 82],
         reads: [100086, 0, 0, 0, 0, 0, 0, 0],
         writes: [37074, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -113,10 +129,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "lavaMD",
         arm: "partitioned",
         cycles: 10017,
         warp_insts: 58462,
+        activity: [10017, 53, 0, 1, 126],
         reads: [0, 0, 94925, 19, 5142, 0, 0, 0],
         writes: [0, 0, 34208, 10, 2856, 0, 0, 0],
         energy_bits: [
@@ -129,10 +147,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "lavaMD",
         arm: "RFC",
         cycles: 9772,
         warp_insts: 58462,
+        activity: [9772, 32, 0, 0, 82],
         reads: [0, 0, 0, 0, 0, 100086, 0, 0],
         writes: [0, 0, 0, 0, 0, 37074, 0, 0],
         energy_bits: [
@@ -145,10 +165,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "lavaMD",
         arm: "MRF@NTV",
         cycles: 14174,
         warp_insts: 58462,
+        activity: [14174, 63, 0, 0, 562],
         reads: [0, 100086, 0, 0, 0, 0, 0, 0],
         writes: [0, 37074, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -161,10 +183,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "LIB",
         arm: "MRF@STV",
         cycles: 2828,
         warp_insts: 5231,
+        activity: [2828, 0, 0, 0, 507],
         reads: [11745, 0, 0, 0, 0, 0, 0, 0],
         writes: [4238, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -177,10 +201,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "LIB",
         arm: "partitioned",
         cycles: 2971,
         warp_insts: 5231,
+        activity: [2971, 0, 0, 0, 589],
         reads: [0, 0, 4134, 0, 7611, 0, 0, 0],
         writes: [0, 0, 1805, 0, 2433, 0, 0, 0],
         energy_bits: [
@@ -193,10 +219,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "LIB",
         arm: "RFC",
         cycles: 2991,
         warp_insts: 5231,
+        activity: [2991, 0, 0, 0, 577],
         reads: [0, 0, 0, 0, 0, 8591, 3154, 0],
         writes: [0, 0, 0, 0, 0, 4238, 0, 0],
         energy_bits: [
@@ -209,10 +237,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "LIB",
         arm: "MRF@NTV",
         cycles: 3263,
         warp_insts: 5231,
+        activity: [3263, 0, 0, 0, 768],
         reads: [0, 11745, 0, 0, 0, 0, 0, 0],
         writes: [0, 4238, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -225,10 +255,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "WP",
         arm: "MRF@STV",
         cycles: 1558,
         warp_insts: 2465,
+        activity: [1558, 0, 0, 0, 339],
         reads: [3681, 0, 0, 0, 0, 0, 0, 0],
         writes: [1454, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -241,10 +273,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "WP",
         arm: "partitioned",
         cycles: 1749,
         warp_insts: 2465,
+        activity: [1749, 0, 0, 1, 524],
         reads: [0, 0, 969, 1635, 1077, 0, 0, 0],
         writes: [0, 0, 366, 568, 520, 0, 0, 0],
         energy_bits: [
@@ -257,10 +291,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "WP",
         arm: "RFC",
         cycles: 1560,
         warp_insts: 2465,
+        activity: [1560, 0, 0, 0, 340],
         reads: [0, 0, 0, 0, 0, 3673, 8, 0],
         writes: [0, 0, 0, 0, 0, 1454, 0, 0],
         energy_bits: [
@@ -273,10 +309,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: GTO,
+        num_sms: 1,
         workload: "WP",
         arm: "MRF@NTV",
         cycles: 1845,
         warp_insts: 2465,
+        activity: [1845, 0, 0, 2, 463],
         reads: [0, 3681, 0, 0, 0, 0, 0, 0],
         writes: [0, 1454, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -289,10 +327,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: SchedulerPolicy::Lrr,
+        num_sms: 1,
         workload: "nw",
         arm: "MRF@STV",
         cycles: 8272,
         warp_insts: 19840,
+        activity: [8272, 894, 0, 4, 243],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -305,10 +345,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: SchedulerPolicy::Lrr,
+        num_sms: 1,
         workload: "nw",
         arm: "partitioned",
         cycles: 8584,
         warp_insts: 19840,
+        activity: [8584, 892, 0, 2, 377],
         reads: [0, 0, 24288, 832, 9280, 0, 0, 0],
         writes: [0, 0, 11889, 431, 3840, 0, 0, 0],
         energy_bits: [
@@ -321,10 +363,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: TL8,
+        num_sms: 1,
         workload: "nw",
         arm: "MRF@STV",
         cycles: 8231,
         warp_insts: 19840,
+        activity: [8231, 844, 0, 3, 246],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -337,10 +381,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: TL8,
+        num_sms: 1,
         workload: "nw",
         arm: "partitioned",
         cycles: 8562,
         warp_insts: 19840,
+        activity: [8562, 951, 0, 2, 354],
         reads: [0, 0, 24550, 570, 9280, 0, 0, 0],
         writes: [0, 0, 12025, 295, 3840, 0, 0, 0],
         energy_bits: [
@@ -353,10 +399,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: FG8,
+        num_sms: 1,
         workload: "nw",
         arm: "MRF@STV",
         cycles: 8273,
         warp_insts: 19840,
+        activity: [8273, 848, 0, 2, 255],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -369,10 +417,12 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         scheduler: FG8,
+        num_sms: 1,
         workload: "nw",
         arm: "partitioned",
         cycles: 8566,
         warp_insts: 19840,
+        activity: [8566, 986, 0, 3, 390],
         reads: [0, 0, 24461, 659, 9280, 0, 0, 0],
         writes: [0, 0, 11986, 334, 3840, 0, 0, 0],
         energy_bits: [
@@ -383,12 +433,85 @@ const GOLDEN: &[Golden] = &[
             0x0000000000000000,
         ],
     },
+    Golden {
+        scheduler: GTO,
+        num_sms: 4,
+        workload: "WP",
+        arm: "MRF@STV",
+        cycles: 1443,
+        warp_insts: 2465,
+        activity: [4088, 0, 0, 1, 1926],
+        reads: [3681, 0, 0, 0, 0, 0, 0, 0],
+        writes: [1454, 0, 0, 0, 0, 0, 0, 0],
+        energy_bits: [
+            0x40f2adf7ffffffff,
+            0x40f2adf7ffffffff,
+            0x410a76146e2a8005,
+            0x410a76146e2a8005,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: GTO,
+        num_sms: 4,
+        workload: "WP",
+        arm: "partitioned",
+        cycles: 1655,
+        warp_insts: 2465,
+        activity: [4945, 0, 0, 0, 2847],
+        reads: [0, 0, 75, 2529, 1077, 0, 0, 0],
+        writes: [0, 0, 51, 883, 520, 0, 0, 0],
+        energy_bits: [
+            0x40dd659d9bf79587,
+            0x40f2adf7ffffffff,
+            0x4102916b68320dde,
+            0x410e594d2fc2656a,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: GTO,
+        num_sms: 4,
+        workload: "nw",
+        arm: "MRF@STV",
+        cycles: 2775,
+        warp_insts: 19840,
+        activity: [11059, 1643, 0, 5, 569],
+        reads: [34400, 0, 0, 0, 0, 0, 0, 0],
+        writes: [16160, 0, 0, 0, 0, 0, 0, 0],
+        energy_bits: [
+            0x4126fd7fffffffff,
+            0x4126fd7fffffffff,
+            0x41197189cc63f140,
+            0x41197189cc63f140,
+            0x0000000000000000,
+        ],
+    },
+    Golden {
+        scheduler: GTO,
+        num_sms: 4,
+        workload: "nw",
+        arm: "partitioned",
+        cycles: 2948,
+        warp_insts: 19840,
+        activity: [11708, 1798, 0, 3, 960],
+        reads: [0, 0, 19100, 6020, 9280, 0, 0, 0],
+        writes: [0, 0, 9286, 3034, 3840, 0, 0, 0],
+        energy_bits: [
+            0x4115c8947ae52f16,
+            0x4126fd7fffffffff,
+            0x4110898f25e342a5,
+            0x411b079b85a4f00f,
+            0x0000000000000000,
+        ],
+    },
 ];
 
-fn gpu(scheduler: SchedulerPolicy) -> GpuConfig {
+fn gpu(scheduler: SchedulerPolicy, num_sms: usize) -> GpuConfig {
     GpuConfig {
         jitter_seed: 0,
         scheduler,
+        num_sms,
         ..GpuConfig::kepler_single_sm()
     }
 }
@@ -409,16 +532,28 @@ fn arm(name: &str, gpu: &GpuConfig) -> RfKind {
 #[test]
 fn smallest_workloads_are_bit_identical_at_seed_0() {
     for g in GOLDEN {
-        let gpu = gpu(g.scheduler);
+        let gpu = gpu(g.scheduler, g.num_sms);
         let w = by_name(g.workload).expect("a Table I workload");
         let r = run_experiment(&gpu, &arm(g.arm, &gpu), &w.launches, &w.mem_init)
             .unwrap_or_else(|e| panic!("{}/{}: {e}", g.workload, g.arm));
-        let job = format!("{}/{}/{:?}", g.workload, g.arm, g.scheduler);
+        let job = format!(
+            "{}/{}/{:?}/{} SMs",
+            g.workload, g.arm, g.scheduler, g.num_sms
+        );
         assert_eq!(r.cycles, g.cycles, "{job} cycles");
         assert_eq!(
             r.stats.instructions, g.warp_insts,
             "{job} warp instructions"
         );
+        let s = &r.stats;
+        let activity = [
+            s.active_cycles,
+            s.stall_mem,
+            s.stall_barrier,
+            s.stall_collector,
+            s.stall_alu_dep,
+        ];
+        assert_eq!(activity, g.activity, "{job} active cycles and stalls");
         let (reads, writes) = r.stats.partition_accesses.raw();
         assert_eq!(*reads, g.reads, "{job} partition reads");
         assert_eq!(*writes, g.writes, "{job} partition writes");
