@@ -1,6 +1,6 @@
 //! Benchmarks of the whole-GPU cycle loop: a single multi-SM `Gpu::run`
-//! under serial stepping, SM-parallel stepping, and skip-ahead, plus an
-//! allocation census of the steady-state hot path.
+//! under serial and SM-parallel stepping, plus an allocation census of
+//! the steady-state hot path.
 //!
 //! The census uses a counting `#[global_allocator]` to measure how many
 //! heap allocations one `Gpu::run` performs. The cycle loop reuses scratch
@@ -94,13 +94,6 @@ fn bench_gpu_run(c: &mut Criterion) {
     g.bench_function("multi_sm_parallel4", |b| {
         let config = GpuConfig {
             sm_threads: 4,
-            ..multi_sm_config(8)
-        };
-        b.iter(|| black_box(run_once(&config)))
-    });
-    g.bench_function("multi_sm_skip_ahead", |b| {
-        let config = GpuConfig {
-            skip_ahead: true,
             ..multi_sm_config(8)
         };
         b.iter(|| black_box(run_once(&config)))

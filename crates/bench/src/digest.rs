@@ -251,10 +251,10 @@ pub fn job_digest(job: &Job) -> String {
     let mut b = DigestBuilder::new();
 
     // GpuConfig — Debug covers every field (jitter_seed, scheduler,
-    // sampling, audit, ...) in declaration order. sm_threads and
-    // skip_ahead are bit-identity-neutral by construction, but they stay
-    // in the digest: proving neutrality is the simulator's test suite's
-    // job, not the cache's.
+    // sampling, audit, ...) in declaration order, so adding or removing a
+    // field changes every digest. sm_threads is bit-identity-neutral by
+    // construction, but it stays in the digest: proving neutrality is the
+    // simulator's test suite's job, not the cache's.
     b.section("gpu").field_debug("config", &job.gpu);
 
     // RF organisation, nested configs included.

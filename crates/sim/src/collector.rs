@@ -360,52 +360,6 @@ impl OperandCollector {
         self.ready_scratch = ready;
     }
 
-    /// The next cycle (strictly after `cycle`) at which ticking the
-    /// collector could have an observable effect, or `None` when idle.
-    ///
-    /// Conservative: any state still subject to arbitration (an un-granted
-    /// read, a queued writeback, an entry whose reads are all ready) pins
-    /// the horizon to `cycle + 1`; only work waiting purely on known data
-    /// latencies (granted reads in flight, writes draining) reports its
-    /// real completion time. An early wake-up is always safe — the skipped
-    /// span is exactly the cycles where `tick` provably does nothing.
-    pub fn next_event(&self, cycle: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut merge = |t: u64| {
-            let t = t.max(cycle + 1);
-            next = Some(next.map_or(t, |n| n.min(t)));
-        };
-        if !self.writeback_queue.is_empty() {
-            return Some(cycle + 1);
-        }
-        for &(done_at, _) in &self.inflight_writes {
-            merge(done_at);
-        }
-        for &i in &self.occupied {
-            let entry = self.units[i]
-                .as_ref()
-                .expect("occupied unit holds an entry");
-            let mut all_ready_now = true;
-            for r in &entry.reads {
-                match r.ready_at {
-                    // Still competing for a bank: retry next cycle.
-                    None => return Some(cycle + 1),
-                    Some(t) => {
-                        if t > cycle {
-                            merge(t);
-                            all_ready_now = false;
-                        }
-                    }
-                }
-            }
-            if all_ready_now {
-                // Fully collected: the entry releases on the next tick.
-                return Some(cycle + 1);
-            }
-        }
-        next
-    }
-
     /// True when no instruction or write is outstanding.
     pub fn is_idle(&self) -> bool {
         self.occupied.is_empty()
@@ -626,32 +580,6 @@ mod tests {
             oc.tick(cyc, |a, k| seen.push((a.partition, k)));
         }
         assert_eq!(seen, vec![(RfPartition::Srf, AccessKind::Read)]);
-    }
-
-    #[test]
-    fn next_event_is_conservative_and_tracks_data_return() {
-        let mut oc = OperandCollector::new(4, 24, true);
-        assert_eq!(oc.next_event(0), None, "idle collector has no horizon");
-        let slow = acc(0, 3, RfPartition::Srf);
-        oc.allocate(
-            0,
-            &[slow],
-            CollectDest::Execute {
-                latency: 1,
-                writeback: None,
-            },
-            1,
-        );
-        // Un-granted read: must retry next cycle.
-        assert_eq!(oc.next_event(0), Some(1));
-        oc.tick(0, |_, _| {}); // grant at 0, data ready at 3
-        assert_eq!(oc.next_event(0), Some(3), "waiting purely on data return");
-        let (c, _) = oc.tick(3, |_, _| {});
-        assert_eq!(c.len(), 1);
-        assert_eq!(oc.next_event(3), None);
-        // A queued writeback pins the horizon to the next cycle.
-        oc.request_writeback(0, Reg(0), stv(0), 9);
-        assert_eq!(oc.next_event(3), Some(4));
     }
 
     #[test]

@@ -138,16 +138,6 @@ pub struct GpuConfig {
     /// keeps the serial loop; values above `num_sms` are clamped. Plumbed
     /// from `PRF_SM_THREADS` by the experiment harness.
     pub sm_threads: usize,
-    /// Skip-ahead over fully-stalled spans: when no warp on any SM can
-    /// issue and every pending event (LSU completion, execution-pipe
-    /// result, collector data return, CTA-dispatch window) lies strictly
-    /// beyond the next cycle, the driver fast-forwards to the earliest
-    /// such event, replaying only the per-cycle bookkeeping (stall
-    /// classification, RF-model tick, sampling) the serial loop would have
-    /// performed. Exact by construction — disabled automatically for
-    /// schedulers whose prioritisation mutates state on idle cycles
-    /// (two-level, fetch-group).
-    pub skip_ahead: bool,
 }
 
 impl GpuConfig {
@@ -182,7 +172,6 @@ impl GpuConfig {
             sampling: None,
             audit: false,
             sm_threads: 1,
-            skip_ahead: true,
         }
     }
 

@@ -11,19 +11,8 @@
 //! bit-for-bit identical to a serial one — same stats, trace, samples, and
 //! audit — regardless of worker count or thread interleaving.
 //!
-//! # Skip-ahead
-//!
-//! After a cycle in which no SM issued an instruction, the driver asks
-//! every SM for its next-event horizon ([`Sm::next_event`]) and, while
-//! CTAs remain undispatched, the dispatch-interval horizon. If the
-//! earliest interesting cycle is more than one ahead, the intervening
-//! provably-idle cycles are replayed with the cheap [`Sm::idle_advance`]
-//! bookkeeping instead of the full pipeline. The horizons are conservative
-//! (they may wake early, never late) and `idle_advance` mirrors every
-//! counter a stalled [`Sm::cycle`] advances, so skipping is exact.
-//! Schedulers that mutate state inside `prioritize` (two-level,
-//! fetch-group) veto skip-ahead via
-//! [`crate::scheduler::WarpScheduler::idle_prioritize_is_noop`].
+//! Every SM steps every cycle. DESIGN.md §7.2 records why the driver has
+//! no fast-forward over idle spans.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -33,37 +22,33 @@ use prf_isa::{CtaId, GridConfig, Kernel};
 use crate::config::GpuConfig;
 use crate::mem::GlobalMemory;
 use crate::rf::RegisterFileModel;
-use crate::scheduler::build_scheduler;
 use crate::sm::{KernelImage, Sm};
 use crate::stats::{SimResult, SmStats};
 
-/// Records the pilot warp's finish cycle (warp 0 of CTA 0) from an SM's
-/// drained finish list, translated to kernel-relative cycles. No-op once
-/// the pilot has been seen.
-fn note_pilot_finish(pilot: &mut Option<u64>, finished: &[(u32, u32, u64)], start_cycle: u64) {
-    if pilot.is_some() {
-        return;
-    }
-    for &(cta, warp, at) in finished {
-        if cta == 0 && warp == 0 {
-            *pilot = Some(at - start_cycle);
+/// Round-robin CTA dispatch over `num_sms` SMs, as many as fit this
+/// cycle: `try_dispatch(sm, cta)` offers `cta` to SM `sm` and reports
+/// whether it became resident.
+fn dispatch_ctas(
+    num_sms: usize,
+    grid: GridConfig,
+    next_cta: &mut u32,
+    mut try_dispatch: impl FnMut(usize, CtaId) -> bool,
+) {
+    while *next_cta < grid.num_ctas {
+        let mut dispatched = false;
+        for sm in 0..num_sms {
+            if *next_cta >= grid.num_ctas {
+                return;
+            }
+            if try_dispatch(sm, CtaId(*next_cta)) {
+                *next_cta += 1;
+                dispatched = true;
+            }
+        }
+        if !dispatched {
             return;
         }
     }
-}
-
-/// Merges per-SM skip horizons (see [`Sm::skip_horizon`]) after the
-/// zero-issue cycle `stepped`. Stops probing at the first SM that pins the
-/// target to `stepped + 1`, since nothing can then be skipped.
-fn skip_target(horizons: impl Iterator<Item = Option<u64>>, stepped: u64) -> Option<u64> {
-    let mut target: Option<u64> = None;
-    for c in horizons.flatten() {
-        if c == stepped + 1 {
-            return Some(c);
-        }
-        target = Some(target.map_or(c, |t| t.min(c)));
-    }
-    target
 }
 
 /// A sense-reversing spin-then-block barrier for the SM-parallel cycle
@@ -217,9 +202,10 @@ pub struct Gpu {
     /// Cycle counter carried across kernel launches (a workload may launch
     /// several kernels back to back, as backprop does).
     pub cycle: u64,
-    /// Cycles fast-forwarded by skip-ahead (accumulated across launches).
-    /// Diagnostic only — deliberately not part of [`SimResult`], which
-    /// stays bit-identical whether or not skipping is enabled.
+    /// Always 0: the driver steps every cycle. Kept only because the
+    /// repository benchmark (`perfbench/src/matrix.rs`) reads it, and
+    /// `perfbench/` changes only together with the benchmark's stored
+    /// reference; the field goes at that next benchmark change.
     pub skipped_cycles: u64,
     /// Warp contexts recycled across kernel launches: each launch seeds
     /// its SMs from this pool and reclaims it afterwards, so multi-launch
@@ -321,10 +307,6 @@ impl Gpu {
         let mut next_cta = 0u32;
         let mut pilot_finish: Option<u64> = None;
         let limit = start_cycle + self.config.max_cycles;
-        // Skip-ahead is exact only when an idle `prioritize` call leaves
-        // the scheduler untouched; probe a throwaway instance.
-        let skip_ok = self.config.skip_ahead
-            && build_scheduler(self.config.scheduler).idle_prioritize_is_noop();
         let threads = self.config.sm_threads.min(sms.len());
 
         if threads > 1 {
@@ -335,7 +317,6 @@ impl Gpu {
                 &mut pilot_finish,
                 start_cycle,
                 limit,
-                skip_ok,
                 threads,
             )?;
         } else {
@@ -346,7 +327,6 @@ impl Gpu {
                 &mut pilot_finish,
                 start_cycle,
                 limit,
-                skip_ok,
             )?;
         }
 
@@ -379,53 +359,8 @@ impl Gpu {
         })
     }
 
-    /// Round-robin CTA dispatch over SMs, as many as fit this cycle.
-    fn dispatch_ctas(&self, sms: &mut [Sm], grid: GridConfig, next_cta: &mut u32, cycle: u64) {
-        'dispatch: loop {
-            if *next_cta >= grid.num_ctas {
-                break;
-            }
-            let mut dispatched = false;
-            for sm in sms.iter_mut() {
-                if *next_cta >= grid.num_ctas {
-                    break 'dispatch;
-                }
-                if sm.try_dispatch_cta(CtaId(*next_cta), cycle) {
-                    *next_cta += 1;
-                    dispatched = true;
-                }
-            }
-            if !dispatched {
-                break;
-            }
-        }
-    }
-
-    /// After a zero-issue cycle, fast-forwards `self.cycle` (clamped to
-    /// `limit`) to the earliest cycle any SM or the CTA dispatcher could
-    /// make progress, replaying the skipped span with [`Sm::idle_advance`].
-    /// `self.cycle` is the not-yet-stepped cycle; horizons are computed
-    /// relative to the cycle just stepped (`self.cycle - 1`).
-    fn skip_idle_span(&mut self, sms: &mut [Sm], grid: GridConfig, next_cta: u32, limit: u64) {
-        let stepped = self.cycle - 1;
-        let pending = next_cta < grid.num_ctas;
-        let horizons = sms.iter().map(|sm| sm.skip_horizon(stepped, pending));
-        let Some(target) = skip_target(horizons, stepped) else {
-            return;
-        };
-        let target = target.min(limit);
-        while self.cycle < target {
-            for sm in sms.iter_mut() {
-                sm.idle_advance(self.cycle);
-            }
-            self.cycle += 1;
-            self.skipped_cycles += 1;
-        }
-    }
-
     /// The single-threaded cycle loop (also used when `sm_threads <= 1` or
     /// only one SM exists).
-    #[allow(clippy::too_many_arguments)]
     fn run_serial(
         &mut self,
         sms: &mut [Sm],
@@ -434,30 +369,27 @@ impl Gpu {
         pilot_finish: &mut Option<u64>,
         start_cycle: u64,
         limit: u64,
-        skip_ok: bool,
     ) -> Result<(), SimError> {
         loop {
-            self.dispatch_ctas(sms, grid, next_cta, self.cycle);
+            let cycle = self.cycle;
+            dispatch_ctas(sms.len(), grid, next_cta, |i, cta| {
+                sms[i].try_dispatch_cta(cta, cycle)
+            });
 
             // Execute: every SM steps the cycle against the frozen memory
             // image, staging its stores.
-            let mut issued = 0u64;
             for sm in sms.iter_mut() {
-                issued += u64::from(sm.cycle(self.cycle, &self.global));
+                sm.cycle(cycle, &self.global);
             }
             // Commit: apply staged stores in SM order, drain finishes.
+            let mut all_idle = true;
             for sm in sms.iter_mut() {
-                sm.commit_global_writes(&mut self.global);
-                note_pilot_finish(pilot_finish, &sm.finished_warps, start_cycle);
-                sm.finished_warps.clear();
+                all_idle &= sm.end_cycle(&mut self.global, pilot_finish, start_cycle);
             }
             self.cycle += 1;
 
-            if *next_cta >= grid.num_ctas && sms.iter().all(|sm| sm.is_idle()) {
+            if *next_cta >= grid.num_ctas && all_idle {
                 return Ok(());
-            }
-            if skip_ok && issued == 0 {
-                self.skip_idle_span(sms, grid, *next_cta, limit);
             }
             if self.cycle >= limit {
                 return Err(SimError::CycleLimitExceeded {
@@ -482,13 +414,11 @@ impl Gpu {
         pilot_finish: &mut Option<u64>,
         start_cycle: u64,
         limit: u64,
-        skip_ok: bool,
         threads: usize,
     ) -> Result<(), SimError> {
         let start = SpinBarrier::new(threads + 1);
         let done = SpinBarrier::new(threads + 1);
         let cycle_now = AtomicU64::new(self.cycle);
-        let issued_now = AtomicU64::new(0);
         let stop = AtomicBool::new(false);
         // Workers take shared read access during the execute phase; the
         // driver takes exclusive access for the commit phase. The barriers
@@ -497,13 +427,12 @@ impl Gpu {
         let cells: Vec<Mutex<&mut Sm>> = sms.iter_mut().map(Mutex::new).collect();
         let cycle_ref = &mut self.cycle;
         let max_cycles = self.config.max_cycles;
-        let mut skipped = 0u64;
 
         let mut outcome = Ok(());
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let (start, done) = (&start, &done);
-                let (cycle_now, issued_now, stop) = (&cycle_now, &issued_now, &stop);
+                let (cycle_now, stop) = (&cycle_now, &stop);
                 let (global, cells) = (&global, &cells);
                 scope.spawn(move || loop {
                     start.wait();
@@ -511,15 +440,12 @@ impl Gpu {
                         return;
                     }
                     let cycle = cycle_now.load(Ordering::Acquire);
-                    let mut issued = 0u64;
                     {
                         let mem = global.read().expect("gmem lock");
                         for cell in cells.iter().skip(t).step_by(threads) {
-                            let sm = &mut *cell.lock().expect("sm lock");
-                            issued += u64::from(sm.cycle(cycle, &mem));
+                            cell.lock().expect("sm lock").cycle(cycle, &mem);
                         }
                     }
-                    issued_now.fetch_add(issued, Ordering::AcqRel);
                     done.wait();
                 });
             }
@@ -528,29 +454,13 @@ impl Gpu {
                 // Dispatch + commit run on the driver thread, between the
                 // `done` barrier of the previous cycle and the `start`
                 // barrier of the next, so the uncontended locks are exact.
-                {
-                    'dispatch: loop {
-                        if *next_cta >= grid.num_ctas {
-                            break;
-                        }
-                        let mut dispatched = false;
-                        for cell in cells.iter() {
-                            if *next_cta >= grid.num_ctas {
-                                break 'dispatch;
-                            }
-                            let sm = &mut *cell.lock().expect("sm lock");
-                            if sm.try_dispatch_cta(CtaId(*next_cta), *cycle_ref) {
-                                *next_cta += 1;
-                                dispatched = true;
-                            }
-                        }
-                        if !dispatched {
-                            break;
-                        }
-                    }
-                }
+                dispatch_ctas(cells.len(), grid, next_cta, |i, cta| {
+                    cells[i]
+                        .lock()
+                        .expect("sm lock")
+                        .try_dispatch_cta(cta, *cycle_ref)
+                });
 
-                issued_now.store(0, Ordering::Release);
                 cycle_now.store(*cycle_ref, Ordering::Release);
                 start.wait();
                 // Workers execute the cycle here.
@@ -560,34 +470,14 @@ impl Gpu {
                 {
                     let mem = &mut **global.write().expect("gmem lock");
                     for cell in cells.iter() {
-                        let sm = &mut *cell.lock().expect("sm lock");
-                        sm.commit_global_writes(mem);
-                        note_pilot_finish(pilot_finish, &sm.finished_warps, start_cycle);
-                        sm.finished_warps.clear();
-                        all_idle &= sm.is_idle();
+                        let mut sm = cell.lock().expect("sm lock");
+                        all_idle &= sm.end_cycle(mem, pilot_finish, start_cycle);
                     }
                 }
                 *cycle_ref += 1;
 
                 if *next_cta >= grid.num_ctas && all_idle {
                     break;
-                }
-                if skip_ok && issued_now.load(Ordering::Acquire) == 0 {
-                    let stepped = *cycle_ref - 1;
-                    let pending = *next_cta < grid.num_ctas;
-                    let horizons = cells
-                        .iter()
-                        .map(|cell| cell.lock().expect("sm lock").skip_horizon(stepped, pending));
-                    if let Some(target) = skip_target(horizons, stepped) {
-                        let target = target.min(limit);
-                        while *cycle_ref < target {
-                            for cell in cells.iter() {
-                                cell.lock().expect("sm lock").idle_advance(*cycle_ref);
-                            }
-                            *cycle_ref += 1;
-                            skipped += 1;
-                        }
-                    }
                 }
                 if *cycle_ref >= limit {
                     outcome = Err(SimError::CycleLimitExceeded { limit: max_cycles });
@@ -597,7 +487,6 @@ impl Gpu {
             stop.store(true, Ordering::Release);
             start.wait();
         });
-        self.skipped_cycles += skipped;
         outcome
     }
 }
@@ -619,9 +508,8 @@ mod tests {
         kb.build().unwrap()
     }
 
-    /// A kernel that exercises every wake source skip-ahead must model:
-    /// L1-missing loads (LSU horizon), dependent ALU chains (exec-pipe
-    /// horizon), a barrier (release edge), and a loop (repeated issue).
+    /// A kernel with L1-missing loads, dependent ALU chains, a barrier
+    /// and a loop, so SMs idle, stall and wake in every way they can.
     fn varied_kernel() -> Kernel {
         let mut kb = KernelBuilder::new("varied");
         kb.mov_special(Reg(0), SpecialReg::GlobalTid);
@@ -642,7 +530,7 @@ mod tests {
 
     /// Runs `varied_kernel` on `config` and returns the result plus a
     /// global-memory fingerprint.
-    fn run_varied(config: GpuConfig) -> (SimResult, u64, Vec<u32>) {
+    fn run_varied(config: GpuConfig) -> (SimResult, Vec<u32>) {
         let mut gpu = Gpu::new(config);
         let r = gpu
             .run(varied_kernel(), GridConfig::new(24, 128), &|_| {
@@ -652,7 +540,7 @@ mod tests {
         let mem: Vec<u32> = (0..24 * 128)
             .map(|a| gpu.global_mem_ref().read(a))
             .collect();
-        (r, gpu.skipped_cycles, mem)
+        (r, mem)
     }
 
     fn observed_config(num_sms: usize) -> GpuConfig {
@@ -662,20 +550,19 @@ mod tests {
             trace_capacity: 1 << 14,
             audit: true,
             sampling: Some(SamplingConfig { window: 64 }),
-            skip_ahead: false,
             ..GpuConfig::kepler_gtx780()
         }
     }
 
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
-        let (serial, _, serial_mem) = run_varied(observed_config(4));
+        let (serial, serial_mem) = run_varied(observed_config(4));
         for threads in [2, 3, 4, 7] {
             let config = GpuConfig {
                 sm_threads: threads,
                 ..observed_config(4)
             };
-            let (parallel, _, parallel_mem) = run_varied(config);
+            let (parallel, parallel_mem) = run_varied(config);
             assert_eq!(
                 serial, parallel,
                 "SM-parallel run ({threads} threads) diverged from serial"
@@ -702,61 +589,14 @@ mod tests {
                 scheduler: policy,
                 ..observed_config(4)
             };
-            let (serial, _, serial_mem) = run_varied(base.clone());
-            let (parallel, _, parallel_mem) = run_varied(GpuConfig {
+            let (serial, serial_mem) = run_varied(base.clone());
+            let (parallel, parallel_mem) = run_varied(GpuConfig {
                 sm_threads: 4,
                 ..base
             });
             assert_eq!(serial, parallel, "{policy:?} diverged under SM-parallelism");
             assert_eq!(serial_mem, parallel_mem);
         }
-    }
-
-    #[test]
-    fn skip_ahead_is_bit_identical_and_actually_skips() {
-        let (stepped, stepped_skips, stepped_mem) = run_varied(observed_config(2));
-        assert_eq!(stepped_skips, 0);
-        let (skipping, skips, skipping_mem) = run_varied(GpuConfig {
-            skip_ahead: true,
-            ..observed_config(2)
-        });
-        assert_eq!(stepped, skipping, "skip-ahead changed observable results");
-        assert_eq!(stepped_mem, skipping_mem);
-        assert!(
-            skips > 0,
-            "memory-bound kernel should produce skippable idle spans"
-        );
-        assert!(skipping.audit.as_ref().unwrap().is_clean());
-    }
-
-    #[test]
-    fn skip_ahead_is_vetoed_for_impure_schedulers() {
-        for policy in [
-            SchedulerPolicy::TwoLevel {
-                active_per_scheduler: 4,
-            },
-            SchedulerPolicy::FetchGroup { group_size: 4 },
-        ] {
-            let (_, skips, _) = run_varied(GpuConfig {
-                scheduler: policy,
-                skip_ahead: true,
-                ..observed_config(2)
-            });
-            assert_eq!(skips, 0, "{policy:?} must veto skip-ahead");
-        }
-    }
-
-    #[test]
-    fn parallel_skip_ahead_matches_serial_stepped() {
-        let (serial, _, serial_mem) = run_varied(observed_config(4));
-        let (fast, skips, fast_mem) = run_varied(GpuConfig {
-            sm_threads: 4,
-            skip_ahead: true,
-            ..observed_config(4)
-        });
-        assert_eq!(serial, fast);
-        assert_eq!(serial_mem, fast_mem);
-        assert!(skips > 0);
     }
 
     #[test]

@@ -348,20 +348,6 @@ impl LoadStoreUnit {
         });
     }
 
-    /// The next cycle (strictly after `cycle`) at which ticking this unit
-    /// could have an observable effect, or `None` when idle. A queued
-    /// instruction enters service on the very next tick, so a non-empty
-    /// accept queue pins the horizon to `cycle + 1`.
-    pub fn next_event(&self, cycle: u64) -> Option<u64> {
-        if !self.accept_queue.is_empty() {
-            return Some(cycle + 1);
-        }
-        self.inflight
-            .iter()
-            .map(|op| op.finish_at.max(cycle + 1))
-            .min()
-    }
-
     /// True when nothing is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty() && self.accept_queue.is_empty()
@@ -675,19 +661,6 @@ mod tests {
         LoadStoreUnit::coalesce_into(&addrs, &mut segs);
         assert_eq!(segs.len() as u32, LoadStoreUnit::coalesce(&addrs));
         assert_eq!(segs, vec![0, 1, 31]);
-    }
-
-    #[test]
-    fn lsu_next_event_tracks_queue_and_inflight() {
-        let mut lsu = LoadStoreUnit::new();
-        assert_eq!(lsu.next_event(10), None);
-        lsu.submit(1, 20, 1);
-        // Queued: next tick enters service.
-        assert_eq!(lsu.next_event(10), Some(11));
-        lsu.tick(11); // enters service, finishes at 31
-        assert_eq!(lsu.next_event(11), Some(31));
-        assert_eq!(lsu.tick(31), vec![1]);
-        assert_eq!(lsu.next_event(31), None);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl SmObserver {
         }
     }
 
-    /// Ends one cycle, stepped or skipped. The model's FRF mode is queried
+    /// Ends one cycle. The model's FRF mode is queried
     /// only while sampling.
     #[inline]
     pub(crate) fn cycle_end(

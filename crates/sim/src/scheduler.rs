@@ -67,11 +67,11 @@ pub trait WarpScheduler: fmt::Debug + Send {
 
     /// True when calling [`WarpScheduler::prioritize`] on a cycle where no
     /// warp issues leaves the scheduler's observable state unchanged. The
-    /// skip-ahead fast-forward relies on this to elide idle cycles, and the
-    /// SM to skip the turn of a scheduler none of whose warps can issue:
-    /// GTO and LRR mutate state only in `on_issue`, while the two-level
-    /// scheduler demotes/promotes and the fetch-group scheduler rotates
-    /// inside `prioritize` itself, so those two veto skipping.
+    /// SM then skips the turn of a scheduler none of whose warps can
+    /// issue, building no views and calling no `prioritize`. GTO and LRR
+    /// mutate state only in `on_issue`; the two-level scheduler
+    /// demotes/promotes and the fetch-group scheduler rotates inside
+    /// `prioritize` itself, so those two always take their turn.
     fn idle_prioritize_is_noop(&self) -> bool {
         false
     }

@@ -162,8 +162,9 @@ pub struct Sm {
     exec_completions: Vec<(u64, u64)>, // (cycle, token)
     /// Statistics for this SM.
     pub stats: SmStats,
-    /// (cta, warp_in_cta, finish_cycle) of finished warps, drained by the GPU.
-    pub finished_warps: Vec<(u32, u32, u64)>,
+    /// (cta, warp_in_cta, finish_cycle) of finished warps, drained by
+    /// [`Sm::end_cycle`].
+    finished_warps: Vec<(u32, u32, u64)>,
     sched_events: Vec<SchedulerEvent>,
     next_dispatch_allowed: u64,
     /// Trace ring, auditor and sampler; closed by
@@ -429,6 +430,26 @@ impl Sm {
         self.maybe_finish_warp(info.warp_slot, cycle);
     }
 
+    /// Hands on the result of a completed memory or execution-pipe
+    /// instruction. A register result is forwarded: the scoreboard releases
+    /// at once, so dependents see the value as soon as it returns, and the
+    /// RF write is requested to overlap with them. An instruction without
+    /// a register result retires.
+    fn forward_or_retire(&mut self, token: u64, slot: usize, dst: Option<Reg>, cycle: u64) {
+        let Some(reg) = dst else {
+            self.retire(token, cycle);
+            return;
+        };
+        self.scoreboards[slot].release_reg(reg);
+        self.observer.event(TraceEvent::ScoreboardRelease {
+            cycle,
+            sm: self.id,
+            warp: slot,
+        });
+        let access = self.rf.resolve(slot, reg, AccessKind::Write, cycle);
+        self.collector.request_writeback(slot, reg, access, token);
+    }
+
     fn maybe_finish_warp(&mut self, slot: usize, cycle: u64) {
         let done = match self.warps[slot].as_ref() {
             Some(w) => w.exited() && w.inflight == 0,
@@ -500,12 +521,6 @@ impl Sm {
             }
         }
         live > 0 && waiting == live
-    }
-
-    /// True when some CTA's live warps have all arrived at a barrier, so
-    /// phase 4 of the next cycle releases them.
-    fn barrier_releasable(&self) -> bool {
-        self.barrier_waiting > 0 && (0..self.cta_slots.len()).any(|c| self.cta_arrived(c))
     }
 
     fn release_barriers(&mut self) {
@@ -731,14 +746,13 @@ impl Sm {
         self.maybe_finish_warp(slot, cycle);
     }
 
-    /// Advances the SM by one cycle. Returns the number of instructions
-    /// issued.
+    /// Advances the SM by one cycle.
     ///
     /// Global-memory writes are *staged*, not applied: the driver must call
     /// [`Sm::commit_global_writes`] (in ascending SM order) after every SM
     /// of the cycle has stepped. Reads through the [`GmemView`] still see
     /// this SM's own same-cycle stores, in program order.
-    pub fn cycle(&mut self, cycle: u64, global: &GlobalMemory) -> u32 {
+    pub fn cycle(&mut self, cycle: u64, global: &GlobalMemory) {
         if self.resident > 0 {
             self.stats.active_cycles += 1;
         }
@@ -759,21 +773,7 @@ impl Sm {
                 sm: self.id,
                 warp: slot,
             });
-            match dst {
-                Some(reg) => {
-                    // Result forwarding: dependents see the value as soon
-                    // as it returns; the RF write itself is overlapped.
-                    self.scoreboards[slot].release_reg(reg);
-                    self.observer.event(TraceEvent::ScoreboardRelease {
-                        cycle,
-                        sm: self.id,
-                        warp: slot,
-                    });
-                    let access = self.rf.resolve(slot, reg, AccessKind::Write, cycle);
-                    self.collector.request_writeback(slot, reg, access, token);
-                }
-                None => self.retire(token, cycle),
-            }
+            self.forward_or_retire(token, slot, dst, cycle);
         }
         self.mem_done_scratch = mem_done;
 
@@ -789,23 +789,8 @@ impl Sm {
             }
         });
         for &token in &due {
-            let (slot, dst) = match self.inflight_info(token) {
-                Some(i) => (i.warp_slot, i.dst_reg),
-                None => continue,
-            };
-            match dst {
-                Some(reg) => {
-                    // Result forwarding (as above).
-                    self.scoreboards[slot].release_reg(reg);
-                    self.observer.event(TraceEvent::ScoreboardRelease {
-                        cycle,
-                        sm: self.id,
-                        warp: slot,
-                    });
-                    let access = self.rf.resolve(slot, reg, AccessKind::Write, cycle);
-                    self.collector.request_writeback(slot, reg, access, token);
-                }
-                None => self.retire(token, cycle),
+            if let Some(i) = self.inflight_info(token) {
+                self.forward_or_retire(token, i.warp_slot, i.dst_reg, cycle);
             }
         }
         self.due_scratch = due;
@@ -930,8 +915,8 @@ impl Sm {
         for sched in 0..self.schedulers.len() {
             // A turn in which none of this scheduler's warps can issue
             // changes nothing when its `prioritize` is pure on a cycle
-            // without issue (the rule skip-ahead relies on), so such a
-            // turn builds no views and calls no `prioritize`.
+            // without issue, so such a turn builds no views and calls no
+            // `prioritize`.
             order.clear();
             let idle_turn = self.schedulers[sched].idle_prioritize_is_noop()
                 && !self.age_order[sched]
@@ -1007,13 +992,10 @@ impl Sm {
         // this cycle's epoch decision.
         self.observer
             .cycle_end(cycle, &self.stats, self.resident, self.rf.as_ref());
-
-        issued_total
     }
 
     /// Classifies a zero-issue cycle with resident warps by its dominant
-    /// blocker. Shared by [`Sm::cycle`] and [`Sm::idle_advance`] so skipped
-    /// idle spans account stalls identically to stepped ones.
+    /// blocker.
     fn classify_zero_issue_stall(&mut self) {
         let (mut mem, mut barrier, mut coll, mut alu) = (0u32, 0u32, 0u32, 0u32);
         for slot in self.live_slots() {
@@ -1055,82 +1037,28 @@ impl Sm {
         }
     }
 
-    /// Replays the per-cycle bookkeeping of a provably idle cycle — one
-    /// where [`Sm::next_event`] guarantees no unit, scoreboard, barrier, or
-    /// issue slot can make progress — without running the heavy pipeline
-    /// phases. Mirrors [`Sm::cycle`] for every counter that advances on a
-    /// stalled cycle (active cycles, stall classification, the RF model's
-    /// per-cycle hook, sampling), so a skip-ahead run is bit-identical to a
-    /// stepped one.
-    pub fn idle_advance(&mut self, cycle: u64) {
-        if self.resident > 0 {
-            self.stats.active_cycles += 1;
-            self.classify_zero_issue_stall();
+    /// The driver's end of this SM's cycle, once every SM has stepped it:
+    /// commits the staged global-memory writes, records the pilot warp's
+    /// finish (warp 0 of CTA 0, relative to `start_cycle`) into `pilot`
+    /// unless it is already known, drains the finished-warp list, and
+    /// returns [`Sm::is_idle`]. Both driver loops call it in ascending SM
+    /// order.
+    pub(crate) fn end_cycle(
+        &mut self,
+        global: &mut GlobalMemory,
+        pilot: &mut Option<u64>,
+        start_cycle: u64,
+    ) -> bool {
+        self.commit_global_writes(global);
+        if pilot.is_none() {
+            *pilot = self
+                .finished_warps
+                .iter()
+                .find(|&&(cta, warp, _)| cta == 0 && warp == 0)
+                .map(|&(_, _, at)| at - start_cycle);
         }
-        self.rf.tick(cycle, 0);
-        self.observer
-            .cycle_end(cycle, &self.stats, self.resident, self.rf.as_ref());
-    }
-
-    /// The next cycle, strictly after `cycle`, at which stepping this SM
-    /// could have an observable effect: a warp can issue, a fully arrived
-    /// barrier releases, a load/store or execution pipe completes, or the
-    /// operand collector makes progress. `None` when the SM is completely
-    /// idle. Conservative by construction — it may wake the driver early,
-    /// never late — which keeps skip-ahead exact.
-    pub fn next_event(&self, cycle: u64) -> Option<u64> {
-        // Sources that pin the horizon to the next cycle short-circuit: the
-        // probe runs on every zero-issue cycle, and the common answer is
-        // "no skip". The unit horizons are probed before the warp scan;
-        // any pinning source gives the same answer, and the minimum over
-        // the rest does not depend on the order.
-        let next = cycle + 1;
-        let mut horizon: Option<u64> = None;
-        for c in [
-            self.collector.next_event(cycle),
-            self.lsu.next_event(cycle),
-            self.shared_unit.next_event(cycle),
-        ]
-        .into_iter()
-        .flatten()
-        .chain(self.exec_completions.iter().map(|&(at, _)| at))
-        {
-            let c = c.max(next);
-            if c == next {
-                return Some(next);
-            }
-            horizon = Some(horizon.map_or(c, |h| h.min(c)));
-        }
-        if self.live_slots().any(|slot| self.can_issue(slot)) || self.barrier_releasable() {
-            return Some(next);
-        }
-        if horizon.is_none() && self.resident > 0 {
-            // Resident warps without any pending event would mean a hang;
-            // step normally rather than skipping so the cycle limit and
-            // audit see it.
-            return Some(next);
-        }
-        horizon
-    }
-
-    /// The skip-ahead horizon of this SM after the zero-issue cycle
-    /// `stepped`: [`Sm::next_event`], merged with
-    /// [`Sm::next_dispatch_ready`] while undispatched CTAs remain.
-    pub(crate) fn skip_horizon(&self, stepped: u64, ctas_pending: bool) -> Option<u64> {
-        let event = self.next_event(stepped);
-        if !ctas_pending {
-            return event;
-        }
-        let ready = self.next_dispatch_ready(stepped);
-        Some(event.map_or(ready, |e| e.min(ready)))
-    }
-
-    /// The earliest cycle, strictly after `cycle`, at which the CTA
-    /// dispatch interval permits this SM to accept another CTA (capacity
-    /// permitting). Used for the skip-ahead dispatch horizon while
-    /// undispatched CTAs remain.
-    pub fn next_dispatch_ready(&self, cycle: u64) -> u64 {
-        self.next_dispatch_allowed.max(cycle + 1)
+        self.finished_warps.clear();
+        self.is_idle()
     }
 
     /// Access to the register-file model (for tests and reports).
