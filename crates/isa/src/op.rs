@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::WARP_SIZE;
+
 /// Integer/float comparison operator used by `SETP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -45,6 +47,31 @@ impl CmpOp {
             CmpOp::Ge => sa >= sb,
             CmpOp::Ult => a < b,
             CmpOp::Uge => a >= b,
+        }
+    }
+
+    /// The warp form of [`CmpOp::eval`]: compares `a[l]` with `b[l]` in
+    /// every lane and returns the results as a lane mask (bit `l` set when
+    /// lane `l` compares true). The operator is matched once, not per lane.
+    pub fn eval_lanes(self, a: &[u32; WARP_SIZE], b: &[u32; WARP_SIZE]) -> u32 {
+        #[inline(always)]
+        fn mask(a: &[u32; WARP_SIZE], b: &[u32; WARP_SIZE], f: impl Fn(u32, u32) -> bool) -> u32 {
+            let mut bits = 0u32;
+            for (lane, (&x, &y)) in a.iter().zip(b).enumerate() {
+                bits |= u32::from(f(x, y)) << lane;
+            }
+            bits
+        }
+        let s = |x: u32| x as i32;
+        match self {
+            CmpOp::Eq => mask(a, b, |x, y| x == y),
+            CmpOp::Ne => mask(a, b, |x, y| x != y),
+            CmpOp::Lt => mask(a, b, |x, y| s(x) < s(y)),
+            CmpOp::Le => mask(a, b, |x, y| s(x) <= s(y)),
+            CmpOp::Gt => mask(a, b, |x, y| s(x) > s(y)),
+            CmpOp::Ge => mask(a, b, |x, y| s(x) >= s(y)),
+            CmpOp::Ult => mask(a, b, |x, y| x < y),
+            CmpOp::Uge => mask(a, b, |x, y| x >= y),
         }
     }
 }
@@ -212,8 +239,8 @@ impl Opcode {
             IXor => a ^ b,
             IShl => a.wrapping_shl(b & 31),
             IShr => a.wrapping_shr(b & 31),
-            FAdd => (fa + fb).to_bits(),
-            FMul => (fa * fb).to_bits(),
+            FAdd => nan_first(fa + fb, fa, fb),
+            FMul => nan_first(fa * fb, fa, fb),
             FFma => fa.mul_add(fb, fc).to_bits(),
             FRcp => (1.0 / fa).to_bits(),
             FSqrt => fa.sqrt().to_bits(),
@@ -232,6 +259,89 @@ impl Opcode {
                 panic!("Opcode::eval called on non-pure opcode {self:?}")
             }
         }
+    }
+
+    /// The warp form of [`Opcode::eval`]: writes `eval([a[l], b[l], c[l]])`
+    /// to `out[l]` for every lane `l`, matching the opcode once and then
+    /// running one plain loop over the lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the opcodes [`Opcode::eval`] rejects.
+    pub fn eval_lanes(
+        self,
+        a: &[u32; WARP_SIZE],
+        b: &[u32; WARP_SIZE],
+        c: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+    ) {
+        use Opcode::*;
+        let f = f32::from_bits;
+        match self {
+            Mov => *out = *a,
+            IAdd => map_lanes(out, a, b, c, |x, y, _| x.wrapping_add(y)),
+            ISub => map_lanes(out, a, b, c, |x, y, _| x.wrapping_sub(y)),
+            IMul => map_lanes(out, a, b, c, |x, y, _| x.wrapping_mul(y)),
+            IMad => map_lanes(out, a, b, c, |x, y, z| x.wrapping_mul(y).wrapping_add(z)),
+            IMin => map_lanes(out, a, b, c, |x, y, _| (x as i32).min(y as i32) as u32),
+            IMax => map_lanes(out, a, b, c, |x, y, _| (x as i32).max(y as i32) as u32),
+            IAnd => map_lanes(out, a, b, c, |x, y, _| x & y),
+            IOr => map_lanes(out, a, b, c, |x, y, _| x | y),
+            IXor => map_lanes(out, a, b, c, |x, y, _| x ^ y),
+            IShl => map_lanes(out, a, b, c, |x, y, _| x.wrapping_shl(y & 31)),
+            IShr => map_lanes(out, a, b, c, |x, y, _| x.wrapping_shr(y & 31)),
+            FAdd => map_lanes(out, a, b, c, |x, y, _| nan_first(f(x) + f(y), f(x), f(y))),
+            FMul => map_lanes(out, a, b, c, |x, y, _| nan_first(f(x) * f(y), f(x), f(y))),
+            FFma => map_lanes(out, a, b, c, |x, y, z| f(x).mul_add(f(y), f(z)).to_bits()),
+            FRcp => map_lanes(out, a, b, c, |x, _, _| (1.0 / f(x)).to_bits()),
+            FSqrt => map_lanes(out, a, b, c, |x, _, _| f(x).sqrt().to_bits()),
+            FLog2 => map_lanes(out, a, b, c, |x, _, _| f(x).log2().to_bits()),
+            FExp2 => map_lanes(out, a, b, c, |x, _, _| f(x).exp2().to_bits()),
+            Setp(op) => {
+                let bits = op.eval_lanes(a, b);
+                for (lane, o) in out.iter_mut().enumerate() {
+                    *o = (bits >> lane) & 1;
+                }
+            }
+            Selp => map_lanes(out, a, b, c, |x, y, z| if z != 0 { x } else { y }),
+            Shfl | Ldg | Stg | Lds | Sts | Bra | Bar | Exit | Nop => {
+                panic!("Opcode::eval_lanes called on non-pure opcode {self:?}")
+            }
+        }
+    }
+}
+
+/// The bits of `r = x op y` for a commutative float op, with the NaN
+/// propagation pinned to operand order: when an operand is a NaN, the
+/// result is the first NaN operand, quieted, which is what x86 scalar SSE
+/// returns for `x op y`. The compiler may swap the operands of a
+/// commutative float op (it does when it vectorises the lane loop of
+/// [`Opcode::eval_lanes`]), so without the pin the payload of `NaN op NaN`
+/// would depend on code generation.
+#[inline(always)]
+fn nan_first(r: f32, x: f32, y: f32) -> u32 {
+    const QUIET: u32 = 0x0040_0000;
+    if x.is_nan() {
+        x.to_bits() | QUIET
+    } else if y.is_nan() {
+        y.to_bits() | QUIET
+    } else {
+        r.to_bits()
+    }
+}
+
+/// `out[l] = f(a[l], b[l], c[l])` for every lane: the one loop each arm of
+/// [`Opcode::eval_lanes`] runs.
+#[inline(always)]
+fn map_lanes(
+    out: &mut [u32; WARP_SIZE],
+    a: &[u32; WARP_SIZE],
+    b: &[u32; WARP_SIZE],
+    c: &[u32; WARP_SIZE],
+    f: impl Fn(u32, u32, u32) -> u32,
+) {
+    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(x, y, z);
     }
 }
 
@@ -377,6 +487,139 @@ mod tests {
     #[should_panic(expected = "non-pure opcode")]
     fn eval_rejects_memory_ops() {
         Opcode::Ldg.eval([0, 0, 0]);
+    }
+
+    const CMP_OPS: [CmpOp; 8] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Ult,
+        CmpOp::Uge,
+    ];
+
+    /// Operand triples for the warp-form tests: integer edges, shift
+    /// counts around the 5-bit mask, f32 NaNs with different payloads,
+    /// signed zeros, infinities and a subnormal, each paired with every
+    /// other, plus a lane-varying mix. Returned in warp-sized chunks.
+    fn operand_warps() -> Vec<[[u32; WARP_SIZE]; 3]> {
+        let edges: Vec<u32> = vec![
+            0,
+            1,
+            u32::MAX,
+            i32::MIN as u32,
+            i32::MAX as u32,
+            31,
+            32,
+            33,
+            0x7FC0_0000,         // quiet NaN
+            0x7FC0_1234,         // quiet NaN, other payload
+            0xFFC0_0001,         // negative quiet NaN
+            0x7F80_0001,         // signalling NaN
+            0.0f32.to_bits(),    // +0.0
+            (-0.0f32).to_bits(), // -0.0
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            1,           // smallest subnormal
+            0x0040_0000, // a larger subnormal
+            1.5f32.to_bits(),
+            (-2.25f32).to_bits(),
+        ];
+        let mut triples = Vec::new();
+        for &x in &edges {
+            for &y in &edges {
+                for z in [0, 1, u32::MAX, x ^ y] {
+                    triples.push([x, y, z]);
+                }
+            }
+        }
+        // A lane-varying mix: every lane of one warp holds different
+        // operands.
+        let mut h = 0x9E37_79B9u32;
+        for _ in 0..4 * WARP_SIZE {
+            let mut next = || {
+                h ^= h << 13;
+                h ^= h >> 17;
+                h ^= h << 5;
+                h
+            };
+            triples.push([next(), next() % 40, next()]);
+        }
+        triples
+            .chunks(WARP_SIZE)
+            .map(|chunk| {
+                let mut warp = [[0u32; WARP_SIZE]; 3];
+                for (lane, t) in chunk.iter().enumerate() {
+                    for (operand, &v) in warp.iter_mut().zip(t) {
+                        operand[lane] = v;
+                    }
+                }
+                warp
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warp_form_matches_per_lane_reference() {
+        use Opcode::*;
+        let mut pure: Vec<Opcode> = vec![
+            Mov, IAdd, ISub, IMul, IMad, IMin, IMax, IAnd, IOr, IXor, IShl, IShr, FAdd, FMul, FFma,
+            FRcp, FSqrt, FLog2, FExp2, Selp,
+        ];
+        pure.extend(CMP_OPS.map(Setp));
+        let warps = operand_warps();
+        for op in pure {
+            for [a, b, c] in &warps {
+                let mut out = [0xDEAD_BEEF; WARP_SIZE];
+                op.eval_lanes(a, b, c, &mut out);
+                for lane in 0..WARP_SIZE {
+                    let want = op.eval([a[lane], b[lane], c[lane]]);
+                    assert_eq!(
+                        out[lane], want,
+                        "{op} lane {lane}: {:#x} {:#x} {:#x}",
+                        a[lane], b[lane], c[lane]
+                    );
+                }
+            }
+        }
+        for cmp in CMP_OPS {
+            for [a, b, _] in &warps {
+                let bits = cmp.eval_lanes(a, b);
+                for lane in 0..WARP_SIZE {
+                    let want = cmp.eval(a[lane], b[lane]);
+                    assert_eq!(bits & (1 << lane) != 0, want, "{cmp} lane {lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_operands_propagate_in_operand_order() {
+        // Quiet, other-payload and signalling NaNs: the first NaN operand
+        // wins, quieted, in both forms and whichever operand is a NaN.
+        let (q, p, sig, one) = (0x7FC0_0000, 0xFFC0_1234, 0x7F80_0001, 1.0f32.to_bits());
+        for op in [Opcode::FAdd, Opcode::FMul] {
+            for (a, b, want) in [
+                (q, p, q),
+                (p, q, p),
+                (sig, p, 0x7FC0_0001),
+                (one, sig, 0x7FC0_0001),
+            ] {
+                assert_eq!(op.eval([a, b, 0]), want, "{op} {a:#x} {b:#x}");
+                let mut out = [0; WARP_SIZE];
+                op.eval_lanes(&[a; WARP_SIZE], &[b; WARP_SIZE], &[0; WARP_SIZE], &mut out);
+                assert_eq!(out, [want; WARP_SIZE], "{op} {a:#x} {b:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-pure opcode")]
+    fn eval_lanes_rejects_shfl() {
+        let z = [0u32; WARP_SIZE];
+        Opcode::Shfl.eval_lanes(&z, &z, &z, &mut [0; WARP_SIZE]);
     }
 
     #[test]

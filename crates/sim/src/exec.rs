@@ -275,12 +275,11 @@ pub fn execute_warp_instruction_into(
             true
         }
         Opcode::Nop => false,
+        // The ALU and `setp` arms match their opcode once per warp
+        // instruction and then loop over the lanes (`eval_lanes`).
         Opcode::Setp(cmp) => {
-            let mut bits = 0u32;
-            for lane in 0..WARP_SIZE {
-                bits |= u32::from(cmp.eval(a[lane], b[lane])) << lane;
-            }
             if let Dst::Pred(p) = instr.dst {
+                let bits = cmp.eval_lanes(&a, &b);
                 let old = warp.preds[p.index()];
                 warp.preds[p.index()] = (old & !exec_mask) | (bits & exec_mask);
             }
@@ -289,9 +288,7 @@ pub fn execute_warp_instruction_into(
         op => {
             if dst.is_some() {
                 gather(warp, env, instr.srcs[2], &mut c);
-                for (lane, r) in result.iter_mut().enumerate() {
-                    *r = op.eval([a[lane], b[lane], c[lane]]);
-                }
+                op.eval_lanes(&a, &b, &c, &mut result);
             }
             true
         }

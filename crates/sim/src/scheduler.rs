@@ -4,7 +4,8 @@
 //! to scheduler `s % num_schedulers` (the usual striped assignment). Every
 //! cycle the SM asks each scheduler for a priority-ordered candidate list
 //! and issues to the first ready warps. The SM hands each scheduler its
-//! live warps already in age order (see [`WarpScheduler::prioritize`]).
+//! live warps, or only its issuable ones, already in age order (see
+//! [`WarpScheduler::prioritize`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -44,11 +45,15 @@ pub trait WarpScheduler: fmt::Debug + Send {
     /// Returns the candidate warp slots in priority order for this cycle.
     /// The SM tries them in order and issues to the ready ones.
     ///
-    /// `warps` holds one view per live warp of this scheduler (resident,
-    /// with lanes left to run; barrier-blocked warps included), in age
-    /// order: by the cycle the warp became resident, then by slot. A
-    /// policy that wants oldest-first (GTO) uses that order as is; one
-    /// that orders by slot (LRR, fetch-group) sorts.
+    /// `warps` holds views in age order: by the cycle the warp became
+    /// resident, then by slot. A policy that wants oldest-first (GTO) uses
+    /// that order as is; one that orders by slot (LRR, fetch-group) sorts.
+    /// Which warps are viewed depends on
+    /// [`WarpScheduler::issuable_views_suffice`]: when it is true, only the
+    /// scheduler's issuable warps (eligible and not blocked by their
+    /// scoreboard, so both view flags are false), and no call at all on a
+    /// turn with none; otherwise one view per live warp of this scheduler
+    /// (resident, with lanes left to run; barrier-blocked warps included).
     fn prioritize(&mut self, warps: &[WarpView], cycle: u64, out: &mut Vec<usize>);
 
     /// Notifies the scheduler that `slot` issued an instruction.
@@ -65,14 +70,18 @@ pub trait WarpScheduler: fmt::Debug + Send {
         let _ = out;
     }
 
-    /// True when calling [`WarpScheduler::prioritize`] on a cycle where no
-    /// warp issues leaves the scheduler's observable state unchanged. The
-    /// SM then skips the turn of a scheduler none of whose warps can
-    /// issue, building no views and calling no `prioritize`. GTO and LRR
-    /// mutate state only in `on_issue`; the two-level scheduler
-    /// demotes/promotes and the fetch-group scheduler rotates inside
-    /// `prioritize` itself, so those two always take their turn.
-    fn idle_prioritize_is_noop(&self) -> bool {
+    /// True when [`WarpScheduler::prioritize`] leaves the scheduler's
+    /// observable state unchanged and orders any subset of its warps as it
+    /// orders them within the full list. The SM then hands such a
+    /// scheduler views of its issuable warps only, and skips its turn, with
+    /// no views and no `prioritize` call, when none can issue: the issue
+    /// loop passes over a warp that cannot issue before it changes
+    /// anything, so the issued sequence is the same. GTO and LRR mutate
+    /// state only in `on_issue`; the two-level scheduler demotes/promotes
+    /// and the fetch-group scheduler rotates inside `prioritize` itself,
+    /// reading the views of blocked warps, so those two always see every
+    /// live warp.
+    fn issuable_views_suffice(&self) -> bool {
         false
     }
 
@@ -141,7 +150,7 @@ impl WarpScheduler for GtoScheduler {
         }
     }
 
-    fn idle_prioritize_is_noop(&self) -> bool {
+    fn issuable_views_suffice(&self) -> bool {
         true
     }
 
@@ -193,7 +202,7 @@ impl WarpScheduler for LrrScheduler {
 
     fn on_warp_finish(&mut self, _slot: usize) {}
 
-    fn idle_prioritize_is_noop(&self) -> bool {
+    fn issuable_views_suffice(&self) -> bool {
         true
     }
 
@@ -518,6 +527,48 @@ mod tests {
         let mut out = Vec::new();
         s.prioritize(&w, 0, &mut out);
         assert_eq!(out, vec![8, 12, 0, 4]);
+    }
+
+    #[test]
+    fn gto_and_lrr_order_any_subset_as_within_the_full_list() {
+        // Age order differs from slot order; slot 4 is not live.
+        let all = views(&[5, 2, 7, 0, 3, 6].map(|slot| (slot, false)));
+        for policy in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
+            for last in [None, Some(0), Some(3), Some(4), Some(5), Some(7)] {
+                let mut s = build_scheduler(policy);
+                assert!(s.issuable_views_suffice(), "{policy:?}");
+                if let Some(slot) = last {
+                    s.on_issue(slot, 0);
+                }
+                let mut full = Vec::new();
+                s.prioritize(&all, 1, &mut full);
+                let mut got = Vec::new();
+                for subset in 0u32..1 << all.len() {
+                    let sub: Vec<WarpView> = (0..all.len())
+                        .filter(|i| subset & (1 << i) != 0)
+                        .map(|i| all[i])
+                        .collect();
+                    s.prioritize(&sub, 1, &mut got);
+                    let want: Vec<usize> = full
+                        .iter()
+                        .copied()
+                        .filter(|&slot| sub.iter().any(|v| v.slot == slot))
+                        .collect();
+                    assert_eq!(got, want, "{policy:?} last {last:?} subset {subset:#b}");
+                }
+                // The subset calls changed no state the order depends on.
+                s.prioritize(&all, 2, &mut got);
+                assert_eq!(got, full, "{policy:?} last {last:?}");
+            }
+        }
+        for policy in [
+            SchedulerPolicy::TwoLevel {
+                active_per_scheduler: 2,
+            },
+            SchedulerPolicy::FetchGroup { group_size: 2 },
+        ] {
+            assert!(!build_scheduler(policy).issuable_views_suffice());
+        }
     }
 
     #[test]

@@ -108,6 +108,35 @@ impl IssueSlot {
     }
 }
 
+/// A set of warp slots, one bit per slot in `u64` words. Sized once in
+/// [`Sm::new`] from `max_warps_per_sm`, so updates never allocate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotMask {
+    words: Vec<u64>,
+}
+
+impl SlotMask {
+    /// An empty set over `slots` warp slots.
+    fn new(slots: usize) -> Self {
+        SlotMask {
+            words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    fn set(&mut self, slot: usize, on: bool) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if on {
+            self.words[word] |= bit;
+        } else {
+            self.words[word] &= !bit;
+        }
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
+    }
+}
+
 #[derive(Debug)]
 struct CtaState {
     warp_slots: Vec<usize>,
@@ -132,6 +161,12 @@ pub struct Sm {
     warps: Vec<Option<WarpContext>>,
     /// Issue state per warp slot (see [`IssueSlot`]).
     issue_slots: Vec<IssueSlot>,
+    /// The slots whose warp is eligible and not blocked by its scoreboard:
+    /// bit `s` is `status == Eligible && !scoreboards[s].blocked_by(&hazard)`,
+    /// refreshed by [`Sm::refresh_issuable`] wherever one of them changes.
+    issuable: SlotMask,
+    /// Per scheduler, the warp slots it owns (`slot % num_schedulers`).
+    sched_slots: Vec<SlotMask>,
     /// Per scheduler, its live warps oldest first as `(dispatch_cycle,
     /// slot)`: inserted at dispatch, removed when the warp's last lane
     /// exits. Schedulers receive their warp views in this order.
@@ -221,11 +256,17 @@ impl Sm {
             .map(|_| build_scheduler(config.scheduler))
             .collect();
         let warps_per_scheduler = config.max_warps_per_sm.div_ceil(config.num_schedulers);
+        let mut sched_slots = vec![SlotMask::new(config.max_warps_per_sm); config.num_schedulers];
+        for slot in 0..config.max_warps_per_sm {
+            sched_slots[slot % config.num_schedulers].set(slot, true);
+        }
         Sm {
             id,
             config: config.clone(),
             warps: (0..config.max_warps_per_sm).map(|_| None).collect(),
             issue_slots: vec![IssueSlot::default(); config.max_warps_per_sm],
+            issuable: SlotMask::new(config.max_warps_per_sm),
+            sched_slots,
             age_order: (0..config.num_schedulers)
                 .map(|_| Vec::with_capacity(warps_per_scheduler))
                 .collect(),
@@ -311,7 +352,7 @@ impl Sm {
     /// warp slots, register capacity, or still within the dispatch
     /// interval after the previous CTA launch.
     pub fn try_dispatch_cta(&mut self, cta: CtaId, cycle: u64) -> bool {
-        let grid = &self.image.grid;
+        let grid = self.image.grid;
         let regs = self.image.kernel.regs_per_thread().max(1) as usize;
         let warps_needed = grid.warps_per_cta() as usize;
 
@@ -354,6 +395,7 @@ impl Sm {
             self.scoreboards[slot] = Scoreboard::new();
             self.pending_loads[slot] = 0;
             self.issue_slots[slot] = IssueSlot::running(false, *self.image.hazard(0));
+            self.refresh_issuable(slot);
             let nsched = self.schedulers.len();
             let ages = &mut self.age_order[slot % nsched];
             let at = ages.partition_point(|&entry| entry < (cycle, slot));
@@ -411,6 +453,7 @@ impl Sm {
         self.free_tokens.push(token);
         if let Some(p) = info.pred_dst {
             self.scoreboards[info.warp_slot].release_pred(p);
+            self.refresh_issuable(info.warp_slot);
             self.observer.event(TraceEvent::ScoreboardRelease {
                 cycle,
                 sm: self.id,
@@ -441,6 +484,7 @@ impl Sm {
             return;
         };
         self.scoreboards[slot].release_reg(reg);
+        self.refresh_issuable(slot);
         self.observer.event(TraceEvent::ScoreboardRelease {
             cycle,
             sm: self.id,
@@ -460,6 +504,7 @@ impl Sm {
         }
         let w = self.warps[slot].take().expect("checked above");
         self.issue_slots[slot] = IssueSlot::default();
+        self.refresh_issuable(slot);
         self.resident -= 1;
         self.observer
             .note_warp_scoreboard(slot, &self.scoreboards[slot], cycle);
@@ -540,6 +585,7 @@ impl Sm {
                 for &s in &slots {
                     if self.issue_slots[s].status == SlotStatus::Barrier {
                         self.issue_slots[s].status = SlotStatus::Eligible;
+                        self.refresh_issuable(s);
                         if let Some(w) = self.warps[s].as_mut() {
                             w.block = WarpBlock::None;
                         }
@@ -567,35 +613,79 @@ impl Sm {
             && self.scoreboards[slot].blocked_by(&self.issue_slots[slot].hazard)
     }
 
-    /// Scheduler `sched`'s warp views, oldest first.
-    fn warp_views_into(&self, sched: usize, views: &mut Vec<WarpView>) {
+    /// Scheduler `sched`'s warp views, oldest first: every live warp, or
+    /// with `issuable_only` just those in the issuable mask (which are
+    /// neither at a barrier nor blocked by their scoreboard).
+    fn warp_views_into(&self, sched: usize, issuable_only: bool, views: &mut Vec<WarpView>) {
         views.clear();
-        views.extend(self.age_order[sched].iter().map(|&(_, slot)| WarpView {
-            slot,
-            long_latency_pending: self.long_latency_pending(slot),
-            barrier_waiting: self.issue_slots[slot].status == SlotStatus::Barrier,
-        }));
+        let live = self.age_order[sched].iter().map(|&(_, slot)| slot);
+        if issuable_only {
+            views.extend(
+                live.filter(|&slot| self.issuable.contains(slot))
+                    .map(|slot| WarpView {
+                        slot,
+                        long_latency_pending: false,
+                        barrier_waiting: false,
+                    }),
+            );
+        } else {
+            views.extend(live.map(|slot| WarpView {
+                slot,
+                long_latency_pending: self.long_latency_pending(slot),
+                barrier_waiting: self.issue_slots[slot].status == SlotStatus::Barrier,
+            }));
+        }
+    }
+
+    /// Sets `slot`'s bit in the issuable mask from its status, next-pc
+    /// hazard and scoreboard; called wherever one of the three changes.
+    fn refresh_issuable(&mut self, slot: usize) {
+        let IssueSlot { status, hazard } = &self.issue_slots[slot];
+        let on = *status == SlotStatus::Eligible && !self.scoreboards[slot].blocked_by(hazard);
+        self.issuable.set(slot, on);
     }
 
     /// Returns true when the warp at `slot` can issue its next instruction.
     fn can_issue(&self, slot: usize) -> bool {
-        let IssueSlot { status, hazard } = &self.issue_slots[slot];
-        *status == SlotStatus::Eligible
-            && !self.scoreboards[slot].blocked_by(hazard)
+        self.issuable.contains(slot)
             // Needs a collector unit unless it touches no registers at all.
-            && (!hazard.needs_collector || self.collector.has_free_unit())
+            && (!self.issue_slots[slot].hazard.needs_collector || self.collector.has_free_unit())
+    }
+
+    /// True when some warp of scheduler `sched` passes [`Sm::can_issue`]:
+    /// one AND per mask word while a collector unit is free; with the
+    /// collector full, the set bits are scanned for a warp that needs none.
+    fn scheduler_can_issue(&self, sched: usize) -> bool {
+        let free_unit = self.collector.has_free_unit();
+        let owned = &self.sched_slots[sched].words;
+        let mut words = self.issuable.words.iter().zip(owned).enumerate();
+        words.any(|(word, (&issuable, &mine))| {
+            let mut bits = issuable & mine;
+            if free_unit {
+                return bits != 0;
+            }
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                if !self.issue_slots[slot].hazard.needs_collector {
+                    return true;
+                }
+                bits &= bits - 1;
+            }
+            false
+        })
     }
 
     /// Issues the next instruction of warp `slot`. Caller must have checked
     /// [`Sm::can_issue`].
     fn issue(&mut self, slot: usize, cycle: u64, global: &mut GmemView<'_>) {
-        let image = Arc::clone(&self.image);
+        // Field-disjoint borrows of `self.image` and `self.warps`: no
+        // per-issue `Arc` clone, whose refcount all SMs of a run share.
         let w = self.warps[slot]
             .as_mut()
             .expect("can_issue checked residency");
         let pc = w.stack.pc().expect("can_issue checked pc");
-        let instr = image.kernel.fetch(pc).clone();
-        let env = image.env();
+        let instr = self.image.kernel.fetch(pc).clone();
+        let env = self.image.env();
 
         // Functional execution (updates pc / SIMT stack / registers /
         // predicates / memory).
@@ -604,7 +694,7 @@ impl Sm {
         execute_warp_instruction_into(
             w,
             &instr,
-            &image.rt,
+            &self.image.rt,
             &env,
             global,
             &mut self.shared_mem[cta_slot],
@@ -617,7 +707,7 @@ impl Sm {
         match w.stack.pc() {
             Some(next_pc) => {
                 self.issue_slots[slot] =
-                    IssueSlot::running(outcome.hit_barrier, *image.hazard(next_pc));
+                    IssueSlot::running(outcome.hit_barrier, *self.image.hazard(next_pc));
             }
             None => {
                 // The last lane exited: the warp leaves the issue state and
@@ -741,6 +831,7 @@ impl Sm {
         }
         self.reads_scratch = reads;
         self.resolved_scratch = resolved_reads;
+        self.refresh_issuable(slot);
 
         self.stats.instructions += 1;
         self.maybe_finish_warp(slot, cycle);
@@ -913,17 +1004,15 @@ impl Sm {
         let mut staged = std::mem::take(&mut self.global_writes);
         let mut gmem = GmemView::new(global, &mut staged);
         for sched in 0..self.schedulers.len() {
-            // A turn in which none of this scheduler's warps can issue
-            // changes nothing when its `prioritize` is pure on a cycle
-            // without issue, so such a turn builds no views and calls no
-            // `prioritize`.
+            // For a policy whose `prioritize` needs only the issuable
+            // warps, a turn in which none can issue builds no views and
+            // calls no `prioritize`, and any other turn offers only the
+            // issuable warps: the loop below would pass over the rest
+            // before the jitter hash, and such a pass changes nothing.
             order.clear();
-            let idle_turn = self.schedulers[sched].idle_prioritize_is_noop()
-                && !self.age_order[sched]
-                    .iter()
-                    .any(|&(_, slot)| self.can_issue(slot));
-            if !idle_turn {
-                self.warp_views_into(sched, &mut views);
+            let issuable_only = self.schedulers[sched].issuable_views_suffice();
+            if !issuable_only || self.scheduler_can_issue(sched) {
+                self.warp_views_into(sched, issuable_only, &mut views);
                 self.schedulers[sched].prioritize(&views, cycle, &mut order);
             }
             let mut issued = 0usize;
@@ -1353,6 +1442,78 @@ mod tests {
         (slots, ages)
     }
 
+    /// The issuable mask re-derived from fresh issue slots (see
+    /// [`derived_issue_state`]) and the scoreboards.
+    fn derived_issuable(sm: &Sm, slots: &[IssueSlot]) -> SlotMask {
+        let mut mask = SlotMask::new(slots.len());
+        for (slot, s) in slots.iter().enumerate() {
+            let on =
+                s.status == SlotStatus::Eligible && !sm.scoreboards[slot].blocked_by(&s.hazard);
+            mask.set(slot, on);
+        }
+        mask
+    }
+
+    /// Which issue-state situations a checked run went through.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        barrier: bool,
+        exited: bool,
+        age_not_slot: bool,
+        /// An eligible warp held back by its scoreboard.
+        blocked: bool,
+        /// A warp slot past the first mask word was issuable.
+        second_word: bool,
+    }
+
+    /// Runs `grid` of `kernel` on one SM and, after every cycle, asserts
+    /// that the cached issue slots, age order and issuable mask equal a
+    /// fresh derivation.
+    fn run_checking_issue_state(
+        kernel: &Arc<Kernel>,
+        grid: GridConfig,
+        config: &GpuConfig,
+    ) -> (Sm, GlobalMemory, Coverage) {
+        let scheduler = config.scheduler;
+        let image = Arc::new(KernelImage::new(Arc::clone(kernel), grid));
+        let mut sm = Sm::new(
+            0,
+            config,
+            image,
+            Box::new(BaselineRf::stv(config.num_rf_banks)),
+        );
+        sm.notify_kernel_launch(0);
+        let mut global = GlobalMemory::new(config.global_mem_words);
+        let (mut next_cta, mut cycle) = (0u32, 0u64);
+        let mut seen = Coverage::default();
+        loop {
+            while next_cta < grid.num_ctas && sm.try_dispatch_cta(CtaId(next_cta), cycle) {
+                next_cta += 1;
+            }
+            sm.cycle(cycle, &global);
+            sm.commit_global_writes(&mut global);
+            let (slots, ages) = derived_issue_state(&sm);
+            assert_eq!(sm.issue_slots, slots, "{scheduler:?} cycle {cycle}");
+            assert_eq!(sm.age_order, ages, "{scheduler:?} cycle {cycle}");
+            let issuable = derived_issuable(&sm, &slots);
+            assert_eq!(sm.issuable, issuable, "{scheduler:?} cycle {cycle}");
+            seen.barrier |= slots.iter().any(|s| s.status == SlotStatus::Barrier);
+            seen.exited |= slots.iter().any(|s| s.status == SlotStatus::Exited);
+            seen.age_not_slot |= ages.iter().any(|l| l.windows(2).any(|p| p[0].1 > p[1].1));
+            seen.blocked |= slots
+                .iter()
+                .enumerate()
+                .any(|(slot, s)| s.status == SlotStatus::Eligible && !issuable.contains(slot));
+            seen.second_word |= issuable.words.iter().skip(1).any(|&w| w != 0);
+            cycle += 1;
+            if next_cta == grid.num_ctas && sm.is_idle() {
+                break;
+            }
+            assert!(cycle < 100_000, "{scheduler:?} did not terminate");
+        }
+        (sm, global, seen)
+    }
+
     #[test]
     fn cached_issue_state_matches_a_fresh_derivation_every_cycle() {
         // A divergent branch, a load feeding a dependant, a barrier, a
@@ -1407,38 +1568,10 @@ mod tests {
                 scheduler,
                 ..GpuConfig::kepler_single_sm()
             };
-            let image = Arc::new(KernelImage::new(Arc::clone(&kernel), grid));
-            let mut sm = Sm::new(
-                0,
-                &config,
-                image,
-                Box::new(BaselineRf::stv(config.num_rf_banks)),
-            );
-            sm.notify_kernel_launch(0);
-            let mut global = GlobalMemory::new(config.global_mem_words);
-            let (mut next_cta, mut cycle) = (0u32, 0u64);
-            let (mut saw_barrier, mut saw_exited, mut saw_age_not_slot) = (false, false, false);
-            loop {
-                while next_cta < grid.num_ctas && sm.try_dispatch_cta(CtaId(next_cta), cycle) {
-                    next_cta += 1;
-                }
-                sm.cycle(cycle, &global);
-                sm.commit_global_writes(&mut global);
-                let (slots, ages) = derived_issue_state(&sm);
-                assert_eq!(sm.issue_slots, slots, "{scheduler:?} cycle {cycle}");
-                assert_eq!(sm.age_order, ages, "{scheduler:?} cycle {cycle}");
-                saw_barrier |= slots.iter().any(|s| s.status == SlotStatus::Barrier);
-                saw_exited |= slots.iter().any(|s| s.status == SlotStatus::Exited);
-                saw_age_not_slot |= ages.iter().any(|l| l.windows(2).any(|p| p[0].1 > p[1].1));
-                cycle += 1;
-                if next_cta == grid.num_ctas && sm.is_idle() {
-                    break;
-                }
-                assert!(cycle < 100_000, "{scheduler:?} did not terminate");
-            }
+            let (sm, global, seen) = run_checking_issue_state(&kernel, grid, &config);
             assert!(
-                saw_barrier && saw_exited && saw_age_not_slot,
-                "{scheduler:?}"
+                seen.barrier && seen.exited && seen.age_not_slot && seen.blocked,
+                "{scheduler:?}: {seen:?}"
             );
             assert_eq!(sm.finished_warps.len(), 15, "{scheduler:?}");
             // Each surviving thread stores its branch value plus its tid;
@@ -1450,6 +1583,34 @@ mod tests {
                 assert_eq!(global.read(base + 47), 1 + 47, "{scheduler:?} cta {cta}");
                 assert_eq!(global.read(base + 48), 0, "{scheduler:?} cta {cta}");
             }
+        }
+    }
+
+    #[test]
+    fn issuable_mask_spans_several_words() {
+        // 100 warp slots need two mask words; three CTAs of 32 warps fill
+        // slots 0..96, so warps past slot 63 issue from the second word.
+        let mut kb = KernelBuilder::new("wide");
+        kb.mov_special(Reg(0), SpecialReg::GlobalTid);
+        kb.ldg(Reg(1), Reg(0), 0);
+        kb.iadd_imm(Reg(2), Reg(1), 7);
+        kb.stg(Reg(0), Reg(2), 0);
+        kb.exit();
+        let kernel = Arc::new(kb.build().unwrap());
+        let grid = GridConfig::new(3, 1024);
+        for scheduler in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
+            let config = GpuConfig {
+                global_mem_words: 1 << 12,
+                max_warps_per_sm: 100,
+                scheduler,
+                ..GpuConfig::kepler_single_sm()
+            };
+            config.validate();
+            let (sm, global, seen) = run_checking_issue_state(&kernel, grid, &config);
+            assert_eq!(sm.issuable.words.len(), 2);
+            assert!(seen.second_word && seen.blocked, "{scheduler:?}: {seen:?}");
+            assert_eq!(sm.stats.instructions, 5 * 96, "{scheduler:?}");
+            assert_eq!(global.read(3 * 1024 - 1), 7, "{scheduler:?}");
         }
     }
 
