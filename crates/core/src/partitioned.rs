@@ -79,6 +79,8 @@ pub struct PartitionedRf {
     /// Only SM 0 writes the hot-register telemetry to avoid cross-SM
     /// clobbering (all SMs converge to the same sets anyway).
     is_reporting_sm: bool,
+    /// The FRF epoch counts last written to the telemetry.
+    published_epochs: Option<(u64, u64)>,
     launch_cycle: u64,
 }
 
@@ -94,6 +96,7 @@ impl PartitionedRf {
             adaptive,
             telemetry,
             is_reporting_sm: sm_id == 0,
+            published_epochs: None,
             launch_cycle: 0,
         }
     }
@@ -158,10 +161,14 @@ impl RegisterFileModel for PartitionedRf {
     fn tick(&mut self, _cycle: u64, issued: u32) {
         if self.config.adaptive.is_some() {
             self.adaptive.tick(issued);
-            if self.is_reporting_sm {
+            // The epoch counters move only when an epoch ends, so the
+            // snapshot is rewritten then (and on this model's first tick,
+            // which replaces an earlier launch's counts).
+            let epochs = (self.adaptive.high_epochs, self.adaptive.low_epochs);
+            if self.is_reporting_sm && self.published_epochs != Some(epochs) {
                 let mut t = self.telemetry.lock().unwrap();
-                t.frf_high_epochs = self.adaptive.high_epochs;
-                t.frf_low_epochs = self.adaptive.low_epochs;
+                (t.frf_high_epochs, t.frf_low_epochs) = epochs;
+                self.published_epochs = Some(epochs);
             }
         }
     }

@@ -241,7 +241,7 @@ impl Opcode {
             IShr => a.wrapping_shr(b & 31),
             FAdd => nan_first(fa + fb, fa, fb),
             FMul => nan_first(fa * fb, fa, fb),
-            FFma => fa.mul_add(fb, fc).to_bits(),
+            FFma => nan_first3(fa.mul_add(fb, fc), fa, fb, fc),
             FRcp => (1.0 / fa).to_bits(),
             FSqrt => fa.sqrt().to_bits(),
             FLog2 => fa.log2().to_bits(),
@@ -292,7 +292,9 @@ impl Opcode {
             IShr => map_lanes(out, a, b, c, |x, y, _| x.wrapping_shr(y & 31)),
             FAdd => map_lanes(out, a, b, c, |x, y, _| nan_first(f(x) + f(y), f(x), f(y))),
             FMul => map_lanes(out, a, b, c, |x, y, _| nan_first(f(x) * f(y), f(x), f(y))),
-            FFma => map_lanes(out, a, b, c, |x, y, z| f(x).mul_add(f(y), f(z)).to_bits()),
+            FFma => map_lanes(out, a, b, c, |x, y, z| {
+                nan_first3(f(x).mul_add(f(y), f(z)), f(x), f(y), f(z))
+            }),
             FRcp => map_lanes(out, a, b, c, |x, _, _| (1.0 / f(x)).to_bits()),
             FSqrt => map_lanes(out, a, b, c, |x, _, _| f(x).sqrt().to_bits()),
             FLog2 => map_lanes(out, a, b, c, |x, _, _| f(x).log2().to_bits()),
@@ -327,6 +329,20 @@ fn nan_first(r: f32, x: f32, y: f32) -> u32 {
         y.to_bits() | QUIET
     } else {
         r.to_bits()
+    }
+}
+
+/// [`nan_first`] for the three operands of a fused multiply-add: the
+/// first NaN among `x`, `y` and `z`, quieted. `f32::mul_add` takes its NaN
+/// payload from the libm `fmaf` or the hardware FMA it lowers to, whose
+/// rules differ; pinning the rule keeps simulated values independent of
+/// the build target.
+#[inline(always)]
+fn nan_first3(r: f32, x: f32, y: f32, z: f32) -> u32 {
+    if z.is_nan() && !x.is_nan() && !y.is_nan() {
+        z.to_bits() | 0x0040_0000
+    } else {
+        nan_first(r, x, y)
     }
 }
 
@@ -581,6 +597,47 @@ mod tests {
                         "{op} lane {lane}: {:#x} {:#x} {:#x}",
                         a[lane], b[lane], c[lane]
                     );
+                }
+            }
+        }
+        // A NaN-heavy fma grid: every triple over quiet, negative and
+        // signalling NaNs and the values that make fma produce a NaN of
+        // its own (inf * 0, inf - inf). With a NaN operand, both forms
+        // return the first NaN operand, quieted.
+        let grid = [
+            0x7FC0_0000,
+            0x7FC0_1234,
+            0xFFC0_0001,
+            0x7F80_0001,
+            0xFF80_0F00,
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            0.0f32.to_bits(),
+            1.0f32.to_bits(),
+        ];
+        let mut triples = Vec::new();
+        for &x in &grid {
+            for &y in &grid {
+                for &z in &grid {
+                    triples.push([x, y, z]);
+                }
+            }
+        }
+        for chunk in triples.chunks(WARP_SIZE) {
+            let mut warp = [[0u32; WARP_SIZE]; 3];
+            for (lane, t) in chunk.iter().enumerate() {
+                for (operand, &v) in warp.iter_mut().zip(t) {
+                    operand[lane] = v;
+                }
+            }
+            let [a, b, c] = &warp;
+            let mut out = [0; WARP_SIZE];
+            FFma.eval_lanes(a, b, c, &mut out);
+            for (lane, &t) in chunk.iter().enumerate() {
+                let want = FFma.eval(t);
+                assert_eq!(out[lane], want, "ffma {t:#x?}");
+                if let Some(&nan) = t.iter().find(|&&v| f32::from_bits(v).is_nan()) {
+                    assert_eq!(want, nan | 0x0040_0000, "ffma {t:#x?}");
                 }
             }
         }

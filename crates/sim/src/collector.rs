@@ -20,14 +20,32 @@ use prf_isa::Reg;
 
 use crate::rf::{AccessKind, ResolvedAccess, RfPartition};
 
+/// Most register sources one instruction reads: `Instruction::srcs` has
+/// three slots, so a collector entry holds its reads inline.
+pub const MAX_READS: usize = 3;
+
 /// A pending source-operand read inside a collector.
 #[derive(Debug, Clone, Copy)]
 struct PendingRead {
     access: ResolvedAccess,
-    /// Cycle the data arrives, once granted; `None` while waiting for a
-    /// bank grant.
-    ready_at: Option<u64>,
+    /// `access.bank` reduced modulo the bank count, once, at allocation.
+    bank: usize,
+    /// A bank has granted the read.
+    granted: bool,
 }
+
+/// Fills the slots of [`CollectorEntry::reads`] past `num_reads`.
+const UNUSED_READ: PendingRead = PendingRead {
+    access: ResolvedAccess {
+        bank: 0,
+        latency: 0,
+        partition: RfPartition::MrfStv,
+        phys_reg: 0,
+        repair: None,
+    },
+    bank: 0,
+    granted: false,
+};
 
 /// What should happen when the collector finishes gathering operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +67,13 @@ pub enum CollectDest {
 pub struct CollectorEntry {
     /// Warp slot that issued the instruction.
     pub warp_slot: usize,
-    /// Pending and completed source reads.
-    reads: Vec<PendingRead>,
+    /// Source reads; the first `num_reads` are live.
+    reads: [PendingRead; MAX_READS],
+    num_reads: u8,
+    /// Reads not yet granted a bank.
+    ungranted: u8,
+    /// Cycle by which the data of every granted read has arrived.
+    data_at: u64,
     /// Where the instruction goes after collection.
     pub dest: CollectDest,
     /// Monotonic sequence number for age-ordered arbitration.
@@ -116,13 +139,11 @@ pub struct OperandCollector {
     pipelined: bool,
     /// Scratch reused across ticks: per-bank granted flags.
     granted_scratch: Vec<bool>,
-    /// Scratch reused across ticks: units fully collected this cycle.
-    ready_scratch: Vec<usize>,
+    /// Scratch reused across ticks: `(unit, position in occupied)` of the
+    /// units fully collected this cycle.
+    ready_scratch: Vec<(usize, usize)>,
     /// Scratch reused across ticks: writebacks denied this cycle.
     wb_scratch: VecDeque<WritebackRequest>,
-    /// Recycled `reads` vectors of released entries, so steady-state
-    /// allocation performs no heap allocation.
-    reads_pool: Vec<Vec<PendingRead>>,
 }
 
 impl OperandCollector {
@@ -148,7 +169,6 @@ impl OperandCollector {
             granted_scratch: vec![false; num_banks],
             ready_scratch: Vec::with_capacity(num_units),
             wb_scratch: VecDeque::new(),
-            reads_pool: Vec::with_capacity(num_units),
         }
     }
 
@@ -172,8 +192,13 @@ impl OperandCollector {
 
     /// Allocates a unit for an issued instruction.
     ///
-    /// `reads` lists the pre-resolved source accesses to fetch. Returns
+    /// `reads` lists the pre-resolved source accesses to fetch, at most
+    /// [`MAX_READS`] (an instruction has three source slots). Returns
     /// `false` (and allocates nothing) when no unit is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reads` holds more than [`MAX_READS`] accesses.
     pub fn allocate(
         &mut self,
         warp_slot: usize,
@@ -181,20 +206,28 @@ impl OperandCollector {
         dest: CollectDest,
         token: u64,
     ) -> bool {
+        assert!(
+            reads.len() <= MAX_READS,
+            "an instruction reads at most {MAX_READS} registers, got {}",
+            reads.len()
+        );
         let Some(slot) = self.units.iter().position(|u| u.is_none()) else {
             return false;
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut pending = self.reads_pool.pop().unwrap_or_default();
-        pending.clear();
-        pending.extend(reads.iter().map(|&access| PendingRead {
-            access,
-            ready_at: None,
-        }));
+        let num_banks = self.bank_busy_until.len();
+        let mut pending = [UNUSED_READ; MAX_READS];
+        for (pr, &access) in pending.iter_mut().zip(reads) {
+            pr.access = access;
+            pr.bank = access.bank % num_banks;
+        }
         self.units[slot] = Some(CollectorEntry {
             warp_slot,
             reads: pending,
+            num_reads: reads.len() as u8,
+            ungranted: reads.len() as u8,
+            data_at: 0,
             dest,
             seq,
             token,
@@ -297,7 +330,10 @@ impl OperandCollector {
         }
         self.wb_scratch = std::mem::replace(&mut self.writeback_queue, remaining);
 
-        // 2b. Collector reads, oldest entry first.
+        // 2b. Collector reads, oldest entry first. An entry whose reads are
+        // all granted is judged by one compare; otherwise only its
+        // ungranted reads compete, and it cannot be ready this cycle (a
+        // read granted now arrives at `cycle + lat` with lat >= 1).
         let pipelined = self.pipelined;
         let occupancy = |latency: u32| -> u64 {
             if pipelined {
@@ -306,56 +342,53 @@ impl OperandCollector {
                 u64::from(latency.max(1))
             }
         };
-        // An entry is fully collected once every read's data has arrived;
-        // a read granted this cycle arrives at `cycle + lat` with lat >= 1,
-        // so readiness can be judged in the same walk.
         let mut ready = std::mem::take(&mut self.ready_scratch);
         ready.clear();
-        for &i in &self.occupied {
+        for (pos, &i) in self.occupied.iter().enumerate() {
             let entry = self.units[i]
                 .as_mut()
                 .expect("occupied unit holds an entry");
-            let mut all_ready = true;
-            for pr in entry.reads.iter_mut() {
-                match pr.ready_at {
-                    Some(t) => all_ready &= t <= cycle,
-                    None => {
-                        let bank = pr.access.bank % num_banks;
-                        if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
-                            granted_bank[bank] = true;
-                            let lat = u64::from(pr.access.latency.max(1));
-                            self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
-                            pr.ready_at = Some(cycle + lat);
-                            on_access(pr.access, AccessKind::Read);
-                        } else {
-                            self.bank_conflict_waits += 1;
-                        }
-                        all_ready = false;
-                    }
+            if entry.ungranted == 0 {
+                if entry.data_at <= cycle {
+                    ready.push((i, pos));
                 }
+                continue;
             }
-            if all_ready {
-                ready.push(i);
+            let live = &mut entry.reads[..usize::from(entry.num_reads)];
+            for pr in live.iter_mut().filter(|pr| !pr.granted) {
+                let bank = pr.bank;
+                if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
+                    granted_bank[bank] = true;
+                    let lat = u64::from(pr.access.latency.max(1));
+                    self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
+                    pr.granted = true;
+                    entry.ungranted -= 1;
+                    entry.data_at = entry.data_at.max(cycle + lat);
+                    on_access(pr.access, AccessKind::Read);
+                } else {
+                    self.bank_conflict_waits += 1;
+                }
             }
         }
         self.granted_scratch = granted_bank;
 
         // 3. Release fully-collected entries in unit-index order (the order
-        // the SM turns them into execution completions).
+        // the SM turns them into execution completions). `ready` holds
+        // their positions in `occupied` in ascending order, so removing
+        // from the back keeps the earlier positions valid.
         if !ready.is_empty() {
+            for &(_, pos) in ready.iter().rev() {
+                self.occupied.remove(pos);
+            }
             ready.sort_unstable();
-            for &i in &ready {
-                let mut e = self.units[i].take().expect("ready unit holds an entry");
+            for &(i, _) in &ready {
+                let e = self.units[i].take().expect("ready unit holds an entry");
                 collected.push(CollectedInstr {
                     warp_slot: e.warp_slot,
                     dest: e.dest,
                     token: e.token,
                 });
-                e.reads.clear();
-                self.reads_pool.push(e.reads);
             }
-            let units = &self.units;
-            self.occupied.retain(|&i| units[i].is_some());
         }
         self.ready_scratch = ready;
     }
@@ -600,5 +633,245 @@ mod tests {
         assert!(c.is_empty());
         let (c, _) = run_cycles(&mut oc, 3, 4);
         assert_eq!(c.len(), 1);
+    }
+
+    /// `(warp_slot, reads with their data-arrival cycle once granted,
+    /// dest, token)`.
+    type ReferenceEntry = (usize, Vec<(ResolvedAccess, Option<u64>)>, CollectDest, u64);
+
+    /// The per-read walk the collector used before entries kept their
+    /// reads inline: every read of every occupied unit is visited each
+    /// cycle, banks are reduced per visit, and released units are dropped
+    /// from `occupied` by re-reading `units`. The differential test below
+    /// holds [`OperandCollector`] to it.
+    struct ReferenceCollector {
+        units: Vec<Option<ReferenceEntry>>,
+        occupied: Vec<usize>,
+        bank_busy_until: Vec<u64>,
+        writeback_queue: VecDeque<(usize, Reg, ResolvedAccess, u64)>,
+        inflight_writes: Vec<(u64, CompletedWrite)>,
+        bank_conflict_waits: u64,
+        pipelined: bool,
+    }
+
+    impl ReferenceCollector {
+        fn new(num_units: usize, num_banks: usize, pipelined: bool) -> Self {
+            ReferenceCollector {
+                units: vec![None; num_units],
+                occupied: Vec::new(),
+                bank_busy_until: vec![0; num_banks],
+                writeback_queue: VecDeque::new(),
+                inflight_writes: Vec::new(),
+                bank_conflict_waits: 0,
+                pipelined,
+            }
+        }
+
+        fn occupancy(&self, latency: u32) -> u64 {
+            if self.pipelined {
+                1
+            } else {
+                u64::from(latency.max(1))
+            }
+        }
+
+        fn allocate(
+            &mut self,
+            warp_slot: usize,
+            reads: &[ResolvedAccess],
+            dest: CollectDest,
+            token: u64,
+        ) -> bool {
+            let Some(slot) = self.units.iter().position(Option::is_none) else {
+                return false;
+            };
+            let pending = reads.iter().map(|&a| (a, None)).collect();
+            self.units[slot] = Some((warp_slot, pending, dest, token));
+            self.occupied.push(slot);
+            true
+        }
+
+        fn tick(
+            &mut self,
+            cycle: u64,
+            on_access: &mut impl FnMut(ResolvedAccess, AccessKind),
+        ) -> (Vec<(usize, CollectDest, u64)>, Vec<CompletedWrite>) {
+            let mut done_writes = Vec::new();
+            self.inflight_writes.retain(|(done_at, w)| {
+                let done = *done_at <= cycle;
+                if done {
+                    done_writes.push(*w);
+                }
+                !done
+            });
+            let num_banks = self.bank_busy_until.len();
+            let mut granted_bank = vec![false; num_banks];
+            let mut remaining = VecDeque::new();
+            while let Some((warp_slot, reg, access, token)) = self.writeback_queue.pop_front() {
+                let bank = access.bank % num_banks;
+                if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
+                    granted_bank[bank] = true;
+                    self.bank_busy_until[bank] = cycle + self.occupancy(access.latency);
+                    on_access(access, AccessKind::Write);
+                    let write = CompletedWrite {
+                        warp_slot,
+                        reg,
+                        token,
+                        partition: access.partition,
+                    };
+                    let at = cycle + u64::from(access.latency.max(1));
+                    self.inflight_writes.push((at, write));
+                } else {
+                    self.bank_conflict_waits += 1;
+                    remaining.push_back((warp_slot, reg, access, token));
+                }
+            }
+            self.writeback_queue = remaining;
+            let mut ready = Vec::new();
+            for &i in &self.occupied {
+                let occupancy = |latency: u32| -> u64 {
+                    if self.pipelined {
+                        1
+                    } else {
+                        u64::from(latency.max(1))
+                    }
+                };
+                let entry = self.units[i].as_mut().expect("occupied");
+                let mut all_ready = true;
+                for (access, ready_at) in entry.1.iter_mut() {
+                    match *ready_at {
+                        Some(t) => all_ready &= t <= cycle,
+                        None => {
+                            let bank = access.bank % num_banks;
+                            if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
+                                granted_bank[bank] = true;
+                                self.bank_busy_until[bank] = cycle + occupancy(access.latency);
+                                *ready_at = Some(cycle + u64::from(access.latency.max(1)));
+                                on_access(*access, AccessKind::Read);
+                            } else {
+                                self.bank_conflict_waits += 1;
+                            }
+                            all_ready = false;
+                        }
+                    }
+                }
+                if all_ready {
+                    ready.push(i);
+                }
+            }
+            ready.sort_unstable();
+            let mut collected = Vec::new();
+            for &i in &ready {
+                let (warp_slot, _, dest, token) = self.units[i].take().expect("ready");
+                collected.push((warp_slot, dest, token));
+            }
+            let units = &self.units;
+            self.occupied.retain(|&i| units[i].is_some());
+            (collected, done_writes)
+        }
+    }
+
+    /// A small xorshift generator: the test needs reproducible draws, not
+    /// statistical quality.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn inline_reads_match_the_per_read_walk() {
+        let partitions = [
+            RfPartition::MrfStv,
+            RfPartition::FrfHigh,
+            RfPartition::Srf,
+            RfPartition::MrfNtv,
+        ];
+        for (seed, pipelined) in [(1u64, true), (2, false), (3, true), (4, false)] {
+            let (units, banks) = (6, 4);
+            let mut oc = OperandCollector::new(units, banks, pipelined);
+            let mut reference = ReferenceCollector::new(units, banks, pipelined);
+            let mut draw = Draw(0x9E37_79B9_7F4A_7C15 ^ seed);
+            let access = |draw: &mut Draw| ResolvedAccess {
+                // Banks past `banks` exercise the reduction at allocation.
+                bank: draw.below(2 * banks as u64) as usize,
+                latency: draw.below(4) as u32,
+                partition: partitions[draw.below(4) as usize],
+                phys_reg: draw.below(256) as usize,
+                repair: None,
+            };
+            let (mut collected, mut writes) = (Vec::new(), Vec::new());
+            let mut token = 0u64;
+            let mut released = 0usize;
+            for cycle in 0..2_000u64 {
+                for _ in 0..draw.below(3) {
+                    let reads: Vec<ResolvedAccess> =
+                        (0..draw.below(4)).map(|_| access(&mut draw)).collect();
+                    let dest = if draw.below(2) == 0 {
+                        CollectDest::Memory
+                    } else {
+                        CollectDest::Execute {
+                            latency: draw.below(5) as u32,
+                            writeback: Some(Reg(draw.below(63) as u8)),
+                        }
+                    };
+                    let slot = draw.below(48) as usize;
+                    let got = oc.allocate(slot, &reads, dest, token);
+                    let want = reference.allocate(slot, &reads, dest, token);
+                    assert_eq!(got, want, "seed {seed} cycle {cycle} allocate");
+                    token += 1;
+                }
+                if draw.below(3) == 0 {
+                    let (slot, reg, a) = (draw.below(48) as usize, Reg(3), access(&mut draw));
+                    oc.request_writeback(slot, reg, a, token);
+                    reference.writeback_queue.push_back((slot, reg, a, token));
+                    token += 1;
+                }
+                let mut got_accesses = Vec::new();
+                oc.tick_into(
+                    cycle,
+                    |a, k| got_accesses.push((a, k)),
+                    &mut collected,
+                    &mut writes,
+                );
+                let mut want_accesses = Vec::new();
+                let (want_collected, want_writes) =
+                    reference.tick(cycle, &mut |a, k| want_accesses.push((a, k)));
+                let at = format!("seed {seed} cycle {cycle}");
+                assert_eq!(got_accesses, want_accesses, "{at} grants");
+                let got: Vec<_> = collected
+                    .iter()
+                    .map(|c| (c.warp_slot, c.dest, c.token))
+                    .collect();
+                assert_eq!(got, want_collected, "{at} released");
+                let key = |w: &CompletedWrite| (w.warp_slot, w.reg, w.token, w.partition);
+                let got: Vec<_> = writes.iter().map(key).collect();
+                let want: Vec<_> = want_writes.iter().map(key).collect();
+                assert_eq!(got, want, "{at} completed writes");
+                assert_eq!(
+                    oc.bank_conflict_waits, reference.bank_conflict_waits,
+                    "{at} bank conflict waits"
+                );
+                released += collected.len();
+            }
+            assert!(released > 1_000, "seed {seed}: only {released} released");
+            assert!(oc.bank_conflict_waits > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3")]
+    fn allocate_rejects_a_fourth_read() {
+        let mut oc = OperandCollector::new(2, 24, true);
+        oc.allocate(0, &[stv(0); 4], CollectDest::Memory, 1);
     }
 }

@@ -88,6 +88,23 @@ impl GlobalMemory {
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
+
+    /// The non-zero words as `(address, value)` in address order: the
+    /// memory image without the zeros it reads everywhere else, visiting
+    /// only the written pages.
+    pub fn nonzero_words(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let page_words = self.page_words;
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, page)| Some((i * page_words, page.as_deref()?)))
+            .flat_map(|(base, page)| {
+                page.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0)
+                    .map(move |(off, &v)| ((base + off) as u32, v))
+            })
+    }
 }
 
 /// A per-SM, per-cycle view of global memory: reads see the cycle-start
@@ -388,6 +405,9 @@ mod tests {
         assert_eq!(m.read(4999), 0);
         assert_eq!(m.read(5001), 0);
         assert_eq!(m.read(5000), 9);
+        m.write(3, 4);
+        m.write(5001, 0); // a written zero is not listed
+        assert_eq!(m.nonzero_words().collect::<Vec<_>>(), [(3, 4), (5000, 9)]);
     }
 
     #[test]

@@ -230,6 +230,20 @@ pub struct TwoLevelScheduler {
     pending: VecDeque<usize>,
     rr: usize,
     events: Vec<SchedulerEvent>,
+    /// Scratch reused across `prioritize` calls: per warp slot, what this
+    /// call's views say of it. Reset to `Absent` before the call returns.
+    viewed: Vec<Viewed>,
+}
+
+/// What one `prioritize` call's views say of a warp slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Viewed {
+    /// No view: the warp is no longer live.
+    Absent,
+    /// Viewed and free to stay in the active pool.
+    Keep,
+    /// Viewed and blocked (long latency or barrier): demote it.
+    Demote,
 }
 
 impl TwoLevelScheduler {
@@ -241,6 +255,7 @@ impl TwoLevelScheduler {
             pending: VecDeque::new(),
             rr: 0,
             events: Vec::new(),
+            viewed: Vec::new(),
         }
     }
 
@@ -262,21 +277,33 @@ impl TwoLevelScheduler {
 impl WarpScheduler for TwoLevelScheduler {
     fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        // Demote blocked active warps.
+        for w in warps {
+            if w.slot >= self.viewed.len() {
+                self.viewed.resize(w.slot + 1, Viewed::Absent);
+            }
+            self.viewed[w.slot] = if w.long_latency_pending || w.barrier_waiting {
+                Viewed::Demote
+            } else {
+                Viewed::Keep
+            };
+        }
+        // Demote blocked active warps; drop those no longer viewed.
         let mut i = 0;
         while i < self.active.len() {
             let slot = self.active[i];
-            let view = warps.iter().find(|w| w.slot == slot);
-            let demote = view.is_none_or(|w| w.long_latency_pending || w.barrier_waiting);
-            if demote {
-                self.active.remove(i);
-                if view.is_some() {
-                    self.pending.push_back(slot);
-                    self.events.push(SchedulerEvent::Deactivated { slot });
-                }
-            } else {
+            let viewed = self.viewed.get(slot).copied().unwrap_or(Viewed::Absent);
+            if viewed == Viewed::Keep {
                 i += 1;
+                continue;
             }
+            self.active.remove(i);
+            if viewed == Viewed::Demote {
+                self.pending.push_back(slot);
+                self.events.push(SchedulerEvent::Deactivated { slot });
+            }
+        }
+        for w in warps {
+            self.viewed[w.slot] = Viewed::Absent;
         }
         self.promote();
         if self.active.is_empty() {
@@ -499,6 +526,105 @@ mod tests {
             vec![4],
             "warp 4 must be promoted so it can reach the barrier"
         );
+    }
+
+    /// The two-level demotion pass as it read before the per-slot table:
+    /// one search of the views per active warp.
+    fn two_level_reference(
+        active: &mut Vec<usize>,
+        pending: &mut VecDeque<usize>,
+        warps: &[WarpView],
+    ) -> Vec<usize> {
+        let mut demoted = Vec::new();
+        let mut i = 0;
+        while i < active.len() {
+            let slot = active[i];
+            let view = warps.iter().find(|w| w.slot == slot);
+            if view.is_none_or(|w| w.long_latency_pending || w.barrier_waiting) {
+                active.remove(i);
+                if view.is_some() {
+                    pending.push_back(slot);
+                    demoted.push(slot);
+                }
+            } else {
+                i += 1;
+            }
+        }
+        demoted
+    }
+
+    #[test]
+    fn two_level_slot_table_matches_the_view_search() {
+        // Twelve live warps over a pool of four, for 200 calls: each call
+        // views the live warps in a rotated order, some blocked on memory,
+        // some at a barrier, and some unviewed (an exited warp whose slot
+        // is still occupied), which drops them from the pool.
+        let slots: Vec<usize> = (0..12).map(|i| i * 4 + 1).collect();
+        let mut s = TwoLevelScheduler::new(4);
+        for &slot in &slots {
+            s.on_warp_start(slot);
+        }
+        let (mut active, mut pending) = (s.active.clone(), s.pending.clone());
+        let mut h = 0x2545_F491u32;
+        let mut seen = (false, false, false);
+        for cycle in 0..200u64 {
+            let mut views = Vec::new();
+            for k in 0..slots.len() {
+                let slot = slots[(k + cycle as usize) % slots.len()];
+                h ^= h << 13;
+                h ^= h >> 17;
+                h ^= h << 5;
+                match h % 8 {
+                    0 => {
+                        seen.0 = true;
+                        continue;
+                    }
+                    1 => seen.1 = true,
+                    2 => seen.2 = true,
+                    _ => {}
+                }
+                views.push(WarpView {
+                    slot,
+                    long_latency_pending: h % 8 == 1,
+                    barrier_waiting: h % 8 == 2,
+                });
+            }
+            let mut out = Vec::new();
+            s.prioritize(&views, cycle, &mut out);
+            let demoted = two_level_reference(&mut active, &mut pending, &views);
+            while active.len() < 4 {
+                match pending.pop_front() {
+                    Some(slot) => active.push(slot),
+                    None => break,
+                }
+            }
+            assert_eq!(s.active, active, "cycle {cycle}");
+            assert_eq!(s.pending, pending, "cycle {cycle}");
+            let mut events = Vec::new();
+            s.drain_events(&mut events);
+            let want: Vec<SchedulerEvent> = demoted
+                .into_iter()
+                .map(|slot| SchedulerEvent::Deactivated { slot })
+                .collect();
+            assert_eq!(events, want, "cycle {cycle}");
+            if let Some(&slot) = out.first() {
+                s.on_issue(slot, cycle);
+            }
+            // A warp dropped for want of a view is gone from both lists; a
+            // new warp takes its slot.
+            for &slot in &slots {
+                if !active.contains(&slot) && !pending.contains(&slot) {
+                    s.on_warp_start(slot);
+                    if active.len() < 4 {
+                        active.push(slot);
+                    } else {
+                        pending.push_back(slot);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, (true, true, true));
+        assert!(s.viewed.iter().all(|&v| v == Viewed::Absent));
     }
 
     #[test]

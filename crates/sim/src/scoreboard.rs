@@ -87,10 +87,20 @@ impl Scoreboard {
 
     /// Reserves the instruction's destinations at issue.
     pub fn reserve(&mut self, instr: &Instruction) {
-        if let Some(r) = instr.reg_write() {
+        let pred = match instr.dst {
+            prf_isa::Dst::Pred(p) => Some(p),
+            _ => None,
+        };
+        self.reserve_dst(instr.reg_write(), pred);
+    }
+
+    /// Reserves a pre-decoded destination register and predicate: the form
+    /// of [`Scoreboard::reserve`] the SM's issue path uses.
+    pub fn reserve_dst(&mut self, reg: Option<Reg>, pred: Option<PredReg>) {
+        if let Some(r) = reg {
             self.reg_pending |= 1u64 << r.index();
         }
-        if let prf_isa::Dst::Pred(p) = instr.dst {
+        if let Some(p) = pred {
             self.pred_pending |= 1u8 << p.index();
         }
     }

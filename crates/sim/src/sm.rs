@@ -9,9 +9,11 @@
 
 use std::sync::Arc;
 
-use prf_isa::{CtaId, GridConfig, Kernel, PredReg, ReconvergenceTable, Reg};
+use prf_isa::{
+    CtaId, ExecClass, GridConfig, Instruction, Kernel, PredReg, ReconvergenceTable, Reg,
+};
 
-use crate::collector::{CollectDest, CollectedInstr, CompletedWrite, OperandCollector};
+use crate::collector::{CollectDest, CollectedInstr, CompletedWrite, OperandCollector, MAX_READS};
 use crate::config::GpuConfig;
 use crate::exec::{execute_warp_instruction_into, ExecEnv, ExecOutcome};
 use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
@@ -21,6 +23,7 @@ use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView}
 use crate::scoreboard::{hazard_of, InstrHazard, Scoreboard};
 use crate::stats::SmStats;
 use crate::trace::TraceEvent;
+use crate::validate::MAX_PIPE_LATENCY;
 use crate::warp::{WarpBlock, WarpContext};
 
 /// Everything the SM needs to know about the running kernel.
@@ -36,29 +39,77 @@ pub struct KernelImage {
     pub rt: ReconvergenceTable,
     /// Launch geometry.
     pub grid: GridConfig,
-    /// Per-pc scoreboard footprint, decoded once per launch.
-    hazards: Vec<InstrHazard>,
+    /// Per-pc issue record, decoded once per launch.
+    records: Vec<IssueRecord>,
+}
+
+/// Everything issuing the instruction at one pc needs besides its
+/// functional execution, decoded once per launch: the scoreboard
+/// footprint, the register reads and destinations, and where the
+/// collected instruction goes.
+#[derive(Debug, Clone, Copy)]
+struct IssueRecord {
+    hazard: InstrHazard,
+    /// Registers read, in operand order; the first `num_reads` are live.
+    reads: [Reg; MAX_READS],
+    num_reads: u8,
+    dst_reg: Option<Reg>,
+    pred_dst: Option<PredReg>,
+    is_load: bool,
+    class: ExecClass,
+}
+
+impl IssueRecord {
+    fn decode(instr: &Instruction) -> Self {
+        let mut reads = [Reg(0); MAX_READS];
+        let mut num_reads = 0u8;
+        // `Instruction::srcs` has `MAX_READS` slots, so this never overflows.
+        for r in instr.reg_reads() {
+            reads[usize::from(num_reads)] = r;
+            num_reads += 1;
+        }
+        IssueRecord {
+            hazard: hazard_of(instr),
+            reads,
+            num_reads,
+            dst_reg: instr.reg_write(),
+            pred_dst: match instr.dst {
+                prf_isa::Dst::Pred(p) => Some(p),
+                _ => None,
+            },
+            is_load: instr.opcode.is_load(),
+            class: instr.opcode.exec_class(),
+        }
+    }
+
+    fn reads(&self) -> &[Reg] {
+        &self.reads[..usize::from(self.num_reads)]
+    }
 }
 
 impl KernelImage {
     /// Prepares a kernel for execution (computes the reconvergence table
-    /// and the per-pc hazard table). Accepts an owned [`Kernel`] or an
+    /// and the per-pc issue records). Accepts an owned [`Kernel`] or an
     /// existing `Arc<Kernel>`.
     pub fn new(kernel: impl Into<Arc<Kernel>>, grid: GridConfig) -> Self {
         let kernel = kernel.into();
         let rt = ReconvergenceTable::compute(&kernel);
-        let hazards = kernel.instructions().iter().map(hazard_of).collect();
+        let records = kernel
+            .instructions()
+            .iter()
+            .map(IssueRecord::decode)
+            .collect();
         KernelImage {
             kernel,
             rt,
             grid,
-            hazards,
+            records,
         }
     }
 
     /// The pre-decoded scoreboard footprint of the instruction at `pc`.
     pub fn hazard(&self, pc: usize) -> &InstrHazard {
-        &self.hazards[pc]
+        &self.records[pc].hazard
     }
 
     fn env(&self) -> ExecEnv {
@@ -186,6 +237,11 @@ pub struct Sm {
     /// Resident warps blocked at a barrier; `release_barriers` runs only
     /// while this is non-zero.
     barrier_waiting: usize,
+    /// CTAs resident on the SM (the `Some` entries of `cta_slots`).
+    resident_ctas: usize,
+    /// The schedulers' [`WarpScheduler::issuable_views_suffice`], asked
+    /// once: every scheduler of an SM runs the same policy.
+    issuable_only: bool,
     /// In-flight instructions, indexed by token. Tokens are opaque slab
     /// indices recycled through `free_tokens`: the collector orders by its
     /// own sequence numbers and the LSU by finish time, so a reused token
@@ -194,7 +250,12 @@ pub struct Sm {
     free_tokens: Vec<u64>,
     /// Number of `Some` entries in `inflight`.
     inflight_live: usize,
-    exec_completions: Vec<(u64, u64)>, // (cycle, token)
+    /// Execution-pipe completions: bucket `c & exec_mask` holds, in push
+    /// order, the tokens due at cycle `c`. The ring is longer than any
+    /// pipe latency, so a token never lands in a bucket still to drain
+    /// for an earlier cycle.
+    exec_wheel: Vec<Vec<u64>>,
+    exec_mask: u64,
     /// Statistics for this SM.
     pub stats: SmStats,
     /// (cta, warp_in_cta, finish_cycle) of finished warps, drained by
@@ -215,7 +276,6 @@ pub struct Sm {
     segs_scratch: Vec<u32>,
     views_scratch: Vec<WarpView>,
     order_scratch: Vec<usize>,
-    reads_scratch: Vec<Reg>,
     resolved_scratch: Vec<ResolvedAccess>,
     /// Recycled address buffers for [`ExecOutcome::with_buffer`]; in-flight
     /// memory instructions return theirs on retire.
@@ -252,9 +312,21 @@ impl Sm {
         image: Arc<KernelImage>,
         rf: Box<dyn RegisterFileModel>,
     ) -> Self {
-        let schedulers = (0..config.num_schedulers)
+        let schedulers: Vec<Box<dyn WarpScheduler>> = (0..config.num_schedulers)
             .map(|_| build_scheduler(config.scheduler))
             .collect();
+        let issuable_only = schedulers
+            .first()
+            .is_some_and(|s| s.issuable_views_suffice());
+        let longest_pipe = config
+            .alu_latency
+            .max(config.fp_latency)
+            .max(config.sfu_latency);
+        assert!(
+            longest_pipe <= MAX_PIPE_LATENCY,
+            "pipe latency {longest_pipe} exceeds {MAX_PIPE_LATENCY}"
+        );
+        let wheel_len = (longest_pipe as usize + 1).next_power_of_two();
         let warps_per_scheduler = config.max_warps_per_sm.div_ceil(config.num_schedulers);
         let mut sched_slots = vec![SlotMask::new(config.max_warps_per_sm); config.num_schedulers];
         for slot in 0..config.max_warps_per_sm {
@@ -290,10 +362,13 @@ impl Sm {
                 .collect(),
             resident: 0,
             barrier_waiting: 0,
+            resident_ctas: 0,
+            issuable_only,
             inflight: Vec::new(),
             free_tokens: Vec::new(),
             inflight_live: 0,
-            exec_completions: Vec::new(),
+            exec_wheel: vec![Vec::new(); wheel_len],
+            exec_mask: wheel_len as u64 - 1,
             stats: SmStats::new(),
             finished_warps: Vec::new(),
             sched_events: Vec::new(),
@@ -306,7 +381,6 @@ impl Sm {
             segs_scratch: Vec::new(),
             views_scratch: Vec::new(),
             order_scratch: Vec::new(),
-            reads_scratch: Vec::new(),
             resolved_scratch: Vec::new(),
             addr_pool: Vec::new(),
             warp_pool: Vec::new(),
@@ -331,7 +405,7 @@ impl Sm {
 
     /// Number of CTAs currently resident.
     pub fn resident_ctas(&self) -> usize {
-        self.cta_slots.iter().filter(|c| c.is_some()).count()
+        self.resident_ctas
     }
 
     /// Number of warps currently resident.
@@ -356,10 +430,10 @@ impl Sm {
         let regs = self.image.kernel.regs_per_thread().max(1) as usize;
         let warps_needed = grid.warps_per_cta() as usize;
 
-        if cycle < self.next_dispatch_allowed {
-            return false;
-        }
-        if self.resident_ctas() >= self.config.max_ctas_per_sm {
+        if cycle < self.next_dispatch_allowed
+            || self.resident_ctas >= self.config.max_ctas_per_sm
+            || self.warps.len() - self.resident < warps_needed
+        {
             return false;
         }
         // Register-capacity limit.
@@ -367,6 +441,7 @@ impl Sm {
         if regs_in_use + warps_needed * 32 * regs > self.config.rf_registers {
             return false;
         }
+        // The counts above guarantee the free warp slots and CTA slot.
         let mut free_slots = std::mem::take(&mut self.dispatch_slots_scratch);
         free_slots.clear();
         free_slots.extend(
@@ -374,14 +449,11 @@ impl Sm {
                 .filter(|&i| self.warps[i].is_none())
                 .take(warps_needed),
         );
-        if free_slots.len() < warps_needed {
-            self.dispatch_slots_scratch = free_slots;
-            return false;
-        }
-        let Some(cta_slot) = self.cta_slots.iter().position(|c| c.is_none()) else {
-            self.dispatch_slots_scratch = free_slots;
-            return false;
-        };
+        let cta_slot = self
+            .cta_slots
+            .iter()
+            .position(|c| c.is_none())
+            .expect("fewer than max_ctas_per_sm CTAs are resident");
 
         for (w, &slot) in free_slots.iter().enumerate() {
             let mask = grid.active_mask(w as u32);
@@ -415,6 +487,7 @@ impl Sm {
         self.cta_slots[cta_slot] = Some(CtaState {
             warp_slots: free_slots,
         });
+        self.resident_ctas += 1;
         // Fresh shared memory for the CTA (zeroed in place).
         self.shared_mem[cta_slot].reset(self.config.shared_mem_words);
         self.next_dispatch_allowed = cycle + self.config.cta_dispatch_interval;
@@ -531,7 +604,10 @@ impl Sm {
             .as_ref()
             .is_some_and(|c| c.warp_slots.iter().all(|&s| self.warps[s].is_none()));
         if cta_done {
-            self.cta_slots[cta_slot] = None;
+            // The CTA's slot list becomes the next dispatch's scratch.
+            let cta = self.cta_slots[cta_slot].take().expect("checked above");
+            self.dispatch_slots_scratch = cta.warp_slots;
+            self.resident_ctas -= 1;
         }
     }
 
@@ -684,7 +760,8 @@ impl Sm {
             .as_mut()
             .expect("can_issue checked residency");
         let pc = w.stack.pc().expect("can_issue checked pc");
-        let instr = self.image.kernel.fetch(pc).clone();
+        let instr = self.image.kernel.fetch(pc);
+        let rec = self.image.records[pc];
         let env = self.image.env();
 
         // Functional execution (updates pc / SIMT stack / registers /
@@ -693,7 +770,7 @@ impl Sm {
         let mut outcome = ExecOutcome::with_buffer(self.addr_pool.pop().unwrap_or_default());
         execute_warp_instruction_into(
             w,
-            &instr,
+            instr,
             &self.image.rt,
             &env,
             global,
@@ -750,13 +827,10 @@ impl Sm {
 
         // Register-file bookkeeping. Reads are resolved here, exactly once
         // per access (stateful models depend on this).
-        let mut reads = std::mem::take(&mut self.reads_scratch);
-        reads.clear();
-        reads.extend(instr.reg_reads());
-        let dst_reg = instr.reg_write();
+        let dst_reg = rec.dst_reg;
         let mut resolved_reads = std::mem::take(&mut self.resolved_scratch);
         resolved_reads.clear();
-        for &r in &reads {
+        for &r in rec.reads() {
             self.rf.observe_access(slot, r, AccessKind::Read, cycle);
             resolved_reads.push(self.rf.resolve(slot, r, AccessKind::Read, cycle));
             self.stats.reg_accesses.record(r);
@@ -767,7 +841,7 @@ impl Sm {
         }
         if self.config.per_warp_stats {
             let h = self.stats.per_warp.entry((cta, warp_in_cta)).or_default();
-            for &r in &reads {
+            for &r in rec.reads() {
                 h.record(r);
             }
             if let Some(r) = dst_reg {
@@ -775,44 +849,35 @@ impl Sm {
             }
         }
 
-        let pred_dst = match instr.dst {
-            prf_isa::Dst::Pred(p) => Some(p),
-            _ => None,
-        };
-        let needs_collector = !reads.is_empty() || dst_reg.is_some();
-
-        if needs_collector {
-            self.scoreboards[slot].reserve(&instr);
-            if dst_reg.is_some() || pred_dst.is_some() {
-                // `reserve` set exactly one pending bit (Dst is exclusive).
+        if rec.hazard.needs_collector {
+            self.scoreboards[slot].reserve_dst(dst_reg, rec.pred_dst);
+            if dst_reg.is_some() || rec.pred_dst.is_some() {
+                // Exactly one pending bit was set (Dst is exclusive).
                 self.observer.event(TraceEvent::ScoreboardReserve {
                     cycle,
                     sm: self.id,
                     warp: slot,
                 });
             }
-            let is_load = instr.opcode.is_load();
-            if is_load {
+            if rec.is_load {
                 self.pending_loads[slot] += 1;
             }
-            let dest = if instr.opcode.exec_class() == prf_isa::ExecClass::Mem {
-                CollectDest::Memory
-            } else {
-                let latency = match instr.opcode.exec_class() {
-                    prf_isa::ExecClass::Fp => self.config.fp_latency,
-                    prf_isa::ExecClass::Sfu => self.config.sfu_latency,
-                    _ => self.config.alu_latency,
-                };
-                CollectDest::Execute {
-                    latency,
+            let dest = match rec.class {
+                ExecClass::Mem => CollectDest::Memory,
+                class => CollectDest::Execute {
+                    latency: match class {
+                        ExecClass::Fp => self.config.fp_latency,
+                        ExecClass::Sfu => self.config.sfu_latency,
+                        _ => self.config.alu_latency,
+                    },
                     writeback: dst_reg,
-                }
+                },
             };
             let token = self.alloc_token(InflightInstr {
                 warp_slot: slot,
                 dst_reg,
-                pred_dst,
-                is_load,
+                pred_dst: rec.pred_dst,
+                is_load: rec.is_load,
                 global_addrs: outcome.global_addrs,
                 shared_access: outcome.shared_access,
             });
@@ -829,7 +894,6 @@ impl Sm {
             buf.clear();
             self.addr_pool.push(buf);
         }
-        self.reads_scratch = reads;
         self.resolved_scratch = resolved_reads;
         self.refresh_issuable(slot);
 
@@ -869,16 +933,13 @@ impl Sm {
         self.mem_done_scratch = mem_done;
 
         // 2. Execution-pipe completions -> writeback or retire.
+        // The drained bucket takes the empty scratch vector in its place.
         let mut due = std::mem::take(&mut self.due_scratch);
         due.clear();
-        self.exec_completions.retain(|&(at, token)| {
-            if at <= cycle {
-                due.push(token);
-                false
-            } else {
-                true
-            }
-        });
+        std::mem::swap(
+            &mut due,
+            &mut self.exec_wheel[(cycle & self.exec_mask) as usize],
+        );
         for &token in &due {
             if let Some(i) = self.inflight_info(token) {
                 self.forward_or_retire(token, i.warp_slot, i.dst_reg, cycle);
@@ -936,8 +997,10 @@ impl Sm {
             match c.dest {
                 CollectDest::Execute { latency, writeback } => {
                     if writeback.is_some() || self.inflight_info(c.token).is_some() {
-                        self.exec_completions
-                            .push((cycle + u64::from(latency), c.token));
+                        // Due at `cycle + latency`, but this cycle's bucket
+                        // has drained: a zero latency completes next cycle.
+                        let at = (cycle + u64::from(latency)).max(cycle + 1);
+                        self.exec_wheel[(at & self.exec_mask) as usize].push(c.token);
                     }
                 }
                 CollectDest::Memory => {
@@ -1010,9 +1073,9 @@ impl Sm {
             // issuable warps: the loop below would pass over the rest
             // before the jitter hash, and such a pass changes nothing.
             order.clear();
-            let issuable_only = self.schedulers[sched].issuable_views_suffice();
-            if !issuable_only || self.scheduler_can_issue(sched) {
-                self.warp_views_into(sched, issuable_only, &mut views);
+            let prioritized = !self.issuable_only || self.scheduler_can_issue(sched);
+            if prioritized {
+                self.warp_views_into(sched, self.issuable_only, &mut views);
                 self.schedulers[sched].prioritize(&views, cycle, &mut order);
             }
             let mut issued = 0usize;
@@ -1054,7 +1117,10 @@ impl Sm {
             }
             issued_total += issued as u32;
             // Export scheduler pool demotions to the RF model (RFC flush).
-            self.schedulers[sched].drain_events(&mut self.sched_events);
+            // Only `prioritize` emits events, so a skipped turn has none.
+            if prioritized {
+                self.schedulers[sched].drain_events(&mut self.sched_events);
+            }
         }
         self.global_writes = staged;
         self.views_scratch = views;
@@ -1626,5 +1692,45 @@ mod tests {
         assert_eq!(global.read(60), (60 + 5) * 3);
         // Thread 61 does not exist; its slot in memory must stay zero.
         assert_eq!(global.read(61), 0);
+    }
+
+    #[test]
+    fn zero_alu_latency_retires_on_the_next_cycle() {
+        // A zero-latency ALU result is due in the cycle it is collected,
+        // after that cycle's completions have drained: it retires on the
+        // next cycle. Pinned from the behaviour before completions moved to
+        // per-cycle buckets.
+        let config = GpuConfig {
+            global_mem_words: 1 << 14,
+            alu_latency: 0,
+            ..GpuConfig::kepler_single_sm()
+        };
+        config.validate();
+        let mut kb = KernelBuilder::new("alu0");
+        kb.mov_special(Reg(0), SpecialReg::GlobalTid);
+        kb.ldg(Reg(3), Reg(0), 0);
+        for _ in 0..12 {
+            kb.imad(Reg(1), Reg(0), Reg(0), Reg(1));
+            kb.iadd(Reg(2), Reg(1), Reg(3));
+            kb.ffma(Reg(4), Reg(2), Reg(2), Reg(4));
+        }
+        kb.stg(Reg(0), Reg(2), 0);
+        kb.stg(Reg(0), Reg(4), 0x4000);
+        kb.exit();
+        let (sm, cycles, _) = run_sm(kb.build().unwrap(), GridConfig::new(4, 256), &config);
+        let s = &sm.stats;
+        assert_eq!((cycles, s.instructions), (775, 1312));
+        assert_eq!(
+            [
+                s.active_cycles,
+                s.issue_cycles,
+                s.stall_mem,
+                s.stall_barrier,
+                s.stall_collector,
+                s.stall_alu_dep
+            ],
+            [775, 314, 212, 0, 0, 26]
+        );
+        assert_eq!([s.bank_conflict_waits, s.collector_stalls], [4995, 115]);
     }
 }

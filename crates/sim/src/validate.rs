@@ -76,6 +76,11 @@ impl std::error::Error for ValidationError {
     }
 }
 
+/// The longest execution-pipe latency [`check_config`] accepts. The SM
+/// sizes its completion ring from the longest pipe latency, so a bound
+/// keeps an absurd value from sizing it.
+pub const MAX_PIPE_LATENCY: u32 = 1024;
+
 fn config_err(field: &'static str, reason: impl Into<String>) -> ValidationError {
     ValidationError::Config {
         field,
@@ -113,6 +118,19 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
     }
     if config.max_cycles == 0 {
         return Err(config_err("max_cycles", "must be at least 1"));
+    }
+    let pipes = [
+        ("alu_latency", config.alu_latency),
+        ("fp_latency", config.fp_latency),
+        ("sfu_latency", config.sfu_latency),
+    ];
+    for (field, latency) in pipes {
+        if latency > MAX_PIPE_LATENCY {
+            return Err(config_err(
+                field,
+                format!("{latency} cycles: at most {MAX_PIPE_LATENCY}"),
+            ));
+        }
     }
     Ok(())
 }
@@ -210,6 +228,37 @@ mod tests {
         };
         let err = check_config(&cfg).unwrap_err();
         assert!(err.to_string().contains("power of two"), "{err}");
+    }
+
+    #[test]
+    fn pipe_latency_above_the_bound_rejected_by_name() {
+        let at_bound = GpuConfig {
+            alu_latency: 0,
+            fp_latency: MAX_PIPE_LATENCY,
+            sfu_latency: MAX_PIPE_LATENCY,
+            ..GpuConfig::kepler_single_sm()
+        };
+        assert_eq!(check_config(&at_bound), Ok(()));
+        for field in ["alu_latency", "fp_latency", "sfu_latency"] {
+            let mut cfg = GpuConfig::kepler_single_sm();
+            let latency = match field {
+                "alu_latency" => &mut cfg.alu_latency,
+                "fp_latency" => &mut cfg.fp_latency,
+                _ => &mut cfg.sfu_latency,
+            };
+            *latency = MAX_PIPE_LATENCY + 1;
+            let err = check_config(&cfg).unwrap_err();
+            assert!(
+                matches!(err, ValidationError::Config { field: f, .. } if f == field),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("at most 1024"), "{err}");
+        }
+        let absurd = GpuConfig {
+            sfu_latency: u32::MAX,
+            ..GpuConfig::kepler_single_sm()
+        };
+        assert!(crate::Gpu::try_new(absurd).is_err());
     }
 
     #[test]

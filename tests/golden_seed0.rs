@@ -7,11 +7,18 @@
 //! simulated field is pinned — cycles, warp instructions, active cycles
 //! and the zero-issue stall classes, per-partition reads and writes, and
 //! the exact bits of every energy figure — so a change meant as a pure
-//! speed-up that moves any simulated number fails here. Re-capture the constants only for a
-//! change that is meant to alter simulated behaviour, and say so.
+//! speed-up that moves any simulated number fails here. The values the
+//! kernels compute are pinned too: every row of `nw` and `WP` must leave
+//! the same final global-memory image, whose digest is fixed below.
+//! Re-capture the constants only for a change that is meant to alter
+//! simulated behaviour, and say so.
 
-use pilot_rf::core::{run_experiment, PartitionedRfConfig, RfKind, RfcConfig};
-use pilot_rf::sim::{GpuConfig, SchedulerPolicy};
+use std::sync::Arc;
+
+use pilot_rf::core::{
+    rf_model_factory, run_experiment, shared_telemetry, PartitionedRfConfig, RfKind, RfcConfig,
+};
+use pilot_rf::sim::{Gpu, GpuConfig, SchedulerPolicy};
 use pilot_rf::workloads::by_name;
 
 struct Golden {
@@ -566,5 +573,49 @@ fn smallest_workloads_are_bit_identical_at_seed_0() {
         ]
         .map(f64::to_bits);
         assert_eq!(energy, g.energy_bits, "{job} energy bits");
+    }
+}
+
+/// FNV-1a digests of the final global-memory image (its non-zero words,
+/// address and value, in address order) of each workload whose every
+/// golden row is checked by [`final_memory_is_the_same_on_every_row`].
+const MEMORY_DIGESTS: &[(&str, u64)] = &[("nw", 0x6c1944f2fd9e6fc8), ("WP", 0xdfd1478a9379e885)];
+
+/// Runs every launch of `workload` on one `Gpu`, as
+/// `run_experiment_with_faults` does, and digests the final global memory.
+fn final_memory_digest(gpu: &GpuConfig, rf: &RfKind, workload: &str) -> u64 {
+    let w = by_name(workload).expect("a Table I workload");
+    let mut sim = Gpu::try_new(gpu.clone()).expect("a valid config");
+    for (base, words) in &w.mem_init {
+        sim.global_mem().load(*base, words);
+    }
+    let factory = rf_model_factory(rf, gpu.num_rf_banks, &shared_telemetry());
+    for launch in &w.launches {
+        sim.run(Arc::clone(&launch.kernel), launch.grid, &factory)
+            .unwrap_or_else(|e| panic!("{workload}: {e}"));
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (addr, value) in sim.global_mem_ref().nonzero_words() {
+        for byte in addr.to_le_bytes().into_iter().chain(value.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn final_memory_is_the_same_on_every_row() {
+    for &(workload, digest) in MEMORY_DIGESTS {
+        let rows: Vec<&Golden> = GOLDEN.iter().filter(|g| g.workload == workload).collect();
+        assert!(rows.len() >= 6, "{workload}: {} rows", rows.len());
+        for g in rows {
+            let gpu = gpu(g.scheduler, g.num_sms);
+            let got = final_memory_digest(&gpu, &arm(g.arm, &gpu), workload);
+            assert_eq!(
+                got, digest,
+                "{workload}/{}/{:?}/{} SMs final memory digest {got:#018x}",
+                g.arm, g.scheduler, g.num_sms
+            );
+        }
     }
 }
