@@ -37,7 +37,10 @@ use crate::runner::Job;
 
 /// Version of the digest encoding itself. Bump on any semantic change
 /// that the structural (Debug-shaped) encoding would not capture.
-pub const DIGEST_VERSION: u64 = 1;
+///
+/// 2: the FRF epoch telemetry of a result counts every launch on every
+/// SM (version 1 results hold SM 0's last launch only).
+pub const DIGEST_VERSION: u64 = 2;
 
 /// A minimal, dependency-free SHA-256 (FIPS 180-4). Plenty fast for
 /// hashing job descriptions — the unit of work here is an entire GPU

@@ -655,6 +655,32 @@ mod tests {
     }
 
     #[test]
+    fn frf_epochs_cover_every_launch_on_every_sm() {
+        // Two launches on two SMs: every SM counts one epoch per 50 cycles
+        // of each launch, and the telemetry holds them all.
+        let gpu = GpuConfig {
+            num_sms: 2,
+            ..small_gpu()
+        };
+        let launches = vec![
+            Launch::new(skewed_kernel(), GridConfig::new(8, 128)),
+            Launch::new(skewed_kernel(), GridConfig::new(3, 64)),
+        ];
+        let part = run_experiment(
+            &gpu,
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &launches,
+            &[],
+        )
+        .unwrap();
+        let per_sm: u64 = part.per_launch.iter().map(|r| r.cycles / 50).sum();
+        assert!(part.per_launch.iter().all(|r| r.cycles >= 100));
+        let t = &part.telemetry;
+        assert_eq!(t.frf_high_epochs + t.frf_low_epochs, 2 * per_sm);
+        assert!(t.frf_low_epochs > 0 && t.frf_high_epochs > 0, "{t:?}");
+    }
+
+    #[test]
     fn mem_init_is_visible_to_kernels() {
         let mut kb = KernelBuilder::new("copy");
         kb.mov_special(Reg(0), SpecialReg::GlobalTid);

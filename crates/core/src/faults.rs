@@ -30,7 +30,7 @@ use prf_isa::{Kernel, Reg, MAX_ARCH_REGS};
 use prf_sim::rf::{AccessKind, RegisterFileModel, RepairKind, ResolvedAccess, WarpLifecycle};
 use prf_sim::RfPartition;
 
-use crate::telemetry::SharedTelemetry;
+use crate::telemetry::{RfTelemetry, SharedTelemetry};
 
 /// Latency floor (cycles) of an access spilled to the slow partition —
 /// the SRF access time of the paper's main configuration.
@@ -178,6 +178,9 @@ pub struct FaultedRf {
     config: FaultConfig,
     spares: SpareRemapTable,
     telemetry: SharedTelemetry,
+    /// Repair counts not yet added to `telemetry`; published by
+    /// [`RegisterFileModel::on_launch_end`].
+    unpublished: RfTelemetry,
     name: String,
 }
 
@@ -199,6 +202,7 @@ impl FaultedRf {
             config,
             spares: SpareRemapTable::new(banks, spares_per_bank),
             telemetry,
+            unpublished: RfTelemetry::default(),
             name,
         }
     }
@@ -269,7 +273,7 @@ impl RegisterFileModel for FaultedRf {
             }
         };
         access.repair = Some(repair);
-        let mut t = self.telemetry.lock().unwrap();
+        let t = &mut self.unpublished;
         match repair {
             RepairKind::Remapped => t.fault_remaps += 1,
             RepairKind::Spilled => t.fault_spills += 1,
@@ -302,6 +306,12 @@ impl RegisterFileModel for FaultedRf {
 
     fn on_warp_deactivated(&mut self, warp_slot: usize, cycle: u64) {
         self.inner.on_warp_deactivated(warp_slot, cycle);
+    }
+
+    fn on_launch_end(&mut self) {
+        self.inner.on_launch_end();
+        let counts = std::mem::take(&mut self.unpublished);
+        self.telemetry.lock().unwrap().merge(&counts);
     }
 
     fn rfc_evictions(&self) -> u64 {
@@ -346,6 +356,13 @@ mod tests {
         rf.resolve(0, Reg(0), AccessKind::Read, 0)
     }
 
+    /// Ends the launch, which publishes the repair counts, and reads the
+    /// shared telemetry.
+    fn published(rf: &mut FaultedRf, t: &SharedTelemetry) -> RfTelemetry {
+        rf.on_launch_end();
+        snapshot(t)
+    }
+
     #[test]
     fn healthy_rows_pass_through_untouched() {
         let (mut rf, t) = faulted_ntv(
@@ -355,7 +372,7 @@ mod tests {
         let a = probe(&mut rf);
         assert_eq!(a.repair, None);
         assert_eq!(a.latency, 3);
-        assert_eq!(snapshot(&t).total_fault_repairs(), 0);
+        assert_eq!(published(&mut rf, &t).total_fault_repairs(), 0);
     }
 
     #[test]
@@ -370,7 +387,7 @@ mod tests {
         // Second touch reuses the same spare (no new allocation).
         probe(&mut rf);
         assert_eq!(rf.spares.used_spares(0), 1);
-        assert_eq!(snapshot(&t).fault_remaps, 2);
+        assert_eq!(published(&mut rf, &t).fault_remaps, 2);
     }
 
     #[test]
@@ -388,7 +405,7 @@ mod tests {
         let second = rf.resolve(0, Reg(2), AccessKind::Read, 0);
         assert_eq!(second.repair, Some(RepairKind::Spilled));
         assert_eq!(second.partition, RfPartition::Srf);
-        let t = snapshot(&t);
+        let t = published(&mut rf, &t);
         assert_eq!((t.fault_remaps, t.fault_spills), (1, 1));
     }
 
@@ -399,7 +416,7 @@ mod tests {
         assert_eq!(a.repair, Some(RepairKind::Spilled));
         assert_eq!(a.partition, RfPartition::Srf);
         assert_eq!(a.latency, SPILL_LATENCY);
-        assert_eq!(snapshot(&t).fault_spills, 1);
+        assert_eq!(published(&mut rf, &t).fault_spills, 1);
     }
 
     #[test]
@@ -414,7 +431,7 @@ mod tests {
         // Stuck -> voltage cannot help, spill.
         let stuck = rf.resolve(0, Reg(1), AccessKind::Read, 0);
         assert_eq!(stuck.repair, Some(RepairKind::Spilled));
-        let t = snapshot(&t);
+        let t = published(&mut rf, &t);
         assert_eq!((t.fault_escalations, t.fault_spills), (1, 1));
     }
 
@@ -432,7 +449,7 @@ mod tests {
         let a = probe(&mut rf);
         assert_eq!(a.repair, None);
         assert_eq!(a.partition, RfPartition::MrfStv);
-        assert_eq!(snapshot(&t).total_fault_repairs(), 0);
+        assert_eq!(published(&mut rf, &t).total_fault_repairs(), 0);
     }
 
     #[test]

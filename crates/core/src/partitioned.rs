@@ -77,10 +77,9 @@ pub struct PartitionedRf {
     adaptive: AdaptiveFrf,
     telemetry: SharedTelemetry,
     /// Only SM 0 writes the hot-register telemetry to avoid cross-SM
-    /// clobbering (all SMs converge to the same sets anyway).
+    /// clobbering (all SMs converge to the same sets anyway). Every SM
+    /// adds its FRF epochs at the end of each launch.
     is_reporting_sm: bool,
-    /// The FRF epoch counts last written to the telemetry.
-    published_epochs: Option<(u64, u64)>,
     launch_cycle: u64,
 }
 
@@ -96,7 +95,6 @@ impl PartitionedRf {
             adaptive,
             telemetry,
             is_reporting_sm: sm_id == 0,
-            published_epochs: None,
             launch_cycle: 0,
         }
     }
@@ -161,16 +159,16 @@ impl RegisterFileModel for PartitionedRf {
     fn tick(&mut self, _cycle: u64, issued: u32) {
         if self.config.adaptive.is_some() {
             self.adaptive.tick(issued);
-            // The epoch counters move only when an epoch ends, so the
-            // snapshot is rewritten then (and on this model's first tick,
-            // which replaces an earlier launch's counts).
-            let epochs = (self.adaptive.high_epochs, self.adaptive.low_epochs);
-            if self.is_reporting_sm && self.published_epochs != Some(epochs) {
-                let mut t = self.telemetry.lock().unwrap();
-                (t.frf_high_epochs, t.frf_low_epochs) = epochs;
-                self.published_epochs = Some(epochs);
-            }
         }
+    }
+
+    fn on_launch_end(&mut self) {
+        // Taken, not read, so the counts of a launch are added once.
+        let high = std::mem::take(&mut self.adaptive.high_epochs);
+        let low = std::mem::take(&mut self.adaptive.low_epochs);
+        let mut t = self.telemetry.lock().unwrap();
+        t.frf_high_epochs += high;
+        t.frf_low_epochs += low;
     }
 
     fn on_kernel_launch(&mut self, kernel: &Kernel, cycle: u64) {
@@ -227,7 +225,7 @@ impl RegisterFileModel for PartitionedRf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::shared_telemetry;
+    use crate::telemetry::{shared_telemetry, snapshot};
     use prf_isa::KernelBuilder;
 
     fn test_kernel() -> Kernel {
@@ -368,6 +366,32 @@ mod tests {
         // SRF is unaffected by the FRF mode.
         let b = rf.resolve(0, Reg(40), AccessKind::Read, 51);
         assert_eq!(b.partition, RfPartition::Srf);
+    }
+
+    #[test]
+    fn launch_end_adds_the_launchs_epochs_once() {
+        let (mut rf, t) = hybrid_rf();
+        let epochs = |t: &SharedTelemetry| {
+            let t = snapshot(t);
+            (t.frf_high_epochs, t.frf_low_epochs)
+        };
+        // Launch 1: an idle epoch in high-power mode, then one in low.
+        rf.on_kernel_launch(&test_kernel(), 0);
+        for c in 0..120 {
+            rf.tick(c, 0);
+        }
+        assert_eq!(epochs(&t), (0, 0), "nothing is published mid-launch");
+        rf.on_launch_end();
+        assert_eq!(epochs(&t), (1, 1));
+        rf.on_launch_end();
+        assert_eq!(epochs(&t), (1, 1), "a launch is counted once");
+        // Launch 2 adds to launch 1 rather than replacing it.
+        rf.on_kernel_launch(&test_kernel(), 120);
+        for c in 120..270 {
+            rf.tick(c, 0);
+        }
+        rf.on_launch_end();
+        assert_eq!(epochs(&t), (2, 3));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use prf_isa::{Kernel, Reg};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use prf_sim::RfPartition;
 
-use crate::telemetry::SharedTelemetry;
+use crate::telemetry::{RfTelemetry, SharedTelemetry};
 
 /// RFC configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +75,9 @@ pub struct RfcModel {
     config: RfcConfig,
     caches: Vec<WarpCache>,
     telemetry: SharedTelemetry,
+    /// Hit, miss and write-back counts not yet added to `telemetry`;
+    /// published by [`RegisterFileModel::on_launch_end`].
+    unpublished: RfTelemetry,
     /// Model-local dirty-evict count, kept in lock-step with the
     /// `rfc_writebacks` telemetry counter so the conservation auditor can
     /// cross-check the two independently maintained paths.
@@ -88,6 +91,7 @@ impl RfcModel {
             caches: vec![WarpCache::default(); config.max_warps],
             config,
             telemetry,
+            unpublished: RfTelemetry::default(),
             evictions: 0,
         }
     }
@@ -118,7 +122,7 @@ impl RfcModel {
         cache.entries.push_back((reg, dirty));
         if wrote_back {
             self.evictions += 1;
-            self.telemetry.lock().unwrap().rfc_writebacks += 1;
+            self.unpublished.rfc_writebacks += 1;
         }
         wrote_back
     }
@@ -133,7 +137,7 @@ impl RfcModel {
         self.caches[warp_slot].entries.clear();
         if dirty > 0 {
             self.evictions += dirty;
-            self.telemetry.lock().unwrap().rfc_writebacks += dirty;
+            self.unpublished.rfc_writebacks += dirty;
         }
     }
 
@@ -161,9 +165,8 @@ impl RegisterFileModel for RfcModel {
                 if let Some(i) = self.caches[warp_slot].find(reg) {
                     // Refresh nothing: FIFO, not LRU, as in the RFC paper.
                     let _ = i;
-                    let mut t = self.telemetry.lock().unwrap();
-                    t.rfc_hits += 1;
-                    t.rfc_read_hits += 1;
+                    self.unpublished.rfc_hits += 1;
+                    self.unpublished.rfc_read_hits += 1;
                     ResolvedAccess {
                         bank,
                         latency: self.config.hit_latency,
@@ -172,7 +175,7 @@ impl RegisterFileModel for RfcModel {
                         repair: None,
                     }
                 } else {
-                    self.telemetry.lock().unwrap().rfc_misses += 1;
+                    self.unpublished.rfc_misses += 1;
                     self.fill(warp_slot, reg, false);
                     ResolvedAccess {
                         bank,
@@ -185,11 +188,10 @@ impl RegisterFileModel for RfcModel {
             }
             AccessKind::Write => {
                 // Write-allocate into the RFC; dirty until evicted.
+                self.unpublished.rfc_hits += 1;
                 if let Some(i) = self.caches[warp_slot].find(reg) {
                     self.caches[warp_slot].entries[i].1 = true;
-                    self.telemetry.lock().unwrap().rfc_hits += 1;
                 } else {
-                    self.telemetry.lock().unwrap().rfc_hits += 1;
                     self.fill(warp_slot, reg, true);
                 }
                 ResolvedAccess {
@@ -227,6 +229,11 @@ impl RegisterFileModel for RfcModel {
         self.flush(warp_slot);
     }
 
+    fn on_launch_end(&mut self) {
+        let counts = std::mem::take(&mut self.unpublished);
+        self.telemetry.lock().unwrap().merge(&counts);
+    }
+
     fn rfc_evictions(&self) -> u64 {
         self.evictions
     }
@@ -239,12 +246,19 @@ impl RegisterFileModel for RfcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::shared_telemetry;
+    use crate::telemetry::{shared_telemetry, snapshot};
 
     fn model() -> (RfcModel, SharedTelemetry) {
         let t = shared_telemetry();
         let m = RfcModel::new(RfcConfig::paper_default(24, 64), std::sync::Arc::clone(&t));
         (m, t)
+    }
+
+    /// Ends the launch, which publishes the model's counts, and reads the
+    /// shared telemetry.
+    fn published(m: &mut RfcModel, t: &SharedTelemetry) -> RfTelemetry {
+        m.on_launch_end();
+        snapshot(t)
     }
 
     #[test]
@@ -256,8 +270,9 @@ mod tests {
         let b = m.resolve(0, Reg(5), AccessKind::Read, 1);
         assert_eq!(b.partition, RfPartition::RfcHit);
         assert_eq!(b.latency, 1);
-        assert_eq!(t.lock().unwrap().rfc_hits, 1);
-        assert_eq!(t.lock().unwrap().rfc_misses, 1);
+        let counts = published(&mut m, &t);
+        assert_eq!(counts.rfc_hits, 1);
+        assert_eq!(counts.rfc_misses, 1);
     }
 
     #[test]
@@ -267,7 +282,7 @@ mod tests {
         assert_eq!(a.partition, RfPartition::RfcHit);
         let b = m.resolve(0, Reg(7), AccessKind::Read, 1);
         assert_eq!(b.partition, RfPartition::RfcHit);
-        assert_eq!(t.lock().unwrap().rfc_misses, 0);
+        assert_eq!(published(&mut m, &t).rfc_misses, 0);
     }
 
     #[test]
@@ -292,7 +307,7 @@ mod tests {
             m.resolve(0, Reg(r), AccessKind::Read, 0);
         }
         assert_eq!(
-            t.lock().unwrap().rfc_writebacks,
+            published(&mut m, &t).rfc_writebacks,
             1,
             "dirty R0 written back on eviction"
         );
@@ -313,7 +328,7 @@ mod tests {
         m.resolve(3, Reg(2), AccessKind::Read, 0);
         m.on_warp_deactivated(3, 5);
         assert!(m.cached_registers(3).is_empty());
-        assert_eq!(t.lock().unwrap().rfc_writebacks, 1);
+        assert_eq!(published(&mut m, &t).rfc_writebacks, 1);
         // Re-activation misses again — the TL/RFC interplay that limits
         // hit rate as warp counts grow.
         let a = m.resolve(3, Reg(1), AccessKind::Read, 6);
@@ -333,7 +348,7 @@ mod tests {
             9,
         );
         assert!(m.cached_registers(2).is_empty());
-        assert_eq!(t.lock().unwrap().rfc_writebacks, 1);
+        assert_eq!(published(&mut m, &t).rfc_writebacks, 1);
     }
 
     #[test]
@@ -360,7 +375,7 @@ mod tests {
         m.resolve(1, Reg(9), AccessKind::Write, 1);
         m.on_warp_deactivated(1, 2); // flushes dirty R9
         assert_eq!(m.rfc_evictions(), 2);
-        assert_eq!(t.lock().unwrap().rfc_writebacks, m.rfc_evictions());
+        assert_eq!(published(&mut m, &t).rfc_writebacks, m.rfc_evictions());
     }
 
     #[test]
@@ -369,6 +384,6 @@ mod tests {
         m.resolve(0, Reg(0), AccessKind::Read, 0); // miss
         m.resolve(0, Reg(0), AccessKind::Read, 1); // hit
         m.resolve(0, Reg(0), AccessKind::Read, 2); // hit
-        assert!((t.lock().unwrap().rfc_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((published(&mut m, &t).rfc_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

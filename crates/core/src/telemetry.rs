@@ -2,7 +2,11 @@
 //!
 //! The simulator owns the per-SM model instances and drops them when a run
 //! finishes, so models report their internal statistics into a shared
-//! [`RfTelemetry`] cell that the experiment driver keeps.
+//! [`RfTelemetry`] cell that the experiment driver keeps. Per-access and
+//! per-cycle counts (RFC hits and misses, write-backs, fault repairs, FRF
+//! epochs) are kept in the model and added to the cell once per launch,
+//! from [`prf_sim::RegisterFileModel::on_launch_end`]; only rare events
+//! (hot-register sets, pilot completion) write the cell when they happen.
 //!
 //! The handle is `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: each
 //! experiment run owns its *own* telemetry instance (nothing is shared

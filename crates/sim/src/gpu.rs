@@ -268,7 +268,9 @@ impl Gpu {
     /// Runs one kernel to completion.
     ///
     /// `rf_factory` builds the per-SM register-file model; it is invoked
-    /// once per SM with the SM index. The pilot warp is warp 0 of CTA 0.
+    /// once per SM with the SM index, and each model's
+    /// [`RegisterFileModel::on_launch_end`] runs once the kernel completes.
+    /// The pilot warp is warp 0 of CTA 0.
     ///
     /// # Errors
     ///
@@ -336,6 +338,7 @@ impl Gpu {
         let mut samples = Vec::new();
         let mut audit = self.config.audit.then(crate::audit::AuditReport::default);
         for sm in &mut sms {
+            sm.notify_launch_end();
             stats.merge(&sm.stats);
             per_sm_instructions.push(sm.stats.instructions);
             let observation = sm.finish_observation(self.cycle);

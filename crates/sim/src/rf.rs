@@ -216,6 +216,13 @@ pub trait RegisterFileModel: fmt::Debug + Send {
         let _ = (warp_slot, cycle);
     }
 
+    /// The launch this model served has ended: its last cycle has run.
+    /// A model that counts its statistics locally adds that launch's
+    /// counts to the shared telemetry here, so the hot path takes no lock.
+    /// [`crate::Gpu::run`] calls it once per SM when a launch completes;
+    /// the default publishes nothing.
+    fn on_launch_end(&mut self) {}
+
     /// Audit hook: dirty entries this model evicted (and wrote back) so
     /// far. The conservation auditor cross-checks the sum against the
     /// `rfc_writebacks` telemetry counter; models without a write-back

@@ -155,12 +155,12 @@ pub(crate) struct SmSampler {
     window_start: Option<u64>,
     /// Cycles accumulated in the open window.
     open_cycles: u64,
+    /// Closed windows. The buffer grows as windows close and reserves
+    /// nothing up front: every finished series outlives its run in the
+    /// experiment result, so a reserve sized for long runs would be held,
+    /// unused, for every short one.
     windows: Vec<SampleWindow>,
 }
-
-/// Initial buffer capacity: enough for most figure workloads without a
-/// single reallocation, tiny compared to simulator state otherwise.
-const PREALLOCATED_WINDOWS: usize = 1024;
 
 impl SmSampler {
     /// A sampler with the given configuration.
@@ -171,7 +171,7 @@ impl SmSampler {
             prev: CounterSnapshot::default(),
             window_start: None,
             open_cycles: 0,
-            windows: Vec::with_capacity(PREALLOCATED_WINDOWS),
+            windows: Vec::new(),
         }
     }
 
@@ -342,6 +342,25 @@ mod tests {
         assert_eq!(series.windows[1].frf_low, Some(true));
         assert_eq!(series.windows[1].rf_reads[RfPartition::MrfStv.index()], 3);
         assert_eq!(series.total(|w| w.instructions), 10);
+    }
+
+    #[test]
+    fn finished_series_capacity_tracks_its_window_count() {
+        let s = stats_at(0, 0);
+        for cycles in [1u64, 5, 40, 333, 5000] {
+            let mut sampler = SmSampler::new(SamplingConfig::every(3));
+            for c in 0..cycles {
+                sampler.on_cycle(c, &s, 1, None);
+            }
+            let series = sampler.finish(0, &s, 1);
+            let n = series.windows.len();
+            assert_eq!(n as u64, cycles.div_ceil(3));
+            assert!(
+                series.windows.capacity() <= 2 * n.max(4),
+                "{n} windows in a buffer of {}",
+                series.windows.capacity()
+            );
+        }
     }
 
     #[test]

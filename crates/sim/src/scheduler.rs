@@ -3,27 +3,117 @@
 //! Each SM has `num_schedulers` scheduler instances; warp slot `s` belongs
 //! to scheduler `s % num_schedulers` (the usual striped assignment). Every
 //! cycle the SM asks each scheduler for a priority-ordered candidate list
-//! and issues to the first ready warps. The SM hands each scheduler its
-//! live warps, or only its issuable ones, already in age order (see
-//! [`WarpScheduler::prioritize`]).
+//! and issues to the first ready warps. The SM lends each scheduler its
+//! live warps in age order and its per-slot issue masks as a [`WarpSet`]
+//! (see [`WarpScheduler::prioritize`]).
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::config::SchedulerPolicy;
 
-/// Read-only per-warp information a scheduler may consult.
+/// A set of warp slots, one bit per slot in `u64` words. The SM sizes its
+/// masks once from `max_warps_per_sm`, so updates never allocate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotMask {
+    words: Vec<u64>,
+}
+
+impl SlotMask {
+    /// An empty set over `slots` warp slots.
+    pub fn new(slots: usize) -> Self {
+        SlotMask {
+            words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    /// Adds `slot` to the set (`on`) or removes it.
+    pub fn set(&mut self, slot: usize, on: bool) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if on {
+            self.words[word] |= bit;
+        } else {
+            self.words[word] &= !bit;
+        }
+    }
+
+    /// True when `slot` is in the set.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
+    }
+
+    /// True when no slot is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The set as `u64` words, slot `s` at bit `s % 64` of word `s / 64`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// The slots set in one mask word, ascending.
+struct SetBits {
+    bits: u64,
+    base: usize,
+}
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let slot = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(slot)
+    }
+}
+
+/// What a scheduler reads on its turn, borrowed from the SM: its own live
+/// warps in age order and the SM's issue masks. The masks cover every
+/// warp slot of the SM and are kept current by the SM at the events that
+/// change them, so a turn builds nothing per warp.
 #[derive(Debug, Clone, Copy)]
-pub struct WarpView {
-    /// Hardware warp slot.
-    pub slot: usize,
-    /// The warp is blocked on a long-latency dependence (memory load
-    /// outstanding) — the demotion trigger for the two-level scheduler.
-    pub long_latency_pending: bool,
-    /// The warp is waiting at a CTA barrier — also a two-level demotion
+pub struct WarpSet<'a> {
+    /// This scheduler's live warps oldest first, as `(dispatch_cycle,
+    /// slot)`: by the cycle the warp became resident, then by slot.
+    pub ages: &'a [(u64, usize)],
+    /// The warp slots this scheduler owns.
+    pub owned: &'a SlotMask,
+    /// Live warps that are eligible (not at a barrier) and not blocked by
+    /// their scoreboard.
+    pub issuable: &'a SlotMask,
+    /// Resident warps with lanes left to run, barrier-blocked ones
+    /// included.
+    pub live: &'a SlotMask,
+    /// Live warps whose next instruction is blocked by the scoreboard
+    /// while they have loads outstanding: the two-level demotion trigger
+    /// and the fetch-group rotation trigger. Barrier-blocked warps keep
+    /// their next instruction, so they can be in this set too.
+    pub long_latency: &'a SlotMask,
+    /// Live warps waiting at a CTA barrier — also a two-level demotion
     /// trigger (a barrier-blocked warp must not pin an active-pool slot,
     /// or the warps that could release it never get promoted).
-    pub barrier_waiting: bool,
+    pub barrier: &'a SlotMask,
+}
+
+impl<'a> WarpSet<'a> {
+    /// This scheduler's live warp slots, oldest first.
+    pub fn oldest_first(&self) -> impl Iterator<Item = usize> + 'a {
+        self.ages.iter().map(|&(_, slot)| slot)
+    }
+
+    /// The slots of `mask` this scheduler owns, in slot order.
+    pub fn owned_in(&self, mask: &'a SlotMask) -> impl Iterator<Item = usize> + 'a {
+        let words = mask.words.iter().zip(&self.owned.words).enumerate();
+        words.flat_map(|(word, (&bits, &mine))| SetBits {
+            bits: bits & mine,
+            base: word * 64,
+        })
+    }
 }
 
 /// Events a scheduler can emit for the SM to act on (e.g. the RFC must
@@ -45,16 +135,15 @@ pub trait WarpScheduler: fmt::Debug + Send {
     /// Returns the candidate warp slots in priority order for this cycle.
     /// The SM tries them in order and issues to the ready ones.
     ///
-    /// `warps` holds views in age order: by the cycle the warp became
-    /// resident, then by slot. A policy that wants oldest-first (GTO) uses
-    /// that order as is; one that orders by slot (LRR, fetch-group) sorts.
-    /// Which warps are viewed depends on
-    /// [`WarpScheduler::issuable_views_suffice`]: when it is true, only the
-    /// scheduler's issuable warps (eligible and not blocked by their
-    /// scoreboard, so both view flags are false), and no call at all on a
-    /// turn with none; otherwise one view per live warp of this scheduler
-    /// (resident, with lanes left to run; barrier-blocked warps included).
-    fn prioritize(&mut self, warps: &[WarpView], cycle: u64, out: &mut Vec<usize>);
+    /// `warps` lends the scheduler its live warps in age order and the
+    /// SM's slot masks (see [`WarpSet`]); a policy reads only what it
+    /// needs. GTO walks the age order for issuable warps; LRR takes its
+    /// issuable slots and fetch-group its live slots in slot order, so
+    /// neither sorts; two-level tests only its active pool against the
+    /// masks. When [`WarpScheduler::issuable_views_suffice`] is true the
+    /// SM calls this only on a turn in which one of the scheduler's warps
+    /// is issuable, and the list may leave out warps that are not.
+    fn prioritize(&mut self, warps: &WarpSet<'_>, cycle: u64, out: &mut Vec<usize>);
 
     /// Notifies the scheduler that `slot` issued an instruction.
     fn on_issue(&mut self, slot: usize, cycle: u64);
@@ -71,16 +160,15 @@ pub trait WarpScheduler: fmt::Debug + Send {
     }
 
     /// True when [`WarpScheduler::prioritize`] leaves the scheduler's
-    /// observable state unchanged and orders any subset of its warps as it
-    /// orders them within the full list. The SM then hands such a
-    /// scheduler views of its issuable warps only, and skips its turn, with
-    /// no views and no `prioritize` call, when none can issue: the issue
-    /// loop passes over a warp that cannot issue before it changes
-    /// anything, so the issued sequence is the same. GTO and LRR mutate
-    /// state only in `on_issue`; the two-level scheduler demotes/promotes
-    /// and the fetch-group scheduler rotates inside `prioritize` itself,
-    /// reading the views of blocked warps, so those two always see every
-    /// live warp.
+    /// observable state unchanged, emits no events, and orders the
+    /// issuable warps as it would whatever the other warps' state. The SM
+    /// then skips such a scheduler's turn, with no `prioritize` call, when
+    /// none of its warps can issue: the issue loop passes over a warp that
+    /// cannot issue before it changes anything, so the issued sequence is
+    /// the same. GTO and LRR mutate state only in `on_issue` and read only
+    /// the `issuable` mask; the two-level scheduler demotes/promotes and
+    /// the fetch-group scheduler rotates inside `prioritize` itself,
+    /// reading the masks of blocked warps, so those two run every turn.
     fn issuable_views_suffice(&self) -> bool {
         false
     }
@@ -122,19 +210,18 @@ impl GtoScheduler {
 }
 
 impl WarpScheduler for GtoScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
+        let issuable = warps.issuable;
         if let Some(g) = self.greedy {
-            if warps.iter().any(|w| w.slot == g) {
+            if issuable.contains(g) {
                 out.push(g);
             }
         }
-        // The views arrive oldest first.
         out.extend(
             warps
-                .iter()
-                .map(|w| w.slot)
-                .filter(|&slot| Some(slot) != self.greedy),
+                .oldest_first()
+                .filter(|&slot| issuable.contains(slot) && Some(slot) != self.greedy),
         );
     }
 
@@ -167,8 +254,6 @@ impl WarpScheduler for GtoScheduler {
 #[derive(Debug, Default)]
 pub struct LrrScheduler {
     last: Option<usize>,
-    /// Scratch reused across cycles.
-    slots: Vec<usize>,
 }
 
 impl LrrScheduler {
@@ -179,19 +264,13 @@ impl LrrScheduler {
 }
 
 impl WarpScheduler for LrrScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        self.slots.clear();
-        self.slots.extend(warps.iter().map(|w| w.slot));
-        self.slots.sort_unstable();
-        if self.slots.is_empty() {
-            return;
+        out.extend(warps.owned_in(warps.issuable));
+        if let Some(last) = self.last {
+            let start = out.iter().position(|&s| s > last).unwrap_or(0);
+            out.rotate_left(start);
         }
-        let start = match self.last {
-            Some(l) => self.slots.iter().position(|&s| s > l).unwrap_or(0),
-            None => 0,
-        };
-        out.extend(self.slots[start..].iter().chain(self.slots[..start].iter()));
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -230,20 +309,6 @@ pub struct TwoLevelScheduler {
     pending: VecDeque<usize>,
     rr: usize,
     events: Vec<SchedulerEvent>,
-    /// Scratch reused across `prioritize` calls: per warp slot, what this
-    /// call's views say of it. Reset to `Absent` before the call returns.
-    viewed: Vec<Viewed>,
-}
-
-/// What one `prioritize` call's views say of a warp slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Viewed {
-    /// No view: the warp is no longer live.
-    Absent,
-    /// Viewed and free to stay in the active pool.
-    Keep,
-    /// Viewed and blocked (long latency or barrier): demote it.
-    Demote,
 }
 
 impl TwoLevelScheduler {
@@ -255,7 +320,6 @@ impl TwoLevelScheduler {
             pending: VecDeque::new(),
             rr: 0,
             events: Vec::new(),
-            viewed: Vec::new(),
         }
     }
 
@@ -275,35 +339,22 @@ impl TwoLevelScheduler {
 }
 
 impl WarpScheduler for TwoLevelScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        for w in warps {
-            if w.slot >= self.viewed.len() {
-                self.viewed.resize(w.slot + 1, Viewed::Absent);
-            }
-            self.viewed[w.slot] = if w.long_latency_pending || w.barrier_waiting {
-                Viewed::Demote
-            } else {
-                Viewed::Keep
-            };
-        }
-        // Demote blocked active warps; drop those no longer viewed.
+        // Demote blocked active warps; drop those no longer live.
         let mut i = 0;
         while i < self.active.len() {
             let slot = self.active[i];
-            let viewed = self.viewed.get(slot).copied().unwrap_or(Viewed::Absent);
-            if viewed == Viewed::Keep {
+            let live = warps.live.contains(slot);
+            if live && !warps.long_latency.contains(slot) && !warps.barrier.contains(slot) {
                 i += 1;
                 continue;
             }
             self.active.remove(i);
-            if viewed == Viewed::Demote {
+            if live {
                 self.pending.push_back(slot);
                 self.events.push(SchedulerEvent::Deactivated { slot });
             }
-        }
-        for w in warps {
-            self.viewed[w.slot] = Viewed::Absent;
         }
         self.promote();
         if self.active.is_empty() {
@@ -359,8 +410,6 @@ impl WarpScheduler for TwoLevelScheduler {
 pub struct FetchGroupScheduler {
     group_size: usize,
     current_group: usize,
-    /// Scratch reused across cycles: (slot, long_latency_pending).
-    slots: Vec<(usize, bool)>,
 }
 
 impl FetchGroupScheduler {
@@ -369,43 +418,30 @@ impl FetchGroupScheduler {
         FetchGroupScheduler {
             group_size: group_size.max(1),
             current_group: 0,
-            slots: Vec::new(),
         }
     }
 }
 
 impl WarpScheduler for FetchGroupScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        self.slots.clear();
-        self.slots
-            .extend(warps.iter().map(|w| (w.slot, w.long_latency_pending)));
-        if self.slots.is_empty() {
+        // Group g is the g-th run of `group_size` live slots in slot order.
+        out.extend(warps.owned_in(warps.live));
+        if out.is_empty() {
             return;
         }
-        self.slots.sort_unstable();
-        let num_groups = self.slots.len().div_ceil(self.group_size);
+        let num_groups = out.len().div_ceil(self.group_size);
         let cur = self.current_group % num_groups;
         // If every warp of the current group is long-latency blocked, rotate.
-        let cur_blocked = self
-            .slots
+        let cur_blocked = out[cur * self.group_size..]
             .iter()
-            .skip(cur * self.group_size)
             .take(self.group_size)
-            .all(|&(_, long)| long);
+            .all(|&slot| warps.long_latency.contains(slot));
         if cur_blocked {
             self.current_group = (cur + 1) % num_groups;
         }
-        let cur = self.current_group % num_groups;
-        for g in 0..num_groups {
-            out.extend(
-                self.slots
-                    .iter()
-                    .skip(((cur + g) % num_groups) * self.group_size)
-                    .take(self.group_size)
-                    .map(|&(slot, _)| slot),
-            );
-        }
+        // The current group first, then the following ones, wrapping.
+        out.rotate_left((self.current_group % num_groups) * self.group_size);
     }
 
     fn on_issue(&mut self, _slot: usize, _cycle: u64) {}
@@ -423,47 +459,136 @@ impl WarpScheduler for FetchGroupScheduler {
 mod tests {
     use super::*;
 
-    fn views(slots: &[(usize, bool)]) -> Vec<WarpView> {
-        slots
-            .iter()
-            .map(|&(slot, mem)| WarpView {
-                slot,
-                long_latency_pending: mem,
-                barrier_waiting: false,
-            })
-            .collect()
+    /// How a test warp stands for issue.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum State {
+        /// Eligible and not blocked.
+        Ready,
+        /// Blocked by its scoreboard on a register of no outstanding load.
+        AluBlocked,
+        /// Blocked by its scoreboard with loads outstanding.
+        MemBlocked,
+        /// Waiting at a barrier.
+        Barrier,
+        /// Waiting at a barrier, its next instruction blocked with loads
+        /// outstanding.
+        BarrierMem,
+    }
+
+    /// Owned storage behind a test [`WarpSet`]: one scheduler owning all
+    /// 64 slots of an SM.
+    struct Masks {
+        ages: Vec<(u64, usize)>,
+        owned: SlotMask,
+        issuable: SlotMask,
+        live: SlotMask,
+        long_latency: SlotMask,
+        barrier: SlotMask,
+    }
+
+    impl Masks {
+        /// Live warps oldest first, with their states.
+        fn new(warps: &[(usize, State)]) -> Self {
+            let mut m = Masks {
+                ages: Vec::new(),
+                owned: SlotMask::new(64),
+                issuable: SlotMask::new(64),
+                live: SlotMask::new(64),
+                long_latency: SlotMask::new(64),
+                barrier: SlotMask::new(64),
+            };
+            for slot in 0..64 {
+                m.owned.set(slot, true);
+            }
+            for (age, &(slot, state)) in warps.iter().enumerate() {
+                m.ages.push((age as u64, slot));
+                m.live.set(slot, true);
+                m.issuable.set(slot, state == State::Ready);
+                m.long_latency
+                    .set(slot, matches!(state, State::MemBlocked | State::BarrierMem));
+                m.barrier
+                    .set(slot, matches!(state, State::Barrier | State::BarrierMem));
+            }
+            m
+        }
+
+        /// Live warps oldest first; `true` marks a memory-blocked one.
+        fn mem(warps: &[(usize, bool)]) -> Self {
+            let states: Vec<(usize, State)> = warps
+                .iter()
+                .map(|&(slot, mem)| (slot, if mem { State::MemBlocked } else { State::Ready }))
+                .collect();
+            Self::new(&states)
+        }
+
+        fn set(&self) -> WarpSet<'_> {
+            WarpSet {
+                ages: &self.ages,
+                owned: &self.owned,
+                issuable: &self.issuable,
+                live: &self.live,
+                long_latency: &self.long_latency,
+                barrier: &self.barrier,
+            }
+        }
+    }
+
+    #[test]
+    fn owned_slots_come_in_slot_order_across_words() {
+        let mut owned = SlotMask::new(130);
+        let mut mask = SlotMask::new(130);
+        for slot in (1..130).step_by(2) {
+            owned.set(slot, true);
+        }
+        for slot in [129, 3, 64, 65, 2, 127, 63] {
+            mask.set(slot, true);
+        }
+        let empty = SlotMask::new(130);
+        let set = WarpSet {
+            ages: &[],
+            owned: &owned,
+            issuable: &empty,
+            live: &empty,
+            long_latency: &empty,
+            barrier: &empty,
+        };
+        assert_eq!(
+            set.owned_in(&mask).collect::<Vec<_>>(),
+            vec![3, 63, 65, 127, 129]
+        );
+        assert!(empty.is_empty() && !mask.is_empty());
     }
 
     #[test]
     fn gto_prefers_greedy_then_oldest() {
         let mut s = GtoScheduler::new();
-        // Views arrive in age order (the `prioritize` contract): slot 4
-        // is the oldest warp, slot 0 the youngest.
-        let w = views(&[(4, false), (8, false), (0, false)]);
+        // Warps in age order: slot 4 is the oldest warp, slot 0 the
+        // youngest.
+        let m = Masks::mem(&[(4, false), (8, false), (0, false)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         // No greedy yet: oldest first.
         assert_eq!(out, vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&w, 2, &mut out);
+        s.prioritize(&m.set(), 2, &mut out);
         assert_eq!(out, vec![8, 4, 0]);
         s.on_warp_finish(8);
-        s.prioritize(&w, 3, &mut out);
+        s.prioritize(&m.set(), 3, &mut out);
         assert_eq!(out[0], 4);
     }
 
     #[test]
     fn lrr_rotates_past_last_issued() {
         let mut s = LrrScheduler::new();
-        let w = views(&[(0, false), (4, false), (8, false)]);
+        let m = Masks::mem(&[(0, false), (4, false), (8, false)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         assert_eq!(out, vec![0, 4, 8]);
         s.on_issue(0, 0);
-        s.prioritize(&w, 1, &mut out);
+        s.prioritize(&m.set(), 1, &mut out);
         assert_eq!(out, vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&w, 2, &mut out);
+        s.prioritize(&m.set(), 2, &mut out);
         assert_eq!(out, vec![0, 4, 8]);
     }
 
@@ -474,9 +599,9 @@ mod tests {
             s.on_warp_start(slot);
         }
         assert_eq!(s.active_pool(), &[0, 4]);
-        let w = views(&[(0, false), (4, false), (8, false), (12, false)]);
+        let m = Masks::mem(&[(0, false), (4, false), (8, false), (12, false)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         assert_eq!(out.len(), 2);
         assert!(out.contains(&0) && out.contains(&4));
     }
@@ -488,9 +613,9 @@ mod tests {
             s.on_warp_start(slot);
         }
         // Warp 0 blocks on memory.
-        let w = views(&[(0, true), (4, false), (8, false)]);
+        let m = Masks::mem(&[(0, true), (4, false), (8, false)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         assert!(!out.contains(&0), "blocked warp must leave the pool");
         assert!(out.contains(&8), "pending warp must be promoted");
         let mut ev = Vec::new();
@@ -507,20 +632,9 @@ mod tests {
         let mut s = TwoLevelScheduler::new(1);
         s.on_warp_start(0);
         s.on_warp_start(4);
-        let w = vec![
-            WarpView {
-                slot: 0,
-                long_latency_pending: false,
-                barrier_waiting: true,
-            },
-            WarpView {
-                slot: 4,
-                long_latency_pending: false,
-                barrier_waiting: false,
-            },
-        ];
+        let m = Masks::new(&[(0, State::Barrier), (4, State::Ready)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         assert_eq!(
             out,
             vec![4],
@@ -528,103 +642,150 @@ mod tests {
         );
     }
 
-    /// The two-level demotion pass as it read before the per-slot table:
-    /// one search of the views per active warp.
-    fn two_level_reference(
-        active: &mut Vec<usize>,
-        pending: &mut VecDeque<usize>,
-        warps: &[WarpView],
-    ) -> Vec<usize> {
-        let mut demoted = Vec::new();
-        let mut i = 0;
-        while i < active.len() {
-            let slot = active[i];
-            let view = warps.iter().find(|w| w.slot == slot);
-            if view.is_none_or(|w| w.long_latency_pending || w.barrier_waiting) {
-                active.remove(i);
-                if view.is_some() {
-                    pending.push_back(slot);
-                    demoted.push(slot);
+    /// One warp as the schedulers saw it before they read the SM's masks.
+    #[derive(Debug, Clone, Copy)]
+    struct WarpView {
+        slot: usize,
+        long_latency_pending: bool,
+        barrier_waiting: bool,
+    }
+
+    /// The two-level scheduler as it read before the masks: one view per
+    /// live warp of the scheduler, and one search of the views per active
+    /// warp.
+    #[derive(Debug, Default)]
+    struct TwoLevelByViews {
+        active: Vec<usize>,
+        pending: VecDeque<usize>,
+        rr: usize,
+        events: Vec<SchedulerEvent>,
+    }
+
+    impl TwoLevelByViews {
+        fn promote(&mut self, active_size: usize) {
+            while self.active.len() < active_size {
+                match self.pending.pop_front() {
+                    Some(s) => self.active.push(s),
+                    None => break,
                 }
-            } else {
-                i += 1;
             }
         }
-        demoted
+
+        fn prioritize(&mut self, active_size: usize, warps: &[WarpView], out: &mut Vec<usize>) {
+            out.clear();
+            let mut i = 0;
+            while i < self.active.len() {
+                let slot = self.active[i];
+                let view = warps.iter().find(|w| w.slot == slot);
+                if view.is_none_or(|w| w.long_latency_pending || w.barrier_waiting) {
+                    self.active.remove(i);
+                    if view.is_some() {
+                        self.pending.push_back(slot);
+                        self.events.push(SchedulerEvent::Deactivated { slot });
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            self.promote(active_size);
+            if self.active.is_empty() {
+                return;
+            }
+            let n = self.active.len();
+            let start = self.rr % n;
+            out.extend(
+                self.active[start..]
+                    .iter()
+                    .chain(self.active[..start].iter()),
+            );
+        }
+
+        fn on_issue(&mut self, slot: usize) {
+            if let Some(pos) = self.active.iter().position(|&s| s == slot) {
+                self.rr = (pos + 1) % self.active.len().max(1);
+            }
+        }
+
+        fn on_warp_start(&mut self, active_size: usize, slot: usize) {
+            if self.active.len() < active_size {
+                self.active.push(slot);
+            } else {
+                self.pending.push_back(slot);
+            }
+        }
     }
 
     #[test]
-    fn two_level_slot_table_matches_the_view_search() {
-        // Twelve live warps over a pool of four, for 200 calls: each call
-        // views the live warps in a rotated order, some blocked on memory,
-        // some at a barrier, and some unviewed (an exited warp whose slot
-        // is still occupied), which drops them from the pool.
+    fn two_level_masks_match_the_view_search() {
+        // Twelve warps over a pool of four, for 200 calls: each call sees
+        // the live warps in a rotated age order, some ready, some blocked
+        // on an ALU result, some on memory, some at a barrier (with and
+        // without a load outstanding), and some no longer live (an exited
+        // warp whose slot is still occupied), which drops them from the
+        // pool. The reference reads views derived from the same state.
         let slots: Vec<usize> = (0..12).map(|i| i * 4 + 1).collect();
         let mut s = TwoLevelScheduler::new(4);
+        let mut reference = TwoLevelByViews::default();
         for &slot in &slots {
             s.on_warp_start(slot);
+            reference.on_warp_start(4, slot);
         }
-        let (mut active, mut pending) = (s.active.clone(), s.pending.clone());
         let mut h = 0x2545_F491u32;
-        let mut seen = (false, false, false);
+        let mut seen = [false; 6];
         for cycle in 0..200u64 {
-            let mut views = Vec::new();
+            let mut warps = Vec::new();
             for k in 0..slots.len() {
                 let slot = slots[(k + cycle as usize) % slots.len()];
                 h ^= h << 13;
                 h ^= h >> 17;
                 h ^= h << 5;
-                match h % 8 {
-                    0 => {
-                        seen.0 = true;
-                        continue;
-                    }
-                    1 => seen.1 = true,
-                    2 => seen.2 = true,
-                    _ => {}
+                let state = match h % 10 {
+                    0 => None,
+                    1 => Some(State::MemBlocked),
+                    2 => Some(State::Barrier),
+                    3 => Some(State::BarrierMem),
+                    4 => Some(State::AluBlocked),
+                    _ => Some(State::Ready),
+                };
+                seen[(h % 10).min(5) as usize] = true;
+                if let Some(state) = state {
+                    warps.push((slot, state));
                 }
-                views.push(WarpView {
+            }
+            let m = Masks::new(&warps);
+            let views: Vec<WarpView> = m
+                .set()
+                .oldest_first()
+                .map(|slot| WarpView {
                     slot,
-                    long_latency_pending: h % 8 == 1,
-                    barrier_waiting: h % 8 == 2,
-                });
-            }
-            let mut out = Vec::new();
-            s.prioritize(&views, cycle, &mut out);
-            let demoted = two_level_reference(&mut active, &mut pending, &views);
-            while active.len() < 4 {
-                match pending.pop_front() {
-                    Some(slot) => active.push(slot),
-                    None => break,
-                }
-            }
-            assert_eq!(s.active, active, "cycle {cycle}");
-            assert_eq!(s.pending, pending, "cycle {cycle}");
+                    long_latency_pending: m.long_latency.contains(slot),
+                    barrier_waiting: m.barrier.contains(slot),
+                })
+                .collect();
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            s.prioritize(&m.set(), cycle, &mut out);
+            reference.prioritize(4, &views, &mut want);
+            assert_eq!(out, want, "cycle {cycle}");
+            assert_eq!(s.active, reference.active, "cycle {cycle}");
+            assert_eq!(s.pending, reference.pending, "cycle {cycle}");
             let mut events = Vec::new();
             s.drain_events(&mut events);
-            let want: Vec<SchedulerEvent> = demoted
-                .into_iter()
-                .map(|slot| SchedulerEvent::Deactivated { slot })
-                .collect();
-            assert_eq!(events, want, "cycle {cycle}");
-            if let Some(&slot) = out.first() {
+            assert_eq!(events, reference.events, "cycle {cycle}");
+            reference.events.clear();
+            if let Some(&slot) = out.iter().find(|&&slot| m.issuable.contains(slot)) {
                 s.on_issue(slot, cycle);
+                reference.on_issue(slot);
             }
-            // A warp dropped for want of a view is gone from both lists; a
+            // A warp dropped for not being live is gone from both lists; a
             // new warp takes its slot.
             for &slot in &slots {
-                if !active.contains(&slot) && !pending.contains(&slot) {
+                if !s.active.contains(&slot) && !s.pending.contains(&slot) {
                     s.on_warp_start(slot);
-                    if active.len() < 4 {
-                        active.push(slot);
-                    } else {
-                        pending.push_back(slot);
-                    }
+                    reference.on_warp_start(4, slot);
                 }
             }
         }
-        assert_eq!(seen, (true, true, true));
-        assert!(s.viewed.iter().all(|&v| v == Viewed::Absent));
+        assert_eq!(seen, [true; 6]);
     }
 
     #[test]
@@ -640,25 +801,38 @@ mod tests {
     #[test]
     fn fetch_group_prioritizes_current_group() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, false), (4, false), (8, false), (12, false)]);
+        let m = Masks::mem(&[(0, false), (4, false), (8, false), (12, false)]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(&m.set(), 0, &mut out);
         assert_eq!(out, vec![0, 4, 8, 12]);
     }
 
     #[test]
     fn fetch_group_rotates_when_group_blocked() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, true), (4, true), (8, false), (12, false)]);
+        // Age order differs from slot order; groups follow slot order, and
+        // a barrier-blocked warp with a load outstanding counts as blocked.
+        let m = Masks::new(&[
+            (8, State::Ready),
+            (4, State::MemBlocked),
+            (12, State::Ready),
+            (0, State::BarrierMem),
+            (16, State::Barrier),
+        ]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
-        assert_eq!(out, vec![8, 12, 0, 4]);
+        s.prioritize(&m.set(), 0, &mut out);
+        assert_eq!(out, vec![8, 12, 16, 0, 4]);
+        // The rotation sticks while group 1 has a warp free to run.
+        s.prioritize(&m.set(), 1, &mut out);
+        assert_eq!(out, vec![8, 12, 16, 0, 4]);
     }
 
     #[test]
     fn gto_and_lrr_order_any_subset_as_within_the_full_list() {
-        // Age order differs from slot order; slot 4 is not live.
-        let all = views(&[5, 2, 7, 0, 3, 6].map(|slot| (slot, false)));
+        // Age order differs from slot order; slot 4 is not live. Each
+        // subset is the issuable set; the others are blocked.
+        let ages = [5, 2, 7, 0, 3, 6];
+        let all = Masks::mem(&ages.map(|slot| (slot, false)));
         for policy in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
             for last in [None, Some(0), Some(3), Some(4), Some(5), Some(7)] {
                 let mut s = build_scheduler(policy);
@@ -667,23 +841,31 @@ mod tests {
                     s.on_issue(slot, 0);
                 }
                 let mut full = Vec::new();
-                s.prioritize(&all, 1, &mut full);
+                s.prioritize(&all.set(), 1, &mut full);
                 let mut got = Vec::new();
-                for subset in 0u32..1 << all.len() {
-                    let sub: Vec<WarpView> = (0..all.len())
-                        .filter(|i| subset & (1 << i) != 0)
-                        .map(|i| all[i])
-                        .collect();
-                    s.prioritize(&sub, 1, &mut got);
+                for subset in 0u32..1 << ages.len() {
+                    let sub = Masks::new(&ages.map(|slot| {
+                        let at = ages.iter().position(|&s| s == slot).unwrap();
+                        let state = if subset & (1 << at) != 0 {
+                            State::Ready
+                        } else {
+                            State::AluBlocked
+                        };
+                        (slot, state)
+                    }));
+                    s.prioritize(&sub.set(), 1, &mut got);
                     let want: Vec<usize> = full
                         .iter()
                         .copied()
-                        .filter(|&slot| sub.iter().any(|v| v.slot == slot))
+                        .filter(|&slot| sub.issuable.contains(slot))
                         .collect();
                     assert_eq!(got, want, "{policy:?} last {last:?} subset {subset:#b}");
+                    let mut events = Vec::new();
+                    s.drain_events(&mut events);
+                    assert!(events.is_empty(), "{policy:?}");
                 }
                 // The subset calls changed no state the order depends on.
-                s.prioritize(&all, 2, &mut got);
+                s.prioritize(&all.set(), 2, &mut got);
                 assert_eq!(got, full, "{policy:?} last {last:?}");
             }
         }

@@ -19,7 +19,7 @@ use crate::exec::{execute_warp_instruction_into, ExecEnv, ExecOutcome};
 use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
 use crate::observer::{Observation, SmObserver};
 use crate::rf::{AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
-use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView};
+use crate::scheduler::{build_scheduler, SchedulerEvent, SlotMask, WarpScheduler, WarpSet};
 use crate::scoreboard::{hazard_of, InstrHazard, Scoreboard};
 use crate::stats::SmStats;
 use crate::trace::TraceEvent;
@@ -138,9 +138,9 @@ enum SlotStatus {
 /// The issue-relevant state of one warp slot, kept current at the four
 /// events that change it: CTA dispatch, issue, barrier release and warp
 /// finish. `hazard` is the pre-decoded footprint of the warp's next pc; a
-/// warp waiting at a barrier keeps it (fetch-group rotation reads
-/// `long_latency_pending` for such warps), and empty or exited slots hold
-/// the default.
+/// warp waiting at a barrier keeps it (fetch-group rotation reads the
+/// long-latency mask for such warps), and empty or exited slots hold the
+/// default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct IssueSlot {
     status: SlotStatus,
@@ -159,33 +159,14 @@ impl IssueSlot {
     }
 }
 
-/// A set of warp slots, one bit per slot in `u64` words. Sized once in
-/// [`Sm::new`] from `max_warps_per_sm`, so updates never allocate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SlotMask {
-    words: Vec<u64>,
-}
-
-impl SlotMask {
-    /// An empty set over `slots` warp slots.
-    fn new(slots: usize) -> Self {
-        SlotMask {
-            words: vec![0; slots.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, slot: usize, on: bool) {
-        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        if on {
-            self.words[word] |= bit;
-        } else {
-            self.words[word] &= !bit;
-        }
-    }
-
-    fn contains(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
-    }
+/// Live warps of an SM by what keeps them from issuing (see
+/// [`Sm::stall_counts`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct StallCounts {
+    mem: u32,
+    barrier: u32,
+    collector: u32,
+    alu: u32,
 }
 
 #[derive(Debug)]
@@ -213,14 +194,22 @@ pub struct Sm {
     /// Issue state per warp slot (see [`IssueSlot`]).
     issue_slots: Vec<IssueSlot>,
     /// The slots whose warp is eligible and not blocked by its scoreboard:
-    /// bit `s` is `status == Eligible && !scoreboards[s].blocked_by(&hazard)`,
-    /// refreshed by [`Sm::refresh_issuable`] wherever one of them changes.
+    /// bit `s` is `status == Eligible && !scoreboards[s].blocked_by(&hazard)`.
+    /// This and the three masks below are refreshed by
+    /// [`Sm::refresh_issuable`] wherever an input of theirs changes.
     issuable: SlotMask,
+    /// The slots whose warp is live: eligible or at a barrier.
+    live: SlotMask,
+    /// Live warps blocked by their scoreboard with loads outstanding
+    /// (`pending_loads[s] > 0`).
+    long_latency: SlotMask,
+    /// The slots whose warp waits at a barrier.
+    barrier: SlotMask,
     /// Per scheduler, the warp slots it owns (`slot % num_schedulers`).
     sched_slots: Vec<SlotMask>,
     /// Per scheduler, its live warps oldest first as `(dispatch_cycle,
     /// slot)`: inserted at dispatch, removed when the warp's last lane
-    /// exits. Schedulers receive their warp views in this order.
+    /// exits. Schedulers read their live warps in this order.
     age_order: Vec<Vec<(u64, usize)>>,
     scoreboards: Vec<Scoreboard>,
     pending_loads: Vec<u32>,
@@ -234,9 +223,6 @@ pub struct Sm {
     shared_mem: Vec<SharedMemory>,
     /// Warps resident on the SM (the `Some` entries of `warps`).
     resident: usize,
-    /// Resident warps blocked at a barrier; `release_barriers` runs only
-    /// while this is non-zero.
-    barrier_waiting: usize,
     /// CTAs resident on the SM (the `Some` entries of `cta_slots`).
     resident_ctas: usize,
     /// The schedulers' [`WarpScheduler::issuable_views_suffice`], asked
@@ -274,7 +260,6 @@ pub struct Sm {
     collected_scratch: Vec<CollectedInstr>,
     writes_done_scratch: Vec<CompletedWrite>,
     segs_scratch: Vec<u32>,
-    views_scratch: Vec<WarpView>,
     order_scratch: Vec<usize>,
     resolved_scratch: Vec<ResolvedAccess>,
     /// Recycled address buffers for [`ExecOutcome::with_buffer`]; in-flight
@@ -338,6 +323,9 @@ impl Sm {
             warps: (0..config.max_warps_per_sm).map(|_| None).collect(),
             issue_slots: vec![IssueSlot::default(); config.max_warps_per_sm],
             issuable: SlotMask::new(config.max_warps_per_sm),
+            live: SlotMask::new(config.max_warps_per_sm),
+            long_latency: SlotMask::new(config.max_warps_per_sm),
+            barrier: SlotMask::new(config.max_warps_per_sm),
             sched_slots,
             age_order: (0..config.num_schedulers)
                 .map(|_| Vec::with_capacity(warps_per_scheduler))
@@ -361,7 +349,6 @@ impl Sm {
                 .map(|_| SharedMemory::new(config.shared_mem_words))
                 .collect(),
             resident: 0,
-            barrier_waiting: 0,
             resident_ctas: 0,
             issuable_only,
             inflight: Vec::new(),
@@ -379,7 +366,6 @@ impl Sm {
             collected_scratch: Vec::new(),
             writes_done_scratch: Vec::new(),
             segs_scratch: Vec::new(),
-            views_scratch: Vec::new(),
             order_scratch: Vec::new(),
             resolved_scratch: Vec::new(),
             addr_pool: Vec::new(),
@@ -401,6 +387,11 @@ impl Sm {
     /// Notifies the register-file model that a new kernel begins.
     pub fn notify_kernel_launch(&mut self, cycle: u64) {
         self.rf.on_kernel_launch(&self.image.kernel, cycle);
+    }
+
+    /// Notifies the register-file model that the launch has ended.
+    pub fn notify_launch_end(&mut self) {
+        self.rf.on_launch_end();
     }
 
     /// Number of CTAs currently resident.
@@ -526,7 +517,6 @@ impl Sm {
         self.free_tokens.push(token);
         if let Some(p) = info.pred_dst {
             self.scoreboards[info.warp_slot].release_pred(p);
-            self.refresh_issuable(info.warp_slot);
             self.observer.event(TraceEvent::ScoreboardRelease {
                 cycle,
                 sm: self.id,
@@ -536,6 +526,9 @@ impl Sm {
         if info.is_load {
             self.pending_loads[info.warp_slot] =
                 self.pending_loads[info.warp_slot].saturating_sub(1);
+        }
+        if info.pred_dst.is_some() || info.is_load {
+            self.refresh_issuable(info.warp_slot);
         }
         if let Some(w) = self.warps[info.warp_slot].as_mut() {
             w.inflight = w.inflight.saturating_sub(1);
@@ -645,7 +638,7 @@ impl Sm {
     }
 
     fn release_barriers(&mut self) {
-        if self.barrier_waiting == 0 {
+        if self.barrier.is_empty() {
             return;
         }
         for cta_slot in 0..self.cta_slots.len() {
@@ -665,7 +658,6 @@ impl Sm {
                         if let Some(w) = self.warps[s].as_mut() {
                             w.block = WarpBlock::None;
                         }
-                        self.barrier_waiting -= 1;
                     }
                 }
                 self.cta_slots[cta_slot]
@@ -676,49 +668,19 @@ impl Sm {
         }
     }
 
-    /// The live warp slots of every scheduler.
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.age_order.iter().flatten().map(|&(_, slot)| slot)
-    }
-
-    /// "Long latency pending" = the live warp's next instruction is blocked
-    /// by the scoreboard while it has loads outstanding — the two-level
-    /// scheduler's demotion trigger.
-    fn long_latency_pending(&self, slot: usize) -> bool {
-        self.pending_loads[slot] > 0
-            && self.scoreboards[slot].blocked_by(&self.issue_slots[slot].hazard)
-    }
-
-    /// Scheduler `sched`'s warp views, oldest first: every live warp, or
-    /// with `issuable_only` just those in the issuable mask (which are
-    /// neither at a barrier nor blocked by their scoreboard).
-    fn warp_views_into(&self, sched: usize, issuable_only: bool, views: &mut Vec<WarpView>) {
-        views.clear();
-        let live = self.age_order[sched].iter().map(|&(_, slot)| slot);
-        if issuable_only {
-            views.extend(
-                live.filter(|&slot| self.issuable.contains(slot))
-                    .map(|slot| WarpView {
-                        slot,
-                        long_latency_pending: false,
-                        barrier_waiting: false,
-                    }),
-            );
-        } else {
-            views.extend(live.map(|slot| WarpView {
-                slot,
-                long_latency_pending: self.long_latency_pending(slot),
-                barrier_waiting: self.issue_slots[slot].status == SlotStatus::Barrier,
-            }));
-        }
-    }
-
-    /// Sets `slot`'s bit in the issuable mask from its status, next-pc
-    /// hazard and scoreboard; called wherever one of the three changes.
+    /// Sets `slot`'s bits in the issuable, live, long-latency and barrier
+    /// masks from its status, next-pc hazard, scoreboard and outstanding
+    /// loads; called wherever one of the four changes.
     fn refresh_issuable(&mut self, slot: usize) {
         let IssueSlot { status, hazard } = &self.issue_slots[slot];
-        let on = *status == SlotStatus::Eligible && !self.scoreboards[slot].blocked_by(hazard);
-        self.issuable.set(slot, on);
+        let blocked = self.scoreboards[slot].blocked_by(hazard);
+        let barrier = *status == SlotStatus::Barrier;
+        let live = barrier || *status == SlotStatus::Eligible;
+        self.issuable.set(slot, live && !barrier && !blocked);
+        self.live.set(slot, live);
+        self.long_latency
+            .set(slot, live && blocked && self.pending_loads[slot] > 0);
+        self.barrier.set(slot, barrier);
     }
 
     /// Returns true when the warp at `slot` can issue its next instruction.
@@ -733,8 +695,8 @@ impl Sm {
     /// collector full, the set bits are scanned for a warp that needs none.
     fn scheduler_can_issue(&self, sched: usize) -> bool {
         let free_unit = self.collector.has_free_unit();
-        let owned = &self.sched_slots[sched].words;
-        let mut words = self.issuable.words.iter().zip(owned).enumerate();
+        let owned = self.sched_slots[sched].words();
+        let mut words = self.issuable.words().iter().zip(owned).enumerate();
         words.any(|(word, (&issuable, &mine))| {
             let mut bits = issuable & mine;
             if free_unit {
@@ -779,7 +741,6 @@ impl Sm {
         );
         if outcome.hit_barrier {
             w.block = WarpBlock::Barrier;
-            self.barrier_waiting += 1;
         }
         match w.stack.pc() {
             Some(next_pc) => {
@@ -1062,21 +1023,26 @@ impl Sm {
         // GmemView; the driver commits them in SM-id order after all SMs
         // have stepped this cycle.
         let mut issued_total = 0u32;
-        let mut views = std::mem::take(&mut self.views_scratch);
         let mut order = std::mem::take(&mut self.order_scratch);
         let mut staged = std::mem::take(&mut self.global_writes);
         let mut gmem = GmemView::new(global, &mut staged);
         for sched in 0..self.schedulers.len() {
             // For a policy whose `prioritize` needs only the issuable
-            // warps, a turn in which none can issue builds no views and
-            // calls no `prioritize`, and any other turn offers only the
-            // issuable warps: the loop below would pass over the rest
+            // warps, a turn in which none can issue calls no
+            // `prioritize`: the loop below would pass over every warp
             // before the jitter hash, and such a pass changes nothing.
             order.clear();
             let prioritized = !self.issuable_only || self.scheduler_can_issue(sched);
             if prioritized {
-                self.warp_views_into(sched, self.issuable_only, &mut views);
-                self.schedulers[sched].prioritize(&views, cycle, &mut order);
+                let warps = WarpSet {
+                    ages: &self.age_order[sched],
+                    owned: &self.sched_slots[sched],
+                    issuable: &self.issuable,
+                    live: &self.live,
+                    long_latency: &self.long_latency,
+                    barrier: &self.barrier,
+                };
+                self.schedulers[sched].prioritize(&warps, cycle, &mut order);
             }
             let mut issued = 0usize;
             for &slot in &order {
@@ -1117,13 +1083,13 @@ impl Sm {
             }
             issued_total += issued as u32;
             // Export scheduler pool demotions to the RF model (RFC flush).
-            // Only `prioritize` emits events, so a skipped turn has none.
-            if prioritized {
+            // Only `prioritize` emits events, and never for a policy whose
+            // idle turns may be skipped.
+            if !self.issuable_only {
                 self.schedulers[sched].drain_events(&mut self.sched_events);
             }
         }
         self.global_writes = staged;
-        self.views_scratch = views;
         self.order_scratch = order;
         for ev in self.sched_events.drain(..) {
             match ev {
@@ -1152,24 +1118,13 @@ impl Sm {
     /// Classifies a zero-issue cycle with resident warps by its dominant
     /// blocker.
     fn classify_zero_issue_stall(&mut self) {
-        let (mut mem, mut barrier, mut coll, mut alu) = (0u32, 0u32, 0u32, 0u32);
-        for slot in self.live_slots() {
-            let IssueSlot { status, hazard } = &self.issue_slots[slot];
-            if *status == SlotStatus::Barrier {
-                barrier += 1;
-                continue;
-            }
-            if self.scoreboards[slot].blocked_by(hazard) {
-                if self.pending_loads[slot] > 0 {
-                    mem += 1;
-                } else {
-                    alu += 1;
-                }
-            } else {
-                coll += 1; // ready but starved (collector / width)
-            }
-        }
-        let max = mem.max(barrier).max(coll).max(alu);
+        let StallCounts {
+            mem,
+            barrier,
+            collector,
+            alu,
+        } = self.stall_counts();
+        let max = mem.max(barrier).max(collector).max(alu);
         if max > 0 {
             if max == mem {
                 self.stats.stall_mem += 1;
@@ -1181,6 +1136,25 @@ impl Sm {
                 self.stats.stall_collector += 1;
             }
         }
+    }
+
+    /// Live warps by what holds them back, counted a mask word at a time:
+    /// a barrier; else a scoreboard block with loads outstanding (memory)
+    /// or without (ALU dependence); else nothing but the collector or the
+    /// issue width.
+    fn stall_counts(&self) -> StallCounts {
+        let mut counts = StallCounts::default();
+        let masks = self.live.words().iter().zip(self.barrier.words());
+        let masks = masks.zip(self.issuable.words().iter().zip(self.long_latency.words()));
+        for ((&live, &barrier), (&issuable, &long)) in masks {
+            let eligible = live & !barrier;
+            let mem = long & eligible;
+            counts.barrier += barrier.count_ones();
+            counts.mem += mem.count_ones();
+            counts.alu += (eligible & !issuable & !mem).count_ones();
+            counts.collector += issuable.count_ones();
+        }
+        counts
     }
 
     /// Applies the global-memory writes staged during [`Sm::cycle`]. The
@@ -1508,16 +1482,44 @@ mod tests {
         (slots, ages)
     }
 
-    /// The issuable mask re-derived from fresh issue slots (see
-    /// [`derived_issue_state`]) and the scoreboards.
-    fn derived_issuable(sm: &Sm, slots: &[IssueSlot]) -> SlotMask {
-        let mut mask = SlotMask::new(slots.len());
+    /// The issuable, live, long-latency and barrier masks re-derived from
+    /// fresh issue slots (see [`derived_issue_state`]), the scoreboards and
+    /// the outstanding loads.
+    fn derived_masks(sm: &Sm, slots: &[IssueSlot]) -> [SlotMask; 4] {
+        let mut masks = std::array::from_fn(|_| SlotMask::new(slots.len()));
+        let [issuable, live, long_latency, barrier] = &mut masks;
         for (slot, s) in slots.iter().enumerate() {
-            let on =
-                s.status == SlotStatus::Eligible && !sm.scoreboards[slot].blocked_by(&s.hazard);
-            mask.set(slot, on);
+            let blocked = sm.scoreboards[slot].blocked_by(&s.hazard);
+            let is_live = matches!(s.status, SlotStatus::Eligible | SlotStatus::Barrier);
+            issuable.set(slot, s.status == SlotStatus::Eligible && !blocked);
+            live.set(slot, is_live);
+            long_latency.set(slot, is_live && blocked && sm.pending_loads[slot] > 0);
+            barrier.set(slot, s.status == SlotStatus::Barrier);
         }
-        mask
+        masks
+    }
+
+    /// The stall counts as the SM took them before it kept slot masks: a
+    /// walk over every live warp of every scheduler.
+    fn stall_counts_by_walk(sm: &Sm) -> StallCounts {
+        let mut counts = StallCounts::default();
+        for slot in sm.age_order.iter().flatten().map(|&(_, slot)| slot) {
+            let IssueSlot { status, hazard } = &sm.issue_slots[slot];
+            if *status == SlotStatus::Barrier {
+                counts.barrier += 1;
+                continue;
+            }
+            if sm.scoreboards[slot].blocked_by(hazard) {
+                if sm.pending_loads[slot] > 0 {
+                    counts.mem += 1;
+                } else {
+                    counts.alu += 1;
+                }
+            } else {
+                counts.collector += 1;
+            }
+        }
+        counts
     }
 
     /// Which issue-state situations a checked run went through.
@@ -1530,11 +1532,17 @@ mod tests {
         blocked: bool,
         /// A warp slot past the first mask word was issuable.
         second_word: bool,
+        /// A live warp was blocked on memory, or at a barrier with a load
+        /// outstanding.
+        long_latency: bool,
+        barrier_long_latency: bool,
+        /// Every stall kind counted at least once after some cycle.
+        stall_kinds: [bool; 4],
     }
 
     /// Runs `grid` of `kernel` on one SM and, after every cycle, asserts
-    /// that the cached issue slots, age order and issuable mask equal a
-    /// fresh derivation.
+    /// that the cached issue slots, age order and slot masks equal a fresh
+    /// derivation, and that the stall counts equal the per-warp walk.
     fn run_checking_issue_state(
         kernel: &Arc<Kernel>,
         grid: GridConfig,
@@ -1561,8 +1569,28 @@ mod tests {
             let (slots, ages) = derived_issue_state(&sm);
             assert_eq!(sm.issue_slots, slots, "{scheduler:?} cycle {cycle}");
             assert_eq!(sm.age_order, ages, "{scheduler:?} cycle {cycle}");
-            let issuable = derived_issuable(&sm, &slots);
+            let [issuable, live, long_latency, barrier] = derived_masks(&sm, &slots);
             assert_eq!(sm.issuable, issuable, "{scheduler:?} cycle {cycle}");
+            assert_eq!(sm.live, live, "{scheduler:?} cycle {cycle}");
+            assert_eq!(sm.long_latency, long_latency, "{scheduler:?} cycle {cycle}");
+            assert_eq!(sm.barrier, barrier, "{scheduler:?} cycle {cycle}");
+            let counts = sm.stall_counts();
+            assert_eq!(
+                counts,
+                stall_counts_by_walk(&sm),
+                "{scheduler:?} cycle {cycle}"
+            );
+            for (seen, n) in seen.stall_kinds.iter_mut().zip([
+                counts.mem,
+                counts.barrier,
+                counts.collector,
+                counts.alu,
+            ]) {
+                *seen |= n > 0;
+            }
+            seen.long_latency |= !long_latency.is_empty();
+            seen.barrier_long_latency |=
+                (0..slots.len()).any(|slot| long_latency.contains(slot) && barrier.contains(slot));
             seen.barrier |= slots.iter().any(|s| s.status == SlotStatus::Barrier);
             seen.exited |= slots.iter().any(|s| s.status == SlotStatus::Exited);
             seen.age_not_slot |= ages.iter().any(|l| l.windows(2).any(|p| p[0].1 > p[1].1));
@@ -1570,7 +1598,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .any(|(slot, s)| s.status == SlotStatus::Eligible && !issuable.contains(slot));
-            seen.second_word |= issuable.words.iter().skip(1).any(|&w| w != 0);
+            seen.second_word |= issuable.words().iter().skip(1).any(|&w| w != 0);
             cycle += 1;
             if next_cta == grid.num_ctas && sm.is_idle() {
                 break;
@@ -1582,9 +1610,10 @@ mod tests {
 
     #[test]
     fn cached_issue_state_matches_a_fresh_derivation_every_cycle() {
-        // A divergent branch, a load feeding a dependant, a barrier, a
-        // guarded exit that retires half of warp 1 and all of warp 2, and a
-        // loop that odd CTAs run 40 times.
+        // A divergent branch, a load feeding a dependant, a barrier
+        // reached with a load outstanding, a guarded exit that retires half
+        // of warp 1 and all of warp 2, and a loop that odd CTAs run 40
+        // times.
         let mut kb = KernelBuilder::new("issue_state");
         kb.mov_special(Reg(0), SpecialReg::TidX);
         kb.mov_special(Reg(8), SpecialReg::GlobalTid);
@@ -1600,7 +1629,10 @@ mod tests {
         kb.place_label(join);
         kb.ldg(Reg(2), Reg(8), 0);
         kb.iadd(Reg(3), Reg(2), Reg(1));
+        // A load still in flight at the barrier, read (as 0) right after it.
+        kb.ldg(Reg(9), Reg(8), 0x800);
         kb.bar();
+        kb.iadd(Reg(3), Reg(3), Reg(9));
         kb.setp_imm(PredReg(1), CmpOp::Ge, Reg(0), 48);
         kb.guard(PredReg(1), true).exit();
         kb.mov_special(Reg(7), SpecialReg::CtaIdX);
@@ -1636,7 +1668,13 @@ mod tests {
             };
             let (sm, global, seen) = run_checking_issue_state(&kernel, grid, &config);
             assert!(
-                seen.barrier && seen.exited && seen.age_not_slot && seen.blocked,
+                seen.barrier
+                    && seen.exited
+                    && seen.age_not_slot
+                    && seen.blocked
+                    && seen.long_latency
+                    && seen.barrier_long_latency
+                    && seen.stall_kinds == [true; 4],
                 "{scheduler:?}: {seen:?}"
             );
             assert_eq!(sm.finished_warps.len(), 15, "{scheduler:?}");
@@ -1673,7 +1711,7 @@ mod tests {
             };
             config.validate();
             let (sm, global, seen) = run_checking_issue_state(&kernel, grid, &config);
-            assert_eq!(sm.issuable.words.len(), 2);
+            assert_eq!(sm.issuable.words().len(), 2);
             assert!(seen.second_word && seen.blocked, "{scheduler:?}: {seen:?}");
             assert_eq!(sm.stats.instructions, 5 * 96, "{scheduler:?}");
             assert_eq!(global.read(3 * 1024 - 1), 7, "{scheduler:?}");
