@@ -5,7 +5,8 @@
 //! warps, fetch-group of 8), all on one SM; and `WP` and `nw` on four SMs
 //! (GTO, MRF@STV and partitioned). Jitter seed 0 throughout. Every
 //! simulated field is pinned — cycles, warp instructions, active cycles
-//! and the zero-issue stall classes, per-partition reads and writes, and
+//! and the zero-issue stall classes, the collector's bank-conflict waits
+//! and full-collector stalls, per-partition reads and writes, and
 //! the exact bits of every energy figure — so a change meant as a pure
 //! speed-up that moves any simulated number fails here. The values the
 //! kernels compute are pinned too: every row of `nw` and `WP` must leave
@@ -31,6 +32,9 @@ struct Golden {
     /// active cycles (summed over SMs), then the zero-issue stall classes:
     /// memory, barrier, collector, ALU dependence.
     activity: [u64; 5],
+    /// operand-collector arbitration: bank-conflict waits, then scheduler
+    /// turns that issued and then found no collector unit free.
+    collector: [u64; 2],
     reads: [u64; 8],
     writes: [u64; 8],
     /// dynamic, baseline dynamic, leakage, baseline leakage, repair (pJ).
@@ -52,6 +56,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8265,
         warp_insts: 19840,
         activity: [8265, 887, 0, 3, 236],
+        collector: [30242, 0],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -70,6 +75,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8643,
         warp_insts: 19840,
         activity: [8643, 979, 0, 3, 395],
+        collector: [33383, 0],
         reads: [0, 0, 24309, 811, 9280, 0, 0, 0],
         writes: [0, 0, 11914, 406, 3840, 0, 0, 0],
         energy_bits: [
@@ -88,6 +94,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8436,
         warp_insts: 19840,
         activity: [8436, 918, 0, 3, 304],
+        collector: [30588, 0],
         reads: [0, 0, 0, 0, 0, 31200, 3200, 0],
         writes: [0, 0, 0, 0, 0, 16160, 0, 0],
         energy_bits: [
@@ -106,6 +113,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 9186,
         warp_insts: 19840,
         activity: [9186, 1246, 0, 2, 423],
+        collector: [29619, 1],
         reads: [0, 34400, 0, 0, 0, 0, 0, 0],
         writes: [0, 16160, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -124,6 +132,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 9772,
         warp_insts: 58462,
         activity: [9772, 32, 0, 0, 82],
+        collector: [113983, 1866],
         reads: [100086, 0, 0, 0, 0, 0, 0, 0],
         writes: [37074, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -142,6 +151,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 10017,
         warp_insts: 58462,
         activity: [10017, 53, 0, 1, 126],
+        collector: [116703, 2270],
         reads: [0, 0, 94925, 19, 5142, 0, 0, 0],
         writes: [0, 0, 34208, 10, 2856, 0, 0, 0],
         energy_bits: [
@@ -160,6 +170,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 9772,
         warp_insts: 58462,
         activity: [9772, 32, 0, 0, 82],
+        collector: [113983, 1866],
         reads: [0, 0, 0, 0, 0, 100086, 0, 0],
         writes: [0, 0, 0, 0, 0, 37074, 0, 0],
         energy_bits: [
@@ -178,6 +189,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 14174,
         warp_insts: 58462,
         activity: [14174, 63, 0, 0, 562],
+        collector: [77242, 3518],
         reads: [0, 100086, 0, 0, 0, 0, 0, 0],
         writes: [0, 37074, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -196,6 +208,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 2828,
         warp_insts: 5231,
         activity: [2828, 0, 0, 0, 507],
+        collector: [14215, 0],
         reads: [11745, 0, 0, 0, 0, 0, 0, 0],
         writes: [4238, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -214,6 +227,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 2971,
         warp_insts: 5231,
         activity: [2971, 0, 0, 0, 589],
+        collector: [9293, 0],
         reads: [0, 0, 4134, 0, 7611, 0, 0, 0],
         writes: [0, 0, 1805, 0, 2433, 0, 0, 0],
         energy_bits: [
@@ -232,6 +246,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 2991,
         warp_insts: 5231,
         activity: [2991, 0, 0, 0, 577],
+        collector: [12913, 0],
         reads: [0, 0, 0, 0, 0, 8591, 3154, 0],
         writes: [0, 0, 0, 0, 0, 4238, 0, 0],
         energy_bits: [
@@ -250,6 +265,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 3263,
         warp_insts: 5231,
         activity: [3263, 0, 0, 0, 768],
+        collector: [12012, 0],
         reads: [0, 11745, 0, 0, 0, 0, 0, 0],
         writes: [0, 4238, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -268,6 +284,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1558,
         warp_insts: 2465,
         activity: [1558, 0, 0, 0, 339],
+        collector: [4668, 0],
         reads: [3681, 0, 0, 0, 0, 0, 0, 0],
         writes: [1454, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -286,6 +303,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1749,
         warp_insts: 2465,
         activity: [1749, 0, 0, 1, 524],
+        collector: [3565, 0],
         reads: [0, 0, 969, 1635, 1077, 0, 0, 0],
         writes: [0, 0, 366, 568, 520, 0, 0, 0],
         energy_bits: [
@@ -304,6 +322,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1560,
         warp_insts: 2465,
         activity: [1560, 0, 0, 0, 340],
+        collector: [4661, 0],
         reads: [0, 0, 0, 0, 0, 3673, 8, 0],
         writes: [0, 0, 0, 0, 0, 1454, 0, 0],
         energy_bits: [
@@ -322,6 +341,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1845,
         warp_insts: 2465,
         activity: [1845, 0, 0, 2, 463],
+        collector: [3280, 0],
         reads: [0, 3681, 0, 0, 0, 0, 0, 0],
         writes: [0, 1454, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -340,6 +360,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8272,
         warp_insts: 19840,
         activity: [8272, 894, 0, 4, 243],
+        collector: [30681, 0],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -358,6 +379,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8584,
         warp_insts: 19840,
         activity: [8584, 892, 0, 2, 377],
+        collector: [32883, 0],
         reads: [0, 0, 24288, 832, 9280, 0, 0, 0],
         writes: [0, 0, 11889, 431, 3840, 0, 0, 0],
         energy_bits: [
@@ -376,6 +398,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8231,
         warp_insts: 19840,
         activity: [8231, 844, 0, 3, 246],
+        collector: [30712, 0],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -394,6 +417,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8562,
         warp_insts: 19840,
         activity: [8562, 951, 0, 2, 354],
+        collector: [32174, 0],
         reads: [0, 0, 24550, 570, 9280, 0, 0, 0],
         writes: [0, 0, 12025, 295, 3840, 0, 0, 0],
         energy_bits: [
@@ -412,6 +436,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8273,
         warp_insts: 19840,
         activity: [8273, 848, 0, 2, 255],
+        collector: [30140, 0],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -430,6 +455,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 8566,
         warp_insts: 19840,
         activity: [8566, 986, 0, 3, 390],
+        collector: [32490, 1],
         reads: [0, 0, 24461, 659, 9280, 0, 0, 0],
         writes: [0, 0, 11986, 334, 3840, 0, 0, 0],
         energy_bits: [
@@ -448,6 +474,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1443,
         warp_insts: 2465,
         activity: [4088, 0, 0, 1, 1926],
+        collector: [2837, 0],
         reads: [3681, 0, 0, 0, 0, 0, 0, 0],
         writes: [1454, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -466,6 +493,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 1655,
         warp_insts: 2465,
         activity: [4945, 0, 0, 0, 2847],
+        collector: [2774, 0],
         reads: [0, 0, 75, 2529, 1077, 0, 0, 0],
         writes: [0, 0, 51, 883, 520, 0, 0, 0],
         energy_bits: [
@@ -484,6 +512,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 2775,
         warp_insts: 19840,
         activity: [11059, 1643, 0, 5, 569],
+        collector: [30865, 0],
         reads: [34400, 0, 0, 0, 0, 0, 0, 0],
         writes: [16160, 0, 0, 0, 0, 0, 0, 0],
         energy_bits: [
@@ -502,6 +531,7 @@ const GOLDEN: &[Golden] = &[
         cycles: 2948,
         warp_insts: 19840,
         activity: [11708, 1798, 0, 3, 960],
+        collector: [35985, 0],
         reads: [0, 0, 19100, 6020, 9280, 0, 0, 0],
         writes: [0, 0, 9286, 3034, 3840, 0, 0, 0],
         energy_bits: [
@@ -561,6 +591,11 @@ fn smallest_workloads_are_bit_identical_at_seed_0() {
             s.stall_alu_dep,
         ];
         assert_eq!(activity, g.activity, "{job} active cycles and stalls");
+        assert_eq!(
+            [s.bank_conflict_waits, s.collector_stalls],
+            g.collector,
+            "{job} bank conflict waits and collector stalls"
+        );
         let (reads, writes) = r.stats.partition_accesses.raw();
         assert_eq!(*reads, g.reads, "{job} partition reads");
         assert_eq!(*writes, g.writes, "{job} partition writes");
