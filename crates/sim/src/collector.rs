@@ -13,39 +13,24 @@
 //! exactly once per access (reads at issue, writes when the writeback is
 //! requested), so stateful models — the RFC allocates and evicts cache
 //! entries inside `resolve` — observe each access exactly once.
-
-use std::collections::VecDeque;
+//!
+//! The bookkeeping is on `u64` masks, which is why a collector holds at
+//! most [`MAX_COLLECTORS`] units over at most [`MAX_RF_BANKS`] banks. A
+//! `free` mask names the vacant units (the lowest bit is the next one
+//! allocated); units still waiting for a grant sit in an age-ordered list;
+//! units whose every read is granted are bits of a `gathered` mask and
+//! release, in unit-index order, once their data has arrived. The banks
+//! granted in a cycle are one `taken` mask. Writebacks wait in one
+//! age-ordered queue, arbitrated in place.
 
 use prf_isa::Reg;
 
 use crate::rf::{AccessKind, ResolvedAccess, RfPartition};
+use crate::validate::{MAX_COLLECTORS, MAX_RF_BANKS};
 
 /// Most register sources one instruction reads: `Instruction::srcs` has
 /// three slots, so a collector entry holds its reads inline.
 pub const MAX_READS: usize = 3;
-
-/// A pending source-operand read inside a collector.
-#[derive(Debug, Clone, Copy)]
-struct PendingRead {
-    access: ResolvedAccess,
-    /// `access.bank` reduced modulo the bank count, once, at allocation.
-    bank: usize,
-    /// A bank has granted the read.
-    granted: bool,
-}
-
-/// Fills the slots of [`CollectorEntry::reads`] past `num_reads`.
-const UNUSED_READ: PendingRead = PendingRead {
-    access: ResolvedAccess {
-        bank: 0,
-        latency: 0,
-        partition: RfPartition::MrfStv,
-        phys_reg: 0,
-        repair: None,
-    },
-    bank: 0,
-    granted: false,
-};
 
 /// What should happen when the collector finishes gathering operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,38 +48,55 @@ pub enum CollectDest {
 }
 
 /// An instruction resident in a collector unit.
-#[derive(Debug, Clone)]
-pub struct CollectorEntry {
+#[derive(Debug, Clone, Copy)]
+struct CollectorEntry {
     /// Warp slot that issued the instruction.
-    pub warp_slot: usize,
-    /// Source reads; the first `num_reads` are live.
-    reads: [PendingRead; MAX_READS],
-    num_reads: u8,
-    /// Reads not yet granted a bank.
+    warp_slot: usize,
+    /// Source reads; bit `i` of `ungranted` tells whether `reads[i]` still
+    /// waits for a bank, and slots past the live reads are never set.
+    reads: [ResolvedAccess; MAX_READS],
+    /// `reads[i].bank` reduced modulo the bank count, once, at allocation.
+    banks: [u8; MAX_READS],
+    /// One bit per read not yet granted a bank.
     ungranted: u8,
     /// Cycle by which the data of every granted read has arrived.
     data_at: u64,
     /// Where the instruction goes after collection.
-    pub dest: CollectDest,
-    /// Monotonic sequence number for age-ordered arbitration.
-    pub seq: u64,
+    dest: CollectDest,
     /// Opaque token the SM uses to track the instruction.
-    pub token: u64,
+    token: u64,
 }
+
+/// The contents of a vacant unit; overwritten at allocation.
+const VACANT: CollectorEntry = CollectorEntry {
+    warp_slot: 0,
+    reads: [ResolvedAccess {
+        bank: 0,
+        latency: 0,
+        partition: RfPartition::MrfStv,
+        phys_reg: 0,
+        repair: None,
+    }; MAX_READS],
+    banks: [0; MAX_READS],
+    ungranted: 0,
+    data_at: 0,
+    dest: CollectDest::Memory,
+    token: 0,
+};
 
 /// A writeback request waiting for its bank.
 #[derive(Debug, Clone, Copy)]
-pub struct WritebackRequest {
+struct WritebackRequest {
     /// Warp slot whose register is written.
-    pub warp_slot: usize,
+    warp_slot: usize,
     /// Destination (architected) register, for scoreboard release.
-    pub reg: Reg,
+    reg: Reg,
     /// The resolved physical access.
-    pub access: ResolvedAccess,
-    /// Sequence number (age priority).
-    pub seq: u64,
+    access: ResolvedAccess,
+    /// `access.bank` reduced modulo the bank count, once, at request.
+    bank: u8,
     /// Token returned to the SM when the write completes.
-    pub token: u64,
+    token: u64,
 }
 
 /// A completed writeback notification.
@@ -124,26 +126,35 @@ pub struct CollectedInstr {
 /// The operand-collector array plus bank arbiter for one SM.
 #[derive(Debug)]
 pub struct OperandCollector {
-    units: Vec<Option<CollectorEntry>>,
-    /// Indices of the occupied units in allocation order, which is `seq`
-    /// (age) order: arbitration walks this list oldest first.
-    occupied: Vec<usize>,
-    /// Cycle until which each bank is busy (exclusive).
+    units: Vec<CollectorEntry>,
+    /// Vacant units, one bit each.
+    free: u64,
+    /// Units with a read still waiting for a bank, in allocation (age)
+    /// order: arbitration walks this list oldest first.
+    gathering: Vec<u8>,
+    /// Units whose every read is granted, waiting for the data.
+    gathered: u64,
+    num_banks: usize,
+    /// Unpipelined banks only: cycle until which each bank is busy
+    /// (exclusive), and the banks busy past the last tick.
     bank_busy_until: Vec<u64>,
-    writeback_queue: VecDeque<WritebackRequest>,
-    /// Writes in flight: (completion cycle, completed-write record).
+    busy: u64,
+    /// Writebacks waiting for a bank, oldest first.
+    writeback_queue: Vec<WritebackRequest>,
+    /// Writes in flight, in grant order: (completion cycle, record).
     inflight_writes: Vec<(u64, CompletedWrite)>,
-    next_seq: u64,
     /// Stat: grants denied because the bank was busy or already granted.
     pub bank_conflict_waits: u64,
     pipelined: bool,
-    /// Scratch reused across ticks: per-bank granted flags.
-    granted_scratch: Vec<bool>,
-    /// Scratch reused across ticks: `(unit, position in occupied)` of the
-    /// units fully collected this cycle.
-    ready_scratch: Vec<(usize, usize)>,
-    /// Scratch reused across ticks: writebacks denied this cycle.
-    wb_scratch: VecDeque<WritebackRequest>,
+}
+
+/// A mask of the low `n` bits, `n <= 64`.
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
 }
 
 impl OperandCollector {
@@ -156,38 +167,47 @@ impl OperandCollector {
     /// SRF costs latency, not throughput. With `pipelined` clear, a bank
     /// stays busy for the access's full latency (an ablation that shows
     /// why an unpipelined NTV array would be catastrophic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_units` exceeds [`MAX_COLLECTORS`] or `num_banks` is
+    /// zero or exceeds [`MAX_RF_BANKS`] (`check_config` rejects both).
     pub fn new(num_units: usize, num_banks: usize, pipelined: bool) -> Self {
+        assert!(
+            num_units <= MAX_COLLECTORS,
+            "{num_units} collector units: at most {MAX_COLLECTORS}"
+        );
+        assert!(
+            (1..=MAX_RF_BANKS).contains(&num_banks),
+            "{num_banks} RF banks: 1 to {MAX_RF_BANKS}"
+        );
         OperandCollector {
-            units: (0..num_units).map(|_| None).collect(),
-            occupied: Vec::with_capacity(num_units),
-            bank_busy_until: vec![0; num_banks],
-            writeback_queue: VecDeque::new(),
+            units: vec![VACANT; num_units],
+            free: low_bits(num_units),
+            gathering: Vec::with_capacity(num_units),
+            gathered: 0,
+            num_banks,
+            bank_busy_until: if pipelined {
+                Vec::new()
+            } else {
+                vec![0; num_banks]
+            },
+            busy: 0,
+            writeback_queue: Vec::new(),
             inflight_writes: Vec::new(),
-            next_seq: 0,
             bank_conflict_waits: 0,
             pipelined,
-            granted_scratch: vec![false; num_banks],
-            ready_scratch: Vec::with_capacity(num_units),
-            wb_scratch: VecDeque::new(),
-        }
-    }
-
-    fn occupancy(&self, latency: u32) -> u64 {
-        if self.pipelined {
-            1
-        } else {
-            u64::from(latency.max(1))
         }
     }
 
     /// Number of free collector units.
     pub fn free_units(&self) -> usize {
-        self.units.len() - self.occupied.len()
+        self.free.count_ones() as usize
     }
 
     /// True if at least one unit is free.
     pub fn has_free_unit(&self) -> bool {
-        self.occupied.len() < self.units.len()
+        self.free != 0
     }
 
     /// Allocates a unit for an issued instruction.
@@ -211,28 +231,29 @@ impl OperandCollector {
             "an instruction reads at most {MAX_READS} registers, got {}",
             reads.len()
         );
-        let Some(slot) = self.units.iter().position(|u| u.is_none()) else {
+        if self.free == 0 {
             return false;
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let num_banks = self.bank_busy_until.len();
-        let mut pending = [UNUSED_READ; MAX_READS];
-        for (pr, &access) in pending.iter_mut().zip(reads) {
-            pr.access = access;
-            pr.bank = access.bank % num_banks;
         }
-        self.units[slot] = Some(CollectorEntry {
+        let unit = self.free.trailing_zeros() as usize;
+        self.free &= self.free - 1;
+        let entry = &mut self.units[unit];
+        *entry = CollectorEntry {
             warp_slot,
-            reads: pending,
-            num_reads: reads.len() as u8,
-            ungranted: reads.len() as u8,
+            ungranted: (1u8 << reads.len()) - 1,
             data_at: 0,
             dest,
-            seq,
             token,
-        });
-        self.occupied.push(slot);
+            ..VACANT
+        };
+        for (i, &access) in reads.iter().enumerate() {
+            entry.reads[i] = access;
+            entry.banks[i] = (access.bank % self.num_banks) as u8;
+        }
+        if reads.is_empty() {
+            self.gathered |= 1 << unit;
+        } else {
+            self.gathering.push(unit as u8);
+        }
         true
     }
 
@@ -245,13 +266,11 @@ impl OperandCollector {
         access: ResolvedAccess,
         token: u64,
     ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.writeback_queue.push_back(WritebackRequest {
+        self.writeback_queue.push(WritebackRequest {
             warp_slot,
             reg,
             access,
-            seq,
+            bank: (access.bank % self.num_banks) as u8,
             token,
         });
     }
@@ -277,7 +296,7 @@ impl OperandCollector {
 
     /// The allocation-free form of [`OperandCollector::tick`]: appends the
     /// released instructions and completed writes to caller-provided
-    /// buffers (cleared here) and reuses internal scratch for arbitration.
+    /// buffers (cleared here).
     pub fn tick_into(
         &mut self,
         cycle: u64,
@@ -287,102 +306,45 @@ impl OperandCollector {
     ) {
         collected.clear();
         done_writes.clear();
+        let OperandCollector {
+            units,
+            free,
+            gathering,
+            gathered,
+            bank_busy_until,
+            busy,
+            writeback_queue,
+            inflight_writes,
+            bank_conflict_waits,
+            pipelined,
+            ..
+        } = self;
+        let pipelined = *pipelined;
 
-        // 1. Completed writes.
-        self.inflight_writes.retain(|(done_at, w)| {
-            if *done_at <= cycle {
-                done_writes.push(*w);
-                false
-            } else {
-                true
-            }
-        });
-
-        // 2. Bank arbitration. One grant per bank per cycle.
-        let num_banks = self.bank_busy_until.len();
-        let mut granted_bank = std::mem::take(&mut self.granted_scratch);
-        granted_bank.clear();
-        granted_bank.resize(num_banks, false);
-
-        // 2a. Writebacks (age order, priority over reads).
-        let mut remaining = std::mem::take(&mut self.wb_scratch);
-        remaining.clear();
-        while let Some(req) = self.writeback_queue.pop_front() {
-            let bank = req.access.bank % num_banks;
-            if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
-                granted_bank[bank] = true;
-                let lat = u64::from(req.access.latency.max(1));
-                self.bank_busy_until[bank] = cycle + self.occupancy(req.access.latency);
-                on_access(req.access, AccessKind::Write);
-                self.inflight_writes.push((
-                    cycle + lat,
-                    CompletedWrite {
-                        warp_slot: req.warp_slot,
-                        reg: req.reg,
-                        token: req.token,
-                        partition: req.access.partition,
-                    },
-                ));
-            } else {
-                self.bank_conflict_waits += 1;
-                remaining.push_back(req);
-            }
-        }
-        self.wb_scratch = std::mem::replace(&mut self.writeback_queue, remaining);
-
-        // 2b. Collector reads, oldest entry first. An entry whose reads are
-        // all granted is judged by one compare; otherwise only its
-        // ungranted reads compete, and it cannot be ready this cycle (a
-        // read granted now arrives at `cycle + lat` with lat >= 1).
-        let pipelined = self.pipelined;
-        let occupancy = |latency: u32| -> u64 {
-            if pipelined {
-                1
-            } else {
-                u64::from(latency.max(1))
-            }
-        };
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        for (pos, &i) in self.occupied.iter().enumerate() {
-            let entry = self.units[i]
-                .as_mut()
-                .expect("occupied unit holds an entry");
-            if entry.ungranted == 0 {
-                if entry.data_at <= cycle {
-                    ready.push((i, pos));
+        // 1. Completed writes, in grant order.
+        if !inflight_writes.is_empty() {
+            inflight_writes.retain(|(done_at, w)| {
+                let done = *done_at <= cycle;
+                if done {
+                    done_writes.push(*w);
                 }
-                continue;
-            }
-            let live = &mut entry.reads[..usize::from(entry.num_reads)];
-            for pr in live.iter_mut().filter(|pr| !pr.granted) {
-                let bank = pr.bank;
-                if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
-                    granted_bank[bank] = true;
-                    let lat = u64::from(pr.access.latency.max(1));
-                    self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
-                    pr.granted = true;
-                    entry.ungranted -= 1;
-                    entry.data_at = entry.data_at.max(cycle + lat);
-                    on_access(pr.access, AccessKind::Read);
-                } else {
-                    self.bank_conflict_waits += 1;
-                }
-            }
+                !done
+            });
         }
-        self.granted_scratch = granted_bank;
 
-        // 3. Release fully-collected entries in unit-index order (the order
-        // the SM turns them into execution completions). `ready` holds
-        // their positions in `occupied` in ascending order, so removing
-        // from the back keeps the earlier positions valid.
-        if !ready.is_empty() {
-            for &(_, pos) in ready.iter().rev() {
-                self.occupied.remove(pos);
-            }
-            ready.sort_unstable();
-            for &(i, _) in &ready {
-                let e = self.units[i].take().expect("ready unit holds an entry");
+        // 2. Release the fully-granted units whose data has arrived, in
+        // unit-index order (the order the SM turns them into execution
+        // completions). Releasing before this cycle's grants changes
+        // nothing: a read granted now arrives at `cycle + 1` or later.
+        let mut pending = *gathered;
+        while pending != 0 {
+            let unit = pending.trailing_zeros() as usize;
+            let bit = pending & pending.wrapping_neg();
+            pending ^= bit;
+            let e = &units[unit];
+            if e.data_at <= cycle {
+                *gathered ^= bit;
+                *free |= bit;
                 collected.push(CollectedInstr {
                     warp_slot: e.warp_slot,
                     dest: e.dest,
@@ -390,12 +352,88 @@ impl OperandCollector {
                 });
             }
         }
-        self.ready_scratch = ready;
+
+        // 3. Bank arbitration: one grant per bank per cycle. A pipelined
+        // bank granted at `c` takes a new request at `c + 1`, so only an
+        // unpipelined bank stays busy past its grant cycle.
+        if !pipelined && *busy != 0 {
+            let mut still = *busy;
+            while still != 0 {
+                let bank = still.trailing_zeros() as usize;
+                let bit = still & still.wrapping_neg();
+                still ^= bit;
+                if bank_busy_until[bank] <= cycle {
+                    *busy ^= bit;
+                }
+            }
+        }
+        let mut taken = *busy;
+        let mut grant = |bank: u8, latency: u32| -> Option<u64> {
+            let bit = 1u64 << bank;
+            if taken & bit != 0 {
+                *bank_conflict_waits += 1;
+                return None;
+            }
+            taken |= bit;
+            let lat = u64::from(latency.max(1));
+            if !pipelined {
+                bank_busy_until[usize::from(bank)] = cycle + lat;
+                *busy |= bit;
+            }
+            Some(cycle + lat)
+        };
+
+        // 3a. Writebacks (age order, priority over reads).
+        if !writeback_queue.is_empty() {
+            writeback_queue.retain(|req| match grant(req.bank, req.access.latency) {
+                Some(done_at) => {
+                    on_access(req.access, AccessKind::Write);
+                    inflight_writes.push((
+                        done_at,
+                        CompletedWrite {
+                            warp_slot: req.warp_slot,
+                            reg: req.reg,
+                            token: req.token,
+                            partition: req.access.partition,
+                        },
+                    ));
+                    false
+                }
+                None => true,
+            });
+        }
+
+        // 3b. Collector reads, oldest unit first, each unit's ungranted
+        // reads in operand order; a unit whose last read is granted leaves
+        // the list for `gathered`.
+        let mut kept = 0;
+        for k in 0..gathering.len() {
+            let unit = gathering[k];
+            let e = &mut units[usize::from(unit)];
+            let mut waiting = e.ungranted;
+            while waiting != 0 {
+                let i = waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                if let Some(data_at) = grant(e.banks[i], e.reads[i].latency) {
+                    e.ungranted &= !(1 << i);
+                    e.data_at = e.data_at.max(data_at);
+                    on_access(e.reads[i], AccessKind::Read);
+                }
+            }
+            if e.ungranted == 0 {
+                *gathered |= 1 << unit;
+            } else {
+                gathering[kept] = unit;
+                kept += 1;
+            }
+        }
+        gathering.truncate(kept);
     }
 
     /// True when no instruction or write is outstanding.
     pub fn is_idle(&self) -> bool {
-        self.occupied.is_empty()
+        self.gathering.is_empty()
+            && self.gathered == 0
             && self.writeback_queue.is_empty()
             && self.inflight_writes.is_empty()
     }
@@ -403,6 +441,8 @@ impl OperandCollector {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     fn acc(bank: usize, latency: u32, partition: RfPartition) -> ResolvedAccess {
@@ -769,6 +809,16 @@ mod tests {
             self.occupied.retain(|&i| units[i].is_some());
             (collected, done_writes)
         }
+
+        fn free_units(&self) -> usize {
+            self.units.iter().filter(|u| u.is_none()).count()
+        }
+
+        fn is_idle(&self) -> bool {
+            self.occupied.is_empty()
+                && self.writeback_queue.is_empty()
+                && self.inflight_writes.is_empty()
+        }
     }
 
     /// A small xorshift generator: the test needs reproducible draws, not
@@ -865,6 +915,97 @@ mod tests {
             }
             assert!(released > 1_000, "seed {seed}: only {released} released");
             assert!(oc.bank_conflict_waits > 0, "seed {seed}");
+        }
+    }
+
+    /// The masks at full width: 64 units over 64 banks, long and uneven
+    /// latencies so the array fills, then a drain to idle. Besides grants,
+    /// releases, completed writes and conflict counts, every cycle compares
+    /// the unit count and idleness, which a shift by 64 would break.
+    #[test]
+    fn full_width_masks_match_the_per_read_walk() {
+        const WIDTH: usize = 64;
+        for (seed, pipelined) in [(11u64, true), (12, false)] {
+            let mut oc = OperandCollector::new(WIDTH, WIDTH, pipelined);
+            let mut reference = ReferenceCollector::new(WIDTH, WIDTH, pipelined);
+            let mut draw = Draw(0xD1B5_4A32_D192_ED03 ^ seed);
+            let access = |draw: &mut Draw| ResolvedAccess {
+                bank: draw.below(2 * WIDTH as u64) as usize,
+                latency: draw.below(32) as u32,
+                partition: RfPartition::Srf,
+                phys_reg: draw.below(256) as usize,
+                repair: None,
+            };
+            let (mut collected, mut writes) = (Vec::new(), Vec::new());
+            let (mut token, mut released) = (0u64, 0usize);
+            let (mut saw_full, mut top_bank_reads) = (false, 0usize);
+            let (issue_until, drain_until) = (3_000u64, 3_400u64);
+            for cycle in 0..drain_until {
+                let at = format!("seed {seed} cycle {cycle}");
+                if cycle < issue_until {
+                    for _ in 0..draw.below(10) {
+                        let reads: Vec<ResolvedAccess> =
+                            (0..draw.below(4)).map(|_| access(&mut draw)).collect();
+                        let dest = CollectDest::Execute {
+                            latency: 1,
+                            writeback: None,
+                        };
+                        let slot = draw.below(64) as usize;
+                        let got = oc.allocate(slot, &reads, dest, token);
+                        let want = reference.allocate(slot, &reads, dest, token);
+                        assert_eq!(got, want, "{at} allocate");
+                        token += 1;
+                    }
+                    for _ in 0..draw.below(3) {
+                        let (slot, reg, a) = (draw.below(64) as usize, Reg(7), access(&mut draw));
+                        oc.request_writeback(slot, reg, a, token);
+                        reference.writeback_queue.push_back((slot, reg, a, token));
+                        token += 1;
+                    }
+                }
+                let mut got_accesses = Vec::new();
+                oc.tick_into(
+                    cycle,
+                    |a, k| got_accesses.push((a, k)),
+                    &mut collected,
+                    &mut writes,
+                );
+                let mut want_accesses = Vec::new();
+                let (want_collected, want_writes) =
+                    reference.tick(cycle, &mut |a, k| want_accesses.push((a, k)));
+                assert_eq!(got_accesses, want_accesses, "{at} grants");
+                let got: Vec<_> = collected
+                    .iter()
+                    .map(|c| (c.warp_slot, c.dest, c.token))
+                    .collect();
+                assert_eq!(got, want_collected, "{at} released");
+                let key = |w: &CompletedWrite| (w.warp_slot, w.reg, w.token, w.partition);
+                let got: Vec<_> = writes.iter().map(key).collect();
+                let want: Vec<_> = want_writes.iter().map(key).collect();
+                assert_eq!(got, want, "{at} completed writes");
+                assert_eq!(
+                    oc.bank_conflict_waits, reference.bank_conflict_waits,
+                    "{at} bank conflict waits"
+                );
+                assert_eq!(oc.free_units(), reference.free_units(), "{at} free units");
+                assert_eq!(
+                    oc.has_free_unit(),
+                    reference.free_units() > 0,
+                    "{at} has a free unit"
+                );
+                assert_eq!(oc.is_idle(), reference.is_idle(), "{at} idle");
+                saw_full |= !oc.has_free_unit();
+                top_bank_reads += got_accesses
+                    .iter()
+                    .filter(|(a, k)| a.bank % WIDTH == WIDTH - 1 && *k == AccessKind::Read)
+                    .count();
+                released += collected.len();
+            }
+            assert!(saw_full, "seed {seed}: the 64 units never filled");
+            assert!(top_bank_reads > 0, "seed {seed}: bank 63 never read");
+            assert!(released > 3_000, "seed {seed}: only {released} released");
+            assert!(oc.is_idle(), "seed {seed}: not idle after the drain");
+            assert_eq!(oc.free_units(), WIDTH, "seed {seed}");
         }
     }
 

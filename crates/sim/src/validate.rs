@@ -81,6 +81,14 @@ impl std::error::Error for ValidationError {
 /// keeps an absurd value from sizing it.
 pub const MAX_PIPE_LATENCY: u32 = 1024;
 
+/// The most operand-collector units [`check_config`] accepts: the
+/// collector keeps its vacant and gathered units as bits of a `u64`.
+pub const MAX_COLLECTORS: usize = 64;
+
+/// The most register-file banks [`check_config`] accepts: the collector's
+/// arbiter keeps the banks granted in a cycle as bits of a `u64`.
+pub const MAX_RF_BANKS: usize = 64;
+
 fn config_err(field: &'static str, reason: impl Into<String>) -> ValidationError {
     ValidationError::Config {
         field,
@@ -118,6 +126,15 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
     }
     if config.max_cycles == 0 {
         return Err(config_err("max_cycles", "must be at least 1"));
+    }
+    let widths = [
+        ("num_collectors", config.num_collectors, MAX_COLLECTORS),
+        ("num_rf_banks", config.num_rf_banks, MAX_RF_BANKS),
+    ];
+    for (field, value, max) in widths {
+        if value > max {
+            return Err(config_err(field, format!("{value}: at most {max}")));
+        }
     }
     let pipes = [
         ("alu_latency", config.alu_latency),
@@ -259,6 +276,58 @@ mod tests {
             ..GpuConfig::kepler_single_sm()
         };
         assert!(crate::Gpu::try_new(absurd).is_err());
+    }
+
+    #[test]
+    fn more_collectors_than_the_mask_holds_rejected_by_name() {
+        let at_bound = GpuConfig {
+            num_collectors: MAX_COLLECTORS,
+            ..GpuConfig::kepler_single_sm()
+        };
+        assert_eq!(check_config(&at_bound), Ok(()));
+        let cfg = GpuConfig {
+            num_collectors: MAX_COLLECTORS + 1,
+            ..GpuConfig::kepler_single_sm()
+        };
+        let err = check_config(&cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ValidationError::Config {
+                    field: "num_collectors",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("65: at most 64"), "{err}");
+        assert!(crate::Gpu::try_new(cfg).is_err());
+    }
+
+    #[test]
+    fn more_banks_than_the_mask_holds_rejected_by_name() {
+        let at_bound = GpuConfig {
+            num_rf_banks: MAX_RF_BANKS,
+            ..GpuConfig::kepler_single_sm()
+        };
+        assert_eq!(check_config(&at_bound), Ok(()));
+        let cfg = GpuConfig {
+            num_rf_banks: MAX_RF_BANKS + 1,
+            ..GpuConfig::kepler_single_sm()
+        };
+        let err = check_config(&cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ValidationError::Config {
+                    field: "num_rf_banks",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("65: at most 64"), "{err}");
+        assert!(crate::Gpu::try_new(cfg).is_err());
     }
 
     #[test]
