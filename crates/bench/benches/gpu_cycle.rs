@@ -1,6 +1,5 @@
-//! Benchmarks of the whole-GPU cycle loop: a single multi-SM `Gpu::run`
-//! under serial and SM-parallel stepping, plus an allocation census of
-//! the steady-state hot path.
+//! Benchmarks of the whole-GPU cycle loop: a single multi-SM `Gpu::run`,
+//! plus an allocation census of the steady-state hot path.
 //!
 //! The census uses a counting `#[global_allocator]` to measure how many
 //! heap allocations one `Gpu::run` performs. The cycle loop reuses scratch
@@ -91,17 +90,10 @@ fn bench_gpu_run(c: &mut Criterion) {
         let config = multi_sm_config(8);
         b.iter(|| black_box(run_once(&config)))
     });
-    g.bench_function("multi_sm_parallel4", |b| {
-        let config = GpuConfig {
-            sm_threads: 4,
-            ..multi_sm_config(8)
-        };
-        b.iter(|| black_box(run_once(&config)))
-    });
     g.finish();
 }
 
-/// Not a timing benchmark: counts heap allocations across one serial
+/// Not a timing benchmark: counts heap allocations across one
 /// multi-SM run and asserts the steady-state cycle loop is allocation-free
 /// (the per-cycle allocation rate stays far below one).
 fn bench_alloc_census(c: &mut Criterion) {

@@ -5,11 +5,11 @@
 //! `(seed, index)` pair:
 //!
 //! * **differential** — every generated kernel must pass the validator,
-//!   run audit-clean under every scheduler × RF model, produce a
-//!   bit-identical `SimResult` at `sm_threads` 1 vs 2, and yield the same
-//!   instruction count and final output image across *all* cells (the
-//!   generator's race-freedom discipline makes architectural state a pure
-//!   function of the kernel — see `prf_workloads::generate`).
+//!   run audit-clean under every scheduler × RF model on a 2-SM machine
+//!   (so cross-SM global-write commit order is exercised), and yield the
+//!   same instruction count and final output image across *all* cells
+//!   (the generator's race-freedom discipline makes architectural state a
+//!   pure function of the kernel — see `prf_workloads::generate`).
 //! * **mutation** — encoded kernels are bit-flipped and re-decoded: every
 //!   corrupted stream must be rejected by the codec or the validator (or
 //!   decode back to a still-valid kernel), but must *never* panic. A
@@ -133,13 +133,13 @@ fn rf_kinds(banks: usize, max_warps: usize) -> Vec<RfKind> {
     ]
 }
 
-/// The fuzzing machine: 2 SMs (so `sm_threads = 2` actually parallelises),
-/// a small power-of-two memory covering the generator's regions, audit on.
-fn fuzz_config(scheduler: SchedulerPolicy, sm_threads: usize) -> GpuConfig {
+/// The fuzzing machine: 2 SMs (so staged global writes commit from more
+/// than one SM), a small power-of-two memory covering the generator's
+/// regions, audit on.
+fn fuzz_config(scheduler: SchedulerPolicy) -> GpuConfig {
     GpuConfig {
         num_sms: 2,
         scheduler,
-        sm_threads,
         global_mem_words: MEM_WORDS,
         max_cycles: 2_000_000,
         audit: true,
@@ -159,9 +159,8 @@ fn run_cell(
     kernel: &Arc<Kernel>,
     scheduler: SchedulerPolicy,
     rf: &RfKind,
-    sm_threads: usize,
 ) -> Result<CellRun, String> {
-    let config = fuzz_config(scheduler, sm_threads);
+    let config = fuzz_config(scheduler);
     let banks = config.num_rf_banks;
     let telemetry = shared_telemetry();
     let factory = rf_model_factory(rf, banks, &telemetry);
@@ -202,32 +201,17 @@ fn differential_case(generator: &RandomKernelGenerator, index: u64) -> Vec<Strin
     for scheduler in schedulers() {
         for rf in &rfs {
             let label = format!("case {index} {}/{}", scheduler.name(), rf.name());
-            let serial = match run_cell(&case, &kernel, scheduler, rf, 1) {
+            let run = match run_cell(&case, &kernel, scheduler, rf) {
                 Ok(run) => run,
                 Err(e) => {
-                    errors.push(format!("{label} sm_threads=1: {e}"));
+                    errors.push(format!("{label}: {e}"));
                     continue;
                 }
             };
-            match run_cell(&case, &kernel, scheduler, rf, 2) {
-                Ok(parallel) => {
-                    if parallel.result != serial.result {
-                        errors.push(format!(
-                            "{label}: SimResult differs between sm_threads=1 and 2"
-                        ));
-                    }
-                    if parallel.out_image != serial.out_image {
-                        errors.push(format!(
-                            "{label}: output image differs between sm_threads=1 and 2"
-                        ));
-                    }
-                }
-                Err(e) => errors.push(format!("{label} sm_threads=2: {e}")),
-            }
-            let instructions = serial.result.stats.instructions;
+            let instructions = run.result.stats.instructions;
             match &architectural {
                 None => {
-                    architectural = Some((instructions, serial.out_image, label));
+                    architectural = Some((instructions, run.out_image, label));
                 }
                 Some((ref_instr, ref_image, ref_label)) => {
                     if instructions != *ref_instr {
@@ -235,7 +219,7 @@ fn differential_case(generator: &RandomKernelGenerator, index: u64) -> Vec<Strin
                             "{label}: {instructions} instructions vs {ref_instr} in {ref_label}"
                         ));
                     }
-                    if serial.out_image != *ref_image {
+                    if run.out_image != *ref_image {
                         errors.push(format!("{label}: output image differs from {ref_label}"));
                     }
                 }
@@ -329,14 +313,14 @@ fn realloc_case(generator: &RandomKernelGenerator, index: u64) -> Vec<String> {
     for scheduler in schedulers() {
         for rf in &rfs {
             let label = format!("case {index} {}/{}", scheduler.name(), rf.name());
-            let base = match run_cell(&case, &original, scheduler, rf, 1) {
+            let base = match run_cell(&case, &original, scheduler, rf) {
                 Ok(run) => run,
                 Err(e) => {
                     errors.push(format!("{label} original: {e}"));
                     continue;
                 }
             };
-            match run_cell(&case, &rewritten, scheduler, rf, 1) {
+            match run_cell(&case, &rewritten, scheduler, rf) {
                 Ok(re) => {
                     if re.result.stats.instructions != base.result.stats.instructions {
                         errors.push(format!(

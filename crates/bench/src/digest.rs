@@ -255,9 +255,7 @@ pub fn job_digest(job: &Job) -> String {
 
     // GpuConfig — Debug covers every field (jitter_seed, scheduler,
     // sampling, audit, ...) in declaration order, so adding or removing a
-    // field changes every digest. sm_threads is bit-identity-neutral by
-    // construction, but it stays in the digest: proving neutrality is the
-    // simulator's test suite's job, not the cache's.
+    // field changes every digest.
     b.section("gpu").field_debug("config", &job.gpu);
 
     // RF organisation, nested configs included.

@@ -74,8 +74,6 @@ pub struct HarnessArgs {
     pub threads: usize,
     /// `PRF_NUM_SMS`: replaces the SM count of [`experiment_gpu`].
     pub num_sms: Option<usize>,
-    /// `PRF_SM_THREADS` (default 1): threads stepping one simulation's SMs.
-    pub sm_threads: usize,
     /// `PRF_JOB_TIMEOUT_SECS` (unset or 0: no watchdog), `PRF_JOB_RETRIES`
     /// (default 0) and `PRF_RETRY_BACKOFF_MS` (default 100).
     pub retry: RetryPolicy,
@@ -139,7 +137,6 @@ impl HarnessArgs {
                 None => std::thread::available_parallelism().map_or(1, |n| n.get()),
             },
             num_sms: int("PRF_NUM_SMS", 1)?.map(|n| n as usize),
-            sm_threads: int("PRF_SM_THREADS", 1)?.map_or(1, |n| n as usize),
             retry: RetryPolicy {
                 timeout: int("PRF_JOB_TIMEOUT_SECS", 0)?
                     .filter(|&s| s > 0)
@@ -232,8 +229,8 @@ pub fn fault_config_for(seed: u64, vdd: f64) -> FaultConfig {
 /// (register-file behaviour is per-SM; see DESIGN.md). Applies the
 /// [`harness_args`] flags `--audit`, `--sample` and `--trace-out` (the
 /// last turns on the pipeline trace ring so the Chrome-trace exporter has
-/// events to render), plus the multi-SM scaling overrides
-/// [`HarnessArgs::num_sms`] and [`HarnessArgs::sm_threads`].
+/// events to render), plus the multi-SM scaling override
+/// [`HarnessArgs::num_sms`].
 pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
     let args = harness_args();
     let base = GpuConfig::kepler_single_sm();
@@ -243,7 +240,6 @@ pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
         sampling: args.sample,
         trace_capacity: if args.trace_out.is_some() { 65_536 } else { 0 },
         num_sms: args.num_sms.unwrap_or(base.num_sms),
-        sm_threads: args.sm_threads,
         ..base
     }
 }
@@ -602,7 +598,7 @@ mod tests {
         // Unset: the documented defaults.
         let a = parse_in("", &[]).unwrap();
         assert!(a.threads >= 1);
-        assert_eq!((a.num_sms, a.sm_threads, a.shard), (None, 1, None));
+        assert_eq!((a.num_sms, a.shard), (None, None));
         assert_eq!(
             a.retry,
             RetryPolicy {
@@ -621,7 +617,6 @@ mod tests {
             &[
                 ("PRF_THREADS", "3"),
                 ("PRF_NUM_SMS", " 8 "),
-                ("PRF_SM_THREADS", "4"),
                 ("PRF_JOB_TIMEOUT_SECS", "7"),
                 ("PRF_JOB_RETRIES", "2"),
                 ("PRF_RETRY_BACKOFF_MS", "0"),
@@ -634,7 +629,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!((a.threads, a.num_sms, a.sm_threads), (3, Some(8), 4));
+        assert_eq!((a.threads, a.num_sms), (3, Some(8)));
         assert_eq!(
             a.retry,
             RetryPolicy {
@@ -657,7 +652,6 @@ mod tests {
         for (var, bad) in [
             ("PRF_THREADS", "0"),
             ("PRF_NUM_SMS", "x"),
-            ("PRF_SM_THREADS", "-1"),
             ("PRF_JOB_TIMEOUT_SECS", "soon"),
             ("PRF_JOB_RETRIES", "x"),
             ("PRF_RETRY_BACKOFF_MS", "1.5"),

@@ -871,13 +871,13 @@ mod tests {
         }
     }
 
-    /// The full cross-product guard for the SM-parallel path: stateful RF
-    /// models (telemetry, epoch detectors, drowsy wake tracking) x
-    /// schedulers with different prioritize behaviour, all audited and
-    /// sampled, must produce bit-identical experiment results whether the
-    /// SMs step serially or on a worker pool.
+    /// Stateful RF models (telemetry, epoch detectors, drowsy wake
+    /// tracking) on four SMs, under schedulers with different prioritize
+    /// behaviour, all audited, traced and sampled: every run is
+    /// audit-clean, and a second run repeats the first exactly (wall-clock
+    /// phase timings aside).
     #[test]
-    fn sm_parallel_experiments_are_bit_identical() {
+    fn multi_sm_audited_experiments_are_clean_and_repeatable() {
         let schedulers = [
             prf_sim::SchedulerPolicy::Gto,
             prf_sim::SchedulerPolicy::TwoLevel {
@@ -885,7 +885,7 @@ mod tests {
             },
         ];
         for scheduler in schedulers {
-            let base_gpu = GpuConfig {
+            let gpu = GpuConfig {
                 num_sms: 4,
                 audit: true,
                 trace_capacity: 1 << 12,
@@ -894,30 +894,21 @@ mod tests {
                 ..small_gpu()
             };
             let kinds = [
-                RfKind::Partitioned(PartitionedRfConfig::paper_default(base_gpu.num_rf_banks)),
+                RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
                 RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-                    base_gpu.num_rf_banks,
-                    base_gpu.max_warps_per_sm,
+                    gpu.num_rf_banks,
+                    gpu.max_warps_per_sm,
                 )),
             ];
             for rf in kinds {
-                let serial = run_experiment(&base_gpu, &rf, &launches(), &[]).unwrap();
-                let parallel_gpu = GpuConfig {
-                    sm_threads: 4,
-                    ..base_gpu.clone()
-                };
-                let parallel = run_experiment(&parallel_gpu, &rf, &launches(), &[]).unwrap();
                 let tag = format!("{} under {scheduler:?}", rf.name());
-                assert_eq!(serial.cycles, parallel.cycles, "{tag}: cycles");
-                assert_eq!(serial.stats, parallel.stats, "{tag}: stats");
-                assert_eq!(serial.per_launch, parallel.per_launch, "{tag}: launches");
-                assert_eq!(serial.audit, parallel.audit, "{tag}: audit");
-                assert!(parallel.audit.as_ref().unwrap().is_clean(), "{tag}");
-                assert_eq!(
-                    serial.dynamic_energy_pj.to_bits(),
-                    parallel.dynamic_energy_pj.to_bits(),
-                    "{tag}: energy"
-                );
+                let run = || ExperimentResult {
+                    phases: PhaseTimings::default(),
+                    ..run_experiment(&gpu, &rf, &launches(), &[]).unwrap()
+                };
+                let first = run();
+                assert!(first.audit.as_ref().unwrap().is_clean(), "{tag}");
+                assert_eq!(first, run(), "{tag}: second run differs");
             }
         }
     }

@@ -131,12 +131,11 @@ pub struct GpuConfig {
     /// off by default, on in integration tests and under `--audit` in the
     /// figure binaries.
     pub audit: bool,
-    /// Worker threads for intra-simulation SM parallelism: each cycle, the
-    /// SMs step concurrently on a persistent scoped pool and their buffered
-    /// global-memory writes commit in SM-id order at the cycle barrier, so
-    /// the result is bit-identical to the serial loop. `1` (the default)
-    /// keeps the serial loop; values above `num_sms` are clamped. Plumbed
-    /// from `PRF_SM_THREADS` by the experiment harness.
+    /// Always 1: the SMs of a cycle step on one thread (DESIGN.md §7.1).
+    /// [`GpuConfig::check`] rejects any other value. Kept only because the
+    /// repository benchmark (`perfbench/src/matrix.rs`) sets it, and
+    /// `perfbench/` changes only together with the benchmark's stored
+    /// reference; the field goes at that next benchmark change.
     pub sm_threads: usize,
 }
 

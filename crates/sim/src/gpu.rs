@@ -1,21 +1,20 @@
 //! The whole-GPU simulation driver: CTA dispatch across SMs and the main
 //! cycle loop.
 //!
-//! # Determinism under SM-parallel stepping
+//! # Two-phase global memory
 //!
-//! Every cycle is a barrier: all SMs step cycle `c` before any SM sees
-//! cycle `c + 1`. Within the cycle, SMs only *read* global memory (their
-//! stores are staged in a per-SM log, see [`crate::GmemView`]); the driver
-//! then commits the logs in ascending SM order. Both the serial and the
-//! SM-parallel paths follow this exact schedule, so a parallel run is
-//! bit-for-bit identical to a serial one — same stats, trace, samples, and
-//! audit — regardless of worker count or thread interleaving.
+//! Every cycle has two phases. In the first, each SM steps cycle `c`
+//! against a frozen image of global memory: it only *reads* global
+//! memory, and its stores are staged in a per-SM log (see
+//! [`crate::GmemView`]). In the second, the driver commits the logs in
+//! ascending SM order. No SM can see another's stores of the same cycle,
+//! so the order in which SMs step within a cycle cannot change any result.
 //!
-//! Every SM steps every cycle. DESIGN.md §7.2 records why the driver has
-//! no fast-forward over idle spans.
+//! Every SM steps every cycle, on one thread. DESIGN.md §7.1 records why
+//! the SMs are not stepped in parallel, §7.2 why the driver has no
+//! fast-forward over idle spans.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use prf_isa::{CtaId, GridConfig, Kernel};
 
@@ -25,97 +24,21 @@ use crate::rf::RegisterFileModel;
 use crate::sm::{KernelImage, Sm};
 use crate::stats::{SimResult, SmStats};
 
-/// Round-robin CTA dispatch over `num_sms` SMs, as many as fit this
-/// cycle: `try_dispatch(sm, cta)` offers `cta` to SM `sm` and reports
-/// whether it became resident.
-fn dispatch_ctas(
-    num_sms: usize,
-    grid: GridConfig,
-    next_cta: &mut u32,
-    mut try_dispatch: impl FnMut(usize, CtaId) -> bool,
-) {
+/// Round-robin CTA dispatch over the SMs, as many CTAs as fit this cycle.
+fn dispatch_ctas(sms: &mut [Sm], grid: GridConfig, next_cta: &mut u32, cycle: u64) {
     while *next_cta < grid.num_ctas {
         let mut dispatched = false;
-        for sm in 0..num_sms {
+        for sm in sms.iter_mut() {
             if *next_cta >= grid.num_ctas {
                 return;
             }
-            if try_dispatch(sm, CtaId(*next_cta)) {
+            if sm.try_dispatch_cta(CtaId(*next_cta), cycle) {
                 *next_cta += 1;
                 dispatched = true;
             }
         }
         if !dispatched {
             return;
-        }
-    }
-}
-
-/// A sense-reversing spin-then-block barrier for the SM-parallel cycle
-/// loop.
-///
-/// The loop synchronises twice per simulated cycle, so barrier cost is on
-/// the critical path. When each thread has its own core, waits almost
-/// always resolve in the bounded spin phase (~100ns, no syscall) — far
-/// cheaper than the mutex + condvar handoff of `std::sync::Barrier`, whose
-/// ~µs per wait dwarfed the per-SM work and made parallel stepping slower
-/// than serial. When threads outnumber cores, spinning burns the
-/// timeslice the *other* threads need, so the barrier detects
-/// oversubscription at construction and blocks on a condvar immediately,
-/// matching `std::sync::Barrier` behaviour.
-struct SpinBarrier {
-    total: usize,
-    spin_limit: u32,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    lock: Mutex<()>,
-    condvar: std::sync::Condvar,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // `total` counts the driver thread too; it parks between barriers,
-        // so workers only need cores for themselves most of the time.
-        let spin_limit = if cores >= total { 1 << 14 } else { 0 };
-        SpinBarrier {
-            total,
-            spin_limit,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            condvar: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until `total` threads have called `wait` for this generation.
-    ///
-    /// The last arrival resets the count *before* publishing the new
-    /// generation, so a thread that races ahead into the next `wait`
-    /// starts the next generation from zero; a spinning thread can never
-    /// miss a generation because advancing again requires its own arrival.
-    /// The generation bump happens under `lock`, which a blocking waiter
-    /// holds between its re-check and `condvar.wait`, so wakeups are never
-    /// lost.
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Relaxed);
-            let guard = self.lock.lock().expect("barrier lock");
-            self.generation.fetch_add(1, Ordering::Release);
-            drop(guard);
-            self.condvar.notify_all();
-            return;
-        }
-        for _ in 0..self.spin_limit {
-            if self.generation.load(Ordering::Acquire) != generation {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut guard = self.lock.lock().expect("barrier lock");
-        while self.generation.load(Ordering::Acquire) == generation {
-            guard = self.condvar.wait(guard).expect("barrier condvar");
         }
     }
 }
@@ -309,27 +232,30 @@ impl Gpu {
         let mut next_cta = 0u32;
         let mut pilot_finish: Option<u64> = None;
         let limit = start_cycle + self.config.max_cycles;
-        let threads = self.config.sm_threads.min(sms.len());
+        loop {
+            let cycle = self.cycle;
+            dispatch_ctas(&mut sms, grid, &mut next_cta, cycle);
 
-        if threads > 1 {
-            self.run_parallel(
-                &mut sms,
-                grid,
-                &mut next_cta,
-                &mut pilot_finish,
-                start_cycle,
-                limit,
-                threads,
-            )?;
-        } else {
-            self.run_serial(
-                &mut sms,
-                grid,
-                &mut next_cta,
-                &mut pilot_finish,
-                start_cycle,
-                limit,
-            )?;
+            // Execute: every SM steps the cycle against the frozen memory
+            // image, staging its stores.
+            for sm in sms.iter_mut() {
+                sm.cycle(cycle, &self.global);
+            }
+            // Commit: apply staged stores in SM order, drain finishes.
+            let mut all_idle = true;
+            for sm in sms.iter_mut() {
+                all_idle &= sm.end_cycle(&mut self.global, &mut pilot_finish, start_cycle);
+            }
+            self.cycle += 1;
+
+            if next_cta >= grid.num_ctas && all_idle {
+                break;
+            }
+            if self.cycle >= limit {
+                return Err(SimError::CycleLimitExceeded {
+                    limit: self.config.max_cycles,
+                });
+            }
         }
 
         let mut stats = SmStats::new();
@@ -360,137 +286,6 @@ impl Gpu {
             samples,
             audit,
         })
-    }
-
-    /// The single-threaded cycle loop (also used when `sm_threads <= 1` or
-    /// only one SM exists).
-    fn run_serial(
-        &mut self,
-        sms: &mut [Sm],
-        grid: GridConfig,
-        next_cta: &mut u32,
-        pilot_finish: &mut Option<u64>,
-        start_cycle: u64,
-        limit: u64,
-    ) -> Result<(), SimError> {
-        loop {
-            let cycle = self.cycle;
-            dispatch_ctas(sms.len(), grid, next_cta, |i, cta| {
-                sms[i].try_dispatch_cta(cta, cycle)
-            });
-
-            // Execute: every SM steps the cycle against the frozen memory
-            // image, staging its stores.
-            for sm in sms.iter_mut() {
-                sm.cycle(cycle, &self.global);
-            }
-            // Commit: apply staged stores in SM order, drain finishes.
-            let mut all_idle = true;
-            for sm in sms.iter_mut() {
-                all_idle &= sm.end_cycle(&mut self.global, pilot_finish, start_cycle);
-            }
-            self.cycle += 1;
-
-            if *next_cta >= grid.num_ctas && all_idle {
-                return Ok(());
-            }
-            if self.cycle >= limit {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.config.max_cycles,
-                });
-            }
-        }
-    }
-
-    /// The SM-parallel cycle loop: a persistent pool of `threads` scoped
-    /// workers steps the SMs of each cycle concurrently (strided
-    /// assignment), separated from the driver's dispatch/commit work by a
-    /// pair of barriers. The schedule — and therefore every stat, trace
-    /// event, sample, and audit counter — is identical to
-    /// [`Gpu::run_serial`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel(
-        &mut self,
-        sms: &mut [Sm],
-        grid: GridConfig,
-        next_cta: &mut u32,
-        pilot_finish: &mut Option<u64>,
-        start_cycle: u64,
-        limit: u64,
-        threads: usize,
-    ) -> Result<(), SimError> {
-        let start = SpinBarrier::new(threads + 1);
-        let done = SpinBarrier::new(threads + 1);
-        let cycle_now = AtomicU64::new(self.cycle);
-        let stop = AtomicBool::new(false);
-        // Workers take shared read access during the execute phase; the
-        // driver takes exclusive access for the commit phase. The barriers
-        // keep the phases disjoint, so the locks never contend.
-        let global = RwLock::new(&mut self.global);
-        let cells: Vec<Mutex<&mut Sm>> = sms.iter_mut().map(Mutex::new).collect();
-        let cycle_ref = &mut self.cycle;
-        let max_cycles = self.config.max_cycles;
-
-        let mut outcome = Ok(());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (start, done) = (&start, &done);
-                let (cycle_now, stop) = (&cycle_now, &stop);
-                let (global, cells) = (&global, &cells);
-                scope.spawn(move || loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let cycle = cycle_now.load(Ordering::Acquire);
-                    {
-                        let mem = global.read().expect("gmem lock");
-                        for cell in cells.iter().skip(t).step_by(threads) {
-                            cell.lock().expect("sm lock").cycle(cycle, &mem);
-                        }
-                    }
-                    done.wait();
-                });
-            }
-
-            loop {
-                // Dispatch + commit run on the driver thread, between the
-                // `done` barrier of the previous cycle and the `start`
-                // barrier of the next, so the uncontended locks are exact.
-                dispatch_ctas(cells.len(), grid, next_cta, |i, cta| {
-                    cells[i]
-                        .lock()
-                        .expect("sm lock")
-                        .try_dispatch_cta(cta, *cycle_ref)
-                });
-
-                cycle_now.store(*cycle_ref, Ordering::Release);
-                start.wait();
-                // Workers execute the cycle here.
-                done.wait();
-
-                let mut all_idle = true;
-                {
-                    let mem = &mut **global.write().expect("gmem lock");
-                    for cell in cells.iter() {
-                        let mut sm = cell.lock().expect("sm lock");
-                        all_idle &= sm.end_cycle(mem, pilot_finish, start_cycle);
-                    }
-                }
-                *cycle_ref += 1;
-
-                if *next_cta >= grid.num_ctas && all_idle {
-                    break;
-                }
-                if *cycle_ref >= limit {
-                    outcome = Err(SimError::CycleLimitExceeded { limit: max_cycles });
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            start.wait();
-        });
-        outcome
     }
 }
 
@@ -557,29 +352,11 @@ mod tests {
         }
     }
 
+    /// Four SMs commit staged global writes every cycle under each
+    /// scheduler with every observer on: the audit stays clean, and a
+    /// second run on a fresh GPU repeats the first exactly.
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let (serial, serial_mem) = run_varied(observed_config(4));
-        for threads in [2, 3, 4, 7] {
-            let config = GpuConfig {
-                sm_threads: threads,
-                ..observed_config(4)
-            };
-            let (parallel, parallel_mem) = run_varied(config);
-            assert_eq!(
-                serial, parallel,
-                "SM-parallel run ({threads} threads) diverged from serial"
-            );
-            assert_eq!(
-                serial_mem, parallel_mem,
-                "memory diverged ({threads} threads)"
-            );
-            assert!(parallel.audit.as_ref().unwrap().is_clean());
-        }
-    }
-
-    #[test]
-    fn parallel_identity_holds_for_every_scheduler() {
+    fn observed_multi_sm_runs_are_audit_clean_and_repeatable() {
         for policy in [
             SchedulerPolicy::Gto,
             SchedulerPolicy::Lrr,
@@ -588,17 +365,16 @@ mod tests {
             },
             SchedulerPolicy::FetchGroup { group_size: 4 },
         ] {
-            let base = GpuConfig {
+            let config = GpuConfig {
                 scheduler: policy,
                 ..observed_config(4)
             };
-            let (serial, serial_mem) = run_varied(base.clone());
-            let (parallel, parallel_mem) = run_varied(GpuConfig {
-                sm_threads: 4,
-                ..base
-            });
-            assert_eq!(serial, parallel, "{policy:?} diverged under SM-parallelism");
-            assert_eq!(serial_mem, parallel_mem);
+            let (first, first_mem) = run_varied(config.clone());
+            assert!(first.audit.as_ref().unwrap().is_clean(), "{policy:?}");
+            assert!(!first.trace.is_empty() && !first.samples.is_empty());
+            let (second, second_mem) = run_varied(config);
+            assert_eq!(first, second, "{policy:?} run did not repeat");
+            assert_eq!(first_mem, second_mem, "{policy:?} memory did not repeat");
         }
     }
 

@@ -109,13 +109,13 @@ impl GlobalMemory {
 
 /// A per-SM, per-cycle view of global memory: reads see the cycle-start
 /// state plus this SM's own earlier writes of the same cycle; writes are
-/// buffered and committed by the GPU driver in SM-id order at the cycle
-/// barrier.
+/// buffered and committed by the GPU driver in SM-id order at the end of
+/// the cycle.
 ///
-/// This two-phase execute/commit scheme is what makes SM-parallel stepping
-/// bit-identical to the serial loop: an SM's view of memory depends only on
-/// the committed state and its own write log, never on how far the other
-/// SMs have progressed within the cycle. The one semantic difference from
+/// This two-phase execute/commit scheme makes the order in which SMs step
+/// within a cycle irrelevant: an SM's view of memory depends only on the
+/// committed state and its own write log, never on which other SMs have
+/// already stepped the cycle. The one semantic difference from
 /// stepping SMs in-place is that an SM no longer observes a *same-cycle*
 /// write from a lower-numbered SM; cross-SM communication at single-cycle
 /// granularity is not representable in the CTA programming model (there is

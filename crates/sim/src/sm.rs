@@ -273,7 +273,7 @@ pub struct Sm {
     dispatch_slots_scratch: Vec<usize>,
     /// Global-memory writes staged by this SM during the current cycle,
     /// applied by [`Sm::commit_global_writes`] in SM-id order (two-phase
-    /// execute/commit, identical under serial and SM-parallel stepping).
+    /// execute/commit, see [`GmemView`]).
     global_writes: Vec<(u32, u32)>,
 }
 
@@ -1158,8 +1158,8 @@ impl Sm {
     }
 
     /// Applies the global-memory writes staged during [`Sm::cycle`]. The
-    /// driver calls this once per stepped cycle, in ascending SM order, so
-    /// serial and SM-parallel schedules commit identical memory states.
+    /// driver calls this once per stepped cycle, in ascending SM order,
+    /// after every SM has stepped the cycle.
     pub fn commit_global_writes(&mut self, global: &mut GlobalMemory) {
         for (addr, value) in self.global_writes.drain(..) {
             global.write(addr, value);

@@ -184,8 +184,7 @@ impl TraceEvent {
 /// Canonical ordering for a merged multi-SM trace: stable-sorts by
 /// `(cycle, sm)`, so events keep their intra-SM emission order while the
 /// interleaving across SMs becomes deterministic — the same no matter the
-/// order the per-SM rings were concatenated in (serial or SM-parallel
-/// stepping, any worker assignment).
+/// order the per-SM rings were concatenated in.
 pub fn normalize_trace(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| (e.cycle(), e.sm()));
 }

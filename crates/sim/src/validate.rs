@@ -99,7 +99,7 @@ fn config_err(field: &'static str, reason: impl Into<String>) -> ValidationError
 /// Checks a [`GpuConfig`] for structural usability, returning the first
 /// offending field. [`GpuConfig::validate`] is the panicking wrapper.
 pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
-    let positive: [(&'static str, usize); 9] = [
+    let positive: [(&'static str, usize); 8] = [
         ("num_sms", config.num_sms),
         ("max_warps_per_sm", config.max_warps_per_sm),
         ("max_ctas_per_sm", config.max_ctas_per_sm),
@@ -108,7 +108,6 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
         ("num_rf_banks", config.num_rf_banks),
         ("num_collectors", config.num_collectors),
         ("rf_registers", config.rf_registers),
-        ("sm_threads", config.sm_threads),
     ];
     for (field, value) in positive {
         if value == 0 {
@@ -126,6 +125,12 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
     }
     if config.max_cycles == 0 {
         return Err(config_err("max_cycles", "must be at least 1"));
+    }
+    if config.sm_threads != 1 {
+        return Err(config_err(
+            "sm_threads",
+            format!("{}: must be 1 (SMs step on one thread)", config.sm_threads),
+        ));
     }
     let widths = [
         ("num_collectors", config.num_collectors, MAX_COLLECTORS),
@@ -235,6 +240,33 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("num_rf_banks"));
+    }
+
+    #[test]
+    fn sm_threads_other_than_one_rejected_by_name() {
+        for sm_threads in [0, 2] {
+            let cfg = GpuConfig {
+                sm_threads,
+                ..GpuConfig::kepler_gtx780()
+            };
+            let err = check_config(&cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ValidationError::Config {
+                        field: "sm_threads",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains("sm_threads"), "{err}");
+        }
+        let one = GpuConfig {
+            sm_threads: 1,
+            ..GpuConfig::kepler_gtx780()
+        };
+        assert_eq!(check_config(&one), Ok(()));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!    CTA reaches it.
 //!
 //! Together these rules mean the per-thread execution trace is a pure
-//! function of the kernel and the input image: every scheduler, RF model,
-//! and `sm_threads` setting must produce the same instruction count and
-//! the same final memory — which is exactly what `prf-fuzz` asserts.
+//! function of the kernel and the input image: every scheduler and RF
+//! model must produce the same instruction count and the same final
+//! memory — which is exactly what `prf-fuzz` asserts.
 //!
 //! Generation is a pure function of `(seed, index)`: the same pair always
 //! yields the same kernel, grid, and memory image, so a failing case
