@@ -11,14 +11,21 @@
 //! speed-up that moves any simulated number fails here. The values the
 //! kernels compute are pinned too: every row of `nw` and `WP` must leave
 //! the same final global-memory image, whose digest is fixed below.
+//! `backprop`, the one workload with two launches, has rows of its own
+//! that also pin what carries from one launch to the next: the whole
+//! `RfTelemetry` (RFC counts, FRF epochs, hot-register sets, pilot
+//! completion) and, on a `SpareRow` fault campaign, the repair counts.
 //! Re-capture the constants only for a change that is meant to alter
 //! simulated behaviour, and say so.
 
 use std::sync::Arc;
 
 use pilot_rf::core::{
-    rf_model_factory, run_experiment, shared_telemetry, PartitionedRfConfig, RfKind, RfcConfig,
+    rf_model_factory, run_experiment, run_experiment_with_faults, shared_telemetry, FaultConfig,
+    PartitionedRfConfig, RepairPolicy, RfKind, RfTelemetry, RfcConfig,
 };
+use pilot_rf::finfet::{FaultGeometry, FaultMap, SramCell};
+use pilot_rf::isa::Reg;
 use pilot_rf::sim::{Gpu, GpuConfig, SchedulerPolicy};
 use pilot_rf::workloads::by_name;
 
@@ -652,5 +659,175 @@ fn final_memory_is_the_same_on_every_row() {
                 g.arm, g.scheduler, g.num_sms
             );
         }
+    }
+}
+
+/// One `backprop` row: both launches on one `Gpu`, as
+/// `run_experiment_with_faults` runs them.
+struct MultiLaunch {
+    scheduler: SchedulerPolicy,
+    num_sms: usize,
+    arm: &'static str,
+    /// Under `SpareRow { spares_per_bank: 4 }` on the 8T map at 0.3 V,
+    /// seed 42 ([`fault_campaign`]).
+    faulted: bool,
+    launch_cycles: [u64; 2],
+    warp_insts: u64,
+    /// `RfTelemetry` counters: RFC hits, read hits, misses, write-backs,
+    /// FRF high and low epochs, fault remaps, spills, escalations.
+    counters: [u64; 9],
+    compiler_hot_regs: &'static [u8],
+    pilot_hot_regs: &'static [u8],
+    pilot_done_cycle: Option<u64>,
+    /// `SmStats::rf_repairs`: remapped, spilled, escalated.
+    rf_repairs: [u64; 3],
+    /// dynamic, baseline dynamic, leakage, baseline leakage, repair (pJ).
+    energy_bits: [u64; 5],
+}
+
+const MULTI_LAUNCH: &[MultiLaunch] = &[
+    MultiLaunch {
+        scheduler: GTO,
+        num_sms: 1,
+        arm: "partitioned",
+        faulted: false,
+        launch_cycles: [29635, 22066],
+        warp_insts: 81920,
+        counters: [0, 0, 0, 0, 287, 746, 0, 0, 0],
+        compiler_hot_regs: &[4, 5, 6, 0],
+        pilot_hot_regs: &[4, 6, 5, 10],
+        pilot_done_cycle: Some(1524),
+        rf_repairs: [0, 0, 0],
+        energy_bits: [
+            0x4131996d13976c87,
+            0x4144236666666666,
+            0x4132206b0b1bb61d,
+            0x413da09ac448cf7c,
+            0x0000000000000000,
+        ],
+    },
+    MultiLaunch {
+        scheduler: GTO,
+        num_sms: 1,
+        arm: "RFC",
+        faulted: false,
+        launch_cycles: [38162, 19162],
+        warp_insts: 81920,
+        counters: [171339, 106827, 5813, 18004, 0, 0, 0, 0, 0],
+        compiler_hot_regs: &[],
+        pilot_hot_regs: &[],
+        pilot_done_cycle: None,
+        rf_repairs: [0, 0, 0],
+        energy_bits: [
+            0x4132f41a6b775c7b,
+            0x4144236666666666,
+            0x412d55632c1baa79,
+            0x41406cc0c5d85165,
+            0x0000000000000000,
+        ],
+    },
+    MultiLaunch {
+        scheduler: TL8,
+        num_sms: 4,
+        arm: "partitioned",
+        faulted: false,
+        launch_cycles: [3025, 2673],
+        warp_insts: 81920,
+        counters: [0, 0, 0, 0, 356, 96, 0, 0, 0],
+        compiler_hot_regs: &[4, 5, 6, 0],
+        pilot_hot_regs: &[4, 6, 5, 10],
+        pilot_done_cycle: Some(1527),
+        rf_repairs: [0, 0, 0],
+        energy_bits: [
+            0x413405e4140744f0,
+            0x4144236666666666,
+            0x411ff6c65a6cbfdc,
+            0x412a1f3b8d92fb1a,
+            0x0000000000000000,
+        ],
+    },
+    MultiLaunch {
+        scheduler: GTO,
+        num_sms: 1,
+        arm: "partitioned",
+        faulted: true,
+        launch_cycles: [31663, 28085],
+        warp_insts: 81920,
+        counters: [0, 0, 0, 0, 268, 926, 20216, 1293, 0],
+        compiler_hot_regs: &[4, 5, 6, 0],
+        pilot_hot_regs: &[4, 6, 5, 10],
+        pilot_done_cycle: Some(1533),
+        rf_repairs: [20216, 1293, 0],
+        energy_bits: [
+            0x4131b6e5394313b3,
+            0x4144236666666666,
+            0x4134f2ad02fd1250,
+            0x41411e8e151c5c57,
+            0x40d8d3b99999999a,
+        ],
+    },
+];
+
+fn fault_campaign() -> FaultConfig {
+    let map = FaultMap::from_montecarlo(SramCell::T8, 0.3, FaultGeometry::kepler_rf(), 42);
+    FaultConfig::new(map, RepairPolicy::SpareRow { spares_per_bank: 4 })
+}
+
+fn regs(indices: &[u8]) -> Vec<Reg> {
+    indices.iter().map(|&i| Reg(i)).collect()
+}
+
+#[test]
+fn backprop_telemetry_and_repairs_carry_across_launches() {
+    let w = by_name("backprop").expect("a Table I workload");
+    assert_eq!(w.launches.len(), 2);
+    let faults = fault_campaign();
+    for g in MULTI_LAUNCH {
+        let gpu = gpu(g.scheduler, g.num_sms);
+        let job = format!(
+            "backprop/{}/{:?}/{} SMs/faulted {}",
+            g.arm, g.scheduler, g.num_sms, g.faulted
+        );
+        let r = run_experiment_with_faults(
+            &gpu,
+            &arm(g.arm, &gpu),
+            &w.launches,
+            &w.mem_init,
+            g.faulted.then_some(&faults),
+        )
+        .unwrap_or_else(|e| panic!("{job}: {e}"));
+        let launch_cycles: Vec<u64> = r.per_launch.iter().map(|l| l.cycles).collect();
+        let energy = [
+            r.dynamic_energy_pj,
+            r.baseline_dynamic_energy_pj,
+            r.leakage_energy_pj,
+            r.baseline_leakage_energy_pj,
+            r.repair_energy_pj,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(launch_cycles, g.launch_cycles, "{job} cycles per launch");
+        assert_eq!(
+            r.stats.instructions, g.warp_insts,
+            "{job} warp instructions"
+        );
+        let [hits, read_hits, misses, writebacks, high, low, remaps, spills, escalations] =
+            g.counters;
+        let expected = RfTelemetry {
+            rfc_hits: hits,
+            rfc_read_hits: read_hits,
+            rfc_misses: misses,
+            rfc_writebacks: writebacks,
+            frf_high_epochs: high,
+            frf_low_epochs: low,
+            fault_remaps: remaps,
+            fault_spills: spills,
+            fault_escalations: escalations,
+            compiler_hot_regs: regs(g.compiler_hot_regs),
+            pilot_hot_regs: regs(g.pilot_hot_regs),
+            pilot_done_cycle: g.pilot_done_cycle,
+        };
+        assert_eq!(r.telemetry, expected, "{job} telemetry");
+        assert_eq!(r.stats.rf_repairs, g.rf_repairs, "{job} repair counts");
+        assert_eq!(energy, g.energy_bits, "{job} energy bits");
     }
 }
