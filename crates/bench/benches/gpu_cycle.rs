@@ -3,10 +3,11 @@
 //!
 //! The census uses a counting `#[global_allocator]` to measure how many
 //! heap allocations one `Gpu::run` performs. The cycle loop reuses scratch
-//! buffers (see `prf_sim::sm`), so the count must stay proportional to the
-//! amount of *work* (warps, CTAs, inflight instructions) — not to the
-//! number of simulated cycles. The `alloc_census` "benchmark" asserts that
-//! bound and prints the per-cycle allocation rate.
+//! buffers (see `prf_sim::sm`), and a `Gpu` keeps its SMs from one launch
+//! to the next, so the count must stay proportional to the amount of
+//! *work* (warps, CTAs, inflight instructions) — not to the number of
+//! simulated cycles. The `alloc_census` "benchmark" asserts that bound and
+//! prints the per-cycle allocation rate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use prf_core::{rf_model_factory, shared_telemetry, RfKind};
-use prf_sim::{Gpu, GpuConfig, WarpContext};
+use prf_core::{rf_model_factory, RfKind};
+use prf_sim::{Gpu, GpuConfig};
 
 /// A pass-through allocator that counts allocation calls.
 struct CountingAlloc;
@@ -53,20 +54,21 @@ fn multi_sm_config(num_sms: usize) -> GpuConfig {
     }
 }
 
-/// One multi-SM `Gpu::run` of the srad workload (its launches stress the
-/// LSU, barriers, and the collector) on a fresh `Gpu`, seeded with `pool`
-/// (recycled warp contexts). Returns total cycles and the grown pool, so
-/// back-to-back runs measure the steady state rather than cold warp
-/// allocation.
-fn run_once_pooled(config: &GpuConfig, pool: Vec<WarpContext>) -> (u64, Vec<WarpContext>) {
+/// A GPU loaded with the srad workload's memory image (its launches
+/// stress the LSU, barriers, and the collector).
+fn srad_gpu(config: &GpuConfig) -> Gpu {
     let w = prf_workloads::by_name("srad").expect("srad workload exists");
-    let telemetry = shared_telemetry();
-    let factory = rf_model_factory(&RfKind::MrfStv, config.num_rf_banks, &telemetry);
     let mut gpu = Gpu::new(config.clone());
-    gpu.adopt_warp_pool(pool);
     for (base, words) in &w.mem_init {
         gpu.global_mem().load(*base, words);
     }
+    gpu
+}
+
+/// Runs every srad launch on `gpu` and returns the cycles they took.
+fn run_srad(gpu: &mut Gpu) -> u64 {
+    let w = prf_workloads::by_name("srad").expect("srad workload exists");
+    let factory = rf_model_factory(&RfKind::MrfStv, gpu.config().num_rf_banks, None);
     let mut cycles = 0;
     for launch in &w.launches {
         let kernel = std::sync::Arc::clone(&launch.kernel);
@@ -75,11 +77,12 @@ fn run_once_pooled(config: &GpuConfig, pool: Vec<WarpContext>) -> (u64, Vec<Warp
             .expect("srad terminates")
             .cycles;
     }
-    (cycles, gpu.take_warp_pool())
+    cycles
 }
 
+/// One multi-SM run of srad on a fresh `Gpu`.
 fn run_once(config: &GpuConfig) -> u64 {
-    run_once_pooled(config, Vec::new()).0
+    run_srad(&mut srad_gpu(config))
 }
 
 fn bench_gpu_run(c: &mut Criterion) {
@@ -100,17 +103,19 @@ fn bench_alloc_census(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_census");
     g.sample_size(10);
 
-    // Warm-up run (criterion itself, workload construction, and the lazy
-    // parts of the simulator allocate; we only care about steady state).
-    // The warp-context pool carries over so the measured run exercises
-    // recycled register storage, as a long-running simulation would.
+    // The steady state is the second of two runs on one `Gpu`: the first
+    // builds the SMs, their models and buffers, and fills the warp-context
+    // pools (criterion itself and workload construction allocate too),
+    // and the second reuses them all, as every later launch of a
+    // multi-launch workload does.
     let config = multi_sm_config(4);
-    let (warm_cycles, pool) = run_once_pooled(&config, Vec::new());
+    let mut gpu = srad_gpu(&config);
+    let warm_cycles = run_srad(&mut gpu);
 
     let before = allocations();
-    let (cycles, _pool) = run_once_pooled(&config, pool);
+    let cycles = run_srad(&mut gpu);
     let during = allocations() - before;
-    assert_eq!(warm_cycles, cycles, "deterministic simulation");
+    assert!(warm_cycles > 0 && cycles > 0);
     let per_cycle = during as f64 / cycles as f64;
     println!(
         "alloc census: {during} allocations over {cycles} cycles \

@@ -35,9 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prf_bench::harness_args;
-use prf_core::{
-    rf_model_factory, shared_telemetry, DrowsyConfig, PartitionedRfConfig, RfKind, RfcConfig,
-};
+use prf_core::{rf_model_factory, DrowsyConfig, PartitionedRfConfig, RfKind, RfcConfig};
 use prf_isa::{
     decode_kernel, encode_kernel, Dst, Instruction, Kernel, KernelBuilder, KernelValidator, Opcode,
     Operand, PredReg, Reg,
@@ -162,8 +160,7 @@ fn run_cell(
 ) -> Result<CellRun, String> {
     let config = fuzz_config(scheduler);
     let banks = config.num_rf_banks;
-    let telemetry = shared_telemetry();
-    let factory = rf_model_factory(rf, banks, &telemetry);
+    let factory = rf_model_factory(rf, banks, None);
     let mut gpu = Gpu::try_new(config).map_err(|e| format!("try_new: {e}"))?;
     for (base, words) in &case.mem_init {
         gpu.global_mem().load(*base, words);
@@ -368,8 +365,7 @@ fn table1_cell(
 ) -> Result<(u64, Vec<u32>), String> {
     let config = table1_config(scheduler);
     let banks = config.num_rf_banks;
-    let telemetry = shared_telemetry();
-    let factory = rf_model_factory(rf, banks, &telemetry);
+    let factory = rf_model_factory(rf, banks, None);
     let mut gpu = Gpu::try_new(config).map_err(|e| format!("try_new: {e}"))?;
     for (base, words) in mem_init {
         gpu.global_mem().load(*base, words);

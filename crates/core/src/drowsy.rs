@@ -18,8 +18,6 @@ use prf_isa::{Kernel, Reg, MAX_ARCH_REGS};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use prf_sim::RfPartition;
 
-use crate::telemetry::SharedTelemetry;
-
 /// Drowsy register-file configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrowsyConfig {
@@ -80,13 +78,11 @@ pub struct DrowsyRf {
     last_tick: u64,
     live_regs: usize,
     regs_per_thread: usize,
-    #[allow(dead_code)]
-    telemetry: SharedTelemetry,
 }
 
 impl DrowsyRf {
     /// Creates the model for one SM.
-    pub fn new(config: DrowsyConfig, telemetry: SharedTelemetry) -> Self {
+    pub fn new(config: DrowsyConfig) -> Self {
         DrowsyRf {
             last_access: vec![[None; MAX_ARCH_REGS]; config.max_warps],
             config,
@@ -97,7 +93,6 @@ impl DrowsyRf {
             last_tick: 0,
             live_regs: 0,
             regs_per_thread: MAX_ARCH_REGS,
-            telemetry,
         }
     }
 
@@ -218,10 +213,9 @@ impl RegisterFileModel for DrowsyRf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::shared_telemetry;
 
     fn model() -> DrowsyRf {
-        DrowsyRf::new(DrowsyConfig::paper_adjacent(24, 64), shared_telemetry())
+        DrowsyRf::new(DrowsyConfig::paper_adjacent(24, 64))
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::energy::{EnergyModel, LeakageModel};
 use crate::faults::{FaultConfig, FaultedRf, RepairCosts, RepairPolicy};
 use crate::partitioned::{PartitionedRf, PartitionedRfConfig};
 use crate::rfc::{RfcConfig, RfcModel};
-use crate::telemetry::{shared_telemetry, snapshot, RfTelemetry, SharedTelemetry};
+use crate::telemetry::{RfTelemetry, SharedTelemetry};
 
 /// The register-file organisation under test.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,50 +211,45 @@ impl std::fmt::Display for ExperimentResult {
     }
 }
 
-/// Builds the per-SM register-file model factory for an [`RfKind`].
+/// Builds the per-SM register-file model factory for an [`RfKind`]. When
+/// `faults` is present every model is wrapped in a [`FaultedRf`] that
+/// injects the map's faults and repairs them; `None` builds the bare
+/// models, so fault-free runs stay bit-identical to runs predating fault
+/// support.
 ///
 /// The returned closure is `Send + Sync` so a whole experiment — factory
 /// included — can run on a worker thread of the parallel experiment engine.
-/// Models report into `telemetry`, which the caller snapshots after the run.
 pub fn rf_model_factory(
     rf: &RfKind,
     banks: usize,
-    telemetry: &SharedTelemetry,
+    faults: Option<FaultConfig>,
 ) -> impl Fn(usize) -> Box<dyn RegisterFileModel> + Send + Sync + 'static {
     let rf_kind = rf.clone();
-    let t = Arc::clone(telemetry);
     move |sm: usize| -> Box<dyn RegisterFileModel> {
-        match &rf_kind {
+        let inner: Box<dyn RegisterFileModel> = match &rf_kind {
             RfKind::MrfStv => Box::new(BaselineRf::stv(banks)),
             RfKind::MrfNtv { latency } => Box::new(BaselineRf::ntv(banks, *latency)),
-            RfKind::Partitioned(cfg) => {
-                Box::new(PartitionedRf::new(sm, cfg.clone(), Arc::clone(&t)))
-            }
-            RfKind::Rfc(cfg) => Box::new(RfcModel::new(*cfg, Arc::clone(&t))),
-            RfKind::Drowsy(cfg) => Box::new(DrowsyRf::new(*cfg, Arc::clone(&t))),
+            RfKind::Partitioned(cfg) => Box::new(PartitionedRf::new(sm, cfg.clone())),
+            RfKind::Rfc(cfg) => Box::new(RfcModel::new(*cfg)),
+            RfKind::Drowsy(cfg) => Box::new(DrowsyRf::new(*cfg)),
+        };
+        match &faults {
+            Some(fc) => Box::new(FaultedRf::new(inner, fc.clone())),
+            None => inner,
         }
     }
 }
 
-/// Like [`rf_model_factory`], but when `faults` is present every model is
-/// wrapped in a [`FaultedRf`] that injects the map's faults and repairs
-/// them. `None` builds the bare models — exactly [`rf_model_factory`] —
-/// so fault-free runs stay bit-identical to runs predating fault support.
+/// [`rf_model_factory`] with an ignored telemetry argument. Kept only
+/// because the repository benchmark (`perfbench/src/matrix.rs`) calls it;
+/// it goes when that benchmark next changes.
 pub fn faulted_rf_model_factory(
     rf: &RfKind,
     banks: usize,
-    telemetry: &SharedTelemetry,
+    _telemetry: &SharedTelemetry,
     faults: Option<FaultConfig>,
 ) -> impl Fn(usize) -> Box<dyn RegisterFileModel> + Send + Sync + 'static {
-    let base = rf_model_factory(rf, banks, telemetry);
-    let t = Arc::clone(telemetry);
-    move |sm: usize| -> Box<dyn RegisterFileModel> {
-        let inner = base(sm);
-        match &faults {
-            Some(fc) => Box::new(FaultedRf::new(inner, fc.clone(), Arc::clone(&t))),
-            None => inner,
-        }
-    }
+    rf_model_factory(rf, banks, faults)
 }
 
 /// Validates everything an experiment is about to feed the simulator —
@@ -350,14 +345,12 @@ pub fn run_experiment_with_faults(
     validate_experiment_inputs(gpu_config, launches, faults)?;
     let mut phases = PhaseTimings::default();
     let phase_start = Instant::now();
-    let telemetry = shared_telemetry();
     let mut gpu = Gpu::try_new(gpu_config.clone())?;
     for (base, words) in mem_init {
         gpu.global_mem().load(*base, words);
     }
 
-    let factory =
-        faulted_rf_model_factory(rf, gpu_config.num_rf_banks, &telemetry, faults.cloned());
+    let factory = rf_model_factory(rf, gpu_config.num_rf_banks, faults.cloned());
     phases.setup = phase_start.elapsed();
 
     let phase_start = Instant::now();
@@ -368,6 +361,7 @@ pub fn run_experiment_with_faults(
         per_launch.push(r);
     }
     phases.simulate = phase_start.elapsed();
+    let telemetry = gpu.rf_telemetry();
 
     let mut stats = SmStats::new();
     let mut cycles = 0;
@@ -389,7 +383,7 @@ pub fn run_experiment_with_faults(
             );
             (
                 EnergyModel::new(Some(spec), cfg.mrf_at_ntv),
-                snapshot(&telemetry).rfc_writebacks,
+                telemetry.rfc_writebacks,
             )
         }
         _ => (EnergyModel::without_rfc(), 0),
@@ -429,8 +423,6 @@ pub fn run_experiment_with_faults(
         LeakageModel::leakage_energy_pj(organisation_mw, per_sm_cycles) * gpu_config.num_sms as f64;
     let baseline_leakage_energy_pj =
         LeakageModel::leakage_energy_pj(leak.mrf_stv_mw, per_sm_cycles) * gpu_config.num_sms as f64;
-
-    let telemetry = snapshot(&telemetry);
 
     // Repair premiums are charged multiplicatively from integer event
     // counts, so the audit below can recompute them bit-exactly from the
@@ -563,8 +555,7 @@ mod tests {
         assert_send::<RfKind>();
         assert_send::<Launch>();
         fn assert_send_sync_value<T: Send + Sync>(_: &T) {}
-        let telemetry = shared_telemetry();
-        let factory = rf_model_factory(&RfKind::MrfStv, 8, &telemetry);
+        let factory = rf_model_factory(&RfKind::MrfStv, 8, None);
         assert_send_sync_value(&factory);
     }
 

@@ -28,9 +28,7 @@ use std::sync::Arc;
 use prf_finfet::{CellHealth, FaultMap};
 use prf_isa::{Kernel, Reg, MAX_ARCH_REGS};
 use prf_sim::rf::{AccessKind, RegisterFileModel, RepairKind, ResolvedAccess, WarpLifecycle};
-use prf_sim::RfPartition;
-
-use crate::telemetry::{RfTelemetry, SharedTelemetry};
+use prf_sim::{RfPartition, RfTelemetry};
 
 /// Latency floor (cycles) of an access spilled to the slow partition —
 /// the SRF access time of the paper's main configuration.
@@ -177,20 +175,15 @@ pub struct FaultedRf {
     inner: Box<dyn RegisterFileModel>,
     config: FaultConfig,
     spares: SpareRemapTable,
-    telemetry: SharedTelemetry,
-    /// Repair counts not yet added to `telemetry`; published by
-    /// [`RegisterFileModel::on_launch_end`].
-    unpublished: RfTelemetry,
+    /// Repair counts over every launch; merged into the inner model's
+    /// telemetry by [`RegisterFileModel::telemetry`].
+    repairs: RfTelemetry,
     name: String,
 }
 
 impl FaultedRf {
     /// Wraps `inner` with the fault map and policy in `config`.
-    pub fn new(
-        inner: Box<dyn RegisterFileModel>,
-        config: FaultConfig,
-        telemetry: SharedTelemetry,
-    ) -> Self {
+    pub fn new(inner: Box<dyn RegisterFileModel>, config: FaultConfig) -> Self {
         let spares_per_bank = match config.policy {
             RepairPolicy::SpareRow { spares_per_bank } => spares_per_bank,
             _ => 0,
@@ -201,8 +194,7 @@ impl FaultedRf {
             inner,
             config,
             spares: SpareRemapTable::new(banks, spares_per_bank),
-            telemetry,
-            unpublished: RfTelemetry::default(),
+            repairs: RfTelemetry::default(),
             name,
         }
     }
@@ -273,7 +265,7 @@ impl RegisterFileModel for FaultedRf {
             }
         };
         access.repair = Some(repair);
-        let t = &mut self.unpublished;
+        let t = &mut self.repairs;
         match repair {
             RepairKind::Remapped => t.fault_remaps += 1,
             RepairKind::Spilled => t.fault_spills += 1,
@@ -291,8 +283,9 @@ impl RegisterFileModel for FaultedRf {
     }
 
     fn on_kernel_launch(&mut self, kernel: &Kernel, cycle: u64) {
-        // Spare assignments survive kernel launches: repair is a physical
-        // property of the chip, not of the running workload.
+        // Each launch starts with unassigned spares.
+        self.spares =
+            SpareRemapTable::new(self.spares.next_spare.len(), self.spares.spares_per_bank);
         self.inner.on_kernel_launch(kernel, cycle);
     }
 
@@ -308,10 +301,10 @@ impl RegisterFileModel for FaultedRf {
         self.inner.on_warp_deactivated(warp_slot, cycle);
     }
 
-    fn on_launch_end(&mut self) {
-        self.inner.on_launch_end();
-        let counts = std::mem::take(&mut self.unpublished);
-        self.telemetry.lock().unwrap().merge(&counts);
+    fn telemetry(&self) -> RfTelemetry {
+        let mut telemetry = self.inner.telemetry();
+        telemetry.merge(&self.repairs);
+        telemetry
     }
 
     fn rfc_evictions(&self) -> u64 {
@@ -330,7 +323,6 @@ impl RegisterFileModel for FaultedRf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{shared_telemetry, snapshot};
     use prf_sim::BaselineRf;
 
     /// A 2-bank × 4-row map with the given RLE body (8 rows total).
@@ -343,11 +335,9 @@ mod tests {
     }
 
     /// Baseline MRF@NTV (3-cycle, low-voltage partition) over `map`.
-    fn faulted_ntv(map: FaultMap, policy: RepairPolicy) -> (FaultedRf, SharedTelemetry) {
-        let t = shared_telemetry();
+    fn faulted_ntv(map: FaultMap, policy: RepairPolicy) -> FaultedRf {
         let inner = Box::new(BaselineRf::ntv(24, 3));
-        let rf = FaultedRf::new(inner, FaultConfig::new(map, policy), Arc::clone(&t));
-        (rf, t)
+        FaultedRf::new(inner, FaultConfig::new(map, policy))
     }
 
     /// Resolves architected register 0 of warp slot 0 — bank 0, row 0 of
@@ -356,28 +346,21 @@ mod tests {
         rf.resolve(0, Reg(0), AccessKind::Read, 0)
     }
 
-    /// Ends the launch, which publishes the repair counts, and reads the
-    /// shared telemetry.
-    fn published(rf: &mut FaultedRf, t: &SharedTelemetry) -> RfTelemetry {
-        rf.on_launch_end();
-        snapshot(t)
-    }
-
     #[test]
     fn healthy_rows_pass_through_untouched() {
-        let (mut rf, t) = faulted_ntv(
+        let mut rf = faulted_ntv(
             tiny_map("H8"),
             RepairPolicy::SpareRow { spares_per_bank: 2 },
         );
         let a = probe(&mut rf);
         assert_eq!(a.repair, None);
         assert_eq!(a.latency, 3);
-        assert_eq!(published(&mut rf, &t).total_fault_repairs(), 0);
+        assert_eq!(rf.telemetry().total_fault_repairs(), 0);
     }
 
     #[test]
     fn spare_row_remap_costs_one_cycle_and_is_stable() {
-        let (mut rf, t) = faulted_ntv(
+        let mut rf = faulted_ntv(
             tiny_map("S1 H7"),
             RepairPolicy::SpareRow { spares_per_bank: 2 },
         );
@@ -387,13 +370,13 @@ mod tests {
         // Second touch reuses the same spare (no new allocation).
         probe(&mut rf);
         assert_eq!(rf.spares.used_spares(0), 1);
-        assert_eq!(published(&mut rf, &t).fault_remaps, 2);
+        assert_eq!(rf.telemetry().fault_remaps, 2);
     }
 
     #[test]
     fn exhausted_spares_fall_back_to_spill() {
         // All four rows of bank 0 stuck, but only one spare.
-        let (mut rf, t) = faulted_ntv(
+        let mut rf = faulted_ntv(
             tiny_map("S4 H4"),
             RepairPolicy::SpareRow { spares_per_bank: 1 },
         );
@@ -405,24 +388,24 @@ mod tests {
         let second = rf.resolve(0, Reg(2), AccessKind::Read, 0);
         assert_eq!(second.repair, Some(RepairKind::Spilled));
         assert_eq!(second.partition, RfPartition::Srf);
-        let t = published(&mut rf, &t);
+        let t = rf.telemetry();
         assert_eq!((t.fault_remaps, t.fault_spills), (1, 1));
     }
 
     #[test]
     fn disable_and_spill_redirects_to_srf() {
-        let (mut rf, t) = faulted_ntv(tiny_map("S1 H7"), RepairPolicy::DisableAndSpill);
+        let mut rf = faulted_ntv(tiny_map("S1 H7"), RepairPolicy::DisableAndSpill);
         let a = probe(&mut rf);
         assert_eq!(a.repair, Some(RepairKind::Spilled));
         assert_eq!(a.partition, RfPartition::Srf);
         assert_eq!(a.latency, SPILL_LATENCY);
-        assert_eq!(published(&mut rf, &t).fault_spills, 1);
+        assert_eq!(rf.telemetry().fault_spills, 1);
     }
 
     #[test]
     fn escalate_vdd_boosts_weak_but_spills_stuck() {
         // Map bank 0 entirely weak, map bank 1 entirely stuck.
-        let (mut rf, t) = faulted_ntv(tiny_map("W4 S4"), RepairPolicy::EscalateVdd);
+        let mut rf = faulted_ntv(tiny_map("W4 S4"), RepairPolicy::EscalateVdd);
         // Weak -> escalated, same latency and partition.
         let weak = rf.resolve(0, Reg(0), AccessKind::Read, 0);
         assert_eq!(weak.repair, Some(RepairKind::Escalated));
@@ -431,7 +414,7 @@ mod tests {
         // Stuck -> voltage cannot help, spill.
         let stuck = rf.resolve(0, Reg(1), AccessKind::Read, 0);
         assert_eq!(stuck.repair, Some(RepairKind::Spilled));
-        let t = published(&mut rf, &t);
+        let t = rf.telemetry();
         assert_eq!((t.fault_escalations, t.fault_spills), (1, 1));
     }
 
@@ -439,27 +422,23 @@ mod tests {
     fn weak_rows_do_not_trip_at_stv() {
         // Same map, but the inner model is the STV baseline (1-cycle,
         // high-voltage partition): weak rows keep full margin.
-        let t = shared_telemetry();
         let inner = Box::new(BaselineRf::stv(24));
         let mut rf = FaultedRf::new(
             inner,
             FaultConfig::new(tiny_map("W8"), RepairPolicy::DisableAndSpill),
-            Arc::clone(&t),
         );
         let a = probe(&mut rf);
         assert_eq!(a.repair, None);
         assert_eq!(a.partition, RfPartition::MrfStv);
-        assert_eq!(published(&mut rf, &t).total_fault_repairs(), 0);
+        assert_eq!(rf.telemetry().total_fault_repairs(), 0);
     }
 
     #[test]
     fn stuck_rows_trip_even_at_stv() {
-        let t = shared_telemetry();
         let inner = Box::new(BaselineRf::stv(24));
         let mut rf = FaultedRf::new(
             inner,
             FaultConfig::new(tiny_map("S8"), RepairPolicy::DisableAndSpill),
-            Arc::clone(&t),
         );
         let a = probe(&mut rf);
         assert_eq!(a.repair, Some(RepairKind::Spilled));
@@ -490,7 +469,7 @@ mod tests {
 
     #[test]
     fn wrapper_forwards_name_and_hooks() {
-        let (mut rf, _) = faulted_ntv(tiny_map("H8"), RepairPolicy::DisableAndSpill);
+        let mut rf = faulted_ntv(tiny_map("H8"), RepairPolicy::DisableAndSpill);
         assert_eq!(rf.name(), "MRF@NTV(3cy)+faults");
         assert_eq!(rf.rfc_evictions(), 0);
         // Lifecycle hooks must not panic and must reach the inner model.

@@ -73,4 +73,4 @@ pub use partitioned::{PartitionedRf, PartitionedRfConfig};
 pub use profile::{compiler_hot_registers, PilotProfiler, ProfilingStrategy};
 pub use rfc::{RfcConfig, RfcModel};
 pub use swap_table::SwappingTable;
-pub use telemetry::{shared_telemetry, snapshot, RfTelemetry, SharedTelemetry};
+pub use telemetry::{shared_telemetry, RfTelemetry, SharedTelemetry};

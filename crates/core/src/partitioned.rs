@@ -9,12 +9,11 @@
 
 use prf_isa::{Kernel, Reg};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
-use prf_sim::RfPartition;
+use prf_sim::{RfPartition, RfTelemetry};
 
 use crate::adaptive::{AdaptiveFrf, AdaptiveFrfConfig, FrfMode};
 use crate::profile::{compiler_hot_registers, PilotProfiler, ProfilingStrategy};
 use crate::swap_table::SwappingTable;
-use crate::telemetry::SharedTelemetry;
 
 /// Configuration of the partitioned register file.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,17 +74,17 @@ pub struct PartitionedRf {
     swap: SwappingTable,
     pilot: PilotProfiler,
     adaptive: AdaptiveFrf,
-    telemetry: SharedTelemetry,
-    /// Only SM 0 writes the hot-register telemetry to avoid cross-SM
-    /// clobbering (all SMs converge to the same sets anyway). Every SM
-    /// adds its FRF epochs at the end of each launch.
+    /// The hot-register sets and pilot completion, kept by SM 0 only (all
+    /// SMs converge to the same sets anyway); `adaptive` counts the FRF
+    /// epochs of every launch.
+    reported: RfTelemetry,
     is_reporting_sm: bool,
     launch_cycle: u64,
 }
 
 impl PartitionedRf {
     /// Creates the model for one SM.
-    pub fn new(sm_id: usize, config: PartitionedRfConfig, telemetry: SharedTelemetry) -> Self {
+    pub fn new(sm_id: usize, config: PartitionedRfConfig) -> Self {
         let swap = SwappingTable::new(config.frf_regs);
         let adaptive = AdaptiveFrf::new(config.adaptive.unwrap_or_default());
         PartitionedRf {
@@ -93,7 +92,7 @@ impl PartitionedRf {
             swap,
             pilot: PilotProfiler::new(),
             adaptive,
-            telemetry,
+            reported: RfTelemetry::default(),
             is_reporting_sm: sm_id == 0,
             launch_cycle: 0,
         }
@@ -162,17 +161,17 @@ impl RegisterFileModel for PartitionedRf {
         }
     }
 
-    fn on_launch_end(&mut self) {
-        // Taken, not read, so the counts of a launch are added once.
-        let high = std::mem::take(&mut self.adaptive.high_epochs);
-        let low = std::mem::take(&mut self.adaptive.low_epochs);
-        let mut t = self.telemetry.lock().unwrap();
-        t.frf_high_epochs += high;
-        t.frf_low_epochs += low;
+    fn telemetry(&self) -> RfTelemetry {
+        RfTelemetry {
+            frf_high_epochs: self.adaptive.high_epochs,
+            frf_low_epochs: self.adaptive.low_epochs,
+            ..self.reported.clone()
+        }
     }
 
     fn on_kernel_launch(&mut self, kernel: &Kernel, cycle: u64) {
         self.launch_cycle = cycle;
+        // Restarts phase detection; the epoch counts carry on.
         self.adaptive.reset();
         self.swap.reset();
         match &self.config.strategy {
@@ -185,7 +184,7 @@ impl RegisterFileModel for PartitionedRf {
                 if strategy.uses_compiler() {
                     let hot = compiler_hot_registers(kernel, self.config.frf_regs);
                     if self.is_reporting_sm {
-                        self.telemetry.lock().unwrap().compiler_hot_regs = hot.clone();
+                        self.reported.compiler_hot_regs = hot.clone();
                     }
                     self.swap.apply_hot_registers(&hot);
                 }
@@ -210,9 +209,8 @@ impl RegisterFileModel for PartitionedRf {
             // Reset-then-apply, as in Fig. 6c.
             self.swap.apply_hot_registers(&hot);
             if self.is_reporting_sm {
-                let mut t = self.telemetry.lock().unwrap();
-                t.pilot_hot_regs = hot;
-                t.pilot_done_cycle = Some(cycle - self.launch_cycle);
+                self.reported.pilot_hot_regs = hot;
+                self.reported.pilot_done_cycle = Some(cycle - self.launch_cycle);
             }
         }
     }
@@ -225,7 +223,6 @@ impl RegisterFileModel for PartitionedRf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{shared_telemetry, snapshot};
     use prf_isa::KernelBuilder;
 
     fn test_kernel() -> Kernel {
@@ -238,25 +235,18 @@ mod tests {
         kb.build().unwrap()
     }
 
-    fn hybrid_rf() -> (PartitionedRf, SharedTelemetry) {
-        let t = shared_telemetry();
-        let rf = PartitionedRf::new(
-            0,
-            PartitionedRfConfig::paper_default(24),
-            std::sync::Arc::clone(&t),
-        );
-        (rf, t)
+    fn hybrid_rf() -> PartitionedRf {
+        PartitionedRf::new(0, PartitionedRfConfig::paper_default(24))
     }
 
     #[test]
     fn static_first_n_routes_low_regs_to_frf() {
-        let t = shared_telemetry();
         let cfg = PartitionedRfConfig {
             strategy: ProfilingStrategy::StaticFirstN,
             adaptive: None,
             ..PartitionedRfConfig::paper_default(24)
         };
-        let mut rf = PartitionedRf::new(0, cfg, t);
+        let mut rf = PartitionedRf::new(0, cfg);
         rf.on_kernel_launch(&test_kernel(), 0);
         let a = rf.resolve(0, Reg(3), AccessKind::Read, 0);
         assert_eq!(a.partition, RfPartition::FrfHigh);
@@ -268,18 +258,18 @@ mod tests {
 
     #[test]
     fn compiler_strategy_moves_hot_reg_to_frf_at_launch() {
-        let (mut rf, t) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         // R10 is statically hottest -> FRF immediately (hybrid seeds from
         // the compiler while the pilot runs).
         let a = rf.resolve(0, Reg(10), AccessKind::Read, 0);
         assert_eq!(a.partition, RfPartition::FrfHigh);
-        assert_eq!(t.lock().unwrap().compiler_hot_regs[0], Reg(10));
+        assert_eq!(rf.telemetry().compiler_hot_regs[0], Reg(10));
     }
 
     #[test]
     fn pilot_completion_remaps() {
-        let (mut rf, t) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         let w = WarpLifecycle {
             slot: 2,
@@ -303,13 +293,14 @@ mod tests {
             rf.resolve(0, Reg(20), AccessKind::Read, 101).partition,
             RfPartition::FrfHigh
         );
-        assert_eq!(t.lock().unwrap().pilot_hot_regs[0], Reg(20));
-        assert_eq!(t.lock().unwrap().pilot_done_cycle, Some(100));
+        let t = rf.telemetry();
+        assert_eq!(t.pilot_hot_regs[0], Reg(20));
+        assert_eq!(t.pilot_done_cycle, Some(100));
     }
 
     #[test]
     fn non_pilot_accesses_do_not_pollute_counters() {
-        let (mut rf, _) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         rf.on_warp_start(
             WarpLifecycle {
@@ -353,7 +344,7 @@ mod tests {
 
     #[test]
     fn adaptive_mode_changes_latency_and_partition() {
-        let (mut rf, _) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         // 50 idle cycles -> next epoch low-power.
         for _ in 0..50 {
@@ -369,10 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn launch_end_adds_the_launchs_epochs_once() {
-        let (mut rf, t) = hybrid_rf();
-        let epochs = |t: &SharedTelemetry| {
-            let t = snapshot(t);
+    fn telemetry_counts_the_epochs_of_every_launch() {
+        let mut rf = hybrid_rf();
+        let epochs = |rf: &PartitionedRf| {
+            let t = rf.telemetry();
             (t.frf_high_epochs, t.frf_low_epochs)
         };
         // Launch 1: an idle epoch in high-power mode, then one in low.
@@ -380,41 +371,35 @@ mod tests {
         for c in 0..120 {
             rf.tick(c, 0);
         }
-        assert_eq!(epochs(&t), (0, 0), "nothing is published mid-launch");
-        rf.on_launch_end();
-        assert_eq!(epochs(&t), (1, 1));
-        rf.on_launch_end();
-        assert_eq!(epochs(&t), (1, 1), "a launch is counted once");
-        // Launch 2 adds to launch 1 rather than replacing it.
+        assert_eq!(epochs(&rf), (1, 1));
+        // Launch 2 restarts phase detection in high-power mode and adds its
+        // epochs to launch 1's rather than replacing them.
         rf.on_kernel_launch(&test_kernel(), 120);
         for c in 120..270 {
             rf.tick(c, 0);
         }
-        rf.on_launch_end();
-        assert_eq!(epochs(&t), (2, 3));
+        assert_eq!(epochs(&rf), (2, 3));
     }
 
     #[test]
     fn srf_latency_sensitivity_config() {
-        let t = shared_telemetry();
         let cfg = PartitionedRfConfig {
             srf_latency: 5,
             ..PartitionedRfConfig::without_adaptive(24)
         };
-        let mut rf = PartitionedRf::new(0, cfg, t);
+        let mut rf = PartitionedRf::new(0, cfg);
         rf.on_kernel_launch(&test_kernel(), 0);
         assert_eq!(rf.resolve(0, Reg(50), AccessKind::Read, 0).latency, 5);
     }
 
     #[test]
     fn oracle_strategy_applies_given_set() {
-        let t = shared_telemetry();
         let cfg = PartitionedRfConfig {
             strategy: ProfilingStrategy::Oracle(vec![Reg(33), Reg(44)]),
             adaptive: None,
             ..PartitionedRfConfig::paper_default(24)
         };
-        let mut rf = PartitionedRf::new(0, cfg, t);
+        let mut rf = PartitionedRf::new(0, cfg);
         rf.on_kernel_launch(&test_kernel(), 0);
         assert!(rf.swap_table().is_frf(Reg(33)));
         assert!(rf.swap_table().is_frf(Reg(44)));
@@ -422,7 +407,7 @@ mod tests {
 
     #[test]
     fn banks_follow_physical_register() {
-        let (mut rf, _) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         // R10 -> phys 0 (hot), so bank = warp_slot % 24.
         let a = rf.resolve(7, Reg(10), AccessKind::Read, 0);
@@ -431,7 +416,7 @@ mod tests {
 
     #[test]
     fn second_kernel_relaunch_resets_mapping() {
-        let (mut rf, _) = hybrid_rf();
+        let mut rf = hybrid_rf();
         rf.on_kernel_launch(&test_kernel(), 0);
         let w = WarpLifecycle {
             slot: 0,

@@ -13,9 +13,7 @@ use std::collections::VecDeque;
 
 use prf_isa::{Kernel, Reg};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
-use prf_sim::RfPartition;
-
-use crate::telemetry::{RfTelemetry, SharedTelemetry};
+use prf_sim::{RfPartition, RfTelemetry};
 
 /// RFC configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,11 +72,9 @@ impl WarpCache {
 pub struct RfcModel {
     config: RfcConfig,
     caches: Vec<WarpCache>,
-    telemetry: SharedTelemetry,
-    /// Hit, miss and write-back counts not yet added to `telemetry`;
-    /// published by [`RegisterFileModel::on_launch_end`].
-    unpublished: RfTelemetry,
-    /// Model-local dirty-evict count, kept in lock-step with the
+    /// Hit, miss and write-back counts over every launch.
+    telemetry: RfTelemetry,
+    /// Dirty entries evicted this launch, counted apart from the
     /// `rfc_writebacks` telemetry counter so the conservation auditor can
     /// cross-check the two independently maintained paths.
     evictions: u64,
@@ -86,23 +82,12 @@ pub struct RfcModel {
 
 impl RfcModel {
     /// Creates the model for one SM.
-    pub fn new(config: RfcConfig, telemetry: SharedTelemetry) -> Self {
+    pub fn new(config: RfcConfig) -> Self {
         RfcModel {
             caches: vec![WarpCache::default(); config.max_warps],
             config,
-            telemetry,
-            unpublished: RfTelemetry::default(),
+            telemetry: RfTelemetry::default(),
             evictions: 0,
-        }
-    }
-
-    /// The partition of the backing MRF (diagnostics; energy for misses
-    /// is accounted via `RfPartition::RfcMiss` in the energy model).
-    pub fn mrf_partition(&self) -> RfPartition {
-        if self.config.mrf_at_ntv {
-            RfPartition::MrfNtv
-        } else {
-            RfPartition::MrfStv
         }
     }
 
@@ -122,7 +107,7 @@ impl RfcModel {
         cache.entries.push_back((reg, dirty));
         if wrote_back {
             self.evictions += 1;
-            self.unpublished.rfc_writebacks += 1;
+            self.telemetry.rfc_writebacks += 1;
         }
         wrote_back
     }
@@ -137,7 +122,7 @@ impl RfcModel {
         self.caches[warp_slot].entries.clear();
         if dirty > 0 {
             self.evictions += dirty;
-            self.unpublished.rfc_writebacks += dirty;
+            self.telemetry.rfc_writebacks += dirty;
         }
     }
 
@@ -165,8 +150,8 @@ impl RegisterFileModel for RfcModel {
                 if let Some(i) = self.caches[warp_slot].find(reg) {
                     // Refresh nothing: FIFO, not LRU, as in the RFC paper.
                     let _ = i;
-                    self.unpublished.rfc_hits += 1;
-                    self.unpublished.rfc_read_hits += 1;
+                    self.telemetry.rfc_hits += 1;
+                    self.telemetry.rfc_read_hits += 1;
                     ResolvedAccess {
                         bank,
                         latency: self.config.hit_latency,
@@ -175,7 +160,7 @@ impl RegisterFileModel for RfcModel {
                         repair: None,
                     }
                 } else {
-                    self.unpublished.rfc_misses += 1;
+                    self.telemetry.rfc_misses += 1;
                     self.fill(warp_slot, reg, false);
                     ResolvedAccess {
                         bank,
@@ -188,7 +173,7 @@ impl RegisterFileModel for RfcModel {
             }
             AccessKind::Write => {
                 // Write-allocate into the RFC; dirty until evicted.
-                self.unpublished.rfc_hits += 1;
+                self.telemetry.rfc_hits += 1;
                 if let Some(i) = self.caches[warp_slot].find(reg) {
                     self.caches[warp_slot].entries[i].1 = true;
                 } else {
@@ -213,6 +198,7 @@ impl RegisterFileModel for RfcModel {
         for c in &mut self.caches {
             c.entries.clear();
         }
+        self.evictions = 0;
     }
 
     fn on_warp_start(&mut self, warp: WarpLifecycle, _cycle: u64) {
@@ -229,9 +215,8 @@ impl RegisterFileModel for RfcModel {
         self.flush(warp_slot);
     }
 
-    fn on_launch_end(&mut self) {
-        let counts = std::mem::take(&mut self.unpublished);
-        self.telemetry.lock().unwrap().merge(&counts);
+    fn telemetry(&self) -> RfTelemetry {
+        self.telemetry.clone()
     }
 
     fn rfc_evictions(&self) -> u64 {
@@ -246,48 +231,38 @@ impl RegisterFileModel for RfcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{shared_telemetry, snapshot};
 
-    fn model() -> (RfcModel, SharedTelemetry) {
-        let t = shared_telemetry();
-        let m = RfcModel::new(RfcConfig::paper_default(24, 64), std::sync::Arc::clone(&t));
-        (m, t)
-    }
-
-    /// Ends the launch, which publishes the model's counts, and reads the
-    /// shared telemetry.
-    fn published(m: &mut RfcModel, t: &SharedTelemetry) -> RfTelemetry {
-        m.on_launch_end();
-        snapshot(t)
+    fn model() -> RfcModel {
+        RfcModel::new(RfcConfig::paper_default(24, 64))
     }
 
     #[test]
     fn read_miss_then_hit() {
-        let (mut m, t) = model();
+        let mut m = model();
         let a = m.resolve(0, Reg(5), AccessKind::Read, 0);
         assert_eq!(a.partition, RfPartition::RfcMiss);
         assert_eq!(a.latency, 3);
         let b = m.resolve(0, Reg(5), AccessKind::Read, 1);
         assert_eq!(b.partition, RfPartition::RfcHit);
         assert_eq!(b.latency, 1);
-        let counts = published(&mut m, &t);
+        let counts = m.telemetry();
         assert_eq!(counts.rfc_hits, 1);
         assert_eq!(counts.rfc_misses, 1);
     }
 
     #[test]
     fn write_allocates_and_hits() {
-        let (mut m, t) = model();
+        let mut m = model();
         let a = m.resolve(0, Reg(7), AccessKind::Write, 0);
         assert_eq!(a.partition, RfPartition::RfcHit);
         let b = m.resolve(0, Reg(7), AccessKind::Read, 1);
         assert_eq!(b.partition, RfPartition::RfcHit);
-        assert_eq!(published(&mut m, &t).rfc_misses, 0);
+        assert_eq!(m.telemetry().rfc_misses, 0);
     }
 
     #[test]
     fn fifo_eviction_after_capacity() {
-        let (mut m, _) = model();
+        let mut m = model();
         for r in 0..6u8 {
             m.resolve(0, Reg(r), AccessKind::Read, 0);
         }
@@ -301,13 +276,13 @@ mod tests {
 
     #[test]
     fn dirty_eviction_counts_writeback() {
-        let (mut m, t) = model();
+        let mut m = model();
         m.resolve(0, Reg(0), AccessKind::Write, 0); // dirty
         for r in 1..=6u8 {
             m.resolve(0, Reg(r), AccessKind::Read, 0);
         }
         assert_eq!(
-            published(&mut m, &t).rfc_writebacks,
+            m.telemetry().rfc_writebacks,
             1,
             "dirty R0 written back on eviction"
         );
@@ -315,7 +290,7 @@ mod tests {
 
     #[test]
     fn caches_are_per_warp() {
-        let (mut m, _) = model();
+        let mut m = model();
         m.resolve(0, Reg(5), AccessKind::Read, 0);
         let other_warp = m.resolve(1, Reg(5), AccessKind::Read, 1);
         assert_eq!(other_warp.partition, RfPartition::RfcMiss);
@@ -323,12 +298,12 @@ mod tests {
 
     #[test]
     fn deactivation_flushes_and_writes_back_dirty() {
-        let (mut m, t) = model();
+        let mut m = model();
         m.resolve(3, Reg(1), AccessKind::Write, 0);
         m.resolve(3, Reg(2), AccessKind::Read, 0);
         m.on_warp_deactivated(3, 5);
         assert!(m.cached_registers(3).is_empty());
-        assert_eq!(published(&mut m, &t).rfc_writebacks, 1);
+        assert_eq!(m.telemetry().rfc_writebacks, 1);
         // Re-activation misses again — the TL/RFC interplay that limits
         // hit rate as warp counts grow.
         let a = m.resolve(3, Reg(1), AccessKind::Read, 6);
@@ -337,7 +312,7 @@ mod tests {
 
     #[test]
     fn warp_finish_flushes() {
-        let (mut m, t) = model();
+        let mut m = model();
         m.resolve(2, Reg(9), AccessKind::Write, 0);
         m.on_warp_finish(
             WarpLifecycle {
@@ -348,12 +323,12 @@ mod tests {
             9,
         );
         assert!(m.cached_registers(2).is_empty());
-        assert_eq!(published(&mut m, &t).rfc_writebacks, 1);
+        assert_eq!(m.telemetry().rfc_writebacks, 1);
     }
 
     #[test]
     fn kernel_launch_clears_all() {
-        let (mut m, _) = model();
+        let mut m = model();
         m.resolve(0, Reg(1), AccessKind::Read, 0);
         m.resolve(5, Reg(2), AccessKind::Read, 0);
         let mut kb = prf_isa::KernelBuilder::new("k");
@@ -367,7 +342,7 @@ mod tests {
     fn model_local_evictions_track_telemetry_writebacks() {
         // The audit cross-check depends on these two counters moving in
         // lock-step through both write-back paths (capacity evict + flush).
-        let (mut m, t) = model();
+        let mut m = model();
         m.resolve(0, Reg(0), AccessKind::Write, 0); // dirty
         for r in 1..=6u8 {
             m.resolve(0, Reg(r), AccessKind::Read, 0); // evicts dirty R0
@@ -375,15 +350,30 @@ mod tests {
         m.resolve(1, Reg(9), AccessKind::Write, 1);
         m.on_warp_deactivated(1, 2); // flushes dirty R9
         assert_eq!(m.rfc_evictions(), 2);
-        assert_eq!(published(&mut m, &t).rfc_writebacks, m.rfc_evictions());
+        assert_eq!(m.telemetry().rfc_writebacks, m.rfc_evictions());
+    }
+
+    #[test]
+    fn evictions_count_one_launch_and_telemetry_every_launch() {
+        let mut m = model();
+        let mut kb = prf_isa::KernelBuilder::new("k");
+        kb.exit();
+        let kernel = kb.build().unwrap();
+        for launch in 0..2u64 {
+            m.on_kernel_launch(&kernel, launch * 100);
+            m.resolve(1, Reg(9), AccessKind::Write, launch * 100 + 1);
+            m.on_warp_deactivated(1, launch * 100 + 2);
+            assert_eq!(m.rfc_evictions(), 1, "the auditor reads one launch");
+        }
+        assert_eq!(m.telemetry().rfc_writebacks, 2);
     }
 
     #[test]
     fn hit_rate_telemetry() {
-        let (mut m, t) = model();
+        let mut m = model();
         m.resolve(0, Reg(0), AccessKind::Read, 0); // miss
         m.resolve(0, Reg(0), AccessKind::Read, 1); // hit
         m.resolve(0, Reg(0), AccessKind::Read, 2); // hit
-        assert!((published(&mut m, &t).rfc_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((m.telemetry().rfc_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -20,7 +20,7 @@ use prf_isa::{CtaId, GridConfig, Kernel};
 
 use crate::config::GpuConfig;
 use crate::mem::GlobalMemory;
-use crate::rf::RegisterFileModel;
+use crate::rf::{RegisterFileModel, RfTelemetry};
 use crate::sm::{KernelImage, Sm};
 use crate::stats::{SimResult, SmStats};
 
@@ -92,6 +92,11 @@ impl From<crate::validate::ValidationError> for SimError {
 
 /// A GPU: a set of SMs sharing global memory, plus the CTA dispatcher.
 ///
+/// The SMs and their register-file models are built by the first
+/// [`Gpu::run`] and kept for the rest of the experiment, so per-SM
+/// hardware state (spare-row assignments, model statistics, buffers)
+/// carries from one launch to the next.
+///
 /// # Example
 ///
 /// ```rust
@@ -130,10 +135,9 @@ pub struct Gpu {
     /// `perfbench/` changes only together with the benchmark's stored
     /// reference; the field goes at that next benchmark change.
     pub skipped_cycles: u64,
-    /// Warp contexts recycled across kernel launches: each launch seeds
-    /// its SMs from this pool and reclaims it afterwards, so multi-launch
-    /// workloads allocate register storage once. Never affects results.
-    warp_pool: Vec<crate::warp::WarpContext>,
+    /// Built by the first launch; empty before it and after a launch that
+    /// failed, so the next launch builds them again.
+    sms: Vec<Sm>,
 }
 
 impl Gpu {
@@ -157,20 +161,8 @@ impl Gpu {
             global,
             cycle: 0,
             skipped_cycles: 0,
-            warp_pool: Vec::new(),
+            sms: Vec::new(),
         })
-    }
-
-    /// Moves recycled warp contexts into this GPU's cross-launch pool
-    /// (e.g. from [`Gpu::take_warp_pool`] of a finished instance). Purely
-    /// an allocation optimisation; simulation results are unaffected.
-    pub fn adopt_warp_pool(&mut self, pool: Vec<crate::warp::WarpContext>) {
-        self.warp_pool.extend(pool);
-    }
-
-    /// Takes the recycled warp contexts accumulated by previous runs.
-    pub fn take_warp_pool(&mut self) -> Vec<crate::warp::WarpContext> {
-        std::mem::take(&mut self.warp_pool)
     }
 
     /// The configuration in use.
@@ -190,9 +182,10 @@ impl Gpu {
 
     /// Runs one kernel to completion.
     ///
-    /// `rf_factory` builds the per-SM register-file model; it is invoked
-    /// once per SM with the SM index, and each model's
-    /// [`RegisterFileModel::on_launch_end`] runs once the kernel completes.
+    /// `rf_factory` builds the per-SM register-file model, once per SM
+    /// with the SM index, when the SMs are built: at the first launch, or
+    /// at the first after a failed one. Later launches ignore it; their
+    /// models see [`RegisterFileModel::on_kernel_launch`] instead.
     /// The pilot warp is warp 0 of CTA 0.
     ///
     /// # Errors
@@ -212,20 +205,18 @@ impl Gpu {
         crate::validate::check_launch(&self.config, &kernel, grid)?;
         let name = kernel.name().to_string();
         let image = Arc::new(KernelImage::new(kernel, grid));
-        let mut sms: Vec<Sm> = (0..self.config.num_sms)
-            .map(|i| Sm::new(i, &self.config, Arc::clone(&image), rf_factory(i)))
-            .collect();
-        let start_cycle = self.cycle;
-        // Seed SMs with recycled warp contexts from earlier launches
-        // (spread evenly; pool contents never affect results).
-        let n = sms.len();
-        let mut pool = std::mem::take(&mut self.warp_pool);
-        for (i, sm) in sms.iter_mut().enumerate() {
-            let keep = pool.len() * (n - i - 1) / (n - i);
-            let mut chunk = pool.split_off(keep);
-            sm.donate_warp_contexts(&mut chunk);
+        if self.sms.is_empty() {
+            self.sms = (0..self.config.num_sms)
+                .map(|i| Sm::new(i, &self.config, Arc::clone(&image), rf_factory(i)))
+                .collect();
+        } else {
+            for sm in &mut self.sms {
+                sm.begin_launch(Arc::clone(&image));
+            }
         }
-        for sm in &mut sms {
+        let sms = &mut self.sms;
+        let start_cycle = self.cycle;
+        for sm in sms.iter_mut() {
             sm.notify_kernel_launch(start_cycle);
         }
 
@@ -234,7 +225,7 @@ impl Gpu {
         let limit = start_cycle + self.config.max_cycles;
         loop {
             let cycle = self.cycle;
-            dispatch_ctas(&mut sms, grid, &mut next_cta, cycle);
+            dispatch_ctas(sms, grid, &mut next_cta, cycle);
 
             // Execute: every SM steps the cycle against the frozen memory
             // image, staging its stores.
@@ -252,6 +243,8 @@ impl Gpu {
                 break;
             }
             if self.cycle >= limit {
+                // The SMs did not drain: the next launch builds new ones.
+                sms.clear();
                 return Err(SimError::CycleLimitExceeded {
                     limit: self.config.max_cycles,
                 });
@@ -263,8 +256,7 @@ impl Gpu {
         let mut trace = Vec::new();
         let mut samples = Vec::new();
         let mut audit = self.config.audit.then(crate::audit::AuditReport::default);
-        for sm in &mut sms {
-            sm.notify_launch_end();
+        for sm in sms.iter_mut() {
             stats.merge(&sm.stats);
             per_sm_instructions.push(sm.stats.instructions);
             let observation = sm.finish_observation(self.cycle);
@@ -273,7 +265,6 @@ impl Gpu {
             if let (Some(merged), Some(report)) = (audit.as_mut(), &observation.audit) {
                 merged.merge(report);
             }
-            self.warp_pool.append(&mut sm.reclaim_warp_contexts());
         }
         crate::trace::normalize_trace(&mut trace);
         Ok(SimResult {
@@ -286,6 +277,17 @@ impl Gpu {
             samples,
             audit,
         })
+    }
+
+    /// What the SMs' register-file models counted over every launch so
+    /// far, merged in SM order (so the hot-register sets and pilot
+    /// completion are SM 0's). Empty before the first launch.
+    pub fn rf_telemetry(&self) -> RfTelemetry {
+        let mut telemetry = RfTelemetry::default();
+        for sm in &self.sms {
+            telemetry.merge(&sm.rf_model().telemetry());
+        }
+        telemetry
     }
 }
 
@@ -459,6 +461,44 @@ mod tests {
             .unwrap();
         assert!(gpu.cycle > c1);
         assert_eq!(r1.stats.instructions, r2.stats.instructions);
+    }
+
+    /// The factory runs once per SM, at the first launch; later launches
+    /// reuse the SMs and their models, and a failed launch makes the next
+    /// one build them again.
+    #[test]
+    fn sms_and_models_are_built_once_per_experiment() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let built = AtomicUsize::new(0);
+        let factory = |_: usize| -> Box<dyn RegisterFileModel> {
+            built.fetch_add(1, Ordering::Relaxed);
+            Box::new(BaselineRf::stv(24))
+        };
+        let mut gpu = Gpu::new(GpuConfig {
+            num_sms: 2,
+            max_cycles: 5_000,
+            global_mem_words: 1 << 14,
+            ..GpuConfig::kepler_gtx780()
+        });
+        assert_eq!(gpu.rf_telemetry(), RfTelemetry::default());
+        let first = gpu
+            .run(store_kernel(), GridConfig::new(4, 64), &factory)
+            .unwrap();
+        let second = gpu
+            .run(store_kernel(), GridConfig::new(4, 64), &factory)
+            .unwrap();
+        assert_eq!(built.load(Ordering::Relaxed), 2);
+        assert_eq!(first.stats, second.stats, "a launch starts afresh");
+        let mut kb = KernelBuilder::new("hang");
+        let top = kb.new_label();
+        kb.place_label(top);
+        kb.bra(top);
+        kb.exit();
+        let hang = kb.build().unwrap();
+        gpu.run(hang, GridConfig::new(1, 32), &factory).unwrap_err();
+        gpu.run(store_kernel(), GridConfig::new(4, 64), &factory)
+            .unwrap();
+        assert_eq!(built.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use observer::Observation;
 pub use occupancy::{Occupancy, OccupancyLimiter};
 pub use rf::{
     AccessKind, BaselineRf, RegisterFileModel, RepairKind, ResolvedAccess, RfPartition,
-    WarpLifecycle,
+    RfTelemetry, WarpLifecycle,
 };
 pub use sampling::{SampleSeries, SampleWindow, SamplingConfig};
 pub use sm::{KernelImage, Sm};

@@ -234,6 +234,16 @@ impl L1Cache {
         }
     }
 
+    /// Drops every line and zeroes the counters, keeping the storage: a
+    /// kernel launch starts with a cold L1, as a new cache does.
+    pub fn invalidate(&mut self) {
+        self.stamps.clear();
+        self.order.clear();
+        self.next_stamp = 0;
+        self.hits = 0;
+        self.misses = 0;
+    }
+
     /// Accesses the line containing word address `addr`; returns `true` on
     /// hit. Misses allocate (LRU eviction).
     pub fn access(&mut self, addr: u32) -> bool {

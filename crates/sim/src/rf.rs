@@ -158,6 +158,122 @@ pub struct ResolvedAccess {
     pub repair: Option<RepairKind>,
 }
 
+/// Statistics a register-file model counts internally, summed over the
+/// SMs of a run (see [`RegisterFileModel::telemetry`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RfTelemetry {
+    /// RFC accesses served by the cache (reads + writes; writes always
+    /// allocate and therefore always "hit").
+    pub rfc_hits: u64,
+    /// RFC *read* hits only — the quantity the paper quotes as "the RFC
+    /// hit rate" in §V-D.
+    pub rfc_read_hits: u64,
+    /// RFC read misses (served by the backing MRF).
+    pub rfc_misses: u64,
+    /// Dirty RFC entries written back to the MRF (evictions + flushes).
+    pub rfc_writebacks: u64,
+    /// Epochs the adaptive FRF spent in high-power mode (all SMs).
+    pub frf_high_epochs: u64,
+    /// Epochs the adaptive FRF spent in low-power mode (all SMs).
+    pub frf_low_epochs: u64,
+    /// Accesses redirected to a spare row by the fault-repair layer.
+    pub fault_remaps: u64,
+    /// Accesses spilled to the slow partition because the faulty row had
+    /// no spare (or the policy is disable-and-spill).
+    pub fault_spills: u64,
+    /// Accesses served at an escalated Vdd to mask a weak row.
+    pub fault_escalations: u64,
+    /// Hot registers last installed from the *compiler* profile (SM 0).
+    pub compiler_hot_regs: Vec<Reg>,
+    /// Hot registers last installed from the *pilot* profile (SM 0).
+    pub pilot_hot_regs: Vec<Reg>,
+    /// Cycle, relative to its launch, at which SM 0's pilot warp last
+    /// finished profiling, if it did.
+    pub pilot_done_cycle: Option<u64>,
+}
+
+impl RfTelemetry {
+    /// RFC hit rate over reads+writes that consulted the cache.
+    pub fn rfc_hit_rate(&self) -> f64 {
+        let total = self.rfc_hits + self.rfc_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.rfc_hits as f64 / total as f64
+        }
+    }
+
+    /// RFC *read* hit rate — the §V-D metric (writes always allocate, so
+    /// including them flatters the cache).
+    pub fn rfc_read_hit_rate(&self) -> f64 {
+        let total = self.rfc_read_hits + self.rfc_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.rfc_read_hits as f64 / total as f64
+        }
+    }
+
+    /// Fraction of adaptive-FRF epochs spent in low-power mode.
+    pub fn frf_low_fraction(&self) -> f64 {
+        let total = self.frf_high_epochs + self.frf_low_epochs;
+        if total == 0 {
+            0.0
+        } else {
+            self.frf_low_epochs as f64 / total as f64
+        }
+    }
+
+    /// Accumulates another SM's (or run's, or seed's) counters into this
+    /// one. Vector and option fields keep the first non-empty value — they
+    /// describe the run's structure (hot sets, pilot completion), which
+    /// repeats across seeds, rather than accumulate.
+    pub fn merge(&mut self, other: &RfTelemetry) {
+        self.rfc_hits += other.rfc_hits;
+        self.rfc_read_hits += other.rfc_read_hits;
+        self.rfc_misses += other.rfc_misses;
+        self.rfc_writebacks += other.rfc_writebacks;
+        self.frf_high_epochs += other.frf_high_epochs;
+        self.frf_low_epochs += other.frf_low_epochs;
+        self.fault_remaps += other.fault_remaps;
+        self.fault_spills += other.fault_spills;
+        self.fault_escalations += other.fault_escalations;
+        if self.compiler_hot_regs.is_empty() {
+            self.compiler_hot_regs = other.compiler_hot_regs.clone();
+        }
+        if self.pilot_hot_regs.is_empty() {
+            self.pilot_hot_regs = other.pilot_hot_regs.clone();
+        }
+        if self.pilot_done_cycle.is_none() {
+            self.pilot_done_cycle = other.pilot_done_cycle;
+        }
+    }
+
+    /// Divides the accumulated counters by `n` (rounding to nearest),
+    /// turning a [`merge`] of `n` per-seed telemetries into a per-seed
+    /// mean. Rounding rather than truncating makes merge → scale_down of
+    /// identical runs lossless.
+    ///
+    /// [`merge`]: RfTelemetry::merge
+    pub fn scale_down(&mut self, n: u64) {
+        use crate::stats::div_round_nearest;
+        self.rfc_hits = div_round_nearest(self.rfc_hits, n);
+        self.rfc_read_hits = div_round_nearest(self.rfc_read_hits, n);
+        self.rfc_misses = div_round_nearest(self.rfc_misses, n);
+        self.rfc_writebacks = div_round_nearest(self.rfc_writebacks, n);
+        self.frf_high_epochs = div_round_nearest(self.frf_high_epochs, n);
+        self.frf_low_epochs = div_round_nearest(self.frf_low_epochs, n);
+        self.fault_remaps = div_round_nearest(self.fault_remaps, n);
+        self.fault_spills = div_round_nearest(self.fault_spills, n);
+        self.fault_escalations = div_round_nearest(self.fault_escalations, n);
+    }
+
+    /// Total fault-repair events across all repair kinds.
+    pub fn total_fault_repairs(&self) -> u64 {
+        self.fault_remaps + self.fault_spills + self.fault_escalations
+    }
+}
+
 /// Context passed to the model when a warp starts or finishes on the SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpLifecycle {
@@ -173,7 +289,11 @@ pub struct WarpLifecycle {
 ///
 /// One model instance exists *per SM*, matching the paper where profiling
 /// counters, the swapping table, and the FRF mode signal are per-SM
-/// structures.
+/// structures. [`crate::Gpu`] builds it with its SM at the first launch
+/// and keeps it for every later one, which it announces through
+/// [`RegisterFileModel::on_kernel_launch`]; so what a model counts or
+/// assigns persists until the experiment ends, when
+/// [`RegisterFileModel::telemetry`] hands the counts back.
 ///
 /// `Send` is a supertrait so whole simulations (SMs own their models) can
 /// be fanned out across worker threads by the parallel experiment engine.
@@ -216,15 +336,16 @@ pub trait RegisterFileModel: fmt::Debug + Send {
         let _ = (warp_slot, cycle);
     }
 
-    /// The launch this model served has ended: its last cycle has run.
-    /// A model that counts its statistics locally adds that launch's
-    /// counts to the shared telemetry here, so the hot path takes no lock.
-    /// [`crate::Gpu::run`] calls it once per SM when a launch completes;
-    /// the default publishes nothing.
-    fn on_launch_end(&mut self) {}
+    /// What this model has counted over every launch it served (see
+    /// [`RfTelemetry`]). [`crate::Gpu::rf_telemetry`] merges the SMs';
+    /// models without internal counters keep the empty default.
+    fn telemetry(&self) -> RfTelemetry {
+        RfTelemetry::default()
+    }
 
-    /// Audit hook: dirty entries this model evicted (and wrote back) so
-    /// far. The conservation auditor cross-checks the sum against the
+    /// Audit hook: dirty entries this model evicted (and wrote back)
+    /// during the current launch. The conservation auditor reads it once
+    /// per launch and cross-checks the sum over launches against the
     /// `rfc_writebacks` telemetry counter; models without a write-back
     /// cache keep the default of 0.
     fn rfc_evictions(&self) -> u64 {
@@ -318,9 +439,6 @@ impl RegisterFileModel for BaselineRf {
         &self.name
     }
 }
-
-/// Factory that builds one register-file model per SM.
-pub type RfModelFactory<'a> = dyn Fn(usize) -> Box<dyn RegisterFileModel> + 'a;
 
 #[cfg(test)]
 mod tests {

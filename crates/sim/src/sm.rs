@@ -184,6 +184,13 @@ struct InflightInstr {
     shared_access: bool,
 }
 
+/// The warp schedulers of one SM, all running the configured policy.
+fn build_schedulers(config: &GpuConfig) -> Vec<Box<dyn WarpScheduler>> {
+    (0..config.num_schedulers)
+        .map(|_| build_scheduler(config.scheduler))
+        .collect()
+}
+
 /// One streaming multiprocessor.
 pub struct Sm {
     /// SM index (0-based).
@@ -265,9 +272,10 @@ pub struct Sm {
     /// Recycled address buffers for [`ExecOutcome::with_buffer`]; in-flight
     /// memory instructions return theirs on retire.
     addr_pool: Vec<Vec<u32>>,
-    /// Retired warp contexts kept for reuse: dispatching a warp reinits a
-    /// pooled context instead of allocating ~`WARP_SIZE` register vectors.
-    /// Pool contents never affect results ([`WarpContext::reinit`]).
+    /// Retired warp contexts kept for reuse, across launches too:
+    /// dispatching a warp reinits a pooled context instead of allocating
+    /// ~`WARP_SIZE` register vectors. Pool contents never affect results
+    /// ([`WarpContext::reinit`]).
     warp_pool: Vec<WarpContext>,
     /// Scratch for the free-slot scan in [`Sm::try_dispatch_cta`].
     dispatch_slots_scratch: Vec<usize>,
@@ -297,9 +305,7 @@ impl Sm {
         image: Arc<KernelImage>,
         rf: Box<dyn RegisterFileModel>,
     ) -> Self {
-        let schedulers: Vec<Box<dyn WarpScheduler>> = (0..config.num_schedulers)
-            .map(|_| build_scheduler(config.scheduler))
-            .collect();
+        let schedulers = build_schedulers(config);
         let issuable_only = schedulers
             .first()
             .is_some_and(|s| s.issuable_views_suffice());
@@ -389,9 +395,34 @@ impl Sm {
         self.rf.on_kernel_launch(&self.image.kernel, cycle);
     }
 
-    /// Notifies the register-file model that the launch has ended.
-    pub fn notify_launch_end(&mut self) {
-        self.rf.on_launch_end();
+    /// Readies a drained SM for its GPU's next launch, which runs `image`.
+    /// The SM keeps its register-file model, its warp-context pool and its
+    /// buffers, and starts afresh only what belongs to one launch: the
+    /// schedulers, a cold L1, the statistics and the unit counters behind
+    /// them, the CTA slots, the dispatch interval and the observer. Follow
+    /// with [`Sm::notify_kernel_launch`].
+    pub fn begin_launch(&mut self, image: Arc<KernelImage>) {
+        debug_assert!(
+            self.is_idle() && self.global_writes.is_empty(),
+            "SM {} begins a launch before the previous one drained",
+            self.id
+        );
+        // A drained SM can still hold CTA slots: `maybe_finish_warp` never
+        // frees the slot of a CTA one of whose warp slots a later CTA took
+        // before the CTA's last warp finished. A new SM starts with none.
+        self.cta_slots.fill_with(|| None);
+        self.resident_ctas = 0;
+        self.image = image;
+        self.schedulers = build_schedulers(&self.config);
+        self.collector.bank_conflict_waits = 0;
+        self.l1.invalidate();
+        for unit in [&mut self.lsu, &mut self.shared_unit] {
+            unit.transactions = 0;
+            unit.instructions = 0;
+        }
+        self.stats = SmStats::new();
+        self.next_dispatch_allowed = 0;
+        self.observer = SmObserver::new(self.id, &self.config);
     }
 
     /// Number of CTAs currently resident.
@@ -602,18 +633,6 @@ impl Sm {
             self.dispatch_slots_scratch = cta.warp_slots;
             self.resident_ctas -= 1;
         }
-    }
-
-    /// Seeds the warp-context pool with recycled contexts from an earlier
-    /// run (see [`crate::Gpu`]'s cross-launch pool). Purely an allocation
-    /// optimisation; never changes results.
-    pub fn donate_warp_contexts(&mut self, pool: &mut Vec<WarpContext>) {
-        self.warp_pool.append(pool);
-    }
-
-    /// Returns the pooled warp contexts so a later run can reuse them.
-    pub fn reclaim_warp_contexts(&mut self) -> Vec<WarpContext> {
-        std::mem::take(&mut self.warp_pool)
     }
 
     /// True when the CTA in `cta_slot` is resident and all of its live
@@ -1170,8 +1189,8 @@ impl Sm {
     /// commits the staged global-memory writes, records the pilot warp's
     /// finish (warp 0 of CTA 0, relative to `start_cycle`) into `pilot`
     /// unless it is already known, drains the finished-warp list, and
-    /// returns [`Sm::is_idle`]. Both driver loops call it in ascending SM
-    /// order.
+    /// returns [`Sm::is_idle`]. The driver's cycle loop calls it in
+    /// ascending SM order.
     pub(crate) fn end_cycle(
         &mut self,
         global: &mut GlobalMemory,

@@ -65,8 +65,7 @@ fn run_kernel_image(
     name: &str,
 ) -> (u64, Vec<u32>) {
     let config = sim_config();
-    let telemetry = prf_core::shared_telemetry();
-    let factory = rf_model_factory(rf, config.num_rf_banks, &telemetry);
+    let factory = rf_model_factory(rf, config.num_rf_banks, None);
     let mut gpu = Gpu::new(config);
     for (base, words) in mem_init {
         gpu.global_mem().load(*base, words);

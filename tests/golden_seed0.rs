@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use pilot_rf::core::{
-    rf_model_factory, run_experiment, run_experiment_with_faults, shared_telemetry, FaultConfig,
-    PartitionedRfConfig, RepairPolicy, RfKind, RfTelemetry, RfcConfig,
+    rf_model_factory, run_experiment, run_experiment_with_faults, FaultConfig, PartitionedRfConfig,
+    RepairPolicy, RfKind, RfTelemetry, RfcConfig,
 };
 use pilot_rf::finfet::{FaultGeometry, FaultMap, SramCell};
 use pilot_rf::isa::Reg;
@@ -631,7 +631,7 @@ fn final_memory_digest(gpu: &GpuConfig, rf: &RfKind, workload: &str) -> u64 {
     for (base, words) in &w.mem_init {
         sim.global_mem().load(*base, words);
     }
-    let factory = rf_model_factory(rf, gpu.num_rf_banks, &shared_telemetry());
+    let factory = rf_model_factory(rf, gpu.num_rf_banks, None);
     for launch in &w.launches {
         sim.run(Arc::clone(&launch.kernel), launch.grid, &factory)
             .unwrap_or_else(|e| panic!("{workload}: {e}"));
