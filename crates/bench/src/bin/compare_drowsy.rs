@@ -8,7 +8,7 @@
 //! the benchmark suite.
 
 use prf_bench::{experiment_gpu, geomean, header, mean, run_cells_reported, Cell};
-use prf_core::{DrowsyConfig, LeakageModel, PartitionedRfConfig, RfKind};
+use prf_core::{DrowsyConfig, PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
 fn main() {
@@ -31,55 +31,84 @@ fn main() {
     let (results, report, mut run_report) = run_cells_reported("compare_drowsy", &cells, SEEDS);
 
     println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "drowsy dyn", "part dyn", "drowsy time", "part time"
+        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "workload",
+        "drowsy dyn",
+        "part dyn",
+        "asleep",
+        "drowsy lk",
+        "part lk",
+        "drowsy t",
+        "part t"
     );
-    let (mut d_dyn, mut p_dyn, mut d_t, mut p_t) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut cols: [Vec<f64>; 7] = Default::default();
     for (w, r) in suite.iter().zip(results.chunks(3)) {
         let (base, d, p) = (&r[0], &r[1], &r[2]);
-        println!(
-            "{:<12} {:>11.1}% {:>11.1}% {:>12.3} {:>12.3}",
-            w.name,
-            100.0 * d.dynamic_saving(),
-            100.0 * p.dynamic_saving(),
+        let row = [
+            d.dynamic_saving(),
+            p.dynamic_saving(),
+            d.telemetry.drowsy_fraction(),
+            d.leakage_saving(),
+            p.leakage_saving(),
             d.normalized_time(base),
-            p.normalized_time(base)
-        );
-        d_dyn.push(d.dynamic_saving());
-        p_dyn.push(p.dynamic_saving());
-        d_t.push(d.normalized_time(base));
-        p_t.push(p.normalized_time(base));
+            p.normalized_time(base),
+        ];
+        print_row(w.name, &row);
+        for (col, x) in cols.iter_mut().zip(row) {
+            col.push(x);
+        }
     }
-    println!("{:-<64}", "");
-    println!(
-        "{:<12} {:>11.1}% {:>11.1}% {:>12.3} {:>12.3}",
-        "MEAN/GEO",
-        100.0 * mean(&d_dyn),
-        100.0 * mean(&p_dyn),
-        geomean(&d_t),
-        geomean(&p_t)
-    );
+    println!("{:-<89}", "");
+    let summary: [f64; 7] = std::array::from_fn(|i| {
+        if i < 5 {
+            mean(&cols[i])
+        } else {
+            geomean(&cols[i])
+        }
+    });
+    print_row("MEAN/GEO", &summary);
     println!();
-    let leak = LeakageModel::from_finfet();
-    println!("leakage (per SM):");
     println!(
-        "  drowsy (60% drowsy fraction @ 0.25 retention) ~ {:.1} mW  ({:.0}% saving)",
-        leak.mrf_stv_mw * (0.4 + 0.6 * 0.25),
-        100.0 * (1.0 - (0.4 + 0.6 * 0.25))
-    );
-    println!(
-        "  partitioned FRF+SRF                            = {:.1} mW  ({:.0}% saving)",
-        leak.partitioned_mw(),
-        100.0 * leak.partitioned_saving()
+        "Drowsy leakage is charged at the fraction of register-cycles each run\n\
+         measured asleep (\"asleep\"), with drowsy cells at {:.0}% of awake leakage.",
+        100.0
+            * DrowsyConfig::paper_adjacent(gpu.num_rf_banks, gpu.max_warps_per_sm)
+                .drowsy_leak_ratio
     );
     println!();
     println!("Drowsy's dynamic saving is ~0 by construction (every access still runs");
     println!("the full STV array); the partitioned RF saves both. This is the paper's");
     println!("§VI argument for partitioning over power-gating/drowsy approaches.");
     println!("{}", report.footer());
-    run_report.add_metric("mean_drowsy_dynamic_saving", mean(&d_dyn));
-    run_report.add_metric("mean_part_dynamic_saving", mean(&p_dyn));
-    run_report.add_metric("geomean_drowsy_time", geomean(&d_t));
-    run_report.add_metric("geomean_part_time", geomean(&p_t));
+    for (name, value) in [
+        "mean_drowsy_dynamic_saving",
+        "mean_part_dynamic_saving",
+        "mean_drowsy_fraction",
+        "mean_drowsy_leakage_saving",
+        "mean_part_leakage_saving",
+        "geomean_drowsy_time",
+        "geomean_part_time",
+    ]
+    .into_iter()
+    .zip(summary)
+    {
+        run_report.add_metric(name, value);
+    }
     run_report.write();
+}
+
+/// One table row: three savings and the drowsy fraction as percentages,
+/// then two more savings, then two normalised times.
+fn print_row(name: &str, v: &[f64; 7]) {
+    println!(
+        "{:<12} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}% {:>10.3} {:>10.3}",
+        name,
+        100.0 * v[0],
+        100.0 * v[1],
+        100.0 * v[2],
+        100.0 * v[3],
+        100.0 * v[4],
+        v[5],
+        v[6]
+    );
 }

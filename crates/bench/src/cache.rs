@@ -69,8 +69,9 @@ use crate::vfs::{self, Vfs};
 /// Version of the on-disk entry layout. Bump on any change to the entry
 /// JSON shape; old entries are then ignored (treated as misses).
 /// v2 added the `sha256=` checksum footer — v1 entries have none, so
-/// they classify as stale (a miss), not corrupt.
-pub const CACHE_SCHEMA_VERSION: u64 = 2;
+/// they classify as stale (a miss), not corrupt. v3 added the drowsy
+/// register-cycle counts to the telemetry.
+pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// Name of the quarantine subdirectory for corrupt entries.
 pub const QUARANTINE_DIR: &str = "corrupt";
@@ -509,6 +510,8 @@ fn telemetry_json(t: &RfTelemetry) -> Json {
         .field("fault_remaps", t.fault_remaps)
         .field("fault_spills", t.fault_spills)
         .field("fault_escalations", t.fault_escalations)
+        .field("drowsy_reg_cycles", t.drowsy_reg_cycles)
+        .field("live_reg_cycles", t.live_reg_cycles)
         .field("compiler_hot_regs", regs_arr(&t.compiler_hot_regs))
         .field("pilot_hot_regs", regs_arr(&t.pilot_hot_regs))
         .field("pilot_done_cycle", opt_u64(t.pilot_done_cycle))
@@ -658,6 +661,8 @@ fn telemetry_from(j: &Json) -> Option<RfTelemetry> {
         fault_remaps: get_u64(j, "fault_remaps")?,
         fault_spills: get_u64(j, "fault_spills")?,
         fault_escalations: get_u64(j, "fault_escalations")?,
+        drowsy_reg_cycles: get_u64(j, "drowsy_reg_cycles")?,
+        live_reg_cycles: get_u64(j, "live_reg_cycles")?,
         compiler_hot_regs: regs_from(j.get("compiler_hot_regs")?)?,
         pilot_hot_regs: regs_from(j.get("pilot_hot_regs")?)?,
         pilot_done_cycle: opt_u64_from(j, "pilot_done_cycle")?,

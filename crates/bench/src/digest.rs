@@ -40,7 +40,12 @@ use crate::runner::Job;
 ///
 /// 2: the FRF epoch telemetry of a result counts every launch on every
 /// SM (version 1 results hold SM 0's last launch only).
-pub const DIGEST_VERSION: u64 = 2;
+///
+/// 3: spare-row assignments persist across the launches of a fault
+/// campaign, and drowsy leakage is charged at the measured drowsy
+/// fraction (version 2 results: a fresh spare table per launch and a
+/// fixed fraction of 0.6).
+pub const DIGEST_VERSION: u64 = 3;
 
 /// A minimal, dependency-free SHA-256 (FIPS 180-4). Plenty fast for
 /// hashing job descriptions — the unit of work here is an entire GPU

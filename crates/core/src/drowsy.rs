@@ -16,7 +16,7 @@
 
 use prf_isa::{Kernel, Reg, MAX_ARCH_REGS};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
-use prf_sim::RfPartition;
+use prf_sim::{RfPartition, RfTelemetry};
 
 /// Drowsy register-file configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,18 +49,14 @@ impl DrowsyConfig {
             drowsy_leak_ratio: 0.25,
         }
     }
-}
 
-/// Telemetry specific to the drowsy model, reported through
-/// [`DrowsyRf::summary`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DrowsySummary {
-    /// Accesses that hit an awake register.
-    pub awake_accesses: u64,
-    /// Accesses that had to wake a drowsy register first.
-    pub wake_accesses: u64,
-    /// Estimated fraction of register-cycles spent drowsy.
-    pub drowsy_fraction: f64,
+    /// Leakage power (mW) of an array whose awake cells leak
+    /// `awake_leak_mw` in total, when `drowsy_fraction` of its
+    /// register-cycles are spent drowsy, at the retention ratio.
+    pub fn effective_leakage_mw(&self, awake_leak_mw: f64, drowsy_fraction: f64) -> f64 {
+        let d = drowsy_fraction;
+        awake_leak_mw * ((1.0 - d) + d * self.drowsy_leak_ratio)
+    }
 }
 
 /// The per-SM drowsy register file model.
@@ -70,11 +66,8 @@ pub struct DrowsyRf {
     /// Last access cycle per (warp, register); `None` = never accessed
     /// (drowsy from allocation).
     last_access: Vec<[Option<u64>; MAX_ARCH_REGS]>,
-    awake_accesses: u64,
-    wake_accesses: u64,
-    /// Integrals for the drowsy-time estimate.
-    drowsy_reg_cycles: f64,
-    total_reg_cycles: f64,
+    /// The drowsy and live register-cycle integrals, over every launch.
+    telemetry: RfTelemetry,
     last_tick: u64,
     live_regs: usize,
     regs_per_thread: usize,
@@ -86,10 +79,7 @@ impl DrowsyRf {
         DrowsyRf {
             last_access: vec![[None; MAX_ARCH_REGS]; config.max_warps],
             config,
-            awake_accesses: 0,
-            wake_accesses: 0,
-            drowsy_reg_cycles: 0.0,
-            total_reg_cycles: 0.0,
+            telemetry: RfTelemetry::default(),
             last_tick: 0,
             live_regs: 0,
             regs_per_thread: MAX_ARCH_REGS,
@@ -101,26 +91,6 @@ impl DrowsyRf {
             None => true,
             Some(last) => cycle.saturating_sub(last) > self.config.drowsy_after,
         }
-    }
-
-    /// Run summary for energy accounting.
-    pub fn summary(&self) -> DrowsySummary {
-        DrowsySummary {
-            awake_accesses: self.awake_accesses,
-            wake_accesses: self.wake_accesses,
-            drowsy_fraction: if self.total_reg_cycles > 0.0 {
-                self.drowsy_reg_cycles / self.total_reg_cycles
-            } else {
-                0.0
-            },
-        }
-    }
-
-    /// Effective leakage power (mW) given the awake leakage of the full
-    /// array: drowsy fraction leaks at the retention ratio.
-    pub fn effective_leakage_mw(&self, awake_leak_mw: f64) -> f64 {
-        let d = self.summary().drowsy_fraction;
-        awake_leak_mw * ((1.0 - d) + d * self.config.drowsy_leak_ratio)
     }
 }
 
@@ -135,10 +105,8 @@ impl RegisterFileModel for DrowsyRf {
         let drowsy = self.is_drowsy(warp_slot, reg, cycle);
         self.last_access[warp_slot][reg.index()] = Some(cycle);
         let latency = if drowsy {
-            self.wake_accesses += 1;
             self.config.base_latency + self.config.wake_latency
         } else {
-            self.awake_accesses += 1;
             self.config.base_latency
         };
         ResolvedAccess {
@@ -164,9 +132,9 @@ impl RegisterFileModel for DrowsyRf {
         if self.live_regs == 0 {
             return;
         }
-        let mut drowsy = 0usize;
-        let mut total = 0usize;
-        for (slot, regs) in self.last_access.iter().enumerate() {
+        let mut drowsy = 0u64;
+        let mut total = 0u64;
+        for regs in &self.last_access {
             // Only scan warps that ever touched a register.
             if regs.iter().all(|r| r.is_none()) {
                 continue;
@@ -181,10 +149,13 @@ impl RegisterFileModel for DrowsyRf {
                     drowsy += 1;
                 }
             }
-            let _ = slot;
         }
-        self.drowsy_reg_cycles += drowsy as f64 * 16.0;
-        self.total_reg_cycles += total as f64 * 16.0;
+        self.telemetry.drowsy_reg_cycles += drowsy * 16;
+        self.telemetry.live_reg_cycles += total * 16;
+    }
+
+    fn telemetry(&self) -> RfTelemetry {
+        self.telemetry.clone()
     }
 
     fn on_kernel_launch(&mut self, kernel: &Kernel, _cycle: u64) {
@@ -223,7 +194,6 @@ mod tests {
         let mut m = model();
         let a = m.resolve(0, Reg(3), AccessKind::Read, 10);
         assert_eq!(a.latency, 2, "base 1 + wake 1");
-        assert_eq!(m.summary().wake_accesses, 1);
     }
 
     #[test]
@@ -232,7 +202,6 @@ mod tests {
         m.resolve(0, Reg(3), AccessKind::Write, 10);
         let a = m.resolve(0, Reg(3), AccessKind::Read, 50);
         assert_eq!(a.latency, 1);
-        assert_eq!(m.summary().awake_accesses, 1);
     }
 
     #[test]
@@ -271,18 +240,16 @@ mod tests {
         for c in 1..=512u64 {
             m.tick(c, 0);
         }
-        let s = m.summary();
-        assert!(s.drowsy_fraction > 0.5, "fraction {}", s.drowsy_fraction);
+        let d = m.telemetry().drowsy_fraction();
+        assert!(d > 0.5, "fraction {d}");
     }
 
     #[test]
     fn effective_leakage_interpolates() {
-        let mut m = model();
-        // Force a known drowsy fraction.
-        m.drowsy_reg_cycles = 50.0;
-        m.total_reg_cycles = 100.0;
+        let config = DrowsyConfig::paper_adjacent(24, 64);
         // half awake (1.0) + half at 0.25 => 0.625 of awake leakage.
-        let l = m.effective_leakage_mw(33.8);
+        let l = config.effective_leakage_mw(33.8, 0.5);
         assert!((l - 33.8 * 0.625).abs() < 1e-9);
+        assert_eq!(config.effective_leakage_mw(33.8, 0.0), 33.8);
     }
 }

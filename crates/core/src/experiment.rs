@@ -407,15 +407,10 @@ pub fn run_experiment_with_faults(
                 leak.mrf_stv_mw
             }
         }
-        // Drowsy leakage depends on the fraction of time spent drowsy;
-        // the model instances are owned by the simulator, so approximate
-        // with a representative steady-state drowsy fraction. Callers that
-        // need the exact number can drive DrowsyRf directly.
+        // Drowsy registers leak at the retention ratio for the fraction of
+        // register-cycles the models measured asleep.
         RfKind::Drowsy(cfg) => {
-            let representative_drowsy_fraction = 0.6;
-            leak.mrf_stv_mw
-                * ((1.0 - representative_drowsy_fraction)
-                    + representative_drowsy_fraction * cfg.drowsy_leak_ratio)
+            cfg.effective_leakage_mw(leak.mrf_stv_mw, telemetry.drowsy_fraction())
         }
     };
     let per_sm_cycles = cycles; // leakage counted per SM; all SMs run the kernel's span
@@ -902,6 +897,31 @@ mod tests {
                 assert_eq!(first, run(), "{tag}: second run differs");
             }
         }
+    }
+
+    /// Drowsy leakage follows the drowsy fraction the models measured on
+    /// every SM over both launches, not a fixed fraction.
+    #[test]
+    fn drowsy_leakage_is_charged_at_the_measured_fraction() {
+        let gpu = GpuConfig {
+            num_sms: 2,
+            ..small_gpu()
+        };
+        let cfg = DrowsyConfig::paper_adjacent(gpu.num_rf_banks, gpu.max_warps_per_sm);
+        let launches = vec![
+            Launch::new(skewed_kernel(), GridConfig::new(8, 128)),
+            Launch::new(skewed_kernel(), GridConfig::new(3, 64)),
+        ];
+        let r = run_experiment(&gpu, &RfKind::Drowsy(cfg), &launches, &[]).unwrap();
+        let t = &r.telemetry;
+        assert!(t.live_reg_cycles > 0 && t.drowsy_reg_cycles > 0, "{t:?}");
+        let d = t.drowsy_fraction();
+        assert!(d > 0.0 && d < 1.0, "fraction {d}");
+        let leak = LeakageModel::from_finfet();
+        let mw = leak.mrf_stv_mw * ((1.0 - d) + d * cfg.drowsy_leak_ratio);
+        let expected = LeakageModel::leakage_energy_pj(mw, r.cycles) * gpu.num_sms as f64;
+        assert_eq!(r.leakage_energy_pj, expected);
+        assert!(r.leakage_energy_pj < r.baseline_leakage_energy_pj);
     }
 
     #[test]

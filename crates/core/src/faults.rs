@@ -283,9 +283,8 @@ impl RegisterFileModel for FaultedRf {
     }
 
     fn on_kernel_launch(&mut self, kernel: &Kernel, cycle: u64) {
-        // Each launch starts with unassigned spares.
-        self.spares =
-            SpareRemapTable::new(self.spares.next_spare.len(), self.spares.spares_per_bank);
+        // Spare assignments survive kernel launches: repair is a physical
+        // property of the chip, not of the running workload.
         self.inner.on_kernel_launch(kernel, cycle);
     }
 
@@ -390,6 +389,30 @@ mod tests {
         assert_eq!(second.partition, RfPartition::Srf);
         let t = rf.telemetry();
         assert_eq!((t.fault_remaps, t.fault_spills), (1, 1));
+    }
+
+    #[test]
+    fn spare_assignments_persist_across_launches() {
+        // Bank 0 is stuck throughout and has one spare. Launch 1 spends it
+        // on warp 0's reg 0 (row 0); launch 2 touches reg 2 (row 2).
+        let mut kb = prf_isa::KernelBuilder::new("k");
+        kb.exit();
+        let kernel = kb.build().unwrap();
+        let policy = RepairPolicy::SpareRow { spares_per_bank: 1 };
+        let mut rf = faulted_ntv(tiny_map("S4 H4"), policy);
+        rf.on_kernel_launch(&kernel, 0);
+        assert_eq!(probe(&mut rf).repair, Some(RepairKind::Remapped));
+        rf.on_kernel_launch(&kernel, 100);
+        let second = rf.resolve(0, Reg(2), AccessKind::Read, 101);
+        assert_eq!(second.repair, Some(RepairKind::Spilled), "budget spent");
+        assert_eq!(probe(&mut rf).repair, Some(RepairKind::Remapped));
+        let t = rf.telemetry();
+        assert_eq!((t.fault_remaps, t.fault_spills), (2, 1));
+        // A fresh table, as every launch used to get, remaps the row.
+        let mut fresh = faulted_ntv(tiny_map("S4 H4"), policy);
+        fresh.on_kernel_launch(&kernel, 100);
+        let row2 = fresh.resolve(0, Reg(2), AccessKind::Read, 101);
+        assert_eq!(row2.repair, Some(RepairKind::Remapped));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod telemetry;
 
 pub use adaptive::{AdaptiveFrf, AdaptiveFrfConfig, FrfMode};
 pub use chip::{ChipProfile, EnergyDelay};
-pub use drowsy::{DrowsyConfig, DrowsyRf, DrowsySummary};
+pub use drowsy::{DrowsyConfig, DrowsyRf};
 pub use energy::{EnergyModel, LeakageModel, GPU_CLOCK_GHZ};
 pub use experiment::{
     faulted_rf_model_factory, rf_model_factory, run_experiment, run_experiment_with_faults,

@@ -183,6 +183,11 @@ pub struct RfTelemetry {
     pub fault_spills: u64,
     /// Accesses served at an escalated Vdd to mask a weak row.
     pub fault_escalations: u64,
+    /// Register-cycles the drowsy model found asleep, sampled every 16
+    /// cycles over the registers of the warps that touched one (all SMs).
+    pub drowsy_reg_cycles: u64,
+    /// Register-cycles of those registers, asleep or awake (all SMs).
+    pub live_reg_cycles: u64,
     /// Hot registers last installed from the *compiler* profile (SM 0).
     pub compiler_hot_regs: Vec<Reg>,
     /// Hot registers last installed from the *pilot* profile (SM 0).
@@ -224,6 +229,16 @@ impl RfTelemetry {
         }
     }
 
+    /// Fraction of the drowsy model's register-cycles spent asleep (0 when
+    /// it counted none).
+    pub fn drowsy_fraction(&self) -> f64 {
+        if self.live_reg_cycles == 0 {
+            0.0
+        } else {
+            self.drowsy_reg_cycles as f64 / self.live_reg_cycles as f64
+        }
+    }
+
     /// Accumulates another SM's (or run's, or seed's) counters into this
     /// one. Vector and option fields keep the first non-empty value — they
     /// describe the run's structure (hot sets, pilot completion), which
@@ -238,6 +253,8 @@ impl RfTelemetry {
         self.fault_remaps += other.fault_remaps;
         self.fault_spills += other.fault_spills;
         self.fault_escalations += other.fault_escalations;
+        self.drowsy_reg_cycles += other.drowsy_reg_cycles;
+        self.live_reg_cycles += other.live_reg_cycles;
         if self.compiler_hot_regs.is_empty() {
             self.compiler_hot_regs = other.compiler_hot_regs.clone();
         }
@@ -266,6 +283,8 @@ impl RfTelemetry {
         self.fault_remaps = div_round_nearest(self.fault_remaps, n);
         self.fault_spills = div_round_nearest(self.fault_spills, n);
         self.fault_escalations = div_round_nearest(self.fault_escalations, n);
+        self.drowsy_reg_cycles = div_round_nearest(self.drowsy_reg_cycles, n);
+        self.live_reg_cycles = div_round_nearest(self.live_reg_cycles, n);
     }
 
     /// Total fault-repair events across all repair kinds.

@@ -822,6 +822,8 @@ fn backprop_telemetry_and_repairs_carry_across_launches() {
             fault_remaps: remaps,
             fault_spills: spills,
             fault_escalations: escalations,
+            drowsy_reg_cycles: 0,
+            live_reg_cycles: 0,
             compiler_hot_regs: regs(g.compiler_hot_regs),
             pilot_hot_regs: regs(g.pilot_hot_regs),
             pilot_done_cycle: g.pilot_done_cycle,
