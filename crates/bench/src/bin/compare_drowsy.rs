@@ -97,8 +97,8 @@ fn main() {
     run_report.write();
 }
 
-/// One table row: three savings and the drowsy fraction as percentages,
-/// then two more savings, then two normalised times.
+/// One table row: five percentages (the two dynamic savings, the drowsy
+/// fraction, the two leakage savings), then the two normalised times.
 fn print_row(name: &str, v: &[f64; 7]) {
     println!(
         "{:<12} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}% {:>10.3} {:>10.3}",

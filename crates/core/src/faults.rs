@@ -408,7 +408,7 @@ mod tests {
         assert_eq!(probe(&mut rf).repair, Some(RepairKind::Remapped));
         let t = rf.telemetry();
         assert_eq!((t.fault_remaps, t.fault_spills), (2, 1));
-        // A fresh table, as every launch used to get, remaps the row.
+        // A table that starts empty at launch 2 remaps the row.
         let mut fresh = faulted_ntv(tiny_map("S4 H4"), policy);
         fresh.on_kernel_launch(&kernel, 100);
         let row2 = fresh.resolve(0, Reg(2), AccessKind::Read, 101);

@@ -10,10 +10,8 @@
 
 pub use prf_sim::RfTelemetry;
 
-/// What the models once reported into: a lock-guarded cell shared by the
-/// SMs of a run. Models now own their telemetry, so this carries nothing.
-/// It is kept only because the repository benchmark
-/// (`perfbench/src/matrix.rs`) still passes one to
+/// An empty placeholder that carries nothing. It is kept only because
+/// the repository benchmark (`perfbench/src/matrix.rs`) passes one to
 /// [`crate::faulted_rf_model_factory`], and goes when that benchmark next
 /// changes.
 #[derive(Debug, Clone, Copy, Default)]
