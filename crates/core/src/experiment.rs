@@ -226,17 +226,25 @@ pub fn rf_model_factory(
 ) -> impl Fn(usize) -> Box<dyn RegisterFileModel> + Send + Sync + 'static {
     let rf_kind = rf.clone();
     move |sm: usize| -> Box<dyn RegisterFileModel> {
-        let inner: Box<dyn RegisterFileModel> = match &rf_kind {
-            RfKind::MrfStv => Box::new(BaselineRf::stv(banks)),
-            RfKind::MrfNtv { latency } => Box::new(BaselineRf::ntv(banks, *latency)),
-            RfKind::Partitioned(cfg) => Box::new(PartitionedRf::new(sm, cfg.clone())),
-            RfKind::Rfc(cfg) => Box::new(RfcModel::new(*cfg)),
-            RfKind::Drowsy(cfg) => Box::new(DrowsyRf::new(*cfg)),
-        };
-        match &faults {
-            Some(fc) => Box::new(FaultedRf::new(inner, fc.clone())),
-            None => inner,
+        match &rf_kind {
+            RfKind::MrfStv => boxed_model(BaselineRf::stv(banks), &faults),
+            RfKind::MrfNtv { latency } => boxed_model(BaselineRf::ntv(banks, *latency), &faults),
+            RfKind::Partitioned(cfg) => boxed_model(PartitionedRf::new(sm, cfg.clone()), &faults),
+            RfKind::Rfc(cfg) => boxed_model(RfcModel::new(*cfg), &faults),
+            RfKind::Drowsy(cfg) => boxed_model(DrowsyRf::new(*cfg), &faults),
         }
+    }
+}
+
+/// Boxes `model`, wrapped in a [`FaultedRf`] over the concrete model type
+/// when `faults` is present.
+fn boxed_model<M: RegisterFileModel + 'static>(
+    model: M,
+    faults: &Option<FaultConfig>,
+) -> Box<dyn RegisterFileModel> {
+    match faults {
+        Some(fc) => Box::new(FaultedRf::new(model, fc.clone())),
+        None => Box::new(model),
     }
 }
 

@@ -171,8 +171,11 @@ fn spill(access: &mut ResolvedAccess) {
 /// A [`RegisterFileModel`] decorator that injects the faults of a
 /// [`FaultMap`] into any inner model and repairs them per the configured
 /// [`RepairPolicy`]. See the module docs for the repair semantics.
-pub struct FaultedRf {
-    inner: Box<dyn RegisterFileModel>,
+///
+/// Generic over the inner model, so an access through the decorator costs
+/// one dynamic dispatch (the SM's call into the `FaultedRf`), not two.
+pub struct FaultedRf<M: RegisterFileModel> {
+    inner: M,
     config: FaultConfig,
     spares: SpareRemapTable,
     /// Repair counts over every launch; merged into the inner model's
@@ -181,9 +184,9 @@ pub struct FaultedRf {
     name: String,
 }
 
-impl FaultedRf {
+impl<M: RegisterFileModel> FaultedRf<M> {
     /// Wraps `inner` with the fault map and policy in `config`.
-    pub fn new(inner: Box<dyn RegisterFileModel>, config: FaultConfig) -> Self {
+    pub fn new(inner: M, config: FaultConfig) -> Self {
         let spares_per_bank = match config.policy {
             RepairPolicy::SpareRow { spares_per_bank } => spares_per_bank,
             _ => 0,
@@ -211,7 +214,7 @@ impl FaultedRf {
     }
 }
 
-impl std::fmt::Debug for FaultedRf {
+impl<M: RegisterFileModel> std::fmt::Debug for FaultedRf<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultedRf")
             .field("inner", &self.inner.name())
@@ -221,7 +224,7 @@ impl std::fmt::Debug for FaultedRf {
     }
 }
 
-impl RegisterFileModel for FaultedRf {
+impl<M: RegisterFileModel> RegisterFileModel for FaultedRf<M> {
     fn resolve(
         &mut self,
         warp_slot: usize,
@@ -334,14 +337,13 @@ mod tests {
     }
 
     /// Baseline MRF@NTV (3-cycle, low-voltage partition) over `map`.
-    fn faulted_ntv(map: FaultMap, policy: RepairPolicy) -> FaultedRf {
-        let inner = Box::new(BaselineRf::ntv(24, 3));
-        FaultedRf::new(inner, FaultConfig::new(map, policy))
+    fn faulted_ntv(map: FaultMap, policy: RepairPolicy) -> FaultedRf<BaselineRf> {
+        FaultedRf::new(BaselineRf::ntv(24, 3), FaultConfig::new(map, policy))
     }
 
     /// Resolves architected register 0 of warp slot 0 — bank 0, row 0 of
     /// the tiny geometry.
-    fn probe(rf: &mut FaultedRf) -> ResolvedAccess {
+    fn probe(rf: &mut FaultedRf<BaselineRf>) -> ResolvedAccess {
         rf.resolve(0, Reg(0), AccessKind::Read, 0)
     }
 
@@ -445,9 +447,8 @@ mod tests {
     fn weak_rows_do_not_trip_at_stv() {
         // Same map, but the inner model is the STV baseline (1-cycle,
         // high-voltage partition): weak rows keep full margin.
-        let inner = Box::new(BaselineRf::stv(24));
         let mut rf = FaultedRf::new(
-            inner,
+            BaselineRf::stv(24),
             FaultConfig::new(tiny_map("W8"), RepairPolicy::DisableAndSpill),
         );
         let a = probe(&mut rf);
@@ -458,9 +459,8 @@ mod tests {
 
     #[test]
     fn stuck_rows_trip_even_at_stv() {
-        let inner = Box::new(BaselineRf::stv(24));
         let mut rf = FaultedRf::new(
-            inner,
+            BaselineRf::stv(24),
             FaultConfig::new(tiny_map("S8"), RepairPolicy::DisableAndSpill),
         );
         let a = probe(&mut rf);
