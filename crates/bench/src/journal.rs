@@ -72,7 +72,7 @@ pub const MAX_RECORD_BYTES: usize = 16 << 20;
 pub enum Record {
     /// A batch was accepted: its id and the raw job specs (verbatim
     /// protocol JSON, so recovery rebuilds jobs through the same
-    /// [`crate::serve::job_from_spec`] path as a live submit).
+    /// [`crate::serve::jobs_from_specs`] path as a live submit).
     Submit {
         /// Protocol batch id.
         batch: u64,

@@ -52,8 +52,9 @@ use crate::digest::job_digest;
 pub struct Job {
     /// Report/diagnostic label, e.g. `"BFS/partitioned/seed2"`.
     pub name: String,
-    /// The workload (launches + memory image). Cloning is cheap — kernels
-    /// are behind `Arc`.
+    /// The workload (launches + memory image). Cloning is cheap: kernels
+    /// and the memory image are behind `Arc`, so every job built from one
+    /// workload shares its instruction streams and initial words.
     pub workload: Workload,
     /// Full GPU configuration, including `scheduler` and `jitter_seed`.
     pub gpu: GpuConfig,
@@ -804,6 +805,21 @@ mod tests {
     /// A plain run: no retries, no shard, no cache.
     fn run_plain(jobs: &[Job], threads: usize) -> MatrixOutcome {
         run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+    }
+
+    #[test]
+    fn jobs_of_one_workload_share_its_memory_image() {
+        let w = prf_workloads::suite::bfs();
+        let gpu = GpuConfig::kepler_single_sm();
+        let a = Job::labeled(&w, &gpu, &RfKind::MrfStv);
+        let b = Job::labeled(&w, &gpu, &RfKind::MrfStv).clone();
+        assert!(!w.mem_init.is_empty());
+        assert!(std::ptr::eq(&*a.workload.mem_init, &*w.mem_init));
+        assert!(std::ptr::eq(&*a.workload.mem_init, &*b.workload.mem_init));
+        let seeded = crate::seed_jobs(&w, &gpu, &RfKind::MrfStv, 3);
+        for job in &seeded {
+            assert!(std::ptr::eq(&*job.workload.mem_init, &*w.mem_init));
+        }
     }
 
     #[test]

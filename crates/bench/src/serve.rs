@@ -63,15 +63,16 @@
 //! loud non-durable mode (`"durable":false` in `status`, a diagnostic
 //! per lost append on stderr) and keeps serving from memory.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use prf_core::{DrowsyConfig, PartitionedRfConfig, RfKind, RfcConfig};
+use prf_core::{DrowsyConfig, FaultConfig, PartitionedRfConfig, RfKind, RfcConfig};
 use prf_sim::{GpuConfig, SchedulerPolicy};
+use prf_workloads::Workload;
 
 use crate::bench_report::{outcome_json, result_json};
 use crate::cache::ResultCache;
@@ -155,15 +156,62 @@ fn scheduler_by_name(name: &str) -> Option<SchedulerPolicy> {
     }
 }
 
+/// The inputs the jobs of one batch share: each distinct workload and
+/// fault map is built once, and every job naming it holds the same
+/// `Arc`ed kernels, memory image and map.
+#[derive(Default)]
+struct BatchInputs {
+    /// Keyed by the lower-cased requested name (lookup is
+    /// case-insensitive).
+    workloads: HashMap<String, Workload>,
+    /// Keyed by `(fault seed, vdd bits)`.
+    faults: HashMap<(u64, u64), FaultConfig>,
+}
+
+impl BatchInputs {
+    fn workload(&mut self, name: &str) -> Result<Workload, String> {
+        let key = name.to_ascii_lowercase();
+        if let Some(w) = self.workloads.get(&key) {
+            return Ok(w.clone());
+        }
+        let w = prf_workloads::suite::by_name(name)
+            .ok_or_else(|| format!("unknown workload {name:?}"))?;
+        self.workloads.insert(key, w.clone());
+        Ok(w)
+    }
+
+    fn faults(&mut self, seed: u64, vdd: f64) -> FaultConfig {
+        self.faults
+            .entry((seed, vdd.to_bits()))
+            .or_insert_with(|| crate::fault_config_for(seed, vdd))
+            .clone()
+    }
+}
+
 /// Builds a [`Job`] from one protocol job spec. Errors name the offending
 /// field so the client can fix its request.
 pub fn job_from_spec(spec: &Json) -> Result<Job, String> {
+    parse_job(spec, &mut BatchInputs::default())
+}
+
+/// Builds the jobs of one batch, building each distinct workload and
+/// fault map once for the whole batch. An error names the index of the
+/// first job that fails and the offending field.
+pub fn jobs_from_specs(specs: &[Json]) -> Result<Vec<Job>, String> {
+    let mut inputs = BatchInputs::default();
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| parse_job(spec, &mut inputs).map_err(|e| format!("job {i}: {e}")))
+        .collect()
+}
+
+fn parse_job(spec: &Json, inputs: &mut BatchInputs) -> Result<Job, String> {
     let workload_name = spec
         .get("workload")
         .and_then(Json::as_str)
         .ok_or("job spec needs a string `workload` field")?;
-    let workload = prf_workloads::suite::by_name(workload_name)
-        .ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
+    let workload = inputs.workload(workload_name)?;
 
     let scheduler = match spec.get("scheduler") {
         None => SchedulerPolicy::Gto,
@@ -216,7 +264,7 @@ pub fn job_from_spec(spec: &Json) -> Result<Job, String> {
                 .ok_or("`faults` must be a `\"<seed>,<vdd>\"` string")?;
             let (fault_seed, vdd) =
                 crate::parse_faults_spec(spec).map_err(|e| format!("bad `faults`: {e}"))?;
-            Some(crate::fault_config_for(fault_seed, vdd))
+            Some(inputs.faults(fault_seed, vdd))
         }
     };
 
@@ -449,13 +497,10 @@ fn handle_request(req: &Json, shared: &Shared, config: &ServeConfig) -> (Json, b
             if specs.is_empty() {
                 return err("submit needs at least one job".into());
             }
-            let mut jobs = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
-                match job_from_spec(spec) {
-                    Ok(job) => jobs.push(job),
-                    Err(e) => return err(format!("job {i}: {e}")),
-                }
-            }
+            let jobs = match jobs_from_specs(specs) {
+                Ok(jobs) => jobs,
+                Err(e) => return err(e),
+            };
             let mut st = shared.state.lock().unwrap();
             if st.stop != StopMode::No {
                 return err("server is shutting down".into());
@@ -605,21 +650,15 @@ pub fn serve_with_journal(
     let journal = journal.map(|(journal, recovery)| {
         state.next_id = recovery.next_id;
         for (id, specs) in &recovery.pending {
-            let mut jobs = Vec::with_capacity(specs.len());
-            let mut broken = None;
-            for (i, spec) in specs.iter().enumerate() {
-                match job_from_spec(spec) {
-                    Ok(job) => jobs.push(job),
-                    Err(e) => {
-                        broken = Some(format!("job {i}: {e}"));
-                        break;
-                    }
+            let jobs = match jobs_from_specs(specs) {
+                Ok(jobs) => jobs,
+                Err(why) => {
+                    eprintln!(
+                        "prf-serve: journaled batch {id} no longer parses ({why}); dropping it"
+                    );
+                    continue;
                 }
-            }
-            if let Some(why) = broken {
-                eprintln!("prf-serve: journaled batch {id} no longer parses ({why}); dropping it");
-                continue;
-            }
+            };
             state.batches.push(Batch {
                 id: *id,
                 jobs,
@@ -812,6 +851,51 @@ mod tests {
         assert!(job_from_spec(&Json::obj().field("rf", "RFC"))
             .unwrap_err()
             .contains("workload"));
+    }
+
+    #[test]
+    fn a_batch_builds_each_fault_map_and_workload_once() {
+        let faulted =
+            |workload: &str, rf: &str, faults: &str| spec(workload, rf, 0).field("faults", faults);
+        let specs = [
+            faulted("BFS", "partitioned", "42,0.3"),
+            faulted("bfs", "RFC", "42,0.30"),
+            faulted("BFS", "MRF@STV", "42,0.3"),
+            faulted("kmeans", "partitioned", "42,0.3"),
+        ];
+        let jobs = jobs_from_specs(&specs).unwrap();
+        assert_eq!(jobs.len(), 4);
+        let map = |j: &Job| Arc::clone(&j.faults.as_ref().unwrap().map);
+        for job in &jobs[1..] {
+            assert!(Arc::ptr_eq(&map(&jobs[0]), &map(job)), "{}", job.name);
+        }
+        for job in &jobs[1..3] {
+            assert!(
+                std::ptr::eq(&*jobs[0].workload.mem_init, &*job.workload.mem_init),
+                "{}",
+                job.name
+            );
+            assert!(Arc::ptr_eq(
+                &jobs[0].workload.launches[0].kernel,
+                &job.workload.launches[0].kernel
+            ));
+        }
+        assert_eq!(jobs[3].workload.name, "kmeans");
+
+        // Another seed is another map; single-spec parsing still works.
+        let other = jobs_from_specs(&[faulted("BFS", "RFC", "7,0.3")]).unwrap();
+        assert!(!Arc::ptr_eq(&map(&jobs[0]), &map(&other[0])));
+        assert!(job_from_spec(&specs[0]).unwrap().faults.is_some());
+
+        // Errors still name the failing job.
+        let bad = [
+            spec("BFS", "partitioned", 0),
+            spec("BFS", "RFC", 0),
+            spec("NoSuchWorkload", "RFC", 0),
+            spec("BFS", "no-such-rf", 0),
+        ];
+        let e = jobs_from_specs(&bad).unwrap_err();
+        assert!(e.starts_with("job 2: unknown workload"), "{e}");
     }
 
     #[test]

@@ -3,8 +3,74 @@
 
 use std::collections::{HashMap, VecDeque};
 
-/// Words per [`GlobalMemory`] page (4 KB).
+/// Words per memory page (4 KB).
 pub const PAGE_WORDS: usize = 1024;
+
+/// Lazily allocated word pages: the storage behind both [`GlobalMemory`]
+/// and [`SharedMemory`]. A page that was never written reads as zero and
+/// costs no memory. Each owner maps its own address wrap (mask or
+/// modulo) to an in-range word index first.
+#[derive(Debug, Clone)]
+struct Pages {
+    pages: Vec<Option<Box<[u32]>>>,
+    /// Words per page: [`PAGE_WORDS`], or fewer (a power of two) for a
+    /// memory smaller than one page.
+    page_words: usize,
+    page_shift: u32,
+}
+
+impl Pages {
+    /// Absent pages covering `num_words` (at least one) words.
+    fn new(num_words: usize) -> Self {
+        let page_words = PAGE_WORDS.min(num_words.next_power_of_two());
+        Pages {
+            pages: vec![None; num_words.div_ceil(page_words)],
+            page_words,
+            page_shift: page_words.trailing_zeros(),
+        }
+    }
+
+    fn read(&self, index: usize) -> u32 {
+        match &self.pages[index >> self.page_shift] {
+            Some(page) => page[index & (self.page_words - 1)],
+            None => 0,
+        }
+    }
+
+    fn write(&mut self, index: usize, value: u32) {
+        let page_words = self.page_words;
+        let page = self.pages[index >> self.page_shift]
+            .get_or_insert_with(|| vec![0; page_words].into_boxed_slice());
+        page[index & (page_words - 1)] = value;
+    }
+
+    /// Zeroes the written pages in place, keeping their storage.
+    fn zero(&mut self) {
+        for page in self.pages.iter_mut().flatten() {
+            page.fill(0);
+        }
+    }
+
+    fn resident(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// `(index, value)` of the non-zero words in index order, visiting
+    /// only the written pages.
+    fn nonzero_words(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let page_words = self.page_words;
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, page)| Some((i * page_words, page.as_deref()?)))
+            .flat_map(|(base, page)| {
+                page.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0)
+                    .map(move |(off, &v)| (base + off, v))
+            })
+    }
+}
 
 /// Functional global memory: 32-bit words with wrapping addressing
 /// (addresses are word indices masked to the memory size).
@@ -14,10 +80,7 @@ pub const PAGE_WORDS: usize = 1024;
 /// a few pages stays a few pages big.
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
-    pages: Vec<Option<Box<[u32]>>>,
-    /// Words per page: [`PAGE_WORDS`], or the whole memory if smaller.
-    page_words: usize,
-    page_shift: u32,
+    pages: Pages,
     mask: usize,
 }
 
@@ -32,31 +95,20 @@ impl GlobalMemory {
             num_words.is_power_of_two(),
             "memory size must be a power of two"
         );
-        let page_words = PAGE_WORDS.min(num_words);
         GlobalMemory {
-            pages: vec![None; num_words / page_words],
-            page_words,
-            page_shift: page_words.trailing_zeros(),
+            pages: Pages::new(num_words),
             mask: num_words - 1,
         }
     }
 
     /// Reads the word at `addr` (word address, wraps).
     pub fn read(&self, addr: u32) -> u32 {
-        let a = addr as usize & self.mask;
-        match &self.pages[a >> self.page_shift] {
-            Some(page) => page[a & (self.page_words - 1)],
-            None => 0,
-        }
+        self.pages.read(addr as usize & self.mask)
     }
 
     /// Writes the word at `addr` (word address, wraps).
     pub fn write(&mut self, addr: u32, value: u32) {
-        let a = addr as usize & self.mask;
-        let page_words = self.page_words;
-        let page = self.pages[a >> self.page_shift]
-            .get_or_insert_with(|| vec![0; page_words].into_boxed_slice());
-        page[a & (page_words - 1)] = value;
+        self.pages.write(addr as usize & self.mask, value);
     }
 
     /// Bulk-initialises memory starting at `base` from `data`.
@@ -86,24 +138,16 @@ impl GlobalMemory {
     /// Number of pages that have been written (and so hold storage).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+        self.pages.resident()
     }
 
     /// The non-zero words as `(address, value)` in address order: the
     /// memory image without the zeros it reads everywhere else, visiting
     /// only the written pages.
     pub fn nonzero_words(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let page_words = self.page_words;
         self.pages
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, page)| Some((i * page_words, page.as_deref()?)))
-            .flat_map(|(base, page)| {
-                page.iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != 0)
-                    .map(move |(off, &v)| ((base + off) as u32, v))
-            })
+            .nonzero_words()
+            .map(|(index, v)| (index as u32, v))
     }
 }
 
@@ -153,39 +197,52 @@ impl<'a> GmemView<'a> {
     }
 }
 
-/// Per-CTA shared memory (word-addressed, wraps).
+/// Per-CTA shared memory (word-addressed, wraps modulo its size).
+///
+/// Paged like [`GlobalMemory`]: a CTA that never stores to shared memory
+/// holds none of it, and one that does holds only the pages it wrote.
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
-    words: Vec<u32>,
+    pages: Pages,
+    len: usize,
 }
 
 impl SharedMemory {
-    /// Allocates `num_words` zeroed words.
+    /// Allocates `num_words` zeroed words (at least one).
     pub fn new(num_words: usize) -> Self {
+        let len = num_words.max(1);
         SharedMemory {
-            words: vec![0; num_words.max(1)],
+            pages: Pages::new(len),
+            len,
         }
     }
 
-    /// Zeroes the memory in place, resizing to `num_words` if the CTA's
-    /// requirement changed. Equivalent to `*self = SharedMemory::new(..)`
-    /// without giving up the existing buffer.
+    /// Zeroes the memory, resizing to `num_words` if the CTA's
+    /// requirement changed. Equivalent to `*self = SharedMemory::new(..)`,
+    /// but at an unchanged size it zeroes only the written pages and keeps
+    /// their storage.
     pub fn reset(&mut self, num_words: usize) {
-        let n = num_words.max(1);
-        self.words.clear();
-        self.words.resize(n, 0);
+        if num_words.max(1) == self.len {
+            self.pages.zero();
+        } else {
+            *self = SharedMemory::new(num_words);
+        }
     }
 
     /// Reads the word at `addr` (wraps).
     pub fn read(&self, addr: u32) -> u32 {
-        let n = self.words.len();
-        self.words[addr as usize % n]
+        self.pages.read(addr as usize % self.len)
     }
 
     /// Writes the word at `addr` (wraps).
     pub fn write(&mut self, addr: u32, value: u32) {
-        let n = self.words.len();
-        self.words[addr as usize % n] = value;
+        self.pages.write(addr as usize % self.len, value);
+    }
+
+    /// Number of pages that have been written (and so hold storage).
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.pages.resident()
     }
 }
 
@@ -480,6 +537,75 @@ mod tests {
         assert_eq!(s.read(3), 9);
         s.write(128 + 3, 11);
         assert_eq!(s.read(3), 11);
+    }
+
+    #[test]
+    fn unwritten_shared_memory_holds_no_pages() {
+        let mut s = SharedMemory::new(48 * 1024 / 4);
+        assert_eq!(s.resident_pages(), 0);
+        for addr in [0, 1, 1023, 1024, 12_287, 12_288, u32::MAX] {
+            assert_eq!(s.read(addr), 0, "addr {addr}");
+        }
+        s.reset(48 * 1024 / 4);
+        assert_eq!(s.resident_pages(), 0, "a reset allocates nothing");
+        s.write(12_288 + 5, 1); // wraps to word 5, page 0
+        assert_eq!(s.resident_pages(), 1);
+        s.reset(48 * 1024 / 4);
+        assert_eq!(s.resident_pages(), 1, "a reset keeps the written page");
+        assert_eq!(s.read(5), 0, "and zeroes it");
+    }
+
+    #[test]
+    fn paged_shared_memory_matches_a_flat_reference() {
+        // Random reads, writes and resets against the flat `Vec` that
+        // backed shared memory before it was paged, at one word, at less
+        // than a page, and at the Kepler 48 KB slot, whose 12288 words
+        // are not a power of two: a mask in place of the modulo wrap, or
+        // a page that a reset leaves dirty, reads a wrong word.
+        let mut state = 0x9e37_79b9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for size in [1usize, 64, 12_288] {
+            let mut paged = SharedMemory::new(size);
+            let mut flat = vec![0u32; size];
+            for step in 0..20_000 {
+                let r = next();
+                // Half the addresses near the base (a tile), half anywhere.
+                let addr = if r & 0x100 == 0 {
+                    next() % 2048
+                } else {
+                    next()
+                };
+                match r % 16 {
+                    0 => {
+                        paged.reset(size);
+                        flat.fill(0);
+                    }
+                    1..=7 => {
+                        let v = next();
+                        paged.write(addr, v);
+                        flat[addr as usize % size] = v;
+                    }
+                    _ => assert_eq!(
+                        paged.read(addr),
+                        flat[addr as usize % size],
+                        "size {size} step {step} addr {addr}"
+                    ),
+                }
+            }
+            assert!(paged.resident_pages() <= size.div_ceil(PAGE_WORDS));
+        }
+        // A reset to another size starts over at that size.
+        let mut s = SharedMemory::new(64);
+        s.write(3, 7);
+        s.reset(12_288);
+        assert_eq!((s.read(3), s.read(64 + 3), s.resident_pages()), (0, 0, 0));
+        s.write(64 + 3, 8);
+        assert_eq!((s.read(3), s.read(12_288 + 67)), (0, 8));
     }
 
     #[test]

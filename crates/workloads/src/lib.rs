@@ -36,5 +36,5 @@ pub mod suite;
 
 pub use generate::{FuzzCase, KernelGenerator, RandomKernelGenerator};
 pub use recipe::{KernelRecipe, MemPattern, PilotVariant};
-pub use spec::{Category, Table1Row, Workload};
+pub use spec::{Category, MemImage, Table1Row, Workload};
 pub use suite::{by_name, suite};

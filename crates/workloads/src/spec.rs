@@ -1,6 +1,9 @@
 //! Workload metadata: the paper's Table I reference values and the
 //! category split of Fig. 4.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use prf_core::Launch;
 
 /// The profiling-behaviour category a benchmark falls into (Fig. 4).
@@ -59,8 +62,8 @@ pub struct Workload {
     /// Kernel launches, run back to back.
     pub launches: Vec<Launch>,
     /// Global-memory blocks to load before the first launch:
-    /// `(base_word_address, words)`.
-    pub mem_init: Vec<(u32, Vec<u32>)>,
+    /// `(base_word_address, words)`, shared by every clone.
+    pub mem_init: MemImage,
     /// Published Table I values for comparison in reports.
     pub table1: Table1Row,
 }
@@ -77,6 +80,39 @@ impl Workload {
     }
 }
 
+/// A workload's initial global-memory image: `(base_word_address, words)`
+/// blocks behind one shared, immutable allocation.
+///
+/// Cloning a [`Workload`] (and so every matrix job built from it) copies
+/// a pointer, not the words. The image derefs to the block slice, so it
+/// passes wherever `&[(u32, Vec<u32>)]` is taken, and `&image` iterates
+/// the blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemImage(Arc<[(u32, Vec<u32>)]>);
+
+impl Deref for MemImage {
+    type Target = [(u32, Vec<u32>)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl From<Vec<(u32, Vec<u32>)>> for MemImage {
+    fn from(blocks: Vec<(u32, Vec<u32>)>) -> Self {
+        MemImage(blocks.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a MemImage {
+    type Item = &'a (u32, Vec<u32>);
+    type IntoIter = std::slice::Iter<'a, (u32, Vec<u32>)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +121,15 @@ mod tests {
     fn category_display() {
         assert_eq!(Category::One.to_string(), "Category 1");
         assert_eq!(Category::Three.to_string(), "Category 3");
+    }
+
+    #[test]
+    fn mem_image_clones_share_the_blocks() {
+        let image = MemImage::from(vec![(16, vec![1, 2, 3]), (64, vec![])]);
+        let copy = image.clone();
+        assert!(std::ptr::eq(&*image, &*copy));
+        assert_eq!(image.len(), 2);
+        let blocks: Vec<_> = (&copy).into_iter().map(|(b, w)| (*b, w.len())).collect();
+        assert_eq!(blocks, [(16, 3), (64, 0)]);
     }
 }

@@ -45,7 +45,7 @@ pub fn bfs() -> Workload {
         name: "BFS",
         category: Category::One,
         launches: vec![launch(&r, 96, 256)],
-        mem_init: vec![KernelRecipe::data_init(4096, 11)],
+        mem_init: vec![KernelRecipe::data_init(4096, 11)].into(),
         table1: row(7, 256, 0.12),
     }
 }
@@ -58,7 +58,7 @@ pub fn btree() -> Workload {
         name: "btree",
         category: Category::One,
         launches: vec![launch(&r, 48, 508)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(15, 508, 0.7),
     }
 }
@@ -71,7 +71,7 @@ pub fn hotspot() -> Workload {
         name: "hotspot",
         category: Category::One,
         launches: vec![launch(&r, 80, 256)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(27, 256, 3.6),
     }
 }
@@ -84,7 +84,7 @@ pub fn nw() -> Workload {
         name: "nw",
         category: Category::One,
         launches: vec![launch(&r, 160, 16)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(21, 16, 0.48),
     }
 }
@@ -97,7 +97,7 @@ pub fn stencil() -> Workload {
         name: "stencil",
         category: Category::One,
         launches: vec![launch(&r, 24, 1024)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(15, 1024, 0.2),
     }
 }
@@ -114,7 +114,7 @@ pub fn backprop() -> Workload {
         name: "backprop",
         category: Category::One,
         launches: vec![launch(&k1, 64, 256), launch(&k2, 64, 256)],
-        mem_init: vec![KernelRecipe::data_init(4096, 13)],
+        mem_init: vec![KernelRecipe::data_init(4096, 13)].into(),
         table1: row(13, 256, 2.6),
     }
 }
@@ -126,7 +126,7 @@ pub fn sad() -> Workload {
         name: "sad",
         category: Category::One,
         launches: vec![launch(&r, 160, 61)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(29, 61, 0.13),
     }
 }
@@ -139,7 +139,7 @@ pub fn srad() -> Workload {
         name: "srad",
         category: Category::One,
         launches: vec![launch(&r, 96, 256)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(12, 256, 0.6),
     }
 }
@@ -154,7 +154,7 @@ pub fn mum() -> Workload {
         name: "MUM",
         category: Category::One,
         launches: vec![launch(&r, 16, 256)],
-        mem_init: vec![KernelRecipe::data_init(4096, 17)],
+        mem_init: vec![KernelRecipe::data_init(4096, 17)].into(),
         table1: row(15, 256, 37.0),
     }
 }
@@ -168,7 +168,7 @@ pub fn kmeans() -> Workload {
         name: "kmeans",
         category: Category::Two,
         launches: vec![launch(&r, 64, 256)],
-        mem_init: vec![KernelRecipe::trips_init(64 * 256, 14, 30, 19)],
+        mem_init: vec![KernelRecipe::trips_init(64 * 256, 14, 30, 19)].into(),
         table1: row(9, 256, 7.5),
     }
 }
@@ -182,7 +182,7 @@ pub fn lavamd() -> Workload {
         name: "lavaMD",
         category: Category::Two,
         launches: vec![launch(&r, 96, 128)],
-        mem_init: vec![KernelRecipe::trips_init(96 * 128, 12, 28, 23)],
+        mem_init: vec![KernelRecipe::trips_init(96 * 128, 12, 28, 23)].into(),
         table1: row(6, 128, 0.2),
     }
 }
@@ -196,7 +196,7 @@ pub fn mri_q() -> Workload {
         name: "mri-q",
         category: Category::Two,
         launches: vec![launch(&r, 32, 512)],
-        mem_init: vec![KernelRecipe::trips_init(32 * 512, 16, 32, 29)],
+        mem_init: vec![KernelRecipe::trips_init(32 * 512, 16, 32, 29)].into(),
         table1: row(12, 512, 14.3),
     }
 }
@@ -210,7 +210,7 @@ pub fn nn() -> Workload {
         name: "NN",
         category: Category::Two,
         launches: vec![launch(&r, 90, 169)],
-        mem_init: vec![KernelRecipe::trips_init(90 * 192, 12, 26, 31)],
+        mem_init: vec![KernelRecipe::trips_init(90 * 192, 12, 26, 31)].into(),
         table1: row(10, 169, 8.2),
     }
 }
@@ -226,7 +226,7 @@ pub fn sgemm() -> Workload {
         name: "sgemm",
         category: Category::Two,
         launches: vec![launch(&r, 96, 128)],
-        mem_init: vec![KernelRecipe::trips_init(96 * 128, 18, 36, 37)],
+        mem_init: vec![KernelRecipe::trips_init(96 * 128, 18, 36, 37)].into(),
         table1: row(27, 128, 16.2),
     }
 }
@@ -241,7 +241,7 @@ pub fn cp() -> Workload {
         name: "CP",
         category: Category::Two,
         launches: vec![launch(&r, 24, 128)],
-        mem_init: vec![KernelRecipe::trips_init(24 * 128, 48, 80, 41)],
+        mem_init: vec![KernelRecipe::trips_init(24 * 128, 48, 80, 41)].into(),
         table1: row(12, 128, 47.0),
     }
 }
@@ -259,7 +259,7 @@ pub fn lib() -> Workload {
         name: "LIB",
         category: Category::Three,
         launches: vec![launch(&r, 4, 64)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(18, 64, 60.0),
     }
 }
@@ -276,39 +276,48 @@ pub fn wp() -> Workload {
         name: "WP",
         category: Category::Three,
         launches: vec![launch(&r, 3, 64)],
-        mem_init: vec![],
+        mem_init: vec![].into(),
         table1: row(8, 64, 75.0),
     }
 }
 
+/// A benchmark's Table I name and its constructor.
+type Entry = (&'static str, fn() -> Workload);
+
+/// Every benchmark in Table I order: one table behind both [`suite`] and
+/// [`by_name`], so a lookup builds only the workload it names.
+const SUITE: [Entry; 17] = [
+    ("BFS", bfs),
+    ("btree", btree),
+    ("hotspot", hotspot),
+    ("nw", nw),
+    ("stencil", stencil),
+    ("backprop", backprop),
+    ("sad", sad),
+    ("srad", srad),
+    ("MUM", mum),
+    ("kmeans", kmeans),
+    ("lavaMD", lavamd),
+    ("mri-q", mri_q),
+    ("NN", nn),
+    ("sgemm", sgemm),
+    ("CP", cp),
+    ("LIB", lib),
+    ("WP", wp),
+];
+
 /// The full 17-benchmark suite in Table I order.
 pub fn suite() -> Vec<Workload> {
-    vec![
-        bfs(),
-        btree(),
-        hotspot(),
-        nw(),
-        stencil(),
-        backprop(),
-        sad(),
-        srad(),
-        mum(),
-        kmeans(),
-        lavamd(),
-        mri_q(),
-        nn(),
-        sgemm(),
-        cp(),
-        lib(),
-        wp(),
-    ]
+    SUITE.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a workload up by its Table I name (case-insensitive).
+/// Looks a workload up by its Table I name (case-insensitive) and builds
+/// only that one.
 pub fn by_name(name: &str) -> Option<Workload> {
-    suite()
-        .into_iter()
-        .find(|w| w.name.eq_ignore_ascii_case(name))
+    SUITE
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -385,6 +394,25 @@ mod tests {
         assert!(by_name("sgemm").is_some());
         assert!(by_name("SGEMM").is_some());
         assert!(by_name("nope").is_none());
+        assert!(by_name("").is_none());
+    }
+
+    #[test]
+    fn by_name_builds_the_suite_entry_it_names() {
+        for w in suite() {
+            for name in [w.name.to_string(), w.name.to_ascii_uppercase()] {
+                let found = by_name(&name).unwrap_or_else(|| panic!("{name}"));
+                assert_eq!(found.name, w.name);
+                assert_eq!(found.category, w.category);
+                assert_eq!(found.table1, w.table1);
+                assert_eq!(found.mem_init, w.mem_init, "{name}: image");
+                assert_eq!(found.launches.len(), w.launches.len(), "{name}");
+                for (a, b) in found.launches.iter().zip(&w.launches) {
+                    assert_eq!(a.kernel, b.kernel, "{name}: kernel");
+                    assert_eq!(a.grid, b.grid, "{name}: grid");
+                }
+            }
+        }
     }
 
     #[test]
