@@ -9,8 +9,6 @@
 //! from the active pool flushes its RFC entries — the mechanism that keeps
 //! the RFC small in the original design.
 
-use std::collections::VecDeque;
-
 use prf_isa::{Kernel, Reg};
 use prf_sim::rf::{default_bank, AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use prf_sim::{RfPartition, RfTelemetry};
@@ -57,8 +55,10 @@ impl RfcConfig {
 
 #[derive(Debug, Clone, Default)]
 struct WarpCache {
-    /// FIFO of (register, dirty).
-    entries: VecDeque<(Reg, bool)>,
+    /// FIFO of (register, dirty), oldest first. `fill` keeps it to
+    /// `entries_per_warp` entries, a handful, so evicting the front shifts
+    /// only a few.
+    entries: Vec<(Reg, bool)>,
 }
 
 impl WarpCache {
@@ -97,14 +97,11 @@ impl RfcModel {
         let cap = self.config.entries_per_warp;
         let cache = &mut self.caches[warp_slot];
         let mut wrote_back = false;
-        if cache.entries.len() >= cap {
-            if let Some((_, was_dirty)) = cache.entries.pop_front() {
-                if was_dirty {
-                    wrote_back = true;
-                }
-            }
+        if cache.entries.len() >= cap && !cache.entries.is_empty() {
+            let (_, was_dirty) = cache.entries.remove(0);
+            wrote_back = was_dirty;
         }
-        cache.entries.push_back((reg, dirty));
+        cache.entries.push((reg, dirty));
         if wrote_back {
             self.evictions += 1;
             self.telemetry.rfc_writebacks += 1;

@@ -294,11 +294,17 @@ pub fn execute_warp_instruction_into(
         }
     };
 
-    // Write-back under the exec mask: inactive lanes are never written.
+    // Write-back under the exec mask: inactive lanes are never written. A
+    // full mask copies the slice; otherwise each lane selects its old or
+    // new value through an all-ones or all-zeros mask, without a branch.
     if let (true, Some(r)) = (produces, dst) {
-        for (lane, (d, &v)) in warp.reg_lanes_mut(r).iter_mut().zip(&result).enumerate() {
-            if exec_mask & (1 << lane) != 0 {
-                *d = v;
+        let lanes = warp.reg_lanes_mut(r);
+        if exec_mask == u32::MAX {
+            lanes.copy_from_slice(&result);
+        } else {
+            for (lane, (d, &v)) in lanes.iter_mut().zip(&result).enumerate() {
+                let on = 0u32.wrapping_sub((exec_mask >> lane) & 1);
+                *d = (v & on) | (*d & !on);
             }
         }
     }
@@ -702,6 +708,118 @@ mod tests {
             assert_eq!(w.reg(lane as usize, 3), selp_expect, "selp lane {lane}");
             let shfl_expect = if on { 100 + (lane + 4) % 32 } else { 0xBEEF };
             assert_eq!(w.reg(lane as usize, 4), shfl_expect, "shfl lane {lane}");
+        }
+    }
+
+    #[test]
+    fn write_back_equals_the_per_lane_reference() {
+        // Each destination-writing arm under a full mask (the slice copy)
+        // and under divergent masks (the branch-free select), against a
+        // per-lane reference: the lane's own result where the exec mask
+        // holds it, the old value elsewhere.
+        let mut global = GlobalMemory::new(1024);
+        for addr in 0..1024 {
+            global.write(addr, addr * 7 + 3);
+        }
+        let shared_at = |addr: u32| 5000 + addr * 11;
+        let a = |lane: u32| 100 + lane * 3;
+        let b = |lane: u32| lane ^ 0x55;
+        let c = |lane: u32| (lane * 7 + 3) % 32;
+        let pred = 0x3C3C_A5A5u32;
+        let reg = |r: u8| Operand::Reg(Reg(r));
+        let guard = prf_isa::PredGuard {
+            pred: PredReg(0),
+            expected: true,
+        };
+        let dst = Dst::Reg(Reg(5));
+        let mut ldg = Instruction::new(Opcode::Ldg)
+            .with_dst(dst)
+            .with_srcs(&[reg(3)]);
+        ldg.mem_offset = 1;
+        let mut lds = Instruction::new(Opcode::Lds)
+            .with_dst(dst)
+            .with_srcs(&[reg(4)]);
+        lds.mem_offset = 2;
+        type Lane = Box<dyn Fn(u32) -> u32>;
+        // (instruction, its result in a lane, whether the guard masks it)
+        let cases: Vec<(Instruction, Lane, bool)> = vec![
+            (
+                Instruction::new(Opcode::IAdd)
+                    .with_dst(dst)
+                    .with_srcs(&[reg(0), reg(1)]),
+                Box::new(move |l| a(l).wrapping_add(b(l))),
+                false,
+            ),
+            (
+                Instruction::new(Opcode::IMad)
+                    .with_dst(dst)
+                    .with_srcs(&[reg(0), reg(1), reg(2)]),
+                Box::new(move |l| a(l).wrapping_mul(b(l)).wrapping_add(c(l))),
+                false,
+            ),
+            (
+                Instruction::new(Opcode::IAdd)
+                    .with_dst(dst)
+                    .with_srcs(&[reg(0), Operand::Imm(1)])
+                    .with_guard(guard),
+                Box::new(move |l| a(l) + 1),
+                true,
+            ),
+            (
+                Instruction::new(Opcode::Selp)
+                    .with_dst(dst)
+                    .with_srcs(&[reg(0), reg(1)])
+                    .with_guard(guard),
+                Box::new(move |l| if pred & (1 << l) != 0 { a(l) } else { b(l) }),
+                false,
+            ),
+            (
+                Instruction::new(Opcode::Shfl)
+                    .with_dst(dst)
+                    .with_srcs(&[reg(0), reg(2)]),
+                Box::new(move |l| a(c(l))),
+                false,
+            ),
+            (ldg, Box::new(move |l| (l * 5 + 1) * 7 + 3), false),
+            (lds, Box::new(move |l| shared_at(l * 2 + 2)), false),
+        ];
+        for (instr, result, guarded) in &cases {
+            for active in [u32::MAX, 0x0F0F_0F0F, 0x8000_0001, 0x7FFF_FFFF, 0xFFFF_FFFE] {
+                let mut w = WarpContext::new(0, 0, CtaId(0), 0, active, 6, 0);
+                fill(&mut w, 0, a);
+                fill(&mut w, 1, b);
+                fill(&mut w, 2, c);
+                fill(&mut w, 3, |lane| lane * 5);
+                fill(&mut w, 4, |lane| lane * 2);
+                fill(&mut w, 5, |lane| 0xDEAD_0000 + lane);
+                w.preds[0] = pred;
+                let mut kb = KernelBuilder::new("one");
+                kb.push(instr.clone());
+                kb.exit();
+                let k = kb.build().unwrap();
+                let rt = ReconvergenceTable::compute(&k);
+                let mut shared = SharedMemory::new(128);
+                for addr in 0..128 {
+                    shared.write(addr, shared_at(addr));
+                }
+                let mut log = Vec::new();
+                let mut view = GmemView::new(&global, &mut log);
+                execute_warp_instruction(&mut w, instr, &rt, &env(), &mut view, &mut shared);
+                let exec = if *guarded { active & pred } else { active };
+                for lane in 0..WARP_SIZE as u32 {
+                    let want = if exec & (1 << lane) != 0 {
+                        result(lane)
+                    } else {
+                        0xDEAD_0000 + lane
+                    };
+                    assert_eq!(
+                        w.reg(lane as usize, 5),
+                        want,
+                        "{:?} active {active:#x} lane {lane}",
+                        instr.opcode
+                    );
+                }
+            }
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Each SM has `num_schedulers` scheduler instances; warp slot `s` belongs
 //! to scheduler `s % num_schedulers` (the usual striped assignment). Every
-//! cycle the SM asks each scheduler for a priority-ordered candidate list
-//! and issues to the first ready warps. The SM lends each scheduler its
-//! live warps in age order and its per-slot issue masks as a [`WarpSet`]
-//! (see [`WarpScheduler::prioritize`]).
+//! cycle the SM asks each scheduler for the order of its candidates, a
+//! [`Walk`], and issues to the first ready warps. The SM lends each
+//! scheduler its live warps in age order and its per-slot issue masks as a
+//! [`WarpSet`] (see [`WarpScheduler::prioritize`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -50,6 +50,23 @@ impl SlotMask {
     /// The set as `u64` words, slot `s` at bit `s % 64` of word `s / 64`.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The lowest slot in `from..end` that is in both `self` and `other`.
+    fn first_common(&self, other: &SlotMask, from: usize, end: usize) -> Option<usize> {
+        let end = end.min(self.words.len() * 64);
+        let mut word = from / 64;
+        let mut from_bit = !0u64 << (from % 64);
+        while word * 64 < end {
+            let bits = self.words[word] & other.words[word] & from_bit;
+            if bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                return (slot < end).then_some(slot);
+            }
+            word += 1;
+            from_bit = !0;
+        }
+        None
     }
 }
 
@@ -101,11 +118,6 @@ pub struct WarpSet<'a> {
 }
 
 impl<'a> WarpSet<'a> {
-    /// This scheduler's live warp slots, oldest first.
-    pub fn oldest_first(&self) -> impl Iterator<Item = usize> + 'a {
-        self.ages.iter().map(|&(_, slot)| slot)
-    }
-
     /// The slots of `mask` this scheduler owns, in slot order.
     pub fn owned_in(&self, mask: &'a SlotMask) -> impl Iterator<Item = usize> + 'a {
         let words = mask.words.iter().zip(&self.owned.words).enumerate();
@@ -113,6 +125,134 @@ impl<'a> WarpSet<'a> {
             bits: bits & mine,
             base: word * 64,
         })
+    }
+}
+
+/// The order in which the SM tries a scheduler's warps on one turn, named
+/// by [`WarpScheduler::prioritize`] and walked on demand: the SM asks for
+/// one candidate at a time ([`Walk::next`]) with the masks as they stand
+/// at that moment, and stops once the scheduler's issue width is used.
+///
+/// An on-demand walk (every form but [`Walk::List`]) yields only warps
+/// whose `issuable` bit is set when they are reached. That is the order a
+/// list built at the start of the turn and then filtered by the live mask
+/// would give, because no warp's bit goes from clear to set during an
+/// issue stage: issuing changes only the issuing warp, and each warp is
+/// reached at most once per turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// The list `prioritize` filled, from entry `next` on.
+    List {
+        /// The next list entry to yield.
+        next: usize,
+    },
+    /// GTO: the turn's greedy warp first, then the scheduler's live warps
+    /// oldest first, the greedy warp left out.
+    Oldest {
+        /// The greedy warp when the turn began. Issuing moves the
+        /// scheduler's greedy warp, but not this turn's.
+        greedy: Option<usize>,
+        /// The greedy warp is still to be tried.
+        greedy_pending: bool,
+        /// The next entry of the age order to look at.
+        at: usize,
+        /// The warp last yielded from the age order, at entry `at - 1`.
+        /// If its last lane exited since, it left the age order and the
+        /// entries after it moved down one.
+        last: Option<usize>,
+    },
+    /// LRR: the scheduler's slots in slot order, from `from` up to `end`,
+    /// then from 0 up to `wrap`.
+    Slots {
+        /// The next slot to look at.
+        from: usize,
+        /// Where the current run of slots ends (exclusive).
+        end: usize,
+        /// Where the wrapped run ends; 0 once it has begun, or when the
+        /// walk began at slot 0.
+        wrap: usize,
+    },
+}
+
+impl Walk {
+    /// The list `prioritize` filled, in order.
+    pub fn list() -> Self {
+        Walk::List { next: 0 }
+    }
+
+    /// `greedy` first, then the live warps oldest first.
+    pub fn greedy_then_oldest(greedy: Option<usize>) -> Self {
+        Walk::Oldest {
+            greedy,
+            greedy_pending: true,
+            at: 0,
+            last: None,
+        }
+    }
+
+    /// The slots after `last` in slot order, wrapping round to `last`.
+    pub fn after(last: Option<usize>) -> Self {
+        let start = last.map_or(0, |slot| slot + 1);
+        Walk::Slots {
+            from: start,
+            end: usize::MAX,
+            wrap: start,
+        }
+    }
+
+    /// True for [`Walk::List`], the one form whose `prioritize` may change
+    /// scheduler state or emit events.
+    pub fn is_list(&self) -> bool {
+        matches!(self, Walk::List { .. })
+    }
+
+    /// The next candidate: from `list` for [`Walk::List`], else the next
+    /// warp of the walk that `warps.issuable` holds now.
+    pub fn next(&mut self, list: &[usize], warps: &WarpSet<'_>) -> Option<usize> {
+        match self {
+            Walk::List { next } => {
+                let slot = *list.get(*next)?;
+                *next += 1;
+                Some(slot)
+            }
+            Walk::Oldest {
+                greedy,
+                greedy_pending,
+                at,
+                last,
+            } => {
+                if std::mem::take(greedy_pending) {
+                    if let Some(g) = *greedy {
+                        if warps.issuable.contains(g) {
+                            return Some(g);
+                        }
+                    }
+                }
+                if let Some(slot) = last.take() {
+                    if warps.ages.get(*at - 1).is_none_or(|&(_, s)| s != slot) {
+                        *at -= 1;
+                    }
+                }
+                while let Some(&(_, slot)) = warps.ages.get(*at) {
+                    *at += 1;
+                    if warps.issuable.contains(slot) && Some(slot) != *greedy {
+                        *last = Some(slot);
+                        return Some(slot);
+                    }
+                }
+                None
+            }
+            Walk::Slots { from, end, wrap } => loop {
+                if let Some(slot) = warps.issuable.first_common(warps.owned, *from, *end) {
+                    *from = slot + 1;
+                    return Some(slot);
+                }
+                if *wrap == 0 {
+                    return None;
+                }
+                (*from, *end, *wrap) = (0, *wrap, 0);
+            },
+        }
     }
 }
 
@@ -132,18 +272,19 @@ pub enum SchedulerEvent {
 /// `Send` is a supertrait so whole simulations (SMs own their schedulers)
 /// can move to worker threads of the parallel experiment engine.
 pub trait WarpScheduler: fmt::Debug + Send {
-    /// Returns the candidate warp slots in priority order for this cycle.
-    /// The SM tries them in order and issues to the ready ones.
+    /// Names the order of this turn's candidates. The SM walks it on
+    /// demand (see [`Walk`]) and issues to the ready warps.
     ///
     /// `warps` lends the scheduler its live warps in age order and the
     /// SM's slot masks (see [`WarpSet`]); a policy reads only what it
-    /// needs. GTO walks the age order for issuable warps; LRR takes its
-    /// issuable slots and fetch-group its live slots in slot order, so
-    /// neither sorts; two-level tests only its active pool against the
-    /// masks. When [`WarpScheduler::issuable_views_suffice`] is true the
-    /// SM calls this only on a turn in which one of the scheduler's warps
-    /// is issuable, and the list may leave out warps that are not.
-    fn prioritize(&mut self, warps: &WarpSet<'_>, cycle: u64, out: &mut Vec<usize>);
+    /// needs. GTO and LRR read nothing and fill no list: they return
+    /// [`Walk::greedy_then_oldest`] and [`Walk::after`] from their own
+    /// state, so their `prioritize` changes no state and emits no events.
+    /// Two-level and fetch-group fill `out` in priority order and return
+    /// [`Walk::list`]: two-level tests only its active pool against the
+    /// masks, and fetch-group takes its live slots in slot order, so
+    /// neither sorts.
+    fn prioritize(&mut self, warps: &WarpSet<'_>, cycle: u64, out: &mut Vec<usize>) -> Walk;
 
     /// Notifies the scheduler that `slot` issued an instruction.
     fn on_issue(&mut self, slot: usize, cycle: u64);
@@ -157,20 +298,6 @@ pub trait WarpScheduler: fmt::Debug + Send {
     /// Drains pending events (pool demotions).
     fn drain_events(&mut self, out: &mut Vec<SchedulerEvent>) {
         let _ = out;
-    }
-
-    /// True when [`WarpScheduler::prioritize`] leaves the scheduler's
-    /// observable state unchanged, emits no events, and orders the
-    /// issuable warps as it would whatever the other warps' state. The SM
-    /// then skips such a scheduler's turn, with no `prioritize` call, when
-    /// none of its warps can issue: the issue loop passes over a warp that
-    /// cannot issue before it changes anything, so the issued sequence is
-    /// the same. GTO and LRR mutate state only in `on_issue` and read only
-    /// the `issuable` mask; the two-level scheduler demotes/promotes and
-    /// the fetch-group scheduler rotates inside `prioritize` itself,
-    /// reading the masks of blocked warps, so those two run every turn.
-    fn issuable_views_suffice(&self) -> bool {
-        false
     }
 
     /// Policy name.
@@ -210,19 +337,8 @@ impl GtoScheduler {
 }
 
 impl WarpScheduler for GtoScheduler {
-    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
-        out.clear();
-        let issuable = warps.issuable;
-        if let Some(g) = self.greedy {
-            if issuable.contains(g) {
-                out.push(g);
-            }
-        }
-        out.extend(
-            warps
-                .oldest_first()
-                .filter(|&slot| issuable.contains(slot) && Some(slot) != self.greedy),
-        );
+    fn prioritize(&mut self, _warps: &WarpSet<'_>, _cycle: u64, _out: &mut Vec<usize>) -> Walk {
+        Walk::greedy_then_oldest(self.greedy)
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -235,10 +351,6 @@ impl WarpScheduler for GtoScheduler {
         if self.greedy == Some(slot) {
             self.greedy = None;
         }
-    }
-
-    fn issuable_views_suffice(&self) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {
@@ -264,13 +376,8 @@ impl LrrScheduler {
 }
 
 impl WarpScheduler for LrrScheduler {
-    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(warps.owned_in(warps.issuable));
-        if let Some(last) = self.last {
-            let start = out.iter().position(|&s| s > last).unwrap_or(0);
-            out.rotate_left(start);
-        }
+    fn prioritize(&mut self, _warps: &WarpSet<'_>, _cycle: u64, _out: &mut Vec<usize>) -> Walk {
+        Walk::after(self.last)
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -280,10 +387,6 @@ impl WarpScheduler for LrrScheduler {
     fn on_warp_start(&mut self, _slot: usize) {}
 
     fn on_warp_finish(&mut self, _slot: usize) {}
-
-    fn issuable_views_suffice(&self) -> bool {
-        true
-    }
 
     fn name(&self) -> &'static str {
         "LRR"
@@ -339,7 +442,7 @@ impl TwoLevelScheduler {
 }
 
 impl WarpScheduler for TwoLevelScheduler {
-    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) -> Walk {
         out.clear();
         // Demote blocked active warps; drop those no longer live.
         let mut i = 0;
@@ -358,7 +461,7 @@ impl WarpScheduler for TwoLevelScheduler {
         }
         self.promote();
         if self.active.is_empty() {
-            return;
+            return Walk::list();
         }
         // Round-robin within the active pool.
         let n = self.active.len();
@@ -368,6 +471,7 @@ impl WarpScheduler for TwoLevelScheduler {
                 .iter()
                 .chain(self.active[..start].iter()),
         );
+        Walk::list()
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -423,12 +527,12 @@ impl FetchGroupScheduler {
 }
 
 impl WarpScheduler for FetchGroupScheduler {
-    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: &WarpSet<'_>, _cycle: u64, out: &mut Vec<usize>) -> Walk {
         out.clear();
         // Group g is the g-th run of `group_size` live slots in slot order.
         out.extend(warps.owned_in(warps.live));
         if out.is_empty() {
-            return;
+            return Walk::list();
         }
         let num_groups = out.len().div_ceil(self.group_size);
         let cur = self.current_group % num_groups;
@@ -442,6 +546,7 @@ impl WarpScheduler for FetchGroupScheduler {
         }
         // The current group first, then the following ones, wrapping.
         out.rotate_left((self.current_group % num_groups) * self.group_size);
+        Walk::list()
     }
 
     fn on_issue(&mut self, _slot: usize, _cycle: u64) {}
@@ -533,6 +638,18 @@ mod tests {
         }
     }
 
+    /// Every candidate `walk` yields while the masks stay as they are.
+    fn drain(mut walk: Walk, list: &[usize], warps: &WarpSet<'_>) -> Vec<usize> {
+        std::iter::from_fn(|| walk.next(list, warps)).collect()
+    }
+
+    /// The candidates of one turn of `s`, in order, with no warp issuing.
+    fn order(s: &mut dyn WarpScheduler, warps: &WarpSet<'_>, cycle: u64) -> Vec<usize> {
+        let mut list = Vec::new();
+        let walk = s.prioritize(warps, cycle, &mut list);
+        drain(walk, &list, warps)
+    }
+
     #[test]
     fn owned_slots_come_in_slot_order_across_words() {
         let mut owned = SlotMask::new(130);
@@ -565,31 +682,23 @@ mod tests {
         // Warps in age order: slot 4 is the oldest warp, slot 0 the
         // youngest.
         let m = Masks::mem(&[(4, false), (8, false), (0, false)]);
-        let mut out = Vec::new();
-        s.prioritize(&m.set(), 0, &mut out);
         // No greedy yet: oldest first.
-        assert_eq!(out, vec![4, 8, 0]);
+        assert_eq!(order(&mut s, &m.set(), 0), vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&m.set(), 2, &mut out);
-        assert_eq!(out, vec![8, 4, 0]);
+        assert_eq!(order(&mut s, &m.set(), 2), vec![8, 4, 0]);
         s.on_warp_finish(8);
-        s.prioritize(&m.set(), 3, &mut out);
-        assert_eq!(out[0], 4);
+        assert_eq!(order(&mut s, &m.set(), 3)[0], 4);
     }
 
     #[test]
     fn lrr_rotates_past_last_issued() {
         let mut s = LrrScheduler::new();
         let m = Masks::mem(&[(0, false), (4, false), (8, false)]);
-        let mut out = Vec::new();
-        s.prioritize(&m.set(), 0, &mut out);
-        assert_eq!(out, vec![0, 4, 8]);
+        assert_eq!(order(&mut s, &m.set(), 0), vec![0, 4, 8]);
         s.on_issue(0, 0);
-        s.prioritize(&m.set(), 1, &mut out);
-        assert_eq!(out, vec![4, 8, 0]);
+        assert_eq!(order(&mut s, &m.set(), 1), vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&m.set(), 2, &mut out);
-        assert_eq!(out, vec![0, 4, 8]);
+        assert_eq!(order(&mut s, &m.set(), 2), vec![0, 4, 8]);
     }
 
     #[test]
@@ -754,16 +863,16 @@ mod tests {
             }
             let m = Masks::new(&warps);
             let views: Vec<WarpView> = m
-                .set()
-                .oldest_first()
-                .map(|slot| WarpView {
+                .ages
+                .iter()
+                .map(|&(_, slot)| WarpView {
                     slot,
                     long_latency_pending: m.long_latency.contains(slot),
                     barrier_waiting: m.barrier.contains(slot),
                 })
                 .collect();
             let (mut out, mut want) = (Vec::new(), Vec::new());
-            s.prioritize(&m.set(), cycle, &mut out);
+            assert!(s.prioritize(&m.set(), cycle, &mut out).is_list());
             reference.prioritize(4, &views, &mut want);
             assert_eq!(out, want, "cycle {cycle}");
             assert_eq!(s.active, reference.active, "cycle {cycle}");
@@ -830,19 +939,18 @@ mod tests {
     #[test]
     fn gto_and_lrr_order_any_subset_as_within_the_full_list() {
         // Age order differs from slot order; slot 4 is not live. Each
-        // subset is the issuable set; the others are blocked.
+        // subset is the issuable set; the others are blocked. This is what
+        // makes the on-demand walk exact: filtering the full order by any
+        // later (smaller) issuable set gives the walk of that set.
         let ages = [5, 2, 7, 0, 3, 6];
         let all = Masks::mem(&ages.map(|slot| (slot, false)));
         for policy in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
             for last in [None, Some(0), Some(3), Some(4), Some(5), Some(7)] {
                 let mut s = build_scheduler(policy);
-                assert!(s.issuable_views_suffice(), "{policy:?}");
                 if let Some(slot) = last {
                     s.on_issue(slot, 0);
                 }
-                let mut full = Vec::new();
-                s.prioritize(&all.set(), 1, &mut full);
-                let mut got = Vec::new();
+                let full = order(s.as_mut(), &all.set(), 1);
                 for subset in 0u32..1 << ages.len() {
                     let sub = Masks::new(&ages.map(|slot| {
                         let at = ages.iter().position(|&s| s == slot).unwrap();
@@ -853,20 +961,29 @@ mod tests {
                         };
                         (slot, state)
                     }));
-                    s.prioritize(&sub.set(), 1, &mut got);
+                    let mut list = Vec::new();
+                    let walk = s.prioritize(&sub.set(), 1, &mut list);
+                    assert!(!walk.is_list() && list.is_empty(), "{policy:?}");
                     let want: Vec<usize> = full
                         .iter()
                         .copied()
                         .filter(|&slot| sub.issuable.contains(slot))
                         .collect();
-                    assert_eq!(got, want, "{policy:?} last {last:?} subset {subset:#b}");
+                    assert_eq!(
+                        drain(walk, &list, &sub.set()),
+                        want,
+                        "{policy:?} last {last:?} subset {subset:#b}"
+                    );
                     let mut events = Vec::new();
                     s.drain_events(&mut events);
                     assert!(events.is_empty(), "{policy:?}");
                 }
-                // The subset calls changed no state the order depends on.
-                s.prioritize(&all.set(), 2, &mut got);
-                assert_eq!(got, full, "{policy:?} last {last:?}");
+                // The subset turns changed no state the order depends on.
+                assert_eq!(
+                    order(s.as_mut(), &all.set(), 2),
+                    full,
+                    "{policy:?} last {last:?}"
+                );
             }
         }
         for policy in [
@@ -875,8 +992,95 @@ mod tests {
             },
             SchedulerPolicy::FetchGroup { group_size: 2 },
         ] {
-            assert!(!build_scheduler(policy).issuable_views_suffice());
+            let walk = build_scheduler(policy).prioritize(&all.set(), 0, &mut Vec::new());
+            assert!(walk.is_list(), "{policy:?}");
         }
+    }
+
+    #[test]
+    fn walks_resume_after_an_exited_warp_and_cross_mask_words() {
+        // 130 slots; the scheduler owns the odd ones. GTO: slot 99 is
+        // greedy, and each yielded warp is then treated by the test as the
+        // SM would after an issue: it leaves `issuable`, and every third
+        // one exits and leaves the age order too.
+        let mut owned = SlotMask::new(130);
+        let mut issuable = SlotMask::new(130);
+        let empty = SlotMask::new(130);
+        let mut ages = Vec::new();
+        for (age, slot) in (1..130).step_by(2).rev().enumerate() {
+            owned.set(slot, true);
+            issuable.set(slot, slot % 5 != 0);
+            ages.push((age as u64 / 3, slot));
+        }
+        ages.sort_unstable();
+        let want: Vec<usize> = std::iter::once(99)
+            .chain(
+                ages.iter()
+                    .map(|&(_, slot)| slot)
+                    .filter(|&slot| slot % 5 != 0 && slot != 99),
+            )
+            .collect();
+        let mut walk = Walk::greedy_then_oldest(Some(99));
+        let mut got = Vec::new();
+        loop {
+            let set = WarpSet {
+                ages: &ages,
+                owned: &owned,
+                issuable: &issuable,
+                live: &empty,
+                long_latency: &empty,
+                barrier: &empty,
+            };
+            let Some(slot) = walk.next(&[], &set) else {
+                break;
+            };
+            got.push(slot);
+            issuable.set(slot, false);
+            if got.len() % 3 == 0 {
+                ages.retain(|&(_, s)| s != slot);
+            }
+        }
+        assert_eq!(got, want);
+
+        // LRR after slot 63: the owned issuable slots above 63 in slot
+        // order, across the word boundary, then the wrapped ones from 1.
+        let issuable = {
+            let mut m = SlotMask::new(130);
+            for slot in [1, 3, 63, 65, 127, 129] {
+                m.set(slot, true);
+            }
+            m.set(64, true); // not owned
+            m
+        };
+        let set = WarpSet {
+            ages: &[],
+            owned: &owned,
+            issuable: &issuable,
+            live: &empty,
+            long_latency: &empty,
+            barrier: &empty,
+        };
+        assert_eq!(
+            drain(Walk::after(Some(63)), &[], &set),
+            vec![65, 127, 129, 1, 3, 63]
+        );
+        assert_eq!(
+            drain(Walk::after(Some(129)), &[], &set),
+            vec![1, 3, 63, 65, 127, 129]
+        );
+        assert_eq!(
+            drain(Walk::after(None), &[], &set),
+            vec![1, 3, 63, 65, 127, 129]
+        );
+        assert!(drain(
+            Walk::after(Some(0)),
+            &[],
+            &WarpSet {
+                issuable: &empty,
+                ..set
+            }
+        )
+        .is_empty());
     }
 
     #[test]

@@ -184,6 +184,21 @@ struct InflightInstr {
     shared_access: bool,
 }
 
+/// Deterministic issue jitter: whether SM `sm` skips the warp in `slot` at
+/// `cycle`, with probability 1/`issue_jitter` (see [`GpuConfig`]).
+fn jitter_skips(config: &GpuConfig, sm: usize, slot: usize, cycle: u64) -> bool {
+    if config.issue_jitter == 0 {
+        return false;
+    }
+    let h = cycle
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((slot as u64) << 32)
+        .wrapping_add(sm as u64)
+        .wrapping_add(config.jitter_seed.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (h >> 33).is_multiple_of(u64::from(config.issue_jitter))
+}
+
 /// The warp schedulers of one SM, all running the configured policy.
 fn build_schedulers(config: &GpuConfig) -> Vec<Box<dyn WarpScheduler>> {
     (0..config.num_schedulers)
@@ -232,9 +247,11 @@ pub struct Sm {
     resident: usize,
     /// CTAs resident on the SM (the `Some` entries of `cta_slots`).
     resident_ctas: usize,
-    /// The schedulers' [`WarpScheduler::issuable_views_suffice`], asked
-    /// once: every scheduler of an SM runs the same policy.
-    issuable_only: bool,
+    /// Set when a warp slot goes to barrier, exited or empty: only such an
+    /// event can leave a CTA with all its live warps at its barrier (a
+    /// slot empties after it exited, so the last one is a guard).
+    /// [`Sm::release_barriers`] scans the CTA slots only while it is set.
+    barrier_dirty: bool,
     /// In-flight instructions, indexed by token. Tokens are opaque slab
     /// indices recycled through `free_tokens`: the collector orders by its
     /// own sequence numbers and the LSU by finish time, so a reused token
@@ -306,9 +323,6 @@ impl Sm {
         rf: Box<dyn RegisterFileModel>,
     ) -> Self {
         let schedulers = build_schedulers(config);
-        let issuable_only = schedulers
-            .first()
-            .is_some_and(|s| s.issuable_views_suffice());
         let longest_pipe = config
             .alu_latency
             .max(config.fp_latency)
@@ -356,7 +370,7 @@ impl Sm {
                 .collect(),
             resident: 0,
             resident_ctas: 0,
-            issuable_only,
+            barrier_dirty: false,
             inflight: Vec::new(),
             free_tokens: Vec::new(),
             inflight_live: 0,
@@ -602,6 +616,7 @@ impl Sm {
         let w = self.warps[slot].take().expect("checked above");
         self.issue_slots[slot] = IssueSlot::default();
         self.refresh_issuable(slot);
+        self.barrier_dirty = true;
         self.resident -= 1;
         self.observer
             .note_warp_scoreboard(slot, &self.scoreboards[slot], cycle);
@@ -656,8 +671,12 @@ impl Sm {
         live > 0 && waiting == live
     }
 
+    /// Releases the warps of every CTA whose live warps all wait at its
+    /// barrier. After a scan no CTA is left in that state, and only a slot
+    /// going to barrier, exited or empty can put one there, so the scan
+    /// runs only when `barrier_dirty` says such an event happened since.
     fn release_barriers(&mut self) {
-        if self.barrier.is_empty() {
+        if !std::mem::take(&mut self.barrier_dirty) || self.barrier.is_empty() {
             return;
         }
         for cta_slot in 0..self.cta_slots.len() {
@@ -732,6 +751,78 @@ impl Sm {
         })
     }
 
+    /// What scheduler `sched` reads on its turn (see [`WarpSet`]).
+    fn warp_set(&self, sched: usize) -> WarpSet<'_> {
+        WarpSet {
+            ages: &self.age_order[sched],
+            owned: &self.sched_slots[sched],
+            issuable: &self.issuable,
+            live: &self.live,
+            long_latency: &self.long_latency,
+            barrier: &self.barrier,
+        }
+    }
+
+    /// Scheduler `sched`'s turn of the issue stage: walks the order its
+    /// `prioritize` names (a list it fills into `order`, or a walk of the
+    /// live masks) and issues up to `issue_per_scheduler` instructions.
+    /// Returns how many issued.
+    fn issue_turn(
+        &mut self,
+        sched: usize,
+        cycle: u64,
+        gmem: &mut GmemView<'_>,
+        order: &mut Vec<usize>,
+    ) -> usize {
+        // Field by field, so the scheduler can be borrowed mutably beside.
+        let warps = WarpSet {
+            ages: &self.age_order[sched],
+            owned: &self.sched_slots[sched],
+            issuable: &self.issuable,
+            live: &self.live,
+            long_latency: &self.long_latency,
+            barrier: &self.barrier,
+        };
+        let mut walk = self.schedulers[sched].prioritize(&warps, cycle, order);
+        if walk.is_list() {
+            // Export pool demotions to the RF model (RFC flush); only a
+            // list-filling `prioritize` emits events.
+            self.schedulers[sched].drain_events(&mut self.sched_events);
+        }
+        // A pass over a warp that cannot issue changes nothing (the
+        // collector-stall check below can first fire only right after a
+        // warp that issued), so a turn in which none can issue walks
+        // nothing, and readiness is tested before the jitter hash.
+        if !self.scheduler_can_issue(sched) {
+            return 0;
+        }
+        let width = self.config.issue_per_scheduler;
+        let mut issued = 0usize;
+        while issued < width {
+            let Some(slot) = walk.next(order, &self.warp_set(sched)) else {
+                break;
+            };
+            if !self.can_issue(slot) {
+                continue;
+            }
+            if jitter_skips(&self.config, self.id, slot, cycle) {
+                continue;
+            }
+            // GTO greediness: a warp may issue both slots of its scheduler
+            // in one cycle if it stays ready.
+            while issued < width && self.can_issue(slot) {
+                self.issue(slot, cycle, gmem);
+                self.schedulers[sched].on_issue(slot, cycle);
+                issued += 1;
+            }
+            if issued > 0 && !self.collector.has_free_unit() {
+                self.stats.collector_stalls += 1;
+                break;
+            }
+        }
+        issued
+    }
+
     /// Issues the next instruction of warp `slot`. Caller must have checked
     /// [`Sm::can_issue`].
     fn issue(&mut self, slot: usize, cycle: u64, global: &mut GmemView<'_>) {
@@ -765,6 +856,7 @@ impl Sm {
             Some(next_pc) => {
                 self.issue_slots[slot] =
                     IssueSlot::running(outcome.hit_barrier, *self.image.hazard(next_pc));
+                self.barrier_dirty |= outcome.hit_barrier;
             }
             None => {
                 // The last lane exited: the warp leaves the issue state and
@@ -774,6 +866,7 @@ impl Sm {
                     status: SlotStatus::Exited,
                     hazard: InstrHazard::default(),
                 };
+                self.barrier_dirty = true;
                 let ages = &mut self.age_order[slot % self.schedulers.len()];
                 let at = ages
                     .iter()
@@ -1046,67 +1139,7 @@ impl Sm {
         let mut staged = std::mem::take(&mut self.global_writes);
         let mut gmem = GmemView::new(global, &mut staged);
         for sched in 0..self.schedulers.len() {
-            // For a policy whose `prioritize` needs only the issuable
-            // warps, a turn in which none can issue calls no
-            // `prioritize`: the loop below would pass over every warp
-            // before the jitter hash, and such a pass changes nothing.
-            order.clear();
-            let prioritized = !self.issuable_only || self.scheduler_can_issue(sched);
-            if prioritized {
-                let warps = WarpSet {
-                    ages: &self.age_order[sched],
-                    owned: &self.sched_slots[sched],
-                    issuable: &self.issuable,
-                    live: &self.live,
-                    long_latency: &self.long_latency,
-                    barrier: &self.barrier,
-                };
-                self.schedulers[sched].prioritize(&warps, cycle, &mut order);
-            }
-            let mut issued = 0usize;
-            for &slot in &order {
-                if issued >= self.config.issue_per_scheduler {
-                    break;
-                }
-                // A pass over a warp that cannot issue changes nothing (the
-                // collector-stall check below can first fire only right
-                // after a warp that issued), so readiness is tested before
-                // the jitter hash.
-                if !self.can_issue(slot) {
-                    continue;
-                }
-                // Deterministic issue jitter: skip this warp this cycle
-                // with probability 1/issue_jitter (see GpuConfig).
-                if self.config.issue_jitter > 0 {
-                    let h = cycle
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add((slot as u64) << 32)
-                        .wrapping_add(self.id as u64)
-                        .wrapping_add(self.config.jitter_seed.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-                        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    if (h >> 33).is_multiple_of(u64::from(self.config.issue_jitter)) {
-                        continue;
-                    }
-                }
-                // GTO greediness: a warp may issue both slots of its
-                // scheduler in one cycle if it stays ready.
-                while issued < self.config.issue_per_scheduler && self.can_issue(slot) {
-                    self.issue(slot, cycle, &mut gmem);
-                    self.schedulers[sched].on_issue(slot, cycle);
-                    issued += 1;
-                }
-                if issued > 0 && !self.collector.has_free_unit() {
-                    self.stats.collector_stalls += 1;
-                    break;
-                }
-            }
-            issued_total += issued as u32;
-            // Export scheduler pool demotions to the RF model (RFC flush).
-            // Only `prioritize` emits events, and never for a policy whose
-            // idle turns may be skipped.
-            if !self.issuable_only {
-                self.schedulers[sched].drain_events(&mut self.sched_events);
-            }
+            issued_total += self.issue_turn(sched, cycle, &mut gmem, &mut order) as u32;
         }
         self.global_writes = staged;
         self.order_scratch = order;
@@ -1220,6 +1253,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerPolicy;
     use crate::rf::BaselineRf;
+    use crate::scheduler::Walk;
     use prf_isa::{CmpOp, KernelBuilder, PredReg, SpecialReg};
 
     fn simple_kernel() -> Kernel {
@@ -1735,6 +1769,432 @@ mod tests {
             assert_eq!(sm.stats.instructions, 5 * 96, "{scheduler:?}");
             assert_eq!(global.read(3 * 1024 - 1), 7, "{scheduler:?}");
         }
+    }
+
+    /// Steps two SMs through the same launch in lockstep until both
+    /// drain: `reference` is made by `prepare` from a fresh SM, `before`
+    /// runs on it ahead of every cycle, and `check(cycle, sm, reference)`
+    /// after every cycle. Both SMs record a full pipeline trace.
+    fn run_lockstep(
+        kernel: &Arc<Kernel>,
+        grid: GridConfig,
+        config: &GpuConfig,
+        prepare: impl FnOnce(&mut Sm),
+        mut before: impl FnMut(&mut Sm),
+        mut check: impl FnMut(u64, &Sm, &Sm),
+    ) -> [(Sm, Vec<TraceEvent>); 2] {
+        let config = GpuConfig {
+            trace_capacity: 1 << 18,
+            ..config.clone()
+        };
+        let image = Arc::new(KernelImage::new(Arc::clone(kernel), grid));
+        let mut sms = [0, 1].map(|_| {
+            let rf = Box::new(BaselineRf::stv(config.num_rf_banks));
+            Sm::new(0, &config, Arc::clone(&image), rf)
+        });
+        prepare(&mut sms[1]);
+        let mut globals = [0, 1].map(|_| GlobalMemory::new(config.global_mem_words));
+        let (mut next_cta, mut cycle) = (0u32, 0u64);
+        loop {
+            let mut dispatched = None;
+            for sm in &mut sms {
+                let mut cta = next_cta;
+                while cta < grid.num_ctas && sm.try_dispatch_cta(CtaId(cta), cycle) {
+                    cta += 1;
+                }
+                assert_eq!(*dispatched.get_or_insert(cta), cta, "cycle {cycle}");
+            }
+            next_cta = dispatched.expect("two SMs");
+            before(&mut sms[1]);
+            for (sm, global) in sms.iter_mut().zip(&mut globals) {
+                sm.cycle(cycle, global);
+                sm.commit_global_writes(global);
+            }
+            check(cycle, &sms[0], &sms[1]);
+            cycle += 1;
+            if next_cta == grid.num_ctas && sms.iter().all(Sm::is_idle) {
+                break;
+            }
+            assert!(cycle < 200_000, "lockstep run did not terminate");
+        }
+        assert!(
+            globals[0].nonzero_words().eq(globals[1].nonzero_words()),
+            "final global memory"
+        );
+        sms.map(|mut sm| {
+            let trace = sm.finish_observation(cycle).trace;
+            assert!(trace.len() < 1 << 18, "the trace ring dropped events");
+            (sm, trace)
+        })
+    }
+
+    /// Which issue-walk situations the reference schedulers met.
+    #[derive(Debug, Default)]
+    struct ListSeen {
+        /// Turns whose first candidate the jitter hash skipped.
+        jitter_head: std::sync::atomic::AtomicUsize,
+        /// GTO turns that listed the greedy warp first and another after.
+        greedy_head: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ListSeen {
+        /// Counts one turn's list for coverage.
+        fn note(&self, config: &GpuConfig, list: &[usize], greedy: Option<usize>, cycle: u64) {
+            use std::sync::atomic::Ordering::Relaxed;
+            if let Some(&head) = list.first() {
+                if jitter_skips(config, 0, head, cycle) {
+                    self.jitter_head.fetch_add(1, Relaxed);
+                }
+                if greedy == Some(head) && list.len() > 1 {
+                    self.greedy_head.fetch_add(1, Relaxed);
+                }
+            }
+        }
+    }
+
+    /// GTO as it read before the on-demand walk: every turn lists the
+    /// greedy warp, if issuable, then every other issuable warp oldest
+    /// first, and the SM walks the list.
+    #[derive(Debug)]
+    struct ListGto {
+        greedy: Option<usize>,
+        config: GpuConfig,
+        seen: Arc<ListSeen>,
+    }
+
+    impl WarpScheduler for ListGto {
+        fn prioritize(&mut self, warps: &WarpSet<'_>, cycle: u64, out: &mut Vec<usize>) -> Walk {
+            out.clear();
+            let issuable = warps.issuable;
+            if let Some(g) = self.greedy {
+                if issuable.contains(g) {
+                    out.push(g);
+                }
+            }
+            out.extend(
+                warps
+                    .ages
+                    .iter()
+                    .map(|&(_, slot)| slot)
+                    .filter(|&slot| issuable.contains(slot) && Some(slot) != self.greedy),
+            );
+            self.seen.note(&self.config, out, self.greedy, cycle);
+            Walk::list()
+        }
+
+        fn on_issue(&mut self, slot: usize, _cycle: u64) {
+            self.greedy = Some(slot);
+        }
+
+        fn on_warp_start(&mut self, _slot: usize) {}
+
+        fn on_warp_finish(&mut self, slot: usize) {
+            if self.greedy == Some(slot) {
+                self.greedy = None;
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "GTO"
+        }
+    }
+
+    /// LRR as it read before the on-demand walk: its issuable slots in
+    /// slot order, rotated to start after the last issued one.
+    #[derive(Debug)]
+    struct ListLrr {
+        last: Option<usize>,
+        config: GpuConfig,
+        seen: Arc<ListSeen>,
+    }
+
+    impl WarpScheduler for ListLrr {
+        fn prioritize(&mut self, warps: &WarpSet<'_>, cycle: u64, out: &mut Vec<usize>) -> Walk {
+            out.clear();
+            out.extend(warps.owned_in(warps.issuable));
+            if let Some(last) = self.last {
+                let start = out.iter().position(|&s| s > last).unwrap_or(0);
+                out.rotate_left(start);
+            }
+            self.seen.note(&self.config, out, None, cycle);
+            Walk::list()
+        }
+
+        fn on_issue(&mut self, slot: usize, _cycle: u64) {
+            self.last = Some(slot);
+        }
+
+        fn on_warp_start(&mut self, _slot: usize) {}
+
+        fn on_warp_finish(&mut self, _slot: usize) {}
+
+        fn name(&self) -> &'static str {
+            "LRR"
+        }
+    }
+
+    /// A kernel whose warps take roles by warp id: role 3 exits at once,
+    /// the others load, loop a CTA-dependent number of times and meet at
+    /// a barrier, after which role 2 exits and the rest finish a
+    /// dependent chain. Every branch is uniform within a warp, so each
+    /// unguarded `exit` retires the whole warp.
+    fn role_kernel() -> Arc<Kernel> {
+        let mut kb = KernelBuilder::new("roles");
+        kb.mov_special(Reg(0), SpecialReg::TidX);
+        kb.mov_special(Reg(8), SpecialReg::GlobalTid);
+        kb.mov_special(Reg(5), SpecialReg::WarpId);
+        kb.mov_special(Reg(7), SpecialReg::CtaIdX);
+        kb.iand_imm(Reg(1), Reg(5), 3);
+        kb.setp_imm(PredReg(0), CmpOp::Eq, Reg(1), 3);
+        let main = kb.new_label();
+        kb.bra_if(PredReg(0), false, main);
+        kb.exit();
+        kb.place_label(main);
+        kb.ldg(Reg(2), Reg(8), 0);
+        kb.iadd(Reg(3), Reg(2), Reg(0));
+        kb.ldg(Reg(9), Reg(8), 0x800);
+        kb.iand_imm(Reg(10), Reg(7), 3);
+        kb.imul_imm(Reg(10), Reg(10), 4);
+        kb.iadd(Reg(10), Reg(10), Reg(1));
+        kb.mov_imm(Reg(6), 0);
+        let top = kb.new_label();
+        kb.place_label(top);
+        kb.iadd_imm(Reg(6), Reg(6), 1);
+        kb.imad(Reg(4), Reg(6), Reg(3), Reg(4));
+        kb.setp(PredReg(2), CmpOp::Le, Reg(6), Reg(10));
+        kb.bra_if(PredReg(2), true, top);
+        kb.setp_imm(PredReg(1), CmpOp::Eq, Reg(1), 2);
+        kb.bar();
+        kb.guard(PredReg(1), true).exit();
+        kb.iadd(Reg(3), Reg(3), Reg(9));
+        kb.imad(Reg(4), Reg(4), Reg(3), Reg(0));
+        kb.iadd(Reg(4), Reg(4), Reg(3));
+        kb.stg(Reg(8), Reg(4), 0);
+        kb.exit();
+        Arc::new(kb.build().unwrap())
+    }
+
+    #[test]
+    fn on_demand_walk_issues_as_the_list_building_schedulers_did() {
+        // Seeded configurations of GTO and LRR: 1 to 4 schedulers, 48 to
+        // 128 warp slots, as few as 2 collector units, jitter from none to
+        // every second warp, and 1 to 3 issues per scheduler. The
+        // reference SM runs test-only copies of the list-building GTO and
+        // LRR through the SM's list path, which is the issue loop as it
+        // was. Every cycle both SMs must hold the same issue state and
+        // statistics, and in the end the same pipeline trace.
+        let kernel = role_kernel();
+        let unguarded_exits: Vec<usize> = (0..kernel.len())
+            .filter(|&pc| {
+                let instr = kernel.fetch(pc);
+                instr.opcode == prf_isa::Opcode::Exit && instr.guard.is_none()
+            })
+            .collect();
+        let seen = Arc::new(ListSeen::default());
+        let (mut collector_stalls, mut second_word, mut barrier) = (0, 0, 0);
+        let mut exit_mid_turn = [0usize; 2];
+        for seed in 0..16u64 {
+            let mut h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut pick = |n: usize| {
+                h ^= h << 13;
+                h ^= h >> 7;
+                h ^= h << 17;
+                (h % n as u64) as usize
+            };
+            let gto = seed % 2 == 0;
+            let config = GpuConfig {
+                global_mem_words: 1 << 14,
+                scheduler: if gto {
+                    SchedulerPolicy::Gto
+                } else {
+                    SchedulerPolicy::Lrr
+                },
+                num_schedulers: [1, 2, 4][pick(3)],
+                max_warps_per_sm: [48, 64, 96, 128][pick(4)],
+                max_ctas_per_sm: [2, 4, 16][pick(3)],
+                num_collectors: [2, 3, 8, 24][pick(4)],
+                issue_jitter: [0, 2, 3, 13][pick(4)],
+                issue_per_scheduler: [1, 2, 2, 3][pick(4)],
+                jitter_seed: seed,
+                ..GpuConfig::kepler_single_sm()
+            };
+            config.validate();
+            let reference = |sm: &mut Sm| {
+                for s in &mut sm.schedulers {
+                    let (config, seen) = (config.clone(), Arc::clone(&seen));
+                    *s = if gto {
+                        Box::new(ListGto {
+                            greedy: None,
+                            config,
+                            seen,
+                        })
+                    } else {
+                        Box::new(ListLrr {
+                            last: None,
+                            config,
+                            seen,
+                        })
+                    };
+                }
+            };
+            let [(sm, trace), (reference, reference_trace)] = run_lockstep(
+                &kernel,
+                GridConfig::new(12, 256),
+                &config,
+                reference,
+                |_| {},
+                |cycle, sm, reference| {
+                    assert_eq!(
+                        sm.issue_slots, reference.issue_slots,
+                        "seed {seed} cycle {cycle}"
+                    );
+                    assert_eq!(sm.stats, reference.stats, "seed {seed} cycle {cycle}");
+                    second_word += usize::from(sm.issuable.words().iter().skip(1).any(|&w| w != 0));
+                    barrier += usize::from(!sm.barrier.is_empty());
+                },
+            );
+            assert_eq!(trace, reference_trace, "seed {seed}");
+            assert_eq!(sm.stats.instructions, reference.stats.instructions);
+            collector_stalls += sm.stats.collector_stalls;
+            // A turn in which a warp retired at an unguarded exit and
+            // another warp issued after it.
+            let nsched = config.num_schedulers;
+            let issues: Vec<(u64, usize, usize)> = trace
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::Issue {
+                        cycle, warp, pc, ..
+                    } => Some((cycle, warp, pc)),
+                    _ => None,
+                })
+                .collect();
+            for (i, &(cycle, warp, pc)) in issues.iter().enumerate() {
+                if unguarded_exits.contains(&pc) {
+                    let later = issues[i + 1..].iter().take_while(|e| e.0 == cycle);
+                    if later.into_iter().any(|e| e.1 % nsched == warp % nsched) {
+                        exit_mid_turn[usize::from(gto)] += 1;
+                    }
+                }
+            }
+        }
+        use std::sync::atomic::Ordering::Relaxed;
+        let coverage = (
+            seen.jitter_head.load(Relaxed),
+            seen.greedy_head.load(Relaxed),
+            collector_stalls,
+            exit_mid_turn,
+            second_word,
+            barrier,
+        );
+        assert!(
+            coverage.0 > 0
+                && coverage.1 > 0
+                && coverage.2 > 0
+                && coverage.3.iter().all(|&n| n > 0)
+                && coverage.4 > 0
+                && coverage.5 > 0,
+            "{coverage:?}"
+        );
+    }
+
+    #[test]
+    fn barrier_scan_on_change_releases_when_a_scan_every_cycle_would() {
+        // Eight warp slots and CTAs of four warps. Odd warps loop, store
+        // and exit without a barrier, so their CTA's even warps, waiting
+        // at the first barrier, are released by an exit. Once four odd slots
+        // are free, a new CTA takes them while the older CTAs' even warps
+        // still run: those CTAs keep their slots and stale slot lists, and
+        // their barrier checks read the new CTA's warps. The reference
+        // scans every cycle; both must release the same warps each cycle.
+        let mut kb = KernelBuilder::new("skewed_barriers");
+        kb.mov_special(Reg(5), SpecialReg::WarpId);
+        kb.mov_special(Reg(7), SpecialReg::CtaIdX);
+        kb.mov_special(Reg(8), SpecialReg::GlobalTid);
+        kb.iand_imm(Reg(1), Reg(5), 1);
+        kb.iand_imm(Reg(10), Reg(7), 3);
+        kb.imul_imm(Reg(10), Reg(10), 3);
+        kb.iadd(Reg(10), Reg(10), Reg(5));
+        kb.mov_imm(Reg(6), 0);
+        kb.setp_imm(PredReg(0), CmpOp::Eq, Reg(1), 1);
+        let even = kb.new_label();
+        kb.bra_if(PredReg(0), false, even);
+        let odd_loop = kb.new_label();
+        kb.place_label(odd_loop);
+        kb.iadd_imm(Reg(6), Reg(6), 1);
+        kb.setp(PredReg(1), CmpOp::Le, Reg(6), Reg(10));
+        kb.bra_if(PredReg(1), true, odd_loop);
+        // In flight at the exit: the slot stays exited, not empty, until
+        // the store retires.
+        kb.stg(Reg(8), Reg(6), 0x1000);
+        kb.exit();
+        kb.place_label(even);
+        kb.bar();
+        let even_loop = kb.new_label();
+        kb.place_label(even_loop);
+        kb.iadd_imm(Reg(6), Reg(6), 2);
+        kb.ldg(Reg(2), Reg(8), 0);
+        kb.setp(PredReg(1), CmpOp::Le, Reg(6), Reg(10));
+        kb.bra_if(PredReg(1), true, even_loop);
+        kb.bar();
+        kb.iadd(Reg(3), Reg(2), Reg(6));
+        kb.stg(Reg(8), Reg(3), 0);
+        kb.exit();
+        let kernel = Arc::new(kb.build().unwrap());
+        let (mut releases, mut stale_releases) = (0, 0);
+        for (seed, scheduler) in (0..6u64).zip(
+            [
+                SchedulerPolicy::Gto,
+                SchedulerPolicy::Lrr,
+                SchedulerPolicy::TwoLevel {
+                    active_per_scheduler: 1,
+                },
+            ]
+            .into_iter()
+            .cycle(),
+        ) {
+            let config = GpuConfig {
+                global_mem_words: 1 << 14,
+                max_warps_per_sm: 8,
+                max_ctas_per_sm: 4,
+                scheduler,
+                jitter_seed: seed,
+                ..GpuConfig::kepler_single_sm()
+            };
+            config.validate();
+            let mut before_cycle = vec![IssueSlot::default(); 8];
+            run_lockstep(
+                &kernel,
+                GridConfig::new(9, 128),
+                &config,
+                |_| {},
+                |reference| reference.barrier_dirty = true,
+                |cycle, sm, reference| {
+                    assert_eq!(
+                        sm.issue_slots, reference.issue_slots,
+                        "seed {seed} cycle {cycle}"
+                    );
+                    assert_eq!(sm.stats, reference.stats, "seed {seed} cycle {cycle}");
+                    let released = (0..8).any(|slot| {
+                        before_cycle[slot].status == SlotStatus::Barrier
+                            && sm.issue_slots[slot].status != SlotStatus::Barrier
+                    });
+                    let stale = sm.cta_slots.iter().enumerate().any(|(cta_slot, c)| {
+                        c.as_ref().is_some_and(|c| {
+                            c.warp_slots.iter().any(|&s| {
+                                sm.warps[s].as_ref().is_some_and(|w| w.cta_slot != cta_slot)
+                            })
+                        })
+                    });
+                    releases += usize::from(released);
+                    stale_releases += usize::from(released && stale);
+                    before_cycle.clone_from(&sm.issue_slots);
+                },
+            );
+        }
+        assert!(
+            releases > 0 && stale_releases > 0,
+            "{releases} {stale_releases}"
+        );
     }
 
     #[test]
