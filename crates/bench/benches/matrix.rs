@@ -14,7 +14,7 @@ use prf_sim::SchedulerPolicy;
 /// organisations × 2 jitter seeds = 12 independent simulations.
 fn jobs() -> Vec<Job> {
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     ["backprop", "srad", "BFS"]
         .iter()
         .flat_map(|name| {

@@ -25,7 +25,7 @@ fn bench_simulation(c: &mut Criterion) {
         g.bench_function(format!("{name}/mrf_stv"), |b| {
             b.iter(|| run_experiment(&gpu, &RfKind::MrfStv, &w.launches, &w.mem_init).unwrap())
         });
-        let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+        let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
         g.bench_function(format!("{name}/partitioned"), |b| {
             b.iter(|| run_experiment(&gpu, &part, &w.launches, &w.mem_init).unwrap())
         });

@@ -28,7 +28,7 @@ fn main() {
                 rf_pipelined: pipelined,
                 ..experiment_gpu(SchedulerPolicy::Gto)
             };
-            let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+            let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
             suite
                 .iter()
                 .flat_map(|w| {

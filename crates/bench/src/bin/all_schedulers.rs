@@ -27,7 +27,7 @@ fn main() {
         .iter()
         .flat_map(|&policy| {
             let gpu = experiment_gpu(policy);
-            let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+            let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
             suite
                 .iter()
                 .flat_map(move |w| {

@@ -18,11 +18,8 @@ fn main() {
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     const SEEDS: u64 = 3;
-    let drowsy = RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-        gpu.num_rf_banks,
-        gpu.max_warps_per_sm,
-    ));
-    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let drowsy = RfKind::Drowsy(DrowsyConfig::paper_adjacent());
+    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let suite = prf_workloads::suite();
     let cells: Vec<Cell> = suite
         .iter()
@@ -71,9 +68,7 @@ fn main() {
     println!(
         "Drowsy leakage is charged at the fraction of register-cycles each run\n\
          measured asleep (\"asleep\"), with drowsy cells at {:.0}% of awake leakage.",
-        100.0
-            * DrowsyConfig::paper_adjacent(gpu.num_rf_banks, gpu.max_warps_per_sm)
-                .drowsy_leak_ratio
+        100.0 * DrowsyConfig::paper_adjacent().drowsy_leak_ratio
     );
     println!();
     println!("Drowsy's dynamic saving is ~0 by construction (every access still runs");

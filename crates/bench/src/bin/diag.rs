@@ -27,11 +27,11 @@ fn main() {
         ("MRF@NTV", RfKind::MrfNtv { latency: 3 }),
         (
             "partitioned",
-            RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         ),
         (
             "part-noadapt",
-            RfKind::Partitioned(PartitionedRfConfig::without_adaptive(gpu.num_rf_banks)),
+            RfKind::Partitioned(PartitionedRfConfig::without_adaptive()),
         ),
         (
             "part-alwayslow",
@@ -40,7 +40,7 @@ fn main() {
                     epoch_length: 50,
                     threshold: u32::MAX,
                 }),
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                ..PartitionedRfConfig::paper_default()
             }),
         ),
         (
@@ -50,7 +50,7 @@ fn main() {
                     epoch_length: 50,
                     threshold: 0,
                 }),
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                ..PartitionedRfConfig::paper_default()
             }),
         ),
     ];

@@ -50,7 +50,7 @@ fn main() {
     // ---- Fig. 5/6/7: run a Category-2 workload and narrate ------------
     let w = prf_workloads::by_name("kmeans").expect("kmeans exists");
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let (results, report, mut run_report) =
         run_cells_reported("fig03_07_mechanisms", &[Cell::new(&w, &gpu, &rf)], 1);
     let r = &results[0];

@@ -71,7 +71,7 @@ fn main() {
         "Cat1: compiler within 10% of pilot; Cat2: compiler >10% below; Cat3: >10% above",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let part = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let suite = prf_workloads::suite();
     // Launches are independent, so every launch × {MRF@STV, partitioned}
     // pair is its own cell of one matrix.

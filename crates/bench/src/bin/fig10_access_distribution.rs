@@ -17,7 +17,7 @@ fn main() {
         "62% of accesses to the FRF; 22% of FRF accesses in FRF_low mode",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let suite = prf_workloads::suite();
     let cells: Vec<Cell> = suite.iter().map(|w| Cell::new(w, &gpu, &rf)).collect();
     let (results, report, mut run_report) =

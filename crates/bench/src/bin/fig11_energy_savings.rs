@@ -16,8 +16,8 @@ fn main() {
         "partitioned+adaptive saves 54%; MRF@NTV saves 47%; leakage saving 39%",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let plain = RfKind::Partitioned(PartitionedRfConfig::without_adaptive(gpu.num_rf_banks));
-    let adaptive = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let plain = RfKind::Partitioned(PartitionedRfConfig::without_adaptive());
+    let adaptive = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let ntv = RfKind::MrfNtv { latency: 3 };
 
     // The whole figure as one parallel matrix: 3 RF organisations per

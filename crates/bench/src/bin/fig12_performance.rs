@@ -20,10 +20,10 @@ fn main() {
     };
     let gpu_gto = experiment_gpu(SchedulerPolicy::Gto);
     let gpu_tl = experiment_gpu(tl);
-    let hybrid = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu_gto.num_rf_banks));
+    let hybrid = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let compiler = RfKind::Partitioned(PartitionedRfConfig {
         strategy: ProfilingStrategy::Compiler,
-        ..PartitionedRfConfig::paper_default(gpu_gto.num_rf_banks)
+        ..PartitionedRfConfig::paper_default()
     });
     let ntv = RfKind::MrfNtv { latency: 3 };
 

@@ -83,9 +83,9 @@ fn main() {
             mrf_latency: if c.mrf_ntv { 3 } else { 1 },
             sized_for_warps: c.active_warps,
             crossbar_banks: c.rfc_banks,
-            ..RfcConfig::paper_default(gpu.num_rf_banks, gpu.max_warps_per_sm)
+            ..RfcConfig::paper_default()
         };
-        let part_cfg = PartitionedRfConfig::paper_default(gpu.num_rf_banks);
+        let part_cfg = PartitionedRfConfig::paper_default();
         for w in &suite {
             cells.push(Cell::new(w, &gpu, &RfKind::MrfStv));
             cells.push(Cell::new(w, &gpu, &RfKind::Rfc(rfc_cfg)));

@@ -89,7 +89,7 @@ fn main() {
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let mrf = RfKind::MrfStv;
-    let pilot = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let pilot = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let gating = PowerGatingModel::greener_default();
 
     let mut suite = prf_workloads::suite();

@@ -121,13 +121,13 @@ fn schedulers() -> Vec<SchedulerPolicy> {
     ]
 }
 
-fn rf_kinds(banks: usize, max_warps: usize) -> Vec<RfKind> {
+fn rf_kinds() -> Vec<RfKind> {
     vec![
         RfKind::MrfStv,
         RfKind::MrfNtv { latency: 3 },
-        RfKind::Partitioned(PartitionedRfConfig::paper_default(banks)),
-        RfKind::Rfc(RfcConfig::paper_default(banks, max_warps)),
-        RfKind::Drowsy(DrowsyConfig::paper_adjacent(banks, max_warps)),
+        RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+        RfKind::Rfc(RfcConfig::paper_default()),
+        RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
     ]
 }
 
@@ -190,11 +190,9 @@ fn differential_case(generator: &RandomKernelGenerator, index: u64) -> Vec<Strin
         )];
     }
     let kernel = Arc::new(case.kernel.clone());
-    let banks = GpuConfig::kepler_single_sm().num_rf_banks;
-    let max_warps = GpuConfig::kepler_single_sm().max_warps_per_sm;
     // (instructions, output image) must agree across every cell.
     let mut architectural: Option<(u64, Vec<u32>, String)> = None;
-    let rfs = rf_kinds(banks, max_warps);
+    let rfs = rf_kinds();
     for scheduler in schedulers() {
         for rf in &rfs {
             let label = format!("case {index} {}/{}", scheduler.name(), rf.name());
@@ -303,9 +301,7 @@ fn realloc_case(generator: &RandomKernelGenerator, index: u64) -> Vec<String> {
     };
     let original = Arc::new(case.kernel.clone());
     let rewritten = Arc::new(r.kernel);
-    let banks = GpuConfig::kepler_single_sm().num_rf_banks;
-    let max_warps = GpuConfig::kepler_single_sm().max_warps_per_sm;
-    let rfs = rf_kinds(banks, max_warps);
+    let rfs = rf_kinds();
     let mut errors = Vec::new();
     for scheduler in schedulers() {
         for rf in &rfs {
@@ -387,9 +383,7 @@ fn table1_cell(
 /// Realloc differential over every Table I suite kernel, full scheduler ×
 /// RF matrix, full-memory-image oracle.
 fn realloc_table1() -> Vec<String> {
-    let banks = GpuConfig::kepler_single_sm().num_rf_banks;
-    let max_warps = GpuConfig::kepler_single_sm().max_warps_per_sm;
-    let rfs = rf_kinds(banks, max_warps);
+    let rfs = rf_kinds();
     let mut errors = Vec::new();
     for w in prf_workloads::suite() {
         for (li, launch) in w.launches.iter().enumerate() {

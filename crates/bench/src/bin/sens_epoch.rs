@@ -24,7 +24,7 @@ fn main() {
         .flat_map(|&ep| {
             let cfg = PartitionedRfConfig {
                 adaptive: Some(AdaptiveFrfConfig::with_epoch(ep, issue_width)),
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                ..PartitionedRfConfig::paper_default()
             };
             suite
                 .iter()

@@ -25,7 +25,7 @@ fn main() {
             LATENCIES.map(|lat| {
                 let cfg = PartitionedRfConfig {
                     srf_latency: lat,
-                    ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                    ..PartitionedRfConfig::paper_default()
                 };
                 Cell::new(w, &gpu, &RfKind::Partitioned(cfg))
             })

@@ -20,7 +20,7 @@ fn main() {
     let rfs = [false, true].map(|extra| {
         RfKind::Partitioned(PartitionedRfConfig {
             swap_table_extra_cycle: extra,
-            ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+            ..PartitionedRfConfig::paper_default()
         })
     });
     let suite = prf_workloads::suite();

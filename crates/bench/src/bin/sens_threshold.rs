@@ -29,7 +29,7 @@ fn main() {
                     epoch_length: 50,
                     threshold,
                 }),
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+                ..PartitionedRfConfig::paper_default()
             };
             suite
                 .iter()

@@ -18,7 +18,7 @@ fn main() {
         "regs/thread and threads/CTA exact; pilot% tiny except MUM(37) CP(47) LIB(60) WP(75)",
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let suite = prf_workloads::suite();
     let cells: Vec<Cell> = suite.iter().map(|w| Cell::new(w, &gpu, &rf)).collect();
     let (results, report, run_report) = run_cells_reported("table1_benchmarks", &cells, 1);

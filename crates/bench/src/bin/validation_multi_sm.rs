@@ -34,7 +34,7 @@ fn main() {
                     num_sms: sms,
                     ..experiment_gpu(SchedulerPolicy::Gto)
                 };
-                let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+                let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
                 Cell::new(w, &gpu, &rf)
             })
         })

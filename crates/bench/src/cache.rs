@@ -751,9 +751,7 @@ mod tests {
             audit,
             ..GpuConfig::kepler_single_sm()
         };
-        let rf = RfKind::Partitioned(prf_core::PartitionedRfConfig::paper_default(
-            gpu.num_rf_banks,
-        ));
+        let rf = RfKind::Partitioned(prf_core::PartitionedRfConfig::paper_default());
         let job = Job::new(format!("BFS/seed{seed}"), &w, &gpu, &rf);
         let result = prf_core::run_experiment_with_faults(
             &job.gpu,

@@ -45,7 +45,12 @@ use crate::runner::Job;
 /// campaign, and drowsy leakage is charged at the measured drowsy
 /// fraction (version 2 results: a fresh spare table per launch and a
 /// fixed fraction of 0.6).
-pub const DIGEST_VERSION: u64 = 3;
+///
+/// 4: the partitioned, RFC and drowsy configurations no longer carry the
+/// bank count and warp-slot count; the models take both from the
+/// `GpuConfig`, so the `RfKind` encoding changed while every simulated
+/// number stayed the same.
+pub const DIGEST_VERSION: u64 = 4;
 
 /// A minimal, dependency-free SHA-256 (FIPS 180-4). Plenty fast for
 /// hashing job descriptions — the unit of work here is an entire GPU

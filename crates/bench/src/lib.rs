@@ -58,9 +58,8 @@ pub struct HarnessArgs {
     /// audit (`prf_sim::audit`); the matrix footer counts audited jobs and
     /// violations.
     pub audit: bool,
-    /// `--sample <cycles>`, else `PRF_SAMPLE_WINDOW`: the sampled-telemetry
-    /// window. `None` keeps simulation output bit-identical to builds
-    /// predating telemetry.
+    /// `--sample <cycles>`: the sampled-telemetry window. `None` keeps
+    /// simulation output bit-identical to builds predating telemetry.
     pub sample: Option<SamplingConfig>,
     /// `--faults <seed>,<vdd>`: the fault campaign of every job (see
     /// [`fault_config_for`]), built once and shared.
@@ -92,18 +91,13 @@ pub struct HarnessArgs {
 impl HarnessArgs {
     /// Parses `args` (without the program name) and the `PRF_*` variables
     /// that `env` looks up. A value follows its flag as the next argument
-    /// or after `=`; `PRF_SAMPLE_WINDOW` applies only when `--sample` is
-    /// absent. Other `--flags` are ignored, so libtest and criterion
+    /// or after `=`. Other `--flags` are ignored, so libtest and criterion
     /// arguments pass through. An error names the offending flag or
     /// variable.
     fn parse(
         args: impl IntoIterator<Item = String>,
         env: impl Fn(&str) -> Option<OsString>,
     ) -> Result<HarnessArgs, String> {
-        let window = |source: &str, v: &str| match v.trim().parse::<u64>() {
-            Ok(w) if w >= 1 => Ok(SamplingConfig::every(w)),
-            _ => Err(format!("{source}: `{v}` is not a positive cycle count")),
-        };
         let text = |key: &str| {
             env(key)
                 .map(|v| {
@@ -163,7 +157,13 @@ impl HarnessArgs {
             };
             match flag {
                 "--audit" => parsed.audit = true,
-                "--sample" => parsed.sample = Some(window(flag, &value()?)?),
+                "--sample" => {
+                    let v = value()?;
+                    match v.trim().parse::<u64>() {
+                        Ok(w) if w >= 1 => parsed.sample = Some(SamplingConfig::every(w)),
+                        _ => return Err(format!("{flag}: `{v}` is not a positive cycle count")),
+                    }
+                }
                 "--faults" => {
                     let (seed, vdd) =
                         parse_faults_spec(&value()?).map_err(|e| format!("{flag}: {e}"))?;
@@ -173,9 +173,6 @@ impl HarnessArgs {
                 _ if !arg.starts_with("--") => parsed.positional.push(arg),
                 _ => {}
             }
-        }
-        if let (None, Some(v)) = (parsed.sample, text("PRF_SAMPLE_WINDOW")?) {
-            parsed.sample = Some(window("PRF_SAMPLE_WINDOW", &v)?);
         }
         Ok(parsed)
     }
@@ -260,14 +257,6 @@ pub struct AveragedResult {
     pub cycles_max: u64,
     /// Number of seeds averaged.
     pub seeds: u64,
-}
-
-impl AveragedResult {
-    /// Max-minus-min cycle spread as a fraction of the mean — a quick
-    /// "how noisy was this timing" figure for report footers.
-    pub fn cycle_spread(&self) -> f64 {
-        (self.cycles_max - self.cycles_min) as f64 / self.result.cycles.max(1) as f64
-    }
 }
 
 impl Deref for AveragedResult {
@@ -554,41 +543,25 @@ mod tests {
 
     #[test]
     fn harness_args_parse_flags_values_and_positionals() {
-        let parse = |args: &str, window: Option<&str>| {
-            let vars: Vec<_> = window
-                .map(|w| ("PRF_SAMPLE_WINDOW", w))
-                .into_iter()
-                .collect();
-            parse_in(args, &vars)
-        };
-        let a = parse("BFS --faults 42,0.3 --sample=100 SRAD", None).unwrap();
+        let parse = |args: &str| parse_in(args, &[]);
+        let a = parse("BFS --faults 42,0.3 --sample=100 SRAD").unwrap();
         assert_eq!(a.positional, ["BFS", "SRAD"]);
         assert!(a.faults.is_some() && !a.audit && a.trace_out.is_none());
         assert_eq!(a.sample, Some(SamplingConfig::every(100)));
-        let a = parse("--audit --trace-out t.json --sample 50 kmeans", None).unwrap();
+        let a = parse("--audit --trace-out t.json --sample 50 kmeans").unwrap();
         assert_eq!(a.positional, ["kmeans"]);
         assert!(a.audit && a.faults.is_none());
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
         assert_eq!(a.sample, Some(SamplingConfig::every(50)));
 
         for args in ["--sample 0", "--sample", "--faults 42", "--trace-out"] {
-            let err = parse(args, None).unwrap_err();
+            let err = parse(args).unwrap_err();
             let flag = args.split(' ').next().unwrap();
             assert!(err.contains(flag), "{args}: {err}");
         }
 
-        // The environment window applies only without `--sample`.
-        let window = |args, env| parse(args, env).unwrap().sample;
-        assert_eq!(window("", Some("300")), Some(SamplingConfig::every(300)));
-        assert_eq!(
-            window("--sample 20", Some("300")),
-            Some(SamplingConfig::every(20))
-        );
-        let err = parse("", Some("0")).unwrap_err();
-        assert!(err.contains("PRF_SAMPLE_WINDOW"), "{err}");
-
         // libtest arguments pass through untouched.
-        let a = parse("--test-threads=2 --nocapture", None).unwrap();
+        let a = parse("--test-threads=2 --nocapture").unwrap();
         assert!(!a.audit && a.sample.is_none() && a.faults.is_none() && a.trace_out.is_none());
         assert!(a.positional.is_empty());
     }
@@ -625,7 +598,6 @@ mod tests {
                 ("PRF_JOURNAL_DIR", "j"),
                 ("PRF_REPORT_DIR", "r"),
                 ("PRF_CSV_DIR", "csv"),
-                ("PRF_SAMPLE_WINDOW", "64"),
             ],
         )
         .unwrap();
@@ -643,7 +615,6 @@ mod tests {
         assert_eq!(a.journal_dir, Some(PathBuf::from("j")));
         assert_eq!(a.report_dir, PathBuf::from("r"));
         assert_eq!(a.csv_dir, Some(PathBuf::from("csv")));
-        assert_eq!(a.sample, Some(SamplingConfig::every(64)));
         // `0/1` is unsharded and a zero timeout disables the watchdog.
         let a = parse_in("", &[("PRF_SHARD", "0/1"), ("PRF_JOB_TIMEOUT_SECS", "0")]).unwrap();
         assert_eq!((a.shard, a.retry.timeout), (None, None));
@@ -660,7 +631,6 @@ mod tests {
             ("PRF_JOURNAL_DIR", ""),
             ("PRF_REPORT_DIR", ""),
             ("PRF_CSV_DIR", ""),
-            ("PRF_SAMPLE_WINDOW", "0"),
         ] {
             let err = parse_in("", &[(var, bad)]).unwrap_err();
             assert!(err.starts_with(&format!("{var}: ")), "{var}={bad:?}: {err}");

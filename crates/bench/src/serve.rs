@@ -116,7 +116,12 @@ impl Default for ServeConfig {
 /// configuration for parameterised kinds. Accepted names (ASCII
 /// case-insensitive): `MRF@STV`, `MRF@NTV`, `partitioned`,
 /// `partitioned-plain` (no adaptive FRF), `RFC`, `drowsy`.
-pub fn rf_by_name(name: &str, gpu: &GpuConfig) -> Option<RfKind> {
+///
+/// The models take the bank count and warp slots from the machine they
+/// run on, so `_gpu` is unused. It is kept only because the repository
+/// benchmark (`perfbench/src/matrix.rs`) calls this function; it goes
+/// when that benchmark next changes.
+pub fn rf_by_name(name: &str, _gpu: &GpuConfig) -> Option<RfKind> {
     let n = name.trim();
     let eq = |s: &str| n.eq_ignore_ascii_case(s);
     if eq("MRF@STV") {
@@ -124,23 +129,13 @@ pub fn rf_by_name(name: &str, gpu: &GpuConfig) -> Option<RfKind> {
     } else if eq("MRF@NTV") {
         Some(RfKind::MrfNtv { latency: 3 })
     } else if eq("partitioned") {
-        Some(RfKind::Partitioned(PartitionedRfConfig::paper_default(
-            gpu.num_rf_banks,
-        )))
+        Some(RfKind::Partitioned(PartitionedRfConfig::paper_default()))
     } else if eq("partitioned-plain") {
-        Some(RfKind::Partitioned(PartitionedRfConfig::without_adaptive(
-            gpu.num_rf_banks,
-        )))
+        Some(RfKind::Partitioned(PartitionedRfConfig::without_adaptive()))
     } else if eq("RFC") {
-        Some(RfKind::Rfc(RfcConfig::paper_default(
-            gpu.num_rf_banks,
-            gpu.max_warps_per_sm,
-        )))
+        Some(RfKind::Rfc(RfcConfig::paper_default()))
     } else if eq("drowsy") {
-        Some(RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-            gpu.num_rf_banks,
-            gpu.max_warps_per_sm,
-        )))
+        Some(RfKind::Drowsy(DrowsyConfig::paper_adjacent()))
     } else {
         None
     }

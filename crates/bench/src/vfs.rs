@@ -343,11 +343,6 @@ impl Vfs for FaultyVfs {
     }
 }
 
-/// Convenience for tests and tools: reads a file as UTF-8 (lossy).
-pub fn read_to_string_lossy(vfs: &dyn Vfs, path: &Path) -> io::Result<String> {
-    Ok(String::from_utf8_lossy(&vfs.read(path)?).into_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,11 +26,8 @@ fn matrix() -> Vec<Job> {
     gpu.audit = true;
     let kinds = [
         RfKind::MrfStv,
-        RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-        RfKind::Rfc(RfcConfig::paper_default(
-            gpu.num_rf_banks,
-            gpu.max_warps_per_sm,
-        )),
+        RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+        RfKind::Rfc(RfcConfig::paper_default()),
     ];
     ["BFS", "MUM", "LIB"]
         .iter()
@@ -81,7 +78,7 @@ fn parallel_matrix_is_bit_identical_to_serial() {
 fn seed_averaging_is_thread_count_independent() {
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let w = prf_workloads::by_name("BFS").unwrap();
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let jobs = seed_jobs(&w, &gpu, &rf, 3);
     let averaged = |threads| -> AveragedResult {
         let results: Vec<_> = run(&jobs, threads)
@@ -109,7 +106,7 @@ fn seed_averaging_is_thread_count_independent() {
 fn single_seed_cell_matches_a_direct_run() {
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let w = prf_workloads::by_name("BFS").unwrap();
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let (results, report, _) =
         run_cells_reported("single_seed_identity", &[Cell::new(&w, &gpu, &rf)], 1);
     assert_eq!(report.jobs, 1);

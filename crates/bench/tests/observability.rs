@@ -22,7 +22,7 @@ fn run(window: u64, audit: bool, trace_capacity: usize) -> ExperimentResult {
     gpu.sampling = (window > 0).then(|| SamplingConfig::every(window));
     gpu.audit = audit;
     gpu.trace_capacity = trace_capacity;
-    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
     let w = prf_workloads::by_name("BFS").unwrap();
     run_experiment_with_faults(&gpu, &rf, &w.launches, &w.mem_init, None).unwrap()
 }

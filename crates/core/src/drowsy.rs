@@ -28,10 +28,6 @@ pub struct DrowsyConfig {
     pub wake_latency: u32,
     /// Base (awake) access latency.
     pub base_latency: u32,
-    /// Register-file banks.
-    pub num_banks: usize,
-    /// Hardware warp slots.
-    pub max_warps: usize,
     /// Leakage power of a drowsy cell relative to an awake cell
     /// (retention voltage scaling; ~0.25 is typical for drowsy caches).
     pub drowsy_leak_ratio: f64,
@@ -39,13 +35,11 @@ pub struct DrowsyConfig {
 
 impl DrowsyConfig {
     /// Representative defaults over the STV MRF.
-    pub fn paper_adjacent(num_banks: usize, max_warps: usize) -> Self {
+    pub fn paper_adjacent() -> Self {
         DrowsyConfig {
             drowsy_after: 100,
             wake_latency: 1,
             base_latency: 1,
-            num_banks,
-            max_warps,
             drowsy_leak_ratio: 0.25,
         }
     }
@@ -63,8 +57,10 @@ impl DrowsyConfig {
 #[derive(Debug)]
 pub struct DrowsyRf {
     config: DrowsyConfig,
+    /// The SM's register-file banks.
+    num_banks: usize,
     /// Last access cycle per (warp, register); `None` = never accessed
-    /// (drowsy from allocation).
+    /// (drowsy from allocation). Grown on a warp slot's first use.
     last_access: Vec<[Option<u64>; MAX_ARCH_REGS]>,
     /// The drowsy and live register-cycle integrals, over every launch.
     telemetry: RfTelemetry,
@@ -74,11 +70,13 @@ pub struct DrowsyRf {
 }
 
 impl DrowsyRf {
-    /// Creates the model for one SM.
-    pub fn new(config: DrowsyConfig) -> Self {
+    /// Creates the model for one SM whose register file has `num_banks`
+    /// banks.
+    pub fn new(config: DrowsyConfig, num_banks: usize) -> Self {
         DrowsyRf {
-            last_access: vec![[None; MAX_ARCH_REGS]; config.max_warps],
             config,
+            num_banks,
+            last_access: Vec::new(),
             telemetry: RfTelemetry::default(),
             last_tick: 0,
             live_regs: 0,
@@ -86,11 +84,14 @@ impl DrowsyRf {
         }
     }
 
-    fn is_drowsy(&self, warp_slot: usize, reg: Reg, cycle: u64) -> bool {
-        match self.last_access[warp_slot][reg.index()] {
-            None => true,
-            Some(last) => cycle.saturating_sub(last) > self.config.drowsy_after,
+    /// The last-access table of `warp_slot`, growing `last_access` to
+    /// reach it.
+    fn warp(&mut self, warp_slot: usize) -> &mut [Option<u64>; MAX_ARCH_REGS] {
+        if warp_slot >= self.last_access.len() {
+            self.last_access
+                .resize(warp_slot + 1, [None; MAX_ARCH_REGS]);
         }
+        &mut self.last_access[warp_slot]
     }
 }
 
@@ -102,15 +103,16 @@ impl RegisterFileModel for DrowsyRf {
         _kind: AccessKind,
         cycle: u64,
     ) -> ResolvedAccess {
-        let drowsy = self.is_drowsy(warp_slot, reg, cycle);
-        self.last_access[warp_slot][reg.index()] = Some(cycle);
+        let drowsy_after = self.config.drowsy_after;
+        let last = self.warp(warp_slot)[reg.index()].replace(cycle);
+        let drowsy = last.is_none_or(|last| cycle.saturating_sub(last) > drowsy_after);
         let latency = if drowsy {
             self.config.base_latency + self.config.wake_latency
         } else {
             self.config.base_latency
         };
         ResolvedAccess {
-            bank: default_bank(warp_slot, reg.index(), self.config.num_banks),
+            bank: default_bank(warp_slot, reg.index(), self.num_banks),
             latency,
             // Dynamic energy of a drowsy MRF access ≈ the STV MRF's (the
             // array still operates at full voltage when accessed).
@@ -167,12 +169,12 @@ impl RegisterFileModel for DrowsyRf {
     }
 
     fn on_warp_start(&mut self, warp: WarpLifecycle, _cycle: u64) {
-        self.last_access[warp.slot] = [None; MAX_ARCH_REGS];
+        *self.warp(warp.slot) = [None; MAX_ARCH_REGS];
         self.live_regs += self.regs_per_thread;
     }
 
     fn on_warp_finish(&mut self, warp: WarpLifecycle, _cycle: u64) {
-        self.last_access[warp.slot] = [None; MAX_ARCH_REGS];
+        *self.warp(warp.slot) = [None; MAX_ARCH_REGS];
         self.live_regs = self.live_regs.saturating_sub(self.regs_per_thread);
     }
 
@@ -186,7 +188,7 @@ mod tests {
     use super::*;
 
     fn model() -> DrowsyRf {
-        DrowsyRf::new(DrowsyConfig::paper_adjacent(24, 64))
+        DrowsyRf::new(DrowsyConfig::paper_adjacent(), 24)
     }
 
     #[test]
@@ -246,7 +248,7 @@ mod tests {
 
     #[test]
     fn effective_leakage_interpolates() {
-        let config = DrowsyConfig::paper_adjacent(24, 64);
+        let config = DrowsyConfig::paper_adjacent();
         // half awake (1.0) + half at 0.25 => 0.625 of awake leakage.
         let l = config.effective_leakage_mw(33.8, 0.5);
         assert!((l - 33.8 * 0.625).abs() < 1e-9);

@@ -229,9 +229,11 @@ pub fn rf_model_factory(
         match &rf_kind {
             RfKind::MrfStv => boxed_model(BaselineRf::stv(banks), &faults),
             RfKind::MrfNtv { latency } => boxed_model(BaselineRf::ntv(banks, *latency), &faults),
-            RfKind::Partitioned(cfg) => boxed_model(PartitionedRf::new(sm, cfg.clone()), &faults),
-            RfKind::Rfc(cfg) => boxed_model(RfcModel::new(*cfg), &faults),
-            RfKind::Drowsy(cfg) => boxed_model(DrowsyRf::new(*cfg), &faults),
+            RfKind::Partitioned(cfg) => {
+                boxed_model(PartitionedRf::new(sm, cfg.clone(), banks), &faults)
+            }
+            RfKind::Rfc(cfg) => boxed_model(RfcModel::new(*cfg, banks), &faults),
+            RfKind::Drowsy(cfg) => boxed_model(DrowsyRf::new(*cfg, banks), &faults),
         }
     }
 }
@@ -568,7 +570,7 @@ mod tests {
         let base = run_experiment(&gpu, &RfKind::MrfStv, &launches(), &[]).unwrap();
         let part = run_experiment(
             &gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
             &launches(),
             &[],
         )
@@ -599,7 +601,7 @@ mod tests {
         let ntv = run_experiment(&gpu, &RfKind::MrfNtv { latency: 3 }, &launches(), &[]).unwrap();
         let part = run_experiment(
             &gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
             &launches(),
             &[],
         )
@@ -621,7 +623,7 @@ mod tests {
             },
             ..small_gpu()
         };
-        let rfc = RfcConfig::paper_default(gpu.num_rf_banks, gpu.max_warps_per_sm);
+        let rfc = RfcConfig::paper_default();
         let r = run_experiment(&gpu, &RfKind::Rfc(rfc), &launches(), &[]).unwrap();
         let t = &r.telemetry;
         assert!(t.rfc_hits + t.rfc_misses > 0);
@@ -634,7 +636,7 @@ mod tests {
         let gpu = small_gpu();
         let part = run_experiment(
             &gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
             &launches(),
             &[],
         )
@@ -662,7 +664,7 @@ mod tests {
         ];
         let part = run_experiment(
             &gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
             &launches,
             &[],
         )
@@ -702,15 +704,9 @@ mod tests {
         let kinds = [
             RfKind::MrfStv,
             RfKind::MrfNtv { latency: 3 },
-            RfKind::Partitioned(PartitionedRfConfig::paper_default(base_gpu.num_rf_banks)),
-            RfKind::Rfc(RfcConfig::paper_default(
-                base_gpu.num_rf_banks,
-                base_gpu.max_warps_per_sm,
-            )),
-            RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-                base_gpu.num_rf_banks,
-                base_gpu.max_warps_per_sm,
-            )),
+            RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+            RfKind::Rfc(RfcConfig::paper_default()),
+            RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
         ];
         for rf in kinds {
             // The RFC lives with the two-level scheduler (its flush hook).
@@ -733,6 +729,64 @@ mod tests {
         }
     }
 
+    /// The RFC and drowsy models size their per-warp tables from the slots
+    /// the SM uses, so a machine with more warp slots than Kepler's 64
+    /// runs them like any other.
+    #[test]
+    fn rfc_and_drowsy_run_audit_clean_on_128_warp_slots() {
+        let base_gpu = GpuConfig {
+            max_warps_per_sm: 128,
+            rf_registers: 128 * 1024,
+            audit: true,
+            ..small_gpu()
+        };
+        // One CTA of 128 warps: every slot is resident at once.
+        let launches = [Launch::new(skewed_kernel(), GridConfig::new(1, 128 * 32))];
+        let kinds = [
+            RfKind::Rfc(RfcConfig::paper_default()),
+            RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
+        ];
+        for rf in kinds {
+            let gpu = if matches!(rf, RfKind::Rfc(_)) {
+                GpuConfig {
+                    scheduler: prf_sim::SchedulerPolicy::TwoLevel {
+                        active_per_scheduler: 8,
+                    },
+                    ..base_gpu.clone()
+                }
+            } else {
+                base_gpu.clone()
+            };
+            let r = run_experiment(&gpu, &rf, &launches, &[]).unwrap();
+            let audit = r.audit.expect("audit enabled");
+            assert!(audit.is_clean(), "{}: {audit}", r.rf_name);
+            // Every warp runs the same loop, so the count splits evenly.
+            assert!(r.stats.instructions > 0 && r.stats.instructions.is_multiple_of(128));
+        }
+    }
+
+    /// Every model built by the factory maps a register onto the banks the
+    /// factory was given: `(slot + physical register) % banks`.
+    #[test]
+    fn factory_models_use_the_machines_bank_count() {
+        let kinds = [
+            RfKind::MrfStv,
+            RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+            RfKind::Rfc(RfcConfig::paper_default()),
+            RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
+        ];
+        for rf in kinds {
+            let mut model = rf_model_factory(&rf, 16, None)(0);
+            model.on_kernel_launch(&skewed_kernel(), 0);
+            for slot in [0, 5, 15, 16, 63] {
+                for reg in [0, 1, 2, 7, 20] {
+                    let a = model.resolve(slot, Reg(reg), prf_sim::rf::AccessKind::Read, 1);
+                    assert_eq!(a.bank, (slot + a.phys_reg) % 16, "{}", rf.name());
+                }
+            }
+        }
+    }
+
     #[test]
     fn audit_absent_when_disabled() {
         let r = run_experiment(&small_gpu(), &RfKind::MrfStv, &launches(), &[]).unwrap();
@@ -750,7 +804,7 @@ mod tests {
             },
             ..small_gpu()
         };
-        let rfc = RfcConfig::paper_default(gpu.num_rf_banks, gpu.max_warps_per_sm);
+        let rfc = RfcConfig::paper_default();
         let r = run_experiment(&gpu, &RfKind::Rfc(rfc), &launches(), &[]).unwrap();
         let clean = r.audit.expect("audit enabled");
         assert!(clean.is_clean(), "{clean}");
@@ -850,7 +904,7 @@ mod tests {
             let fc = FaultConfig::new(map.clone(), policy);
             let r = run_experiment_with_faults(
                 &gpu,
-                &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+                &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
                 &launches(),
                 &[],
                 Some(&fc),
@@ -888,11 +942,8 @@ mod tests {
                 ..small_gpu()
             };
             let kinds = [
-                RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-                RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-                    gpu.num_rf_banks,
-                    gpu.max_warps_per_sm,
-                )),
+                RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+                RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
             ];
             for rf in kinds {
                 let tag = format!("{} under {scheduler:?}", rf.name());
@@ -915,7 +966,7 @@ mod tests {
             num_sms: 2,
             ..small_gpu()
         };
-        let cfg = DrowsyConfig::paper_adjacent(gpu.num_rf_banks, gpu.max_warps_per_sm);
+        let cfg = DrowsyConfig::paper_adjacent();
         let launches = vec![
             Launch::new(skewed_kernel(), GridConfig::new(8, 128)),
             Launch::new(skewed_kernel(), GridConfig::new(3, 64)),

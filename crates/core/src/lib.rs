@@ -37,7 +37,7 @@
 //! let launches = [Launch::new(kb.build()?, GridConfig::new(4, 64))];
 //!
 //! let gpu = GpuConfig::kepler_single_sm();
-//! let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+//! let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
 //! let result = run_experiment(&gpu, &rf, &launches, &[])?;
 //! assert!(result.dynamic_energy_pj > 0.0);
 //! # Ok(())

@@ -28,8 +28,6 @@ pub struct PartitionedRfConfig {
     /// SRF access latency (3 in the main evaluation; 4 and 5 in the §V-C
     /// sensitivity study).
     pub srf_latency: u32,
-    /// Register-file banks.
-    pub num_banks: usize,
     /// How hot registers are identified.
     pub strategy: ProfilingStrategy,
     /// Adaptive FRF epoch detection; `None` pins the FRF in high-power
@@ -45,13 +43,12 @@ pub struct PartitionedRfConfig {
 impl PartitionedRfConfig {
     /// The paper's preferred design: n = 4, 1/2/3-cycle latencies, hybrid
     /// profiling, adaptive FRF on.
-    pub fn paper_default(num_banks: usize) -> Self {
+    pub fn paper_default() -> Self {
         PartitionedRfConfig {
             frf_regs: 4,
             frf_high_latency: 1,
             frf_low_latency: 2,
             srf_latency: 3,
-            num_banks,
             strategy: ProfilingStrategy::Hybrid,
             adaptive: Some(AdaptiveFrfConfig::paper_default()),
             swap_table_extra_cycle: false,
@@ -59,10 +56,10 @@ impl PartitionedRfConfig {
     }
 
     /// Same design without the adaptive FRF (always high-power).
-    pub fn without_adaptive(num_banks: usize) -> Self {
+    pub fn without_adaptive() -> Self {
         PartitionedRfConfig {
             adaptive: None,
-            ..Self::paper_default(num_banks)
+            ..Self::paper_default()
         }
     }
 }
@@ -71,6 +68,8 @@ impl PartitionedRfConfig {
 #[derive(Debug)]
 pub struct PartitionedRf {
     config: PartitionedRfConfig,
+    /// The SM's register-file banks.
+    num_banks: usize,
     swap: SwappingTable,
     pilot: PilotProfiler,
     adaptive: AdaptiveFrf,
@@ -83,12 +82,14 @@ pub struct PartitionedRf {
 }
 
 impl PartitionedRf {
-    /// Creates the model for one SM.
-    pub fn new(sm_id: usize, config: PartitionedRfConfig) -> Self {
+    /// Creates the model for SM `sm_id`, whose register file has
+    /// `num_banks` banks.
+    pub fn new(sm_id: usize, config: PartitionedRfConfig, num_banks: usize) -> Self {
         let swap = SwappingTable::new(config.frf_regs);
         let adaptive = AdaptiveFrf::new(config.adaptive.unwrap_or_default());
         PartitionedRf {
             config,
+            num_banks,
             swap,
             pilot: PilotProfiler::new(),
             adaptive,
@@ -134,7 +135,7 @@ impl RegisterFileModel for PartitionedRf {
             latency += 1;
         }
         ResolvedAccess {
-            bank: default_bank(warp_slot, phys.index(), self.config.num_banks),
+            bank: default_bank(warp_slot, phys.index(), self.num_banks),
             latency,
             partition,
             phys_reg: phys.index(),
@@ -236,7 +237,7 @@ mod tests {
     }
 
     fn hybrid_rf() -> PartitionedRf {
-        PartitionedRf::new(0, PartitionedRfConfig::paper_default(24))
+        PartitionedRf::new(0, PartitionedRfConfig::paper_default(), 24)
     }
 
     #[test]
@@ -244,9 +245,9 @@ mod tests {
         let cfg = PartitionedRfConfig {
             strategy: ProfilingStrategy::StaticFirstN,
             adaptive: None,
-            ..PartitionedRfConfig::paper_default(24)
+            ..PartitionedRfConfig::paper_default()
         };
-        let mut rf = PartitionedRf::new(0, cfg);
+        let mut rf = PartitionedRf::new(0, cfg, 24);
         rf.on_kernel_launch(&test_kernel(), 0);
         let a = rf.resolve(0, Reg(3), AccessKind::Read, 0);
         assert_eq!(a.partition, RfPartition::FrfHigh);
@@ -385,9 +386,9 @@ mod tests {
     fn srf_latency_sensitivity_config() {
         let cfg = PartitionedRfConfig {
             srf_latency: 5,
-            ..PartitionedRfConfig::without_adaptive(24)
+            ..PartitionedRfConfig::without_adaptive()
         };
-        let mut rf = PartitionedRf::new(0, cfg);
+        let mut rf = PartitionedRf::new(0, cfg, 24);
         rf.on_kernel_launch(&test_kernel(), 0);
         assert_eq!(rf.resolve(0, Reg(50), AccessKind::Read, 0).latency, 5);
     }
@@ -397,9 +398,9 @@ mod tests {
         let cfg = PartitionedRfConfig {
             strategy: ProfilingStrategy::Oracle(vec![Reg(33), Reg(44)]),
             adaptive: None,
-            ..PartitionedRfConfig::paper_default(24)
+            ..PartitionedRfConfig::paper_default()
         };
-        let mut rf = PartitionedRf::new(0, cfg);
+        let mut rf = PartitionedRf::new(0, cfg, 24);
         rf.on_kernel_launch(&test_kernel(), 0);
         assert!(rf.swap_table().is_frf(Reg(33)));
         assert!(rf.swap_table().is_frf(Reg(44)));

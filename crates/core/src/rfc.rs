@@ -25,10 +25,6 @@ pub struct RfcConfig {
     /// Whether the backing MRF runs at NTV (energy accounting + Fig. 13's
     /// fourth configuration runs it at STV).
     pub mrf_at_ntv: bool,
-    /// Register-file banks (for the backing MRF).
-    pub num_banks: usize,
-    /// Hardware warp slots (sizing of the per-warp cache array).
-    pub max_warps: usize,
     /// Warps the RFC SRAM is physically sized for (the *active* warp
     /// count under two-level scheduling — Fig. 13 grows this 8 → 16 → 32).
     pub sized_for_warps: u32,
@@ -39,14 +35,12 @@ pub struct RfcConfig {
 
 impl RfcConfig {
     /// The paper's Fig. 13 RFC: 6 entries/warp over an NTV MRF.
-    pub fn paper_default(num_banks: usize, max_warps: usize) -> Self {
+    pub fn paper_default() -> Self {
         RfcConfig {
             entries_per_warp: 6,
             hit_latency: 1,
             mrf_latency: 3,
             mrf_at_ntv: true,
-            num_banks,
-            max_warps,
             sized_for_warps: 8,
             crossbar_banks: 1,
         }
@@ -71,6 +65,9 @@ impl WarpCache {
 #[derive(Debug)]
 pub struct RfcModel {
     config: RfcConfig,
+    /// Banks of the backing MRF.
+    num_banks: usize,
+    /// One cache per warp slot, grown on a slot's first use.
     caches: Vec<WarpCache>,
     /// Hit, miss and write-back counts over every launch.
     telemetry: RfTelemetry,
@@ -81,21 +78,30 @@ pub struct RfcModel {
 }
 
 impl RfcModel {
-    /// Creates the model for one SM.
-    pub fn new(config: RfcConfig) -> Self {
+    /// Creates the model for one SM whose MRF has `num_banks` banks.
+    pub fn new(config: RfcConfig, num_banks: usize) -> Self {
         RfcModel {
-            caches: vec![WarpCache::default(); config.max_warps],
             config,
+            num_banks,
+            caches: Vec::new(),
             telemetry: RfTelemetry::default(),
             evictions: 0,
         }
+    }
+
+    /// The cache of `warp_slot`, growing the table to reach it.
+    fn cache(&mut self, warp_slot: usize) -> &mut WarpCache {
+        if warp_slot >= self.caches.len() {
+            self.caches.resize_with(warp_slot + 1, WarpCache::default);
+        }
+        &mut self.caches[warp_slot]
     }
 
     /// Inserts `reg` into the warp's cache, evicting FIFO-oldest if full.
     /// Returns `true` if a dirty entry was written back.
     fn fill(&mut self, warp_slot: usize, reg: Reg, dirty: bool) -> bool {
         let cap = self.config.entries_per_warp;
-        let cache = &mut self.caches[warp_slot];
+        let cache = self.cache(warp_slot);
         let mut wrote_back = false;
         if cache.entries.len() >= cap && !cache.entries.is_empty() {
             let (_, was_dirty) = cache.entries.remove(0);
@@ -111,12 +117,9 @@ impl RfcModel {
 
     /// Flushes one warp's cache entries (deactivation or completion).
     fn flush(&mut self, warp_slot: usize) {
-        let dirty = self.caches[warp_slot]
-            .entries
-            .iter()
-            .filter(|&&(_, d)| d)
-            .count() as u64;
-        self.caches[warp_slot].entries.clear();
+        let entries = &mut self.cache(warp_slot).entries;
+        let dirty = entries.iter().filter(|&&(_, d)| d).count() as u64;
+        entries.clear();
         if dirty > 0 {
             self.evictions += dirty;
             self.telemetry.rfc_writebacks += dirty;
@@ -125,11 +128,9 @@ impl RfcModel {
 
     /// Test hook: entries currently cached for a warp.
     pub fn cached_registers(&self, warp_slot: usize) -> Vec<Reg> {
-        self.caches[warp_slot]
-            .entries
-            .iter()
-            .map(|&(r, _)| r)
-            .collect()
+        self.caches
+            .get(warp_slot)
+            .map_or_else(Vec::new, |c| c.entries.iter().map(|&(r, _)| r).collect())
     }
 }
 
@@ -141,10 +142,10 @@ impl RegisterFileModel for RfcModel {
         kind: AccessKind,
         _cycle: u64,
     ) -> ResolvedAccess {
-        let bank = default_bank(warp_slot, reg.index(), self.config.num_banks);
+        let bank = default_bank(warp_slot, reg.index(), self.num_banks);
         match kind {
             AccessKind::Read => {
-                if let Some(i) = self.caches[warp_slot].find(reg) {
+                if let Some(i) = self.cache(warp_slot).find(reg) {
                     // Refresh nothing: FIFO, not LRU, as in the RFC paper.
                     let _ = i;
                     self.telemetry.rfc_hits += 1;
@@ -171,8 +172,9 @@ impl RegisterFileModel for RfcModel {
             AccessKind::Write => {
                 // Write-allocate into the RFC; dirty until evicted.
                 self.telemetry.rfc_hits += 1;
-                if let Some(i) = self.caches[warp_slot].find(reg) {
-                    self.caches[warp_slot].entries[i].1 = true;
+                let cache = self.cache(warp_slot);
+                if let Some(i) = cache.find(reg) {
+                    cache.entries[i].1 = true;
                 } else {
                     self.fill(warp_slot, reg, true);
                 }
@@ -199,7 +201,7 @@ impl RegisterFileModel for RfcModel {
     }
 
     fn on_warp_start(&mut self, warp: WarpLifecycle, _cycle: u64) {
-        self.caches[warp.slot].entries.clear();
+        self.cache(warp.slot).entries.clear();
     }
 
     fn on_warp_finish(&mut self, warp: WarpLifecycle, _cycle: u64) {
@@ -230,7 +232,7 @@ mod tests {
     use super::*;
 
     fn model() -> RfcModel {
-        RfcModel::new(RfcConfig::paper_default(24, 64))
+        RfcModel::new(RfcConfig::paper_default(), 24)
     }
 
     #[test]

@@ -46,23 +46,17 @@ fn launches() -> Vec<Launch> {
     vec![Launch::new(skewed_kernel(), GridConfig::new(8, 128))]
 }
 
-fn all_kinds(config: &GpuConfig) -> Vec<RfKind> {
+fn all_kinds() -> Vec<RfKind> {
     vec![
         RfKind::MrfStv,
         RfKind::MrfNtv { latency: 3 },
-        RfKind::Partitioned(PartitionedRfConfig::paper_default(config.num_rf_banks)),
+        RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         RfKind::Partitioned(PartitionedRfConfig {
             strategy: ProfilingStrategy::Compiler,
-            ..PartitionedRfConfig::without_adaptive(config.num_rf_banks)
+            ..PartitionedRfConfig::without_adaptive()
         }),
-        RfKind::Rfc(RfcConfig::paper_default(
-            config.num_rf_banks,
-            config.max_warps_per_sm,
-        )),
-        RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-            config.num_rf_banks,
-            config.max_warps_per_sm,
-        )),
+        RfKind::Rfc(RfcConfig::paper_default()),
+        RfKind::Drowsy(DrowsyConfig::paper_adjacent()),
     ]
 }
 
@@ -72,7 +66,7 @@ fn all_models_complete_with_identical_work() {
         active_per_scheduler: 8,
     });
     let mut instrs = Vec::new();
-    for kind in all_kinds(&config) {
+    for kind in all_kinds() {
         let r = run_experiment(&config, &kind, &launches(), &[]).unwrap();
         assert!(r.cycles > 0, "{}", r.rf_name);
         assert_clean(&r);
@@ -96,13 +90,8 @@ fn energy_ordering_across_models() {
     };
     let stv = get(RfKind::MrfStv);
     let ntv = get(RfKind::MrfNtv { latency: 3 });
-    let part = get(RfKind::Partitioned(PartitionedRfConfig::paper_default(
-        config.num_rf_banks,
-    )));
-    let drowsy = get(RfKind::Drowsy(DrowsyConfig::paper_adjacent(
-        config.num_rf_banks,
-        config.max_warps_per_sm,
-    )));
+    let part = get(RfKind::Partitioned(PartitionedRfConfig::paper_default()));
+    let drowsy = get(RfKind::Drowsy(DrowsyConfig::paper_adjacent()));
 
     assert!(part.dynamic_saving() > ntv.dynamic_saving());
     assert!(ntv.dynamic_saving() > 0.40);
@@ -118,9 +107,7 @@ fn partitioned_wins_energy_delay_product() {
     let config = gpu(SchedulerPolicy::Gto);
     let get = |kind: RfKind| run_experiment(&config, &kind, &launches(), &[]).unwrap();
     let stv = get(RfKind::MrfStv);
-    let part = get(RfKind::Partitioned(PartitionedRfConfig::paper_default(
-        config.num_rf_banks,
-    )));
+    let part = get(RfKind::Partitioned(PartitionedRfConfig::paper_default()));
     let base_ed = EnergyDelay::from(&stv);
     let part_ed = EnergyDelay::from(&part);
     assert!(
@@ -142,7 +129,7 @@ fn oracle_profiling_upper_bounds_hybrid_capture() {
     };
     let hybrid = run_experiment(
         &config,
-        &RfKind::Partitioned(PartitionedRfConfig::without_adaptive(config.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::without_adaptive()),
         &launches(),
         &[],
     )
@@ -151,7 +138,7 @@ fn oracle_profiling_upper_bounds_hybrid_capture() {
         &config,
         &RfKind::Partitioned(PartitionedRfConfig {
             strategy: ProfilingStrategy::Oracle(oracle_set),
-            ..PartitionedRfConfig::without_adaptive(config.num_rf_banks)
+            ..PartitionedRfConfig::without_adaptive()
         }),
         &launches(),
         &[],
@@ -172,10 +159,7 @@ fn rfc_telemetry_consistency() {
     });
     let r = run_experiment(
         &config,
-        &RfKind::Rfc(RfcConfig::paper_default(
-            config.num_rf_banks,
-            config.max_warps_per_sm,
-        )),
+        &RfKind::Rfc(RfcConfig::paper_default()),
         &launches(),
         &[],
     )

@@ -292,12 +292,6 @@ pub struct VoltagePoint {
 }
 
 impl VoltagePoint {
-    /// Access-energy × access-time product (pJ·ns). A performance-weighted
-    /// metric; its minimum sits close to STV.
-    pub fn energy_delay(&self) -> f64 {
-        self.access_energy_pj * self.access_time_ns
-    }
-
     /// Total energy per operation (pJ): dynamic access energy plus the
     /// leakage burned while the (slow) access completes
     /// (`1 mW × 1 ns = 1 pJ`). This is the classic near-threshold-computing

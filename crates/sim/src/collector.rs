@@ -280,23 +280,9 @@ impl OperandCollector {
     /// Arbitration: for each bank, the oldest writeback wins first, then
     /// the oldest pending collector read. `on_access` fires once per
     /// *granted* access with the full resolved access (partition for
-    /// energy accounting, repair for fault accounting). Returns the
-    /// instructions that finished collection and the writes that completed
-    /// this cycle.
-    pub fn tick(
-        &mut self,
-        cycle: u64,
-        on_access: impl FnMut(ResolvedAccess, AccessKind),
-    ) -> (Vec<CollectedInstr>, Vec<CompletedWrite>) {
-        let mut collected = Vec::new();
-        let mut done_writes = Vec::new();
-        self.tick_into(cycle, on_access, &mut collected, &mut done_writes);
-        (collected, done_writes)
-    }
-
-    /// The allocation-free form of [`OperandCollector::tick`]: appends the
-    /// released instructions and completed writes to caller-provided
-    /// buffers (cleared here).
+    /// energy accounting, repair for fault accounting). Fills `collected`
+    /// with the instructions that finished collection and `done_writes`
+    /// with the writes that completed this cycle (both cleared here).
     pub fn tick_into(
         &mut self,
         cycle: u64,
@@ -459,6 +445,17 @@ mod tests {
         acc(bank, 1, RfPartition::MrfStv)
     }
 
+    /// One [`OperandCollector::tick_into`] into fresh buffers.
+    fn tick(
+        oc: &mut OperandCollector,
+        cycle: u64,
+        on_access: impl FnMut(ResolvedAccess, AccessKind),
+    ) -> (Vec<CollectedInstr>, Vec<CompletedWrite>) {
+        let (mut collected, mut done_writes) = (Vec::new(), Vec::new());
+        oc.tick_into(cycle, on_access, &mut collected, &mut done_writes);
+        (collected, done_writes)
+    }
+
     fn run_cycles(
         oc: &mut OperandCollector,
         from: u64,
@@ -467,7 +464,7 @@ mod tests {
         let mut all_c = Vec::new();
         let mut all_w = Vec::new();
         for cyc in from..to {
-            let (c, w) = oc.tick(cyc, |_, _| {});
+            let (c, w) = tick(oc, cyc, |_, _| {});
             all_c.extend(c);
             all_w.extend(w);
         }
@@ -497,9 +494,9 @@ mod tests {
             7,
         );
         // Cycle 0: read granted, ready at 1. Cycle 1: entry releases.
-        let (c0, _) = oc.tick(0, |_, _| {});
+        let (c0, _) = tick(&mut oc, 0, |_, _| {});
         assert!(c0.is_empty());
-        let (c1, _) = oc.tick(1, |_, _| {});
+        let (c1, _) = tick(&mut oc, 1, |_, _| {});
         assert_eq!(c1.len(), 1);
         assert_eq!(c1[0].token, 7);
         assert!(oc.is_idle());
@@ -517,7 +514,7 @@ mod tests {
             },
             9,
         );
-        let (c, _) = oc.tick(0, |_, _| {});
+        let (c, _) = tick(&mut oc, 0, |_, _| {});
         assert_eq!(c.len(), 1);
     }
 
@@ -623,10 +620,10 @@ mod tests {
         );
         oc.request_writeback(0, Reg(0), stv(0), 99);
         let mut kinds = Vec::new();
-        let (_, w) = oc.tick(0, |_, k| kinds.push(k));
+        let (_, w) = tick(&mut oc, 0, |_, k| kinds.push(k));
         assert!(w.is_empty());
         assert_eq!(kinds, vec![AccessKind::Write], "write must win the bank");
-        let (_, w) = oc.tick(1, |_, _| {});
+        let (_, w) = tick(&mut oc, 1, |_, _| {});
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].token, 99);
         assert_eq!(w[0].partition, RfPartition::MrfStv);
@@ -636,9 +633,9 @@ mod tests {
     fn different_banks_proceed_in_parallel() {
         let mut oc = OperandCollector::new(4, 24, true);
         oc.allocate(0, &[stv(0), stv(1), stv(2)], CollectDest::Memory, 5);
-        let (c, _) = oc.tick(0, |_, _| {});
+        let (c, _) = tick(&mut oc, 0, |_, _| {});
         assert!(c.is_empty());
-        let (c, _) = oc.tick(1, |_, _| {});
+        let (c, _) = tick(&mut oc, 1, |_, _| {});
         assert_eq!(c.len(), 1, "three reads to three banks complete together");
         assert_eq!(oc.bank_conflict_waits, 0);
     }
@@ -650,7 +647,7 @@ mod tests {
         oc.allocate(0, &[srf], CollectDest::Memory, 1);
         let mut seen = Vec::new();
         for cyc in 0..5 {
-            oc.tick(cyc, |a, k| seen.push((a.partition, k)));
+            tick(&mut oc, cyc, |a, k| seen.push((a.partition, k)));
         }
         assert_eq!(seen, vec![(RfPartition::Srf, AccessKind::Read)]);
     }

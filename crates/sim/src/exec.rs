@@ -124,29 +124,14 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
 /// Executes the instruction at the warp's current pc, updating the warp's
 /// architectural state, the SIMT stack, and the memories.
 ///
-/// Returns the [`ExecOutcome`] the timing model needs. The caller must have
-/// fetched `instr` from the warp's current pc.
+/// Writes the [`ExecOutcome`] the timing model needs into `outcome`
+/// (typically built with [`ExecOutcome::with_buffer`] from a recycled
+/// address buffer, keeping the issue path allocation-free). The caller
+/// must have fetched `instr` from the warp's current pc.
 ///
 /// # Panics
 ///
 /// Panics if the warp has already exited.
-pub fn execute_warp_instruction(
-    warp: &mut WarpContext,
-    instr: &Instruction,
-    rt: &ReconvergenceTable,
-    env: &ExecEnv,
-    global: &mut GmemView<'_>,
-    shared: &mut SharedMemory,
-) -> ExecOutcome {
-    let mut outcome = ExecOutcome::none();
-    execute_warp_instruction_into(warp, instr, rt, env, global, shared, &mut outcome);
-    outcome
-}
-
-/// [`execute_warp_instruction`] writing into a caller-provided outcome
-/// (typically built with [`ExecOutcome::with_buffer`] from a recycled
-/// address buffer, keeping the issue path allocation-free).
-#[allow(clippy::missing_panics_doc)] // same contract as the wrapper above
 pub fn execute_warp_instruction_into(
     warp: &mut WarpContext,
     instr: &Instruction,
@@ -329,10 +314,9 @@ mod tests {
         shared: &mut SharedMemory,
     ) -> ExecOutcome {
         let mut log = Vec::new();
-        let out = {
-            let mut view = GmemView::new(global, &mut log);
-            execute_warp_instruction(warp, instr, rt, e, &mut view, shared)
-        };
+        let mut out = ExecOutcome::default();
+        let mut view = GmemView::new(global, &mut log);
+        execute_warp_instruction_into(warp, instr, rt, e, &mut view, shared, &mut out);
         for (a, v) in log {
             global.write(a, v);
         }
@@ -566,10 +550,9 @@ mod tests {
         let rt = ReconvergenceTable::compute(&k);
         let mut shared = SharedMemory::new(64);
         let mut log = Vec::new();
-        let out = {
-            let mut view = GmemView::new(global, &mut log);
-            execute_warp_instruction(w, &instr, &rt, &env(), &mut view, &mut shared)
-        };
+        let mut out = ExecOutcome::default();
+        let mut view = GmemView::new(global, &mut log);
+        execute_warp_instruction_into(w, &instr, &rt, &env(), &mut view, &mut shared, &mut out);
         (out, log)
     }
 
@@ -804,7 +787,16 @@ mod tests {
                 }
                 let mut log = Vec::new();
                 let mut view = GmemView::new(&global, &mut log);
-                execute_warp_instruction(&mut w, instr, &rt, &env(), &mut view, &mut shared);
+                let mut out = ExecOutcome::default();
+                execute_warp_instruction_into(
+                    &mut w,
+                    instr,
+                    &rt,
+                    &env(),
+                    &mut view,
+                    &mut shared,
+                    &mut out,
+                );
                 let exec = if *guarded { active & pred } else { active };
                 for lane in 0..WARP_SIZE as u32 {
                     let want = if exec & (1 << lane) != 0 {

@@ -159,11 +159,13 @@ impl GlobalMemory {
 /// This two-phase execute/commit scheme makes the order in which SMs step
 /// within a cycle irrelevant: an SM's view of memory depends only on the
 /// committed state and its own write log, never on which other SMs have
-/// already stepped the cycle. The one semantic difference from
-/// stepping SMs in-place is that an SM no longer observes a *same-cycle*
-/// write from a lower-numbered SM; cross-SM communication at single-cycle
-/// granularity is not representable in the CTA programming model (there is
-/// no inter-CTA barrier), so no workload can depend on it.
+/// already stepped the cycle. The one semantic difference from stepping
+/// SMs in place is that an SM does not observe a *same-cycle* write from
+/// a lower-numbered SM. No measured cycle count depends on it, but memory
+/// can: the Table I recipes are racy (CTAs on different SMs store to the same
+/// words), so which store lands last, and with it the final memory image
+/// of such a run, follows the commit order. The two-phase commit stays
+/// until the recipes are race-free (DESIGN.md §7.1).
 #[derive(Debug)]
 pub struct GmemView<'a> {
     base: &'a GlobalMemory,
@@ -378,16 +380,9 @@ impl LoadStoreUnit {
         }
     }
 
-    /// Counts coalesced transactions for a set of word addresses.
-    pub fn coalesce(addrs: &[u32]) -> u32 {
-        let mut segs = Vec::new();
-        Self::coalesce_into(addrs, &mut segs);
-        segs.len() as u32
-    }
-
     /// Fills `segs` with the sorted, deduplicated 128-byte segments touched
-    /// by `addrs` (the allocation-free form of [`LoadStoreUnit::coalesce`];
-    /// the hot path reuses one scratch buffer across instructions).
+    /// by `addrs`, one coalesced transaction each (the hot path reuses one
+    /// scratch buffer across instructions).
     pub fn coalesce_into(addrs: &[u32], segs: &mut Vec<u32>) {
         segs.clear();
         segs.extend(addrs.iter().map(|a| a / LINE_WORDS));
@@ -405,15 +400,8 @@ impl LoadStoreUnit {
         self.accept_queue.push_back((token, serialised));
     }
 
-    /// Advances one cycle; returns tokens of completed operations.
-    pub fn tick(&mut self, cycle: u64) -> Vec<u64> {
-        let mut done = Vec::new();
-        self.tick_into(cycle, &mut done);
-        done
-    }
-
     /// Advances one cycle, appending tokens of completed operations to
-    /// `done` (the allocation-free form of [`LoadStoreUnit::tick`]).
+    /// `done`.
     pub fn tick_into(&mut self, cycle: u64, done: &mut Vec<u64>) {
         // One instruction enters service per cycle.
         if let Some((token, lat)) = self.accept_queue.pop_front() {
@@ -670,17 +658,24 @@ mod tests {
         assert!(fast.hits > 0 && fast.misses > 0);
     }
 
+    /// Coalesced transactions for a set of word addresses.
+    fn segments(addrs: &[u32]) -> u32 {
+        let mut segs = Vec::new();
+        LoadStoreUnit::coalesce_into(addrs, &mut segs);
+        segs.len() as u32
+    }
+
     #[test]
     fn coalescing_counts_segments() {
         // All 32 lanes in one segment.
         let addrs: Vec<u32> = (0..32).collect();
-        assert_eq!(LoadStoreUnit::coalesce(&addrs), 1);
+        assert_eq!(segments(&addrs), 1);
         // Stride-32: every lane its own segment.
         let addrs: Vec<u32> = (0..32).map(|i| i * 32).collect();
-        assert_eq!(LoadStoreUnit::coalesce(&addrs), 32);
+        assert_eq!(segments(&addrs), 32);
         // Two segments.
         let addrs = vec![0, 1, 40, 41];
-        assert_eq!(LoadStoreUnit::coalesce(&addrs), 2);
+        assert_eq!(segments(&addrs), 2);
     }
 
     #[test]
@@ -689,7 +684,7 @@ mod tests {
         lsu.submit(1, 10, 1);
         let mut done = Vec::new();
         for cyc in 0..=10 {
-            done.extend(lsu.tick(cyc));
+            lsu.tick_into(cyc, &mut done);
         }
         assert_eq!(done, vec![1]);
         assert!(lsu.is_idle());
@@ -701,8 +696,10 @@ mod tests {
         let mut lsu = LoadStoreUnit::new();
         lsu.submit(1, 10, 4); // +3 cycles
         let mut finish = None;
+        let mut done = Vec::new();
         for cyc in 0..=20 {
-            if lsu.tick(cyc).contains(&1) {
+            lsu.tick_into(cyc, &mut done);
+            if done.contains(&1) {
                 finish = Some(cyc);
                 break;
             }
@@ -718,7 +715,7 @@ mod tests {
         // stride-32 access (worst case: one segment per lane) under a
         // divergent mask with only lanes 0..4 active.
         let all_lanes: Vec<u32> = (0..32u32).map(|lane| lane * 32).collect();
-        assert_eq!(LoadStoreUnit::coalesce(&all_lanes), 32);
+        assert_eq!(segments(&all_lanes), 32);
         let mask: u32 = 0b1111;
         let active: Vec<u32> = all_lanes
             .iter()
@@ -726,10 +723,10 @@ mod tests {
             .filter(|&(lane, _)| mask & (1 << lane) != 0)
             .map(|(_, &a)| a)
             .collect();
-        assert_eq!(LoadStoreUnit::coalesce(&active), 4);
+        assert_eq!(segments(&active), 4);
         // Masked unit-stride lanes still coalesce into one segment.
         let unit: Vec<u32> = (0..32u32).filter(|l| mask & (1 << l) != 0).collect();
-        assert_eq!(LoadStoreUnit::coalesce(&unit), 1);
+        assert_eq!(segments(&unit), 1);
     }
 
     #[test]
@@ -761,8 +758,11 @@ mod tests {
         assert_eq!(sb.pending_count(), 2);
 
         let mut completions = Vec::new();
+        let mut done = Vec::new();
         for cycle in 0..=30u64 {
-            for token in lsu.tick(cycle) {
+            done.clear();
+            lsu.tick_into(cycle, &mut done);
+            for &token in &done {
                 sb.release_reg(token_reg[&token]);
                 completions.push(token);
                 // Release order is completion order: after the fast op
@@ -811,11 +811,11 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_into_matches_coalesce() {
+    fn coalesce_into_clears_stale_scratch() {
         let addrs = vec![0, 1, 40, 41, 999];
         let mut segs = vec![123, 456]; // stale scratch must be cleared
         LoadStoreUnit::coalesce_into(&addrs, &mut segs);
-        assert_eq!(segs.len() as u32, LoadStoreUnit::coalesce(&addrs));
+        assert_eq!(segs.len() as u32, segments(&addrs));
         assert_eq!(segs, vec![0, 1, 31]);
     }
 
@@ -827,7 +827,7 @@ mod tests {
         // token 1 enters at cycle 0 (done 5), token 2 at cycle 1 (done 6).
         let mut done = Vec::new();
         for cyc in 0..=6 {
-            done.extend(lsu.tick(cyc));
+            lsu.tick_into(cyc, &mut done);
         }
         assert_eq!(done, vec![1, 2]);
     }

@@ -118,11 +118,6 @@ impl SampleWindow {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// RF reads + writes within the window, over all partitions.
-    pub fn rf_accesses(&self) -> u64 {
-        self.rf_reads.iter().sum::<u64>() + self.rf_writes.iter().sum::<u64>()
-    }
 }
 
 /// The windowed series recorded by one SM over one kernel launch.

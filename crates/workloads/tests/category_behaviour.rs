@@ -29,7 +29,7 @@ fn coverages(w: &Workload) -> (f64, f64) {
     let hist = &base.stats.reg_accesses;
     let part = run(
         &single,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     );
     (
         hist.coverage(&part.telemetry.compiler_hot_regs),
@@ -42,7 +42,7 @@ fn every_workload_terminates_under_every_rf() {
     for w in suite() {
         for rf in [
             RfKind::MrfStv,
-            RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+            RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         ] {
             let r = run(&w, &rf);
             assert!(r.cycles > 0, "{} under {}", w.name, r.rf_name);
@@ -160,7 +160,7 @@ fn pilot_identifies_designated_hot_registers() {
         };
         let part = run(
             &single,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         );
         let hot = &part.telemetry.pilot_hot_regs;
         for &r in expect {

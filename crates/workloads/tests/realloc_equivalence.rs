@@ -113,10 +113,9 @@ fn table1_kernels_realloc_validate_and_compact() {
 /// every Table I kernel, on both a monolithic and a partitioned RF.
 #[test]
 fn table1_realloc_preserves_memory_image_and_instructions() {
-    let banks = GpuConfig::kepler_single_sm().num_rf_banks;
     let rfs = [
         RfKind::MrfStv,
-        RfKind::Partitioned(PartitionedRfConfig::paper_default(banks)),
+        RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     ];
     let mut cells = 0usize;
     for w in suite() {

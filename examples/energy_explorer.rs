@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let cfg = PartitionedRfConfig {
             frf_regs: n,
-            ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+            ..PartitionedRfConfig::paper_default()
         };
         let (mut frf_share, mut saving, mut cycles) = (0.0, 0.0, 0u64);
         for name in names {

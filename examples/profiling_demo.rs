@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The hybrid partitioned RF in action.
     let hybrid = run_experiment(
         &gpu,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         &launches,
         &[(0x400, trips)],
     )?;

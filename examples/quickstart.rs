@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline = run_experiment(&gpu, &RfKind::MrfStv, &launches, &[])?;
     let partitioned = run_experiment(
         &gpu,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         &launches,
         &[],
     )?;

@@ -22,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let rfc_cfg = RfcConfig {
         sized_for_warps: 8,
-        ..RfcConfig::paper_default(gpu.num_rf_banks, gpu.max_warps_per_sm)
+        ..RfcConfig::paper_default()
     };
     let rfc = run_experiment(&gpu, &RfKind::Rfc(rfc_cfg), &w.launches, &w.mem_init)?;
 
     let part = run_experiment(
         &gpu,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         &w.launches,
         &w.mem_init,
     )?;

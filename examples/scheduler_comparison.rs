@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let base = run_experiment(&gpu, &RfKind::MrfStv, &w.launches, &w.mem_init)?;
         let part = run_experiment(
             &gpu,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
             &w.launches,
             &w.mem_init,
         )?;

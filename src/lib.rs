@@ -28,7 +28,7 @@
 //! kb.exit();
 //!
 //! let gpu = GpuConfig::kepler_single_sm();
-//! let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+//! let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default());
 //! let result = run_experiment(
 //!     &gpu,
 //!     &rf,

@@ -560,14 +560,11 @@ fn gpu(scheduler: SchedulerPolicy, num_sms: usize) -> GpuConfig {
     }
 }
 
-fn arm(name: &str, gpu: &GpuConfig) -> RfKind {
+fn arm(name: &str) -> RfKind {
     match name {
         "MRF@STV" => RfKind::MrfStv,
-        "partitioned" => RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks)),
-        "RFC" => RfKind::Rfc(RfcConfig::paper_default(
-            gpu.num_rf_banks,
-            gpu.max_warps_per_sm,
-        )),
+        "partitioned" => RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+        "RFC" => RfKind::Rfc(RfcConfig::paper_default()),
         "MRF@NTV" => RfKind::MrfNtv { latency: 3 },
         other => panic!("unknown arm {other}"),
     }
@@ -578,7 +575,7 @@ fn smallest_workloads_are_bit_identical_at_seed_0() {
     for g in GOLDEN {
         let gpu = gpu(g.scheduler, g.num_sms);
         let w = by_name(g.workload).expect("a Table I workload");
-        let r = run_experiment(&gpu, &arm(g.arm, &gpu), &w.launches, &w.mem_init)
+        let r = run_experiment(&gpu, &arm(g.arm), &w.launches, &w.mem_init)
             .unwrap_or_else(|e| panic!("{}/{}: {e}", g.workload, g.arm));
         let job = format!(
             "{}/{}/{:?}/{} SMs",
@@ -652,7 +649,7 @@ fn final_memory_is_the_same_on_every_row() {
         assert!(rows.len() >= 6, "{workload}: {} rows", rows.len());
         for g in rows {
             let gpu = gpu(g.scheduler, g.num_sms);
-            let got = final_memory_digest(&gpu, &arm(g.arm, &gpu), workload);
+            let got = final_memory_digest(&gpu, &arm(g.arm), workload);
             assert_eq!(
                 got, digest,
                 "{workload}/{}/{:?}/{} SMs final memory digest {got:#018x}",
@@ -790,7 +787,7 @@ fn backprop_telemetry_and_repairs_carry_across_launches() {
         );
         let r = run_experiment_with_faults(
             &gpu,
-            &arm(g.arm, &gpu),
+            &arm(g.arm),
             &w.launches,
             &w.mem_init,
             g.faulted.then_some(&faults),

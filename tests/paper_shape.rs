@@ -42,7 +42,7 @@ fn category2_compiler_identification_is_poor() {
     let hist = &base.stats.reg_accesses;
     let part = run(
         &w,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     );
     let compiler_cov = hist.coverage(&part.telemetry.compiler_hot_regs);
     let pilot_cov = hist.coverage(&part.telemetry.pilot_hot_regs);
@@ -60,7 +60,7 @@ fn category3_pilot_identification_is_poor() {
     let hist = &base.stats.reg_accesses;
     let part = run(
         &w,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     );
     let compiler_cov = hist.coverage(&part.telemetry.compiler_hot_regs);
     let pilot_cov = hist.coverage(&part.telemetry.pilot_hot_regs);
@@ -77,7 +77,7 @@ fn partitioned_dynamic_saving_beats_ntv() {
     let w = by_name("srad").unwrap();
     let part = run(
         &w,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     );
     let ntv = run(&w, &RfKind::MrfNtv { latency: 3 });
     assert!(
@@ -112,7 +112,7 @@ fn performance_ordering_partitioned_beats_ntv() {
     let base = run(&w, &RfKind::MrfStv);
     let part = run(
         &w,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
     );
     let ntv = run(&w, &RfKind::MrfNtv { latency: 3 });
     assert!(
@@ -133,7 +133,7 @@ fn srf_latency_sensitivity_is_monotone() {
         let cfg = PartitionedRfConfig {
             srf_latency: lat,
             strategy: ProfilingStrategy::Hybrid,
-            ..PartitionedRfConfig::without_adaptive(gpu().num_rf_banks)
+            ..PartitionedRfConfig::without_adaptive()
         };
         let mut total = 0u64;
         for seed in 0..5 {
@@ -190,7 +190,7 @@ fn adaptive_frf_uses_both_modes() {
         let w = by_name(name).unwrap();
         let r = run(
             &w,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         );
         let pa = &r.stats.partition_accesses;
         if pa.accesses(RfPartition::FrfLow) > 0 {
@@ -225,7 +225,7 @@ fn pilot_runtime_ordering() {
         let w = by_name(name).unwrap();
         let r = run(
             &w,
-            &RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu().num_rf_banks)),
+            &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         );
         r.per_launch[0].pilot_runtime_fraction().unwrap()
     };

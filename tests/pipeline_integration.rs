@@ -58,11 +58,8 @@ fn saxpy_results_are_identical_under_every_rf_organisation() {
     let kinds = [
         RfKind::MrfStv,
         RfKind::MrfNtv { latency: 3 },
-        RfKind::Partitioned(PartitionedRfConfig::paper_default(config.num_rf_banks)),
-        RfKind::Rfc(pilot_rf::core::RfcConfig::paper_default(
-            config.num_rf_banks,
-            config.max_warps_per_sm,
-        )),
+        RfKind::Partitioned(PartitionedRfConfig::paper_default()),
+        RfKind::Rfc(pilot_rf::core::RfcConfig::paper_default()),
     ];
     let launches = [Launch::new(saxpy_kernel(), GridConfig::new(2, 128))];
     let x: Vec<u32> = (0..256).collect();
@@ -158,7 +155,7 @@ fn partitioned_rf_routes_majority_of_skewed_accesses_to_frf() {
     let config = gpu_config();
     let r = run_experiment(
         &config,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(config.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         &w.launches,
         &w.mem_init,
     )
@@ -226,7 +223,7 @@ fn backprop_two_kernels_remap_between_launches() {
     let config = gpu_config();
     let r = run_experiment(
         &config,
-        &RfKind::Partitioned(PartitionedRfConfig::paper_default(config.num_rf_banks)),
+        &RfKind::Partitioned(PartitionedRfConfig::paper_default()),
         &w.launches,
         &w.mem_init,
     )
