@@ -2,11 +2,11 @@
 //!
 //! The server's batch queue lives in memory; without a journal, killing
 //! the process loses every submitted-but-unfinished batch with no trace.
-//! With `PRF_JOURNAL_DIR` set, every batch submission, per-job start and
-//! per-job completion is appended to `serve.wal` as a checksummed,
-//! length-framed record *before* the client's submit is acknowledged. On
-//! startup the server replays the journal and re-enqueues every batch
-//! that has no matching [`Record::BatchDone`]; because jobs are
+//! With `PRF_JOURNAL_DIR` set, every batch submission is appended to
+//! `serve.wal` as a checksummed, length-framed record *before* the
+//! client's submit is acknowledged, and every finished batch is marked
+//! done. On startup the server replays the journal and re-enqueues every
+//! batch that has no matching [`Record::BatchDone`]; because jobs are
 //! content-addressed digests and completed jobs hit the warmed result
 //! cache, recovery is exactly-once by construction — re-run jobs are
 //! answered from the cache bit-identically and only genuinely
@@ -32,12 +32,11 @@
 //!
 //! ## Durability placement
 //!
-//! [`Record::Submit`], [`Record::BatchDone`] and [`Record::Next`] are
-//! fsynced before `append` returns — they change what recovery would
-//! re-enqueue. Per-job [`Record::Start`]/[`Record::JobDone`] records are
-//! appended without fsync: they are diagnostic progress markers, and
-//! losing them changes nothing (the result cache, not the journal, is
-//! what makes re-running a finished job free). See DESIGN.md §10.
+//! Every record ([`Record::Submit`], [`Record::BatchDone`],
+//! [`Record::Next`]) is fsynced before `append` returns: each changes
+//! what recovery would re-enqueue. The journal records no per-job
+//! progress; the result cache, not the journal, is what makes
+//! re-running a finished job free. See DESIGN.md §10.
 //!
 //! Once every recorded batch is done the journal is compacted: a fresh
 //! file carrying only the batch-id high-water mark is written to the
@@ -67,7 +66,7 @@ pub const JOURNAL_FILE: &str = "serve.wal";
 pub const MAX_RECORD_BYTES: usize = 16 << 20;
 
 /// One journal record. `batch` ids are the server's protocol-visible
-/// batch numbers; `job` indexes into the batch's job list.
+/// batch numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A batch was accepted: its id and the raw job specs (verbatim
@@ -78,20 +77,6 @@ pub enum Record {
         batch: u64,
         /// Raw job specs as submitted.
         jobs: Vec<Json>,
-    },
-    /// A job began executing (progress marker; not fsynced).
-    Start {
-        /// Batch the job belongs to.
-        batch: u64,
-        /// Index of the job within the batch.
-        job: u64,
-    },
-    /// A job reached a terminal outcome (progress marker; not fsynced).
-    JobDone {
-        /// Batch the job belongs to.
-        batch: u64,
-        /// Index of the job within the batch.
-        job: u64,
     },
     /// Every job of the batch is done and its report exists.
     BatchDone {
@@ -107,26 +92,12 @@ pub enum Record {
 }
 
 impl Record {
-    /// True for records that must be fsynced before `append` returns:
-    /// they change what recovery re-enqueues.
-    fn is_durable(&self) -> bool {
-        !matches!(self, Record::Start { .. } | Record::JobDone { .. })
-    }
-
     fn to_json(&self) -> Json {
         match self {
             Record::Submit { batch, jobs } => Json::obj()
                 .field("t", "submit")
                 .field("batch", *batch)
                 .field("jobs", Json::Arr(jobs.clone())),
-            Record::Start { batch, job } => Json::obj()
-                .field("t", "start")
-                .field("batch", *batch)
-                .field("job", *job),
-            Record::JobDone { batch, job } => Json::obj()
-                .field("t", "job_done")
-                .field("batch", *batch)
-                .field("job", *job),
             Record::BatchDone { batch } => {
                 Json::obj().field("t", "batch_done").field("batch", *batch)
             }
@@ -141,14 +112,6 @@ impl Record {
             "submit" => Some(Record::Submit {
                 batch: batch()?,
                 jobs: doc.get("jobs")?.as_arr()?.to_vec(),
-            }),
-            "start" => Some(Record::Start {
-                batch: batch()?,
-                job: doc.get("job")?.as_u64()?,
-            }),
-            "job_done" => Some(Record::JobDone {
-                batch: batch()?,
-                job: doc.get("job")?.as_u64()?,
             }),
             "batch_done" => Some(Record::BatchDone { batch: batch()? }),
             "next" => Some(Record::Next {
@@ -184,11 +147,6 @@ pub struct Recovery {
     pub pending: Vec<(u64, Vec<Json>)>,
     /// Next batch id to hand out (one past the highest id seen).
     pub next_id: u64,
-    /// Complete records replayed.
-    pub records: usize,
-    /// Per-job `JobDone` markers seen for pending batches — progress
-    /// the crashed run made (those jobs will be cache hits).
-    pub jobs_done: usize,
     /// True when the file ended in a torn/corrupt frame (the expected
     /// artefact of a crash mid-append; at most one record was lost).
     pub torn_tail: bool,
@@ -213,7 +171,6 @@ fn replay(bytes: &[u8]) -> Recovery {
         return rec;
     };
     let mut pending: BTreeMap<u64, Vec<Json>> = BTreeMap::new();
-    let mut jobs_done: BTreeMap<u64, usize> = BTreeMap::new();
     let mut pos = 0usize;
     while pos < body.len() {
         let Some(header) = body.get(pos..pos + 12) else {
@@ -239,24 +196,15 @@ fn replay(bytes: &[u8]) -> Recovery {
             .ok()
             .and_then(|s| Json::parse(&s).ok())
             .and_then(|doc| Record::from_json(&doc));
-        let Some(record) = parsed else {
-            // Checksummed but unintelligible: written by a future
-            // version, perhaps. Skip it rather than dropping the rest
-            // of the log.
-            pos += 12 + len;
-            rec.records += 1;
-            continue;
-        };
-        rec.records += 1;
         pos += 12 + len;
+        // A checksummed but unintelligible record — written by a future
+        // version, or a per-job progress record of an older one — is
+        // skipped rather than dropping the rest of the log.
+        let Some(record) = parsed else { continue };
         match record {
             Record::Submit { batch, jobs } => {
                 rec.next_id = rec.next_id.max(batch + 1);
                 pending.insert(batch, jobs);
-            }
-            Record::Start { .. } => {}
-            Record::JobDone { batch, .. } => {
-                *jobs_done.entry(batch).or_insert(0) += 1;
             }
             Record::BatchDone { batch } => {
                 pending.remove(&batch);
@@ -266,7 +214,6 @@ fn replay(bytes: &[u8]) -> Recovery {
             }
         }
     }
-    rec.jobs_done = pending.keys().filter_map(|b| jobs_done.get(b)).sum();
     rec.pending = pending.into_iter().collect();
     rec.valid_len = JOURNAL_MAGIC.len() + pos;
     rec
@@ -378,9 +325,8 @@ impl Journal {
         &self.dir
     }
 
-    /// Appends one record, fsyncing when the record class requires it
-    /// (see the module docs). Tracks outstanding batches and compacts
-    /// the log once none remain.
+    /// Appends one record and fsyncs it. Tracks outstanding batches and
+    /// compacts the log once none remain.
     ///
     /// # Errors
     ///
@@ -389,8 +335,7 @@ impl Journal {
     /// loud non-durable mode — it never refuses traffic over this.
     pub fn append(&mut self, record: &Record) -> io::Result<()> {
         let payload = record.to_json().to_json();
-        self.vfs
-            .append(&self.path, &frame(payload.as_bytes()), record.is_durable())?;
+        self.vfs.append(&self.path, &frame(payload.as_bytes()))?;
         match record {
             Record::Submit { batch, .. } => {
                 self.next_id = self.next_id.max(batch + 1);
@@ -405,7 +350,6 @@ impl Journal {
                 }
             }
             Record::Next { id } => self.next_id = self.next_id.max(*id),
-            _ => {}
         }
         Ok(())
     }
@@ -466,8 +410,6 @@ mod tests {
                 batch: 3,
                 jobs: vec![spec(0), spec(1)],
             },
-            Record::Start { batch: 3, job: 1 },
-            Record::JobDone { batch: 3, job: 1 },
             Record::BatchDone { batch: 3 },
             Record::Next { id: 9 },
         ] {
@@ -488,8 +430,6 @@ mod tests {
                 jobs: vec![spec(0)],
             })
             .unwrap();
-            j.append(&Record::Start { batch: 0, job: 0 }).unwrap();
-            j.append(&Record::JobDone { batch: 0, job: 0 }).unwrap();
             j.append(&Record::Submit {
                 batch: 1,
                 jobs: vec![spec(1), spec(2)],
@@ -504,9 +444,54 @@ mod tests {
         );
         assert_eq!(rec.pending[1].1.len(), 2, "specs survive verbatim");
         assert_eq!(rec.next_id, 2);
-        assert_eq!(rec.jobs_done, 1, "batch 0 made progress before the crash");
         assert!(!rec.torn_tail);
         assert_eq!(j2.outstanding(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_with_per_job_progress_records_still_replays() {
+        // Older servers also logged per-job `start`/`job_done` frames.
+        // They are checksummed records replay no longer knows, so it
+        // skips them without calling the tail torn.
+        let dir = temp_dir("progress");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        for record in [
+            Record::Next { id: 0 }.to_json(),
+            Record::Submit {
+                batch: 0,
+                jobs: vec![spec(0), spec(1)],
+            }
+            .to_json(),
+            Json::obj()
+                .field("t", "start")
+                .field("batch", 0u64)
+                .field("job", 0u64),
+            Json::obj()
+                .field("t", "job_done")
+                .field("batch", 0u64)
+                .field("job", 0u64),
+        ] {
+            bytes.extend_from_slice(&frame(record.to_json().as_bytes()));
+        }
+        let path = dir.join(JOURNAL_FILE);
+        std::fs::write(&path, &bytes).unwrap();
+        let vfs = crate::vfs::real();
+        let (mut j, rec) = Journal::open(&dir, Arc::clone(&vfs)).unwrap();
+        assert_eq!(
+            rec.pending.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            vec![0]
+        );
+        assert!(!rec.torn_tail);
+        assert_eq!(rec.valid_len, bytes.len(), "nothing is truncated");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // Finishing the batch replays and compacts as usual.
+        j.append(&Record::BatchDone { batch: 0 }).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() < bytes.len() as u64);
+        let (_, rec) = Journal::open(&dir, vfs).unwrap();
+        assert!(rec.pending.is_empty());
+        assert_eq!(rec.next_id, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

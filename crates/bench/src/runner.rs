@@ -9,9 +9,8 @@
 //! the input order regardless of completion order, so report tables are
 //! deterministic too.
 //!
-//! There is one engine, [`run_matrix_resilient_observed`]; the
-//! observer-less [`run_matrix_resilient_configured`] forwards to it. Both
-//! take the thread count, retry policy, shard and cache explicitly. The
+//! There is one engine, [`run_matrix_resilient_configured`]. It takes
+//! the thread count, retry policy, shard and cache explicitly. The
 //! figure harness (`crate::run_cells_reported`) and `prf-serve` take them
 //! from the parsed harness configuration (`crate::harness_args`).
 //!
@@ -549,10 +548,15 @@ where
                 // The receiver may have given up already; that's fine.
                 let _ = tx.send((generation, outcome));
             });
-            let deadline = Instant::now() + budget;
+            // A budget past the clock's range is a deadline that never
+            // expires.
+            let deadline = Instant::now().checked_add(budget);
             loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(remaining) {
+                let received = match deadline {
+                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+                };
+                match received {
                     // A previous, abandoned attempt finally finished.
                     // Its result is stale — the watchdog already declared
                     // that generation timed out — so drop it and keep
@@ -622,32 +626,6 @@ struct SlotData {
     cached: Option<bool>,
 }
 
-/// [`run_matrix_resilient_observed`] without an observer.
-pub fn run_matrix_resilient_configured(
-    jobs: &[Job],
-    policy: RetryPolicy,
-    threads: usize,
-    shard: Option<ShardSpec>,
-    cache: Option<&ResultCache>,
-) -> MatrixOutcome {
-    run_matrix_resilient_observed(jobs, policy, threads, shard, cache, None)
-}
-
-/// Progress hooks invoked from the worker threads of
-/// [`run_matrix_resilient_observed`]. `prf-serve` uses this to journal
-/// per-job start/completion records; both methods default to no-ops.
-/// Callbacks must be cheap and must not panic — they run inline on the
-/// worker, between jobs.
-pub trait JobObserver: Sync {
-    /// A worker picked up job `index` (after shard filtering; fires for
-    /// rejected and cache-answered jobs too).
-    fn job_started(&self, _index: usize, _job: &Job) {}
-    /// Job `index` reached a terminal outcome (including rejection and
-    /// cache hits). Fires after the cache store, so by the time a
-    /// journal records completion the result is already published.
-    fn job_finished(&self, _index: usize, _job: &Job, _outcome: &JobOutcome) {}
-}
-
 /// The matrix engine. Runs every job on a pool of at most `threads`
 /// scoped workers pulling from a shared cursor (long simulations don't
 /// serialise behind short ones), and returns one [`JobReport`] per input
@@ -661,15 +639,13 @@ pub trait JobObserver: Sync {
 /// freshly computed results are stored for the next run. The cache store
 /// happens on the worker thread *after* `run_resilient_job` returns, so —
 /// together with the attempt generation counter — an abandoned watchdog
-/// attempt can never publish a stale entry. The `observer`, when given,
-/// sees every job start and finish.
-pub fn run_matrix_resilient_observed(
+/// attempt can never publish a stale entry.
+pub fn run_matrix_resilient_configured(
     jobs: &[Job],
     policy: RetryPolicy,
     threads: usize,
     shard: Option<ShardSpec>,
     cache: Option<&ResultCache>,
-    observer: Option<&dyn JobObserver>,
 ) -> MatrixOutcome {
     let threads = threads.clamp(1, jobs.len().max(1));
     let next = AtomicUsize::new(0);
@@ -694,21 +670,14 @@ pub fn run_matrix_resilient_observed(
                     }
                 }
                 let started = t0.elapsed();
-                if let Some(obs) = observer {
-                    obs.job_started(i, job);
-                }
                 // Reject invalid jobs up front: no attempt thread, no
                 // watchdog, no retries — a hostile job costs one
                 // validation pass, not a worker's retry budget.
                 if let Err(e) = job.validate() {
-                    let outcome = JobOutcome::Rejected {
-                        reason: format!("rejected input: {e}"),
-                    };
-                    if let Some(obs) = observer {
-                        obs.job_finished(i, job, &outcome);
-                    }
                     *slots[i].lock().unwrap() = Some(SlotData {
-                        outcome,
+                        outcome: JobOutcome::Rejected {
+                            reason: format!("rejected input: {e}"),
+                        },
                         started,
                         elapsed: Duration::ZERO,
                         result: None,
@@ -724,9 +693,6 @@ pub fn run_matrix_resilient_observed(
                     .map(|_| job_digest(job));
                 if let (Some(cache), Some(digest)) = (cache, &digest) {
                     if let Some(hit) = cache.load(digest, job) {
-                        if let Some(obs) = observer {
-                            obs.job_finished(i, job, &hit.outcome);
-                        }
                         *slots[i].lock().unwrap() = Some(SlotData {
                             outcome: hit.outcome,
                             started,
@@ -745,9 +711,6 @@ pub fn run_matrix_resilient_observed(
                 let elapsed = job_start.elapsed();
                 if let (Some(cache), Some(digest), Some(r)) = (cache, &digest, result.as_ref()) {
                     cache.store(digest, job, &outcome, elapsed, r);
-                }
-                if let Some(obs) = observer {
-                    obs.job_finished(i, job, &outcome);
                 }
                 *slots[i].lock().unwrap() = Some(SlotData {
                     outcome,
@@ -1370,6 +1333,18 @@ mod tests {
         });
         assert_eq!(outcome, JobOutcome::TimedOut { timeout: budget });
         assert!(result.is_none());
+    }
+
+    #[test]
+    fn unrepresentable_watchdog_budget_never_expires() {
+        let policy = RetryPolicy {
+            timeout: Some(Duration::MAX),
+            retries: 0,
+            backoff: Duration::ZERO,
+        };
+        let (outcome, result) = run_resilient_job(policy, || Ok(marker_result(7)));
+        assert_eq!(outcome, JobOutcome::Completed);
+        assert_eq!(result.expect("attempt completed").cycles, 7);
     }
 
     #[test]

@@ -42,16 +42,16 @@
 //! `{"kind":"rejected"}` outcome instead of wasting a retry budget.
 //!
 //! Batches execute in submission order on a single worker thread that
-//! drives [`runner::run_matrix_resilient_observed`] — so every batch
+//! drives [`runner::run_matrix_resilient_configured`] — so every batch
 //! gets the full worker pool, the retry/watchdog policy, and the result
 //! cache ([`ResultCache::open_or_disable`]) for free. In-flight batching is
 //! bounded: at most [`ServeConfig::max_inflight`] batches may be queued
 //! or running at once; submissions beyond that are refused with a
 //! capacity error rather than queued without bound. `shutdown` is
 //! graceful by default — the listener stops accepting, queued batches
-//! drain, and [`serve`] returns; `{"op":"shutdown","mode":"now"}` skips
-//! the drain (the batch already running finishes; queued batches are
-//! left to the journal).
+//! drain, and [`serve_with_journal`] returns;
+//! `{"op":"shutdown","mode":"now"}` skips the drain (the batch already
+//! running finishes; queued batches are left to the journal).
 //!
 //! ## Durability
 //!
@@ -78,7 +78,7 @@ use crate::bench_report::{outcome_json, result_json};
 use crate::cache::ResultCache;
 use crate::journal::{Journal, Record, Recovery};
 use crate::json::Json;
-use crate::runner::{self, Job, JobObserver, RetryPolicy};
+use crate::runner::{self, Job, RetryPolicy};
 
 /// Version of the line protocol, reported by `ping`. Bump on breaking
 /// changes to request or response shapes.
@@ -90,7 +90,7 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// error and the connection is closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Tunables for one [`serve`] call.
+/// Tunables for one [`serve_with_journal`] call.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads for each batch's matrix run.
@@ -302,7 +302,7 @@ enum StopMode {
     /// Not stopping.
     #[default]
     No,
-    /// Graceful: queued batches drain before [`serve`] returns.
+    /// Graceful: queued batches drain before [`serve_with_journal`] returns.
     Drain,
     /// Immediate: the running batch (if any) finishes — a matrix run
     /// cannot be interrupted — but queued batches are left to the
@@ -355,8 +355,7 @@ impl Shared {
     ///
     /// Lock order: callers may hold `state` while calling this (submit
     /// does, so its `Submit` record always precedes the worker's
-    /// `Start` records); nothing acquires `state` while holding
-    /// `journal`.
+    /// `BatchDone`); nothing acquires `state` while holding `journal`.
     fn journal_append(&self, record: &Record) {
         let mut guard = self.journal.lock().unwrap();
         if let Some(journal) = guard.as_mut() {
@@ -369,29 +368,6 @@ impl Shared {
                 self.durable.store(false, Ordering::SeqCst);
             }
         }
-    }
-}
-
-/// Journals per-job progress markers from the matrix runner's worker
-/// threads while a batch executes.
-struct BatchJournalist<'a> {
-    shared: &'a Shared,
-    batch: u64,
-}
-
-impl JobObserver for BatchJournalist<'_> {
-    fn job_started(&self, index: usize, _job: &Job) {
-        self.shared.journal_append(&Record::Start {
-            batch: self.batch,
-            job: index as u64,
-        });
-    }
-
-    fn job_finished(&self, index: usize, _job: &Job, _outcome: &runner::JobOutcome) {
-        self.shared.journal_append(&Record::JobDone {
-            batch: self.batch,
-            job: index as u64,
-        });
     }
 }
 
@@ -446,17 +422,12 @@ fn worker_loop(shared: &Shared, config: &ServeConfig, cache: Option<&ResultCache
                 st = shared.work.wait(st).unwrap();
             }
         };
-        let journalist = BatchJournalist {
-            shared,
-            batch: batch_id,
-        };
-        let outcome = runner::run_matrix_resilient_observed(
+        let outcome = runner::run_matrix_resilient_configured(
             &jobs,
             config.policy,
             config.threads,
             None,
             cache,
-            Some(&journalist),
         );
         let mut st = shared.state.lock().unwrap();
         let report = batch_report_json(st.batches[slot].id, &outcome);
@@ -519,7 +490,7 @@ fn handle_request(req: &Json, shared: &Shared, config: &ServeConfig) -> (Json, b
             st.queue.push_back(slot);
             // Journal the raw specs before the submit is acknowledged,
             // inside the state lock so the Submit record always precedes
-            // the worker's Start records for this batch.
+            // the worker's BatchDone record for this batch.
             shared.journal_append(&Record::Submit {
                 batch: id,
                 jobs: specs.to_vec(),
@@ -621,18 +592,15 @@ fn handle_request(req: &Json, shared: &Shared, config: &ServeConfig) -> (Json, b
 /// worker thread through the resilient runner and `cache`. Queued batches
 /// drain before this returns (unless shut down with `mode:"now"`); idle
 /// clients that never disconnect do NOT block shutdown — their handler
-/// threads are detached and die with the process. Runs without a
-/// journal; see [`serve_with_journal`] for the durable variant.
-pub fn serve(listener: TcpListener, config: ServeConfig, cache: Option<ResultCache>) {
-    serve_with_journal(listener, config, cache, None)
-}
-
-/// [`serve`] with an optional write-ahead journal (usually from
-/// [`Journal::open_or_disable`]): re-enqueues the recovery's unfinished
+/// threads are detached and die with the process.
+///
+/// With a write-ahead journal (usually from
+/// [`Journal::open_or_disable`]) it re-enqueues the recovery's unfinished
 /// batches before accepting traffic, journals every subsequent
 /// submission, and compacts the log as batches complete. A batch whose
 /// journaled specs no longer parse (e.g. a workload renamed across
 /// versions) is dropped with a diagnostic rather than wedging startup.
+/// `None` serves without durability.
 pub fn serve_with_journal(
     listener: TcpListener,
     config: ServeConfig,
@@ -918,7 +886,7 @@ mod tests {
             policy: RetryPolicy::none(),
             max_inflight: 4,
         };
-        let server = std::thread::spawn(move || serve(listener, config, None));
+        let server = std::thread::spawn(move || serve_with_journal(listener, config, None, None));
 
         let submit = move |workload: &str, seed: u64| {
             let (mut stream, mut reader) = connect(addr);
@@ -1033,7 +1001,7 @@ mod tests {
     fn start_server(config: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve(listener, config, None));
+        let server = std::thread::spawn(move || serve_with_journal(listener, config, None, None));
         (addr, server)
     }
 
@@ -1210,7 +1178,7 @@ mod tests {
             policy: RetryPolicy::none(),
             max_inflight: 1,
         };
-        let server = std::thread::spawn(move || serve(listener, config, None));
+        let server = std::thread::spawn(move || serve_with_journal(listener, config, None, None));
         let (mut stream, mut reader) = connect(addr);
 
         let first = roundtrip(

@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 
 /// Filesystem operations used by the cache, journal, and report layers.
 ///
-/// All mutating methods are durability-annotated: `write_file` syncs
-/// file contents before returning, `append` syncs only when asked, and
+/// All mutating methods are durability-annotated: `write_file` and
+/// `append` sync file contents before returning, and
 /// [`Vfs::sync_dir`] makes a preceding `rename` survive power loss on
 /// platforms where directory fsync is meaningful (see the method docs).
 pub trait Vfs: Send + Sync + Debug {
@@ -38,9 +38,9 @@ pub trait Vfs: Send + Sync + Debug {
     /// Creates (truncating) `path`, writes `bytes`, and fsyncs the file.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Appends `bytes` to `path` (creating it if absent); fsyncs the
-    /// file when `sync` is true.
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()>;
+    /// Appends `bytes` to `path` (creating it if absent) and fsyncs the
+    /// file.
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
     /// Renames `from` to `to` (atomic within one directory on POSIX).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -90,16 +90,13 @@ impl Vfs for RealVfs {
         f.sync_all()
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut f = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
         f.write_all(bytes)?;
-        if sync {
-            f.sync_all()?;
-        }
-        Ok(())
+        f.sync_all()
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -278,7 +275,7 @@ impl Vfs for FaultyVfs {
         self.inner.write_file(path, bytes)
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let cut = self.charge_op()?;
         let plan = self.plan.lock().unwrap().clone();
         if plan.fail_writes {
@@ -290,14 +287,14 @@ impl Vfs for FaultyVfs {
             plan.torn_write_bytes.filter(|&n| n < bytes.len())
         };
         if let Some(n) = torn {
-            self.inner.append(path, &bytes[..n], false)?;
+            self.inner.append(path, &bytes[..n])?;
             return Err(if cut {
                 Self::power_cut()
             } else {
                 Self::enospc()
             });
         }
-        self.inner.append(path, bytes, sync)
+        self.inner.append(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -361,7 +358,7 @@ mod tests {
         let path = dir.join("a.txt");
         vfs.write_file(&path, b"hello").unwrap();
         assert_eq!(vfs.read(&path).unwrap(), b"hello");
-        vfs.append(&path, b" world", true).unwrap();
+        vfs.append(&path, b" world").unwrap();
         assert_eq!(vfs.read(&path).unwrap(), b"hello world");
         let renamed = dir.join("b.txt");
         vfs.rename(&path, &renamed).unwrap();
@@ -410,25 +407,22 @@ mod tests {
         let dir = temp_dir("powercut");
         let vfs = FaultyVfs::new();
         let path = dir.join("wal");
-        vfs.append(&path, b"AAAA", true).unwrap();
+        vfs.append(&path, b"AAAA").unwrap();
         vfs.set_plan(FaultPlan {
             power_cut_after_ops: Some(1),
             ..FaultPlan::default()
         });
-        vfs.append(&path, b"BBBB", true).unwrap(); // within budget
-        let torn = vfs.append(&path, b"CCCC", true); // the cut: half lands
+        vfs.append(&path, b"BBBB").unwrap(); // within budget
+        let torn = vfs.append(&path, b"CCCC"); // the cut: half lands
         assert!(torn.is_err());
         assert!(vfs.is_dead());
         assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCC");
-        assert!(
-            vfs.append(&path, b"DDDD", true).is_err(),
-            "dead disk stays dead"
-        );
+        assert!(vfs.append(&path, b"DDDD").is_err(), "dead disk stays dead");
         assert!(vfs.rename(&path, &dir.join("moved")).is_err());
         // Post-reboot inspection still works.
         assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCC");
         vfs.revive();
-        vfs.append(&path, b"EEEE", true).unwrap();
+        vfs.append(&path, b"EEEE").unwrap();
         assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCCEEEE");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -20,7 +20,7 @@ use prf_bench::cache::ResultCache;
 use prf_bench::journal::{Journal, Record};
 use prf_bench::json::Json;
 use prf_bench::runner::{run_matrix_resilient_configured, RetryPolicy};
-use prf_bench::serve::{job_from_spec, serve, serve_with_journal, ServeConfig};
+use prf_bench::serve::{job_from_spec, serve_with_journal, ServeConfig};
 use prf_bench::vfs::{self, FaultPlan, FaultyVfs, Vfs};
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -128,7 +128,7 @@ fn recovered_batch_is_bit_identical_to_an_uninterrupted_run() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn({
         let config = config();
-        move || serve(listener, config, None)
+        move || serve_with_journal(listener, config, None, None)
     });
     let (mut stream, mut reader) = connect(addr);
     let resp = roundtrip(
@@ -150,8 +150,8 @@ fn recovered_batch_is_bit_identical_to_an_uninterrupted_run() {
     server.join().unwrap();
     assert_eq!(reference.get("failed_jobs").unwrap().as_u64(), Some(0));
 
-    // Crash scenario: a journal says batch 0 was accepted and partially
-    // started, then the process died. The cache dir is the same one the
+    // Crash scenario: a journal says batch 0 was accepted, then the
+    // process died. The cache dir is the same one the
     // dead process would have been filling.
     let journal_dir = unique_dir("journal");
     let cache_dir = unique_dir("cache");
@@ -163,8 +163,7 @@ fn recovered_batch_is_bit_identical_to_an_uninterrupted_run() {
                 jobs: specs.clone(),
             })
             .unwrap();
-        journal.append(&Record::Start { batch: 0, job: 0 }).unwrap();
-        // No JobDone, no BatchDone: the "crash".
+        // No BatchDone: the "crash".
     }
 
     // Restart: the batch must be re-enqueued under its original id and

@@ -207,14 +207,12 @@ fn quarantine_and_rerun_repopulates_a_byte_identical_entry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The known record sequence behind [`reference_journal`], as
-/// `(submitted batch, completed batch)` effects per record. `None`
-/// means the record touches no pending state.
+/// The known record sequence behind [`reference_journal`], as the
+/// effect of each record on the pending set. `Next` touches no pending
+/// state.
 const JOURNAL_SCRIPT: &[Record2] = &[
     Record2::Next,
     Record2::Submit(0),
-    Record2::Progress,
-    Record2::Progress,
     Record2::Submit(1),
     Record2::Done(0),
     Record2::Submit(2),
@@ -224,7 +222,6 @@ const JOURNAL_SCRIPT: &[Record2] = &[
 enum Record2 {
     Next,
     Submit(u64),
-    Progress,
     Done(u64),
 }
 
@@ -240,10 +237,6 @@ fn reference_journal() -> &'static Vec<u8> {
                 batch: 0,
                 jobs: vec![job_spec(), job_spec().field("seed", 1u64)],
             })
-            .unwrap();
-        journal.append(&Record::Start { batch: 0, job: 0 }).unwrap();
-        journal
-            .append(&Record::JobDone { batch: 0, job: 0 })
             .unwrap();
         journal
             .append(&Record::Submit {
@@ -300,7 +293,7 @@ fn expected_pending(records: usize) -> Vec<u64> {
         match record {
             Record2::Submit(b) => pending.push(*b),
             Record2::Done(b) => pending.retain(|p| p != b),
-            Record2::Next | Record2::Progress => {}
+            Record2::Next => {}
         }
     }
     pending.sort_unstable();

@@ -62,11 +62,6 @@ impl EnergyDelay {
         self.energy_pj * self.cycles as f64
     }
 
-    /// Energy × delay² (pJ·cycles²) — emphasises performance.
-    pub fn ed2p(&self) -> f64 {
-        self.energy_pj * (self.cycles as f64).powi(2)
-    }
-
     /// EDP of this design normalised to a baseline (values < 1 mean this
     /// design wins the energy-performance trade-off).
     pub fn edp_vs(&self, baseline: &EnergyDelay) -> f64 {
@@ -120,7 +115,6 @@ mod tests {
             cycles: 1020,
         };
         assert_eq!(base.edp(), 100_000.0);
-        assert_eq!(base.ed2p(), 100_000_000.0);
         // Halving energy for 2% slowdown is a clear EDP win.
         let r = improved.edp_vs(&base);
         assert!(r < 0.52, "EDP ratio {r}");

@@ -93,21 +93,6 @@ impl EnergyModel {
     pub fn baseline_dynamic_energy_pj(&self, counts: &PartitionAccessCounts) -> f64 {
         counts.total() as f64 * self.per_access_pj[RfPartition::MrfStv.index()]
     }
-
-    /// Per-partition energy breakdown (pJ), skipping zero rows.
-    pub fn breakdown_pj(&self, counts: &PartitionAccessCounts) -> Vec<(RfPartition, f64)> {
-        RfPartition::ALL
-            .iter()
-            .filter_map(|&p| {
-                let n = counts.accesses(p);
-                if n == 0 {
-                    None
-                } else {
-                    Some((p, n as f64 * self.per_access_pj[p.index()]))
-                }
-            })
-            .collect()
-    }
 }
 
 impl Default for EnergyModel {
@@ -263,15 +248,5 @@ mod tests {
         // 33.8 mW over 900 cycles at 0.9 GHz = 33.8 mW * 1000 ns = 33800 pJ.
         let e = LeakageModel::leakage_energy_pj(33.8, 900);
         assert!((e - 33_800.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn breakdown_skips_zero_rows() {
-        let m = EnergyModel::without_rfc();
-        let mut c = PartitionAccessCounts::new();
-        record_n(&mut c, RfPartition::Srf, AccessKind::Read, 2);
-        let b = m.breakdown_pj(&c);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].0, RfPartition::Srf);
     }
 }

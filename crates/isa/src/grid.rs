@@ -116,11 +116,6 @@ impl GridConfig {
         u64::from(self.num_ctas) * u64::from(self.threads_per_cta)
     }
 
-    /// Total warps in the launch.
-    pub fn total_warps(&self) -> u64 {
-        u64::from(self.num_ctas) * u64::from(self.warps_per_cta())
-    }
-
     /// The 32-bit lane-active mask of warp `warp_in_cta`: all ones except in
     /// the final warp of a CTA whose size is not a warp multiple.
     pub fn active_mask(&self, warp_in_cta: u32) -> u32 {
@@ -176,7 +171,6 @@ mod tests {
     fn totals() {
         let g = GridConfig::new(10, 256);
         assert_eq!(g.total_threads(), 2560);
-        assert_eq!(g.total_warps(), 80);
     }
 
     #[test]

@@ -159,13 +159,6 @@ impl Instruction {
         self.dst.as_reg()
     }
 
-    /// Total number of RF accesses (reads + writes) this instruction makes
-    /// per executing thread. This matches the paper's definition: "An access
-    /// is defined as either a read or write operation" (§II).
-    pub fn rf_access_count(&self) -> usize {
-        self.reg_reads().count() + usize::from(self.reg_write().is_some())
-    }
-
     /// Number of distinct source-operand RF reads, as seen by the operand
     /// collector (duplicate registers still require one collector slot each).
     pub fn num_reg_src_operands(&self) -> usize {
@@ -235,15 +228,13 @@ mod tests {
             .with_srcs(&[Operand::Reg(Reg(1)), Operand::Imm(7)]);
         let reads: Vec<_> = i.reg_reads().collect();
         assert_eq!(reads, vec![Reg(1)]);
-        assert_eq!(i.rf_access_count(), 2);
     }
 
     #[test]
     fn rf_access_count_counts_duplicates() {
-        // R1 + R1 -> R1 is 3 accesses (2 reads + 1 write), like the paper's
-        // occurrence counting.
+        // R1 + R1 -> R1 reads R1 twice: each occurrence takes its own
+        // collector slot, like the paper's occurrence counting.
         let i = iadd(1, 1, 1);
-        assert_eq!(i.rf_access_count(), 3);
         assert_eq!(i.num_reg_src_operands(), 2);
     }
 
@@ -252,7 +243,6 @@ mod tests {
         let st =
             Instruction::new(Opcode::Stg).with_srcs(&[Operand::Reg(Reg(0)), Operand::Reg(Reg(1))]);
         assert_eq!(st.reg_write(), None);
-        assert_eq!(st.rf_access_count(), 2);
     }
 
     #[test]
@@ -261,7 +251,6 @@ mod tests {
             .with_dst(Dst::Pred(PredReg(0)))
             .with_srcs(&[Operand::Reg(Reg(3)), Operand::Imm(10)]);
         assert_eq!(setp.reg_write(), None);
-        assert_eq!(setp.rf_access_count(), 1);
     }
 
     #[test]

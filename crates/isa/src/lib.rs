@@ -53,7 +53,7 @@ pub use encode::{decode_kernel, encode_kernel, CodecError};
 pub use grid::{CtaId, Dim3, GridConfig, ThreadCoord, WARP_SIZE};
 pub use instr::{Dst, Instruction, Operand, PredGuard};
 pub use kernel::{Kernel, KernelBuilder, KernelError, Label};
-pub use liveness::{LiveRange, Liveness, RegSet};
+pub use liveness::{Liveness, RegSet};
 pub use op::{CmpOp, ExecClass, Opcode};
 pub use realloc::{reallocate, Realloc};
 pub use reg::{PredReg, Reg, SpecialReg, MAX_ARCH_REGS, NUM_PRED_REGS};

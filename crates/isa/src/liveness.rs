@@ -97,19 +97,6 @@ impl RegSet {
     }
 }
 
-/// Summary of one register's live region, at instruction granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveRange {
-    /// The architectural register.
-    pub reg: Reg,
-    /// First pc at which the register is live-in, if ever.
-    pub first: Option<usize>,
-    /// Last pc at which the register is live-in, if ever.
-    pub last: Option<usize>,
-    /// Number of program points (instruction entries) where it is live.
-    pub live_points: usize,
-}
-
 /// Result of the backward liveness dataflow for one kernel.
 ///
 /// All vectors are indexed by pc. `live_in[pc]` holds the registers whose
@@ -263,35 +250,6 @@ impl Liveness {
             .collect()
     }
 
-    /// Per-register live-range summaries, ascending by register index.
-    /// Registers never live anywhere still get an entry (with
-    /// `live_points == 0`) if they are below `regs_per_thread`.
-    pub fn live_ranges(&self) -> Vec<LiveRange> {
-        (0..self.regs_per_thread)
-            .map(|idx| {
-                let reg = Reg(idx);
-                let mut first = None;
-                let mut last = None;
-                let mut live_points = 0usize;
-                for (pc, inn) in self.live_in.iter().enumerate() {
-                    if inn.contains(reg) {
-                        if first.is_none() {
-                            first = Some(pc);
-                        }
-                        last = Some(pc);
-                        live_points += 1;
-                    }
-                }
-                LiveRange {
-                    reg,
-                    first,
-                    last,
-                    live_points,
-                }
-            })
-            .collect()
-    }
-
     /// Mean number of live registers per program point.
     pub fn avg_live_regs(&self) -> f64 {
         if self.live_in.is_empty() {
@@ -440,10 +398,6 @@ mod tests {
         assert!(lv.dead_writes().is_empty());
         // Both registers are allocated and mostly live.
         assert!(lv.live_slot_fraction() > 0.5);
-        let ranges = lv.live_ranges();
-        assert_eq!(ranges.len(), 2);
-        assert_eq!(ranges[1].reg, Reg(1));
-        assert!(ranges[1].live_points >= 3);
     }
 
     #[test]

@@ -348,11 +348,6 @@ impl SmStats {
         self.rf_repairs[kind.index()]
     }
 
-    /// Repaired accesses of any kind.
-    pub fn total_repairs(&self) -> u64 {
-        self.rf_repairs.iter().sum()
-    }
-
     /// Mean SIMD efficiency: active lanes per issued instruction over the
     /// warp width.
     pub fn simd_efficiency(&self) -> f64 {
@@ -556,7 +551,6 @@ mod tests {
         merged.scale_down(3);
         assert_eq!(merged.instructions, one.instructions);
         assert_eq!(merged.rf_repairs, one.rf_repairs);
-        assert_eq!(merged.total_repairs(), 3);
         assert_eq!(merged.repairs(RepairKind::Remapped), 2);
         assert_eq!(merged.active_cycles, one.active_cycles);
         assert_eq!(merged.mem_transactions, one.mem_transactions);
